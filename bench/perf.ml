@@ -22,15 +22,6 @@
                                               sequential vs sharded -> BENCH_4.json
      dune exec bench/perf.exe -- --chaos --smoke
                                               quick CI variant of the same gate
-     dune exec bench/perf.exe -- --engine     event-core gate: typed slab events
-                                              + timing-wheel scheduler vs the
-                                              closure/heap baseline, with GC
-                                              accounting -> BENCH_5.json
-     dune exec bench/perf.exe -- --engine --smoke
-                                              quick CI check: all scheduler and
-                                              event-mode combinations (and a
-                                              2-shard chaotic wheel run) must
-                                              agree exactly
      dune exec bench/perf.exe -- --frames     zero-copy frame gate: pooled
                                               flat frames vs the unpooled
                                               allocate-per-send oracle, with
@@ -105,7 +96,6 @@ type config = {
   smoke : bool;
   tpp_heavy : bool;           (* BENCH_3: TCPU backend comparison *)
   chaos : bool;               (* BENCH_4: fault-injection gate *)
-  engine : bool;              (* BENCH_5: typed-event / wheel gate *)
   frames : bool;              (* BENCH_6: zero-copy frame / pool gate *)
   telemetry : bool;           (* BENCH_7: streaming-telemetry gate *)
   transports : bool;          (* BENCH_8: five-way transport gate *)
@@ -116,14 +106,14 @@ type config = {
 let default =
   { k = 8; packets_per_host = 1500; payload_bytes = 1000; gap_ns = 6_000;
     wire_check = `Cached; shards = 0; smoke = false; tpp_heavy = false;
-    chaos = false; engine = false; frames = false; telemetry = false;
+    chaos = false; frames = false; telemetry = false;
     transports = false; scale = false; out = None }
 
 let horizon = Time_ns.sec 10
 
-let build ?event_mode cfg eng =
+let build cfg eng =
   let ft =
-    Topology.fat_tree eng ~wire_check:cfg.wire_check ?event_mode ~ecmp:true
+    Topology.fat_tree eng ~wire_check:cfg.wire_check ~ecmp:true
       ~k:cfg.k ~bps:10_000_000_000 ~delay:(Time_ns.us 1) ()
   in
   ft.Topology.f_net
@@ -182,7 +172,7 @@ let setup_traffic cfg ~owns net =
     if owns hosts.(src).Net.node_id then
       for j = 0 to cfg.packets_per_host - 1 do
         (* Offset hosts against each other so departures are not all
-           simultaneous (keeps the event heap realistically mixed). *)
+           simultaneous (keeps the event queue realistically mixed). *)
         let t = (j * cfg.gap_ns) + (src * 7) + 1 in
         Engine.at eng t (fun () -> send src)
       done
@@ -200,9 +190,9 @@ type outcome = {
   lookahead_ns : int;
 }
 
-let run_sequential ?scheduler ?event_mode cfg =
-  let eng = Engine.create ?scheduler () in
-  let net = build ?event_mode cfg eng in
+let run_sequential cfg =
+  let eng = Engine.create () in
+  let net = build cfg eng in
   setup_traffic cfg ~owns:(fun _ -> true) net;
   let g0 = gc_mark () in
   let t0 = Unix.gettimeofday () in
@@ -453,7 +443,6 @@ let git_commit () =
 let wire_check_name = function
   | `Always -> "always"
   | `Cached -> "cached"
-  | `Off -> "off"
 
 let workload_of cfg =
   Printf.sprintf
@@ -713,8 +702,8 @@ let fault_fp (s : Fault.stats) =
 let fault_fp_add = List.map2 ( + )
 
 (* Sequential run with an arbitrary fault setup applied post-build. *)
-let run_sequential_faulted ?scheduler cfg ~fault =
-  let eng = Engine.create ?scheduler () in
+let run_sequential_faulted cfg ~fault =
+  let eng = Engine.create () in
   let net = build cfg eng in
   let f = fault net in
   setup_traffic cfg ~owns:(fun _ -> true) net;
@@ -730,12 +719,12 @@ let run_sequential_faulted ?scheduler cfg ~fault =
       rounds = 0; messages = 0; cut_links = 0; lookahead_ns = 0 },
     f )
 
-let run_parallel_chaos ?scheduler cfg ~shards =
+let run_parallel_chaos cfg ~shards =
   let faults = Array.make shards None in
   let marks = Array.make shards (0.0, 0.0) in
   let t0 = Unix.gettimeofday () in
   let stats, per_shard =
-    Parsim.run ?scheduler ~shards ~until:horizon ~build:(build cfg)
+    Parsim.run ~shards ~until:horizon ~build:(build cfg)
       ~setup:(fun ~shard ~owns net ->
         faults.(shard) <- Some (chaos_schedule cfg net);
         setup_traffic cfg ~owns net;
@@ -873,24 +862,11 @@ let chaos cfg =
       ~par_wall:par.wall
   end
 
-(* ---- engine workload (BENCH_5): the typed-event / wheel gate --------
+(* ---- plain-traffic fabric: the workload of the frame, shard,
+   telemetry and scale gates below ---------------------------------------
 
-   Three layers of evidence that the allocation-free event core is both
-   faster and exactly equivalent to what it replaced:
-
-   1. A scheduler microbench — 64 self-rescheduling tokens, each with
-      its own stride, so the queue always holds 64 pending events at
-      mixed horizons. No network, no frames: pure event-core cost. The
-      typed/wheel core must allocate ~0 minor words per event.
-
-   2. The full fabric with plain (untagged) UDP traffic, so the event
-      core rather than the TCPU dominates. Closure+heap reproduces the
-      pre-typed allocation profile; typed+heap and typed+wheel must
-      match it on events, deliveries and every switch register, and
-      typed+wheel must beat it by >= 1.3x.
-
-   3. The chaotic schedule of BENCH_4 run sequentially under both
-      schedulers and sharded under the wheel — all bit-identical. *)
+   Untagged UDP, so the event core, links and switches rather than the
+   TCPU dominate the per-event cost. *)
 
 let setup_plain_traffic cfg ~owns net =
   let hosts = Array.of_list (Net.hosts net) in
@@ -926,44 +902,6 @@ let setup_plain_traffic cfg ~owns net =
       Engine.at eng ((src * 7) + 1) (tick src 0)
   done
 
-let engine_core ~scheduler ~typed ~events =
-  let eng = Engine.create ~scheduler () in
-  let budget = ref events in
-  let stride node = 1 + ((node * 7919) land 0xFFFF) in
-  (if typed then begin
-     let rec h =
-       { Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
-         on_dequeue =
-           (fun ~node ~port ->
-             if !budget > 0 then begin
-               decr budget;
-               Engine.dequeue_at eng (Engine.now eng + stride node) h ~node
-                 ~port
-             end);
-         on_restart = (fun ~node:_ -> ()) }
-     in
-     for node = 0 to 63 do
-       Engine.dequeue_at eng (stride node) h ~node ~port:0
-     done
-   end
-   else
-     let rec tick node () =
-       if !budget > 0 then begin
-         decr budget;
-         Engine.at eng (Engine.now eng + stride node) (tick node)
-       end
-     in
-     for node = 0 to 63 do
-       Engine.at eng (stride node) (tick node)
-     done);
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:max_int;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let processed = Engine.events_processed eng in
-  (processed, wall, per_event minor processed, per_event promoted processed)
-
 type engine_run = {
   g_events : int;
   g_delivered : int;
@@ -972,21 +910,6 @@ type engine_run = {
   g_promoted_pe : float;
   g_fp : (int * int list) list;
 }
-
-let run_engine_fabric cfg ~scheduler ~event_mode =
-  let eng = Engine.create ~scheduler () in
-  let net = build ~event_mode cfg eng in
-  setup_plain_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-    g_minor_pe = per_event minor events;
-    g_promoted_pe = per_event promoted events;
-    g_fp = net_fp ~owns:(fun _ -> true) net }
 
 let engine_workload_of cfg =
   Printf.sprintf
@@ -997,207 +920,20 @@ let engine_workload_of cfg =
     cfg.packets_per_host cfg.payload_bytes
     (wire_check_name cfg.wire_check)
 
-let write_engine_json cfg ~out ~(base : engine_run) ~(th : engine_run)
-    ~(tw : engine_run) ~core ~core_base ~core_events ~speedup ~shards
-    ~par_wall =
-  let c_ev, c_wall, c_minor, c_prom = core in
-  let b_ev, b_wall, b_minor, _ = core_base in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 5,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"speedup_vs_closure_heap\": %.3f,\n\
-    \  \"baseline\": { \"scheduler\": \"heap\", \"event_mode\": \"closure\",\n\
-    \                \"events\": %d, \"wall_s\": %.6f, \"events_per_sec\": \
-     %.1f,\n\
-    \                \"minor_words_per_event\": %.3f },\n\
-    \  \"typed_heap\": { \"events\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f,\n\
-    \                  \"minor_words_per_event\": %.3f },\n\
-    \  \"core\": { \"events\": %d,\n\
-    \            \"typed_wheel\": { \"processed\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f, \"minor_words_per_event\": %.3f, \
-     \"promoted_words_per_event\": %.4f },\n\
-    \            \"closure_heap\": { \"processed\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f, \"minor_words_per_event\": %.3f } },\n\
-    \  \"sharded_chaos\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": \
-     true },\n\
-    \  \"identical\": true\n\
-     }\n"
-    (engine_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    tw.g_events tw.g_delivered tw.g_wall
-    (float_of_int tw.g_events /. tw.g_wall)
-    tw.g_minor_pe tw.g_promoted_pe speedup base.g_events base.g_wall
-    (float_of_int base.g_events /. base.g_wall)
-    base.g_minor_pe th.g_events th.g_wall
-    (float_of_int th.g_events /. th.g_wall)
-    th.g_minor_pe core_events c_ev c_wall
-    (float_of_int c_ev /. c_wall)
-    c_minor c_prom b_ev b_wall
-    (float_of_int b_ev /. b_wall)
-    b_minor shards par_wall;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-let engine_bench cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(engine smoke)" else "perf(engine)" in
-  Printf.printf "%s: %s\n%!" tag (engine_workload_of cfg);
-  (* 1. Pure event-core microbench: the typed/wheel core must process
-     events without minor allocation. *)
-  let core_events = if cfg.smoke then 200_000 else 2_000_000 in
-  let ((_, _, b_minor, _) as core_base) =
-    engine_core ~scheduler:`Heap ~typed:false ~events:core_events
-  in
-  let ((_, _, c_minor, _) as core) =
-    engine_core ~scheduler:`Wheel ~typed:true ~events:core_events
-  in
-  let pr name (ev, wall, minor, promoted) =
-    Printf.printf
-      "%s: core %-13s %d events in %.3fs (%.3e ev/s, %.2f minor w/ev, %.4f \
-       promoted w/ev)\n%!"
-      tag name ev wall
-      (float_of_int ev /. wall)
-      minor promoted
-  in
-  pr "closure+heap" core_base;
-  pr "typed+wheel" core;
-  if c_minor > 0.5 then begin
-    Printf.eprintf
-      "%s: FAIL — typed/wheel core allocates %.2f minor words/event (budget \
-       0.5)\n"
-      tag c_minor;
-    exit 1
-  end;
-  if b_minor <= 0.5 then
-    Printf.printf
-      "%s: note — closure/heap core also near-zero alloc (%.2f w/ev)\n%!" tag
-      b_minor;
-  (* 2. Fabric identity and speedup. Best of two runs per variant so a
-     scheduler hiccup cannot fake (or hide) a regression. *)
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if b.g_wall < a.g_wall then b else a
-  in
-  let base =
-    best_of_two (fun () ->
-        run_engine_fabric cfg ~scheduler:`Heap ~event_mode:`Closure)
-  in
-  let th =
-    best_of_two (fun () ->
-        run_engine_fabric cfg ~scheduler:`Heap ~event_mode:`Typed)
-  in
-  let tw =
-    best_of_two (fun () ->
-        run_engine_fabric cfg ~scheduler:`Wheel ~event_mode:`Typed)
-  in
-  let check label (a : engine_run) (b : engine_run) =
-    if a.g_events <> b.g_events || a.g_delivered <> b.g_delivered then begin
-      Printf.eprintf
-        "%s: FAIL — %s diverged from closure+heap (%d/%d events, %d/%d \
-         delivered)\n"
-        tag label a.g_events b.g_events a.g_delivered b.g_delivered;
-      exit 1
-    end;
-    if a.g_fp <> b.g_fp then begin
-      Printf.eprintf
-        "%s: FAIL — %s: switch register fingerprints differ\n" tag label;
-      exit 1
-    end
-  in
-  check "typed+heap" base th;
-  check "typed+wheel" base tw;
-  let fab name (r : engine_run) =
-    Printf.printf
-      "%s: fabric %-13s %d events, %d delivered in %.3fs (%.3e ev/s, %.2f \
-       minor w/ev)\n%!"
-      tag name r.g_events r.g_delivered r.g_wall
-      (float_of_int r.g_events /. r.g_wall)
-      r.g_minor_pe
-  in
-  fab "closure+heap" base;
-  fab "typed+heap" th;
-  fab "typed+wheel" tw;
-  let speedup = base.g_wall /. tw.g_wall in
-  Printf.printf "%s: typed+wheel speedup over closure+heap: %.2fx\n%!" tag
-    speedup;
-  (* 3. Chaos determinism: both schedulers sequentially, wheel sharded. *)
-  let chaotic_w, fw =
-    run_sequential_faulted ~scheduler:`Wheel cfg ~fault:(chaos_schedule cfg)
-  in
-  let chaotic_h, fh =
-    run_sequential_faulted ~scheduler:`Heap cfg ~fault:(chaos_schedule cfg)
-  in
-  if
-    chaotic_w.events <> chaotic_h.events
-    || chaotic_w.delivered <> chaotic_h.delivered
-    || fault_fp (Fault.stats fw) <> fault_fp (Fault.stats fh)
-  then begin
-    Printf.eprintf
-      "%s: FAIL — chaotic run differs between wheel and heap schedulers\n" tag;
-    exit 1
-  end;
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  let par, par_fp = run_parallel_chaos ~scheduler:`Wheel cfg ~shards in
-  if
-    chaotic_w.events <> par.events
-    || chaotic_w.delivered <> par.delivered
-    || fault_fp (Fault.stats fw) <> par_fp
-  then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard chaotic wheel run diverged from sequential\n\
-       %s:   events %d vs %d, delivered %d vs %d\n\
-       %s:   faults [%s] vs [%s]\n"
-      tag shards tag chaotic_w.events par.events chaotic_w.delivered
-      par.delivered tag
-      (String.concat ";" (List.map string_of_int (fault_fp (Fault.stats fw))))
-      (String.concat ";" (List.map string_of_int par_fp));
-    exit 1
-  end;
-  Printf.printf
-    "%s: OK — typed events and wheel scheduler bit-identical to the \
-     closure/heap baseline (plain, chaotic, %d-shard)\n%!"
-    tag shards;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_5.json" in
-    write_engine_json cfg ~out ~base ~th ~tw ~core ~core_base ~core_events
-      ~speedup ~shards ~par_wall:par.wall;
-    if speedup < 1.3 then
-      Printf.printf
-        "%s: WARNING — speedup %.2fx below the 1.3x target on this machine\n%!"
-        tag speedup
-  end
-
 (* ---- flat-frame workload (BENCH_6): the zero-copy frame gate --------
 
    The flat Bytes-backed frame representation with per-flow pools must
    be (a) allocation-light — the whole simulator, not just the event
-   core, within 10 minor words per event on the BENCH_5 plain-traffic
+   core, within 10 minor words per event on the plain-traffic
    workload — and (b) observably identical to the unpooled path. The
    unpooled run allocates a fresh frame per send, exactly the lifecycle
    the record-frame representation had (and the QCheck differential
    suite pins the flat codecs to the record codecs byte-for-byte), so
    it is the oracle: events, deliveries and every switch register must
    match bit-for-bit on the plain run, under the BENCH_4 chaos
-   schedule, and on a sharded run. Both sides run typed events on the
-   wheel scheduler — the BENCH_5 winner — so the delta measured here is
-   the frame representation and pooling, nothing else. *)
+   schedule, and on a sharded run. Both sides run the same engine, so
+   the delta measured here is the frame representation and pooling,
+   nothing else. *)
 
 let setup_pooled_traffic cfg ~owns net =
   let hosts = Array.of_list (Net.hosts net) in
@@ -1247,8 +983,8 @@ let pool_totals pools =
     (0, 0, 0) pools
 
 let run_frames_fabric cfg ~pooled =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build ~event_mode:`Typed cfg eng in
+  let eng = Engine.create () in
+  let net = build cfg eng in
   let pools =
     if pooled then setup_pooled_traffic cfg ~owns:(fun _ -> true) net
     else begin
@@ -1256,11 +992,12 @@ let run_frames_fabric cfg ~pooled =
       [||]
     end
   in
-  let g0 = gc_mark () in
+  (* Exact counts: see the budgets below. *)
+  let g0 = gc_mark_local () in
   let t0 = Unix.gettimeofday () in
   Engine.run eng ~until:horizon;
   let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
+  let minor, promoted = gc_delta_local g0 in
   let events = Engine.events_processed eng in
   ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
       g_minor_pe = per_event minor events;
@@ -1269,8 +1006,8 @@ let run_frames_fabric cfg ~pooled =
     pool_totals pools )
 
 let run_frames_chaos cfg ~pooled =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build ~event_mode:`Typed cfg eng in
+  let eng = Engine.create () in
+  let net = build cfg eng in
   let f = chaos_schedule cfg net in
   (if pooled then ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net)
    else setup_plain_traffic cfg ~owns:(fun _ -> true) net);
@@ -1287,7 +1024,7 @@ let run_frames_parallel cfg ~shards =
   let marks = Array.make shards (0.0, 0.0) in
   let t0 = Unix.gettimeofday () in
   let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon ~build:(build cfg)
+    Parsim.run ~shards ~until:horizon ~build:(build cfg)
       ~setup:(fun ~shard ~owns net ->
         ignore (setup_pooled_traffic cfg ~owns net);
         marks.(shard) <- gc_mark_local ())
@@ -1348,18 +1085,14 @@ let write_frames_json cfg ~out ~(oracle : engine_run) ~(pooled : engine_run)
   close_out oc;
   Printf.printf "perf: wrote %s\n%!" out
 
-(* Allocation budgets for the pooled fabric, in minor words/event.
-   Measured profile (k=4 and k=8 agree): per-event allocation ramps
-   with simulated time as port queues fill — once departures overlap
-   (path latency ~8us vs the 6us per-host gap) frames start taking the
-   queued dequeue paths — from ~3 w/ev over the first ~200 packets/host
-   to a ~7.7 w/ev plateau by ~1500 packets/host. The full run measures
-   the plateau; [frames_minor_budget] is that plateau plus margin. The
-   smoke run (k=4, 200 packets/host, 41.6k events) ends mid-ramp and
-   measures ~3.2-4.5 w/ev — the spread is one-time pool and ring growth
-   landing in whichever of the two timed runs wins wall-clock — so its
-   budget is *tighter* than the full one, not looser: the old +0.5
-   "smoke tolerance" had the direction backwards. *)
+(* Allocation budgets for the pooled fabric, in minor words/event,
+   counted exactly (domain-local Gc.minor_words) around the timed run.
+   The full run (k=8, 1500 packets/host) measures 2.80 w/ev and the
+   smoke run (k=4, 200 packets/host, 41.6k events) 2.97 on every
+   repetition. The smoke budget is the tighter of the two: it is the
+   CI regression gate. (Under quick_stat, which only moves in whole
+   minor-heap quanta, the smoke run read 3.15 or 6.30 depending on
+   which of its two timed runs won wall-clock.) *)
 let frames_minor_budget = 10.0
 let frames_smoke_minor_budget = 6.0
 
@@ -1470,9 +1203,9 @@ let frames_bench cfg =
 (* ---- sharded workload (BENCH_2): the multicore gate ----------------
 
    The flat-boundary parallel engine measured against the sequential
-   engine on the BENCH_6 pooled-frame workload (wheel scheduler, typed
-   events on both sides — the deltas here are sharding and the
-   boundary protocol, nothing else). Three hard gates and one
+   engine on the BENCH_6 pooled-frame workload (the same engine on
+   both sides — the deltas here are sharding and the boundary
+   protocol, nothing else). Three hard gates and one
    conditional:
 
    1. Bit identity: events, deliveries and every switch register must
@@ -1501,7 +1234,7 @@ let run_shards cfg ~shards =
   let pools = Array.make shards [||] in
   let t0 = Unix.gettimeofday () in
   let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon ~build:(build cfg)
+    Parsim.run ~shards ~until:horizon ~build:(build cfg)
       ~setup:(fun ~shard ~owns net ->
         pools.(shard) <- setup_pooled_traffic cfg ~owns net;
         marks.(shard) <- gc_mark_local ())
@@ -1729,7 +1462,7 @@ let shards_bench cfg =
       oracle — 2x for a merged digest, whose clusters may coarsen
       once — and the centroid count stays under its cap.
 
-   4. Fabric identity. The BENCH_5 plain-traffic fabric with binary
+   4. Fabric identity. The plain-traffic fabric with binary
       switch taps and a periodically absorbing collector, run
       sequentially and sharded, must agree on total cards and on the
       collector's order-independent fingerprint bit-for-bit. *)
@@ -1916,18 +1649,18 @@ let telemetry_sketches ~samples =
     td_merged_max_ratio = !m_max_ratio;
   }
 
-(* Fabric runs: BENCH_5's plain traffic under the wheel scheduler with
-   a binary tap on every switch, the collector absorbing every 50us of
-   simulated time — a real control-loop cadence, and frequent enough
-   that the default sink never drops. The horizon hugs the traffic
+(* Fabric runs: the plain-traffic fabric with a binary tap on every
+   switch, the collector absorbing every 50us of simulated time — a
+   real control-loop cadence, and frequent enough that the default
+   sink never drops. The horizon hugs the traffic
    span so the absorb ticks stop when the fabric does. *)
 let telemetry_absorb_period = Time_ns.us 50
 
 let telemetry_until cfg = (cfg.packets_per_host * cfg.gap_ns) + Time_ns.ms 10
 
 let run_telemetry_fabric cfg =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build ~event_mode:`Typed cfg eng in
+  let eng = Engine.create () in
+  let net = build cfg eng in
   let sink = Telemetry_sink.create () in
   let col = Collector.create () in
   Telemetry_emit.tap_switches sink net;
@@ -1955,8 +1688,8 @@ let run_telemetry_parallel cfg ~shards =
   let until = telemetry_until cfg in
   let t0 = Unix.gettimeofday () in
   let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until
-      ~build:(build ~event_mode:`Typed cfg)
+    Parsim.run ~shards ~until
+      ~build:(build cfg)
       ~setup:(fun ~shard ~owns net ->
         let sink = Telemetry_sink.create () in
         let col = Collector.create () in
@@ -2496,9 +2229,9 @@ let scale_fib_reduction_target = 50.0
 let scale_link_bps = 10_000_000_000
 let scale_link_delay = Time_ns.us 1
 
-let scale_build ?event_mode ~fib cfg eng =
+let scale_build ~fib cfg eng =
   let ft =
-    Topology.fat_tree eng ~wire_check:cfg.wire_check ?event_mode ~ecmp:true
+    Topology.fat_tree eng ~wire_check:cfg.wire_check ~ecmp:true
       ~addressing:`Pods ~fib ~k:cfg.k ~bps:scale_link_bps
       ~delay:scale_link_delay ()
   in
@@ -2514,8 +2247,8 @@ let fib_per_switch net =
   float_of_int !total /. float_of_int (max 1 !n)
 
 let run_scale_fabric cfg ~fib =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = scale_build ~event_mode:`Typed ~fib cfg eng in
+  let eng = Engine.create () in
+  let net = scale_build ~fib cfg eng in
   ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net);
   let g0 = gc_mark () in
   let t0 = Unix.gettimeofday () in
@@ -2531,8 +2264,8 @@ let run_scale_fabric cfg ~fib =
 
 let run_scale_parallel cfg ~fib ~shards =
   let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon
-      ~build:(scale_build ~event_mode:`Typed ~fib cfg)
+    Parsim.run ~shards ~until:horizon
+      ~build:(scale_build ~fib cfg)
       ~setup:(fun ~shard:_ ~owns net ->
         ignore (setup_pooled_traffic cfg ~owns net))
       ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
@@ -2560,8 +2293,8 @@ let scale_fat_tree_bytes_per_host cfg =
   let hosts = cfg.k * cfg.k * cfg.k / 4 in
   let bytes =
     scale_build_bytes (fun () ->
-        let eng = Engine.create ~scheduler:`Wheel () in
-        (eng, scale_build ~event_mode:`Typed ~fib:`Aggregated cfg eng))
+        let eng = Engine.create () in
+        (eng, scale_build ~fib:`Aggregated cfg eng))
   in
   float_of_int bytes /. float_of_int hosts
 
@@ -2569,7 +2302,7 @@ let scale_leaf_spine_bytes ~leaves ~spines ~hosts_per_leaf =
   let hosts = leaves * hosts_per_leaf in
   let bytes =
     scale_build_bytes (fun () ->
-        let eng = Engine.create ~scheduler:`Wheel () in
+        let eng = Engine.create () in
         let ls =
           Topology.leaf_spine eng ~ecmp:true ~leaves ~spines ~hosts_per_leaf
             ~bps:scale_link_bps ~delay:scale_link_delay ()
@@ -2714,12 +2447,12 @@ let scale_row cfg ~tag ~shards ~measure_oracle ~timed =
    memory-lean build is only interesting if it still forwards. *)
 let scale_leaf_spine_traffic cfg ~tag ~shards =
   let leaves = 8 and spines = 4 and hosts_per_leaf = 10 in
-  let build ?event_mode:_ eng =
+  let build eng =
     (Topology.leaf_spine eng ~wire_check:cfg.wire_check ~ecmp:true ~leaves
        ~spines ~hosts_per_leaf ~bps:scale_link_bps ~delay:scale_link_delay ())
       .Topology.ls_net
   in
-  let eng = Engine.create ~scheduler:`Wheel () in
+  let eng = Engine.create () in
   let net = build eng in
   ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net);
   Engine.run eng ~until:horizon;
@@ -2733,7 +2466,7 @@ let scale_leaf_spine_traffic cfg ~tag ~shards =
   end;
   let seq_fp = net_fp ~owns:(fun _ -> true) net in
   let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon ~build
+    Parsim.run ~shards ~until:horizon ~build
       ~setup:(fun ~shard:_ ~owns net ->
         ignore (setup_pooled_traffic cfg ~owns net))
       ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
@@ -2937,9 +2670,6 @@ let () =
     | "--chaos" :: rest ->
       cfg := { !cfg with chaos = true };
       parse rest
-    | "--engine" :: rest ->
-      cfg := { !cfg with engine = true };
-      parse rest
     | "--frames" :: rest ->
       cfg := { !cfg with frames = true };
       parse rest
@@ -2960,9 +2690,8 @@ let () =
         match v with
         | "always" -> `Always
         | "cached" -> `Cached
-        | "off" -> `Off
         | _ ->
-          Printf.eprintf "perf: --wire-check expects always|cached|off\n";
+          Printf.eprintf "perf: --wire-check expects always|cached\n";
           exit 2
       in
       cfg := { !cfg with wire_check = wc };
@@ -2977,7 +2706,6 @@ let () =
   else if cfg.transports then transports_bench cfg
   else if cfg.telemetry then telemetry_bench cfg
   else if cfg.frames then frames_bench cfg
-  else if cfg.engine then engine_bench cfg
   else if cfg.chaos then chaos cfg
   else if cfg.tpp_heavy then tpp_heavy cfg
   else if cfg.smoke then smoke cfg

@@ -20,7 +20,6 @@ module Stats = Tpp_util.Stats
 module Series = Tpp_util.Series
 module Spsc = Tpp_util.Spsc
 module Partition = Tpp_util.Partition
-module Heap = Tpp_util.Heap
 module Wheel = Tpp_util.Wheel
 
 (* Wire formats *)

@@ -54,11 +54,6 @@ type t = {
   table : (int, hop_state) Hashtbl.t;
 }
 
-(* Monitors share the probe reply stream with other controllers on the
-   same host; each owns a disjoint block of sequence numbers. *)
-let seq_block = 1 lsl 20
-let next_uid = ref 0
-
 let hop_state t swid =
   match Hashtbl.find_opt t.table swid with
   | Some s -> s
@@ -87,7 +82,6 @@ let create ~src ~dst ~period ~threshold_bytes =
     | Ok tpp -> tpp
     | Error e -> invalid_arg ("Microburst.create: " ^ e)
   in
-  incr next_uid;
   let t =
     {
       stack = src;
@@ -95,7 +89,9 @@ let create ~src ~dst ~period ~threshold_bytes =
       period;
       threshold = threshold_bytes;
       tpp;
-      seq_base = !next_uid * seq_block;
+      (* Monitors share the probe reply stream with other controllers
+         on the same host; each owns a disjoint block of seqs. *)
+      seq_base = Probe.alloc_seq_block src;
       running = false;
       epoch = 0;
       seq = 0;
@@ -106,7 +102,7 @@ let create ~src ~dst ~period ~threshold_bytes =
     }
   in
   Probe.install_reply_handler src (fun ~now:_ ~seq tpp ->
-      if t.running && seq >= t.seq_base && seq < t.seq_base + seq_block then
+      if t.running && seq >= t.seq_base && seq < t.seq_base + Probe.seq_block then
         on_reply t tpp);
   t
 

@@ -56,6 +56,21 @@ let send stack ~dst ~tpp ~seq =
   Stack.send_udp stack ~dst ~src_port:request_port ~dst_port:request_port
     ~tpp:(Tpp.copy tpp) ~payload ()
 
+(* Echo seqs travel as u32, so a host has 2^32 / seq_block blocks.
+   Block 0 (seqs below [seq_block]) stays free for callers that pick
+   their own seqs with {!send}. *)
+let seq_block = 1 lsl 20
+let seq_blocks_per_host = (1 lsl 32) / seq_block
+
+let alloc_seq_block stack =
+  let b = Stack.take_seq_block stack in
+  if b >= seq_blocks_per_host then
+    failwith
+      (Printf.sprintf
+         "Probe.alloc_seq_block: host %d has used all %d probe sequence blocks"
+         (Stack.host stack).Net.node_id (seq_blocks_per_host - 1));
+  b * seq_block
+
 let install_reply_handler stack callback =
   Stack.on_udp_add stack ~port:reply_port (fun ~now frame ->
       match decode_echo (Frame.payload frame) with
@@ -109,9 +124,6 @@ module Reliable = struct
     | None -> ()
     | Some f -> f ~now ~event ~seq ~attempts
 
-  let seq_block = 1 lsl 20
-  let next_uid = ref 0
-
   (* Timeout for the nth (0-based) transmission; exponential backoff
      keeps retries of a congestion-dropped probe from feeding the
      congestion that dropped it. *)
@@ -164,14 +176,13 @@ module Reliable = struct
     if timeout <= 0 then invalid_arg "Probe.Reliable.create: timeout must be positive";
     if retries < 0 then invalid_arg "Probe.Reliable.create: retries must be >= 0";
     if backoff < 1.0 then invalid_arg "Probe.Reliable.create: backoff must be >= 1";
-    incr next_uid;
     let t =
       {
         stack;
         timeout;
         retries;
         backoff;
-        seq_base = !next_uid * seq_block;
+        seq_base = alloc_seq_block stack;
         seq = 0;
         pending = Hashtbl.create 32;
         s_probes = 0;

@@ -39,7 +39,17 @@ val install_reply_handler :
 (** Calls back with the executed TPP from each echo. Handlers
     accumulate: every registered handler sees every echo, so concurrent
     controllers on one host must partition the sequence-number space
-    (each built-in controller allocates a disjoint block). *)
+    (each built-in controller takes a block from {!alloc_seq_block}). *)
+
+val seq_block : int
+(** Sequence numbers per block (2^20). *)
+
+val alloc_seq_block : Stack.t -> int
+(** First sequence number of a fresh block of [seq_block] echo seqs,
+    disjoint from every other block taken on this host. Seqs below
+    [seq_block] are never handed out, so they stay free for callers of
+    {!send}. Raises [Failure] when the host has used all 4095 blocks
+    the u32 echo seq leaves room for. *)
 
 (** Probe round-trips hardened against loss: per-probe timeout, bounded
     retransmission with exponential backoff, and loss accounting. The

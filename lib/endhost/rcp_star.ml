@@ -114,11 +114,6 @@ type t = {
   pending_updates : (int, int) Hashtbl.t;
 }
 
-(* Each controller owns a disjoint 2^20 block of probe sequence numbers
-   so several controllers can share one host's reply stream. *)
-let seq_block = 1 lsl 20
-let next_uid = ref 0
-
 (* Collect probes use even sequence numbers, updates odd ones. *)
 let next_seq t =
   t.seq <- t.seq + 2;
@@ -215,7 +210,6 @@ let create stack config ~flow ~dst =
     | Ok tpp -> tpp
     | Error e -> invalid_arg ("Rcp_star.create: collect program: " ^ e)
   in
-  incr next_uid;
   let t =
     {
       stack;
@@ -223,7 +217,7 @@ let create stack config ~flow ~dst =
       flow;
       dst;
       collect_tpp;
-      seq_base = !next_uid * seq_block;
+      seq_base = Probe.alloc_seq_block stack;
       running = false;
       epoch = 0;
       seq = 0;
@@ -237,7 +231,7 @@ let create stack config ~flow ~dst =
     }
   in
   Probe.install_reply_handler stack (fun ~now:_ ~seq tpp ->
-      if t.running && seq >= t.seq_base && seq < t.seq_base + seq_block then begin
+      if t.running && seq >= t.seq_base && seq < t.seq_base + Probe.seq_block then begin
         if seq land 1 = 0 then on_collect_reply t tpp else on_update_reply t ~seq tpp
       end);
   (* Piggyback mode (paper §2.2: phase 1 can use "the flow's packets"):

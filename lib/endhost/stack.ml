@@ -10,6 +10,7 @@ type t = {
   mutable default : now:int -> Frame.t -> unit;
   mutable sent : int;
   mutable received : int;
+  mutable seq_blocks : int;  (* probe sequence blocks handed out so far *)
 }
 
 let dispatch t ~now frame =
@@ -33,6 +34,7 @@ let create net host =
       default = (fun ~now:_ _ -> ());
       sent = 0;
       received = 0;
+      seq_blocks = 0;
     }
   in
   host.Net.receive <- (fun ~now frame -> dispatch t ~now frame);
@@ -65,3 +67,7 @@ let send_udp t ~dst ~src_port ~dst_port ?dscp ?tpp ~payload () =
 
 let udp_sent t = t.sent
 let udp_received t = t.received
+
+let take_seq_block t =
+  t.seq_blocks <- t.seq_blocks + 1;
+  t.seq_blocks

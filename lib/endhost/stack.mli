@@ -56,3 +56,7 @@ val udp_sent : t -> int
 val udp_received : t -> int
 (** Frames delivered to this stack's dispatcher so far. Comparing with
     a peer's {!udp_sent} gives a loss count under fault injection. *)
+
+val take_seq_block : t -> int
+(** Claims this host's next probe sequence-number block index (1, 2,
+    ...). Use {!Probe.alloc_seq_block}, which bounds it. *)

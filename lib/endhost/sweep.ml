@@ -30,14 +30,10 @@ let source =
 let words_per_hop = 4
 let max_hops = 10
 
-let seq_block = 1 lsl 20
-let next_uid = ref 0
-
 type t = {
-  circuits : circuit list;
+  circuits : (circuit * int) list;  (* with its source's seq block base *)
   period : int;
   tpp : Tpp.t;
-  seq_base : int;
   mutable running : bool;
   mutable epoch : int;
   mutable seq : int;
@@ -78,13 +74,20 @@ let create ~circuits ~period =
     | Ok tpp -> tpp
     | Error e -> invalid_arg ("Sweep.create: " ^ e)
   in
-  incr next_uid;
+  (* Replies come back to each circuit's source stack, so each distinct
+     source gives the sweep a block of its own seq space. *)
+  let bases =
+    List.fold_left
+      (fun acc c ->
+        if List.mem_assq c.src acc then acc
+        else (c.src, Probe.alloc_seq_block c.src) :: acc)
+      [] circuits
+  in
   let t =
     {
-      circuits;
+      circuits = List.map (fun c -> (c, List.assq c.src bases)) circuits;
       period;
       tpp;
-      seq_base = !next_uid * seq_block;
       running = false;
       epoch = 0;
       seq = 0;
@@ -93,33 +96,26 @@ let create ~circuits ~period =
       table = Hashtbl.create 32;
     }
   in
-  (* Replies come back to each circuit's source stack; register on the
-     distinct ones. *)
-  let sources =
-    List.fold_left
-      (fun acc c -> if List.memq c.src acc then acc else c.src :: acc)
-      [] circuits
-  in
   List.iter
-    (fun stack ->
+    (fun (stack, base) ->
       Probe.install_reply_handler stack (fun ~now:_ ~seq tpp ->
-          if t.running && seq >= t.seq_base && seq < t.seq_base + seq_block then
+          if t.running && seq >= base && seq < base + Probe.seq_block then
             accumulate t tpp))
-    sources;
+    bases;
   t
 
 let engine t =
   match t.circuits with
-  | c :: _ -> Net.engine (Stack.net c.src)
+  | (c, _) :: _ -> Net.engine (Stack.net c.src)
   | [] -> assert false
 
 let rec tick t epoch () =
   if t.running && t.epoch = epoch then begin
     List.iter
-      (fun c ->
+      (fun (c, base) ->
         t.seq <- t.seq + 1;
         t.sent <- t.sent + 1;
-        Probe.send c.src ~dst:c.dst ~tpp:t.tpp ~seq:(t.seq_base + t.seq))
+        Probe.send c.src ~dst:c.dst ~tpp:t.tpp ~seq:(base + t.seq))
       t.circuits;
     Engine.after (engine t) t.period (tick t epoch)
   end

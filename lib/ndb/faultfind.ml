@@ -13,6 +13,7 @@ type cable = (int * int) * (int * int)
 type circuit = {
   src : Stack.t;
   dst : Net.host;
+  seq_base : int;  (* the monitor's seq block on [src] *)
   forward : link list;
   cables : cable list;  (* forward + echo-return exposure, deduped *)
   mutable last_probe : int;
@@ -41,15 +42,11 @@ type t = {
   timeout : int;
   window : int;
   loss_threshold : float;
-  seq_base : int;
   probe : Tpp_isa.Tpp.t;
   mutable running : bool;
   mutable epoch : int;
   mutable round : int;
 }
-
-let seq_block = 1 lsl 20
-let next_uid = ref 0
 
 let node_of_switch_id net swid =
   match List.find_opt (fun (_, sw) -> Switch.id sw = swid) (Net.switches net) with
@@ -78,13 +75,21 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
   if window < 1 then invalid_arg "Faultfind.create: window must be >= 1";
   if not (loss_threshold > 0.0 && loss_threshold <= 1.0) then
     invalid_arg "Faultfind.create: loss_threshold must be in (0, 1]";
-  incr next_uid;
   let probe =
     match Programs.build ~max_hops:10 Programs.record_route with
     | Ok tpp -> tpp
     | Error e -> invalid_arg ("Faultfind.create: " ^ e)
   in
   let net = Stack.net (fst (List.hd circuits)) in
+  (* Replies come back to each circuit's source stack, so each distinct
+     source gives the monitor a block of its own seq space. *)
+  let bases =
+    List.fold_left
+      (fun acc (src, _) ->
+        if List.mem_assq src acc then acc
+        else (src, Probe.alloc_seq_block src) :: acc)
+      [] circuits
+  in
   let circuit_of (src, dst) =
     let forward =
       route_links net ~src:(Stack.host src) ~dst ~src_port:Probe.request_port
@@ -102,6 +107,7 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
     {
       src;
       dst;
+      seq_base = List.assq src bases;
       forward;
       cables;
       last_probe = min_int;
@@ -122,7 +128,6 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
       timeout;
       window;
       loss_threshold;
-      seq_base = !next_uid * seq_block;
       probe;
       running = false;
       epoch = 0;
@@ -131,28 +136,23 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
   in
   (* Replies are matched to circuits by sequence number. *)
   let n = Array.length circuits in
-  let sources =
-    Array.fold_left
-      (fun acc c -> if List.memq c.src acc then acc else c.src :: acc)
-      [] circuits
-  in
   List.iter
-    (fun stack ->
+    (fun (stack, base) ->
       Probe.install_reply_handler stack (fun ~now ~seq _tpp ->
-          if seq >= t.seq_base && seq < t.seq_base + seq_block then begin
-            let idx = (seq - t.seq_base) mod n in
+          if seq >= base && seq < base + Probe.seq_block then begin
+            let idx = (seq - base) mod n in
             let c = t.circuits.(idx) in
             if c.src == stack then begin
               c.last_reply <- now;
               (* The sequence number encodes which round this echo
                  answers; credit that round's history slot if it has
                  not been recycled. *)
-              let round = (seq - t.seq_base) / n in
+              let round = (seq - base) / n in
               let slot = round mod t.window in
               if c.hist_round.(slot) = round then c.hist_ok.(slot) <- true
             end
           end))
-    sources;
+    bases;
   t
 
 let engine t = Net.engine (Stack.net t.circuits.(0).src)
@@ -174,7 +174,7 @@ let rec tick t epoch () =
         c.hist_sent.(slot) <- now;
         c.hist_ok.(slot) <- false;
         Probe.send c.src ~dst:c.dst ~tpp:t.probe
-          ~seq:(t.seq_base + (t.round * n) + i))
+          ~seq:(c.seq_base + (t.round * n) + i))
       t.circuits;
     t.round <- t.round + 1;
     Engine.after (engine t) t.period (tick t epoch)

@@ -461,10 +461,10 @@ type chan = {
   mutable open_chunk : Boundary.chunk option;
 }
 
-let run ?scheduler ~shards ~until ~build ~setup ~collect () =
+let run ~shards ~until ~build ~setup ~collect () =
   if shards < 1 then invalid_arg "Parsim.run: shards must be >= 1";
   if until < 0 then invalid_arg "Parsim.run: until";
-  let plan = Plan.make (build (Engine.create ?scheduler ())) ~shards in
+  let plan = Plan.make (build (Engine.create ())) ~shards in
   let owner = plan.Plan.owner in
   let shard_lookahead = plan.Plan.shard_lookahead in
   (* chans.(src).(dst): single producer (src domain), single consumer. *)
@@ -483,7 +483,7 @@ let run ?scheduler ~shards ~until ~build ~setup ~collect () =
   let mins = Array.init shards (fun _ -> Atomic.make 0) in
   let barrier = Barrier.create shards in
   let shard_body my () =
-    let eng = Engine.create ?scheduler () in
+    let eng = Engine.create () in
     let net = build eng in
     (* Frames arriving over a boundary are rebuilt from this shard's
        own pool, so they recycle on delivery/drop like local traffic —

@@ -207,7 +207,6 @@ type stats = {
 }
 
 val run :
-  ?scheduler:Engine.scheduler ->
   shards:int ->
   until:Time_ns.t ->
   build:(Engine.t -> Net.t) ->
@@ -217,8 +216,7 @@ val run :
   stats * 'a array
 (** [run ~shards ~until ~build ~setup ~collect ()] executes a sharded
     simulation to time [until] and returns aggregate statistics plus
-    one [collect] result per shard. [scheduler] selects every shard
-    engine's event queue (default [`Wheel], as {!Engine.create}).
+    one [collect] result per shard.
 
     [build] must deterministically construct the {e same} topology on
     any engine — each shard calls it once on its own domain to get a

@@ -67,12 +67,6 @@ let path_load tpp =
   in
   go 0 (Tpp.stack_values tpp)
 
-(* Disjoint echo-sequence blocks per balancer, same scheme as
-   [Probe.Reliable]: several controllers can share one host's reply
-   stream. *)
-let seq_block = 1 lsl 20
-let next_uid = ref 0
-
 type t = {
   stack : Stack.t;
   config : config;
@@ -160,7 +154,6 @@ let create ?(config = default_config) stack ~flow ~dst =
     | Ok tpp -> tpp
     | Error e -> invalid_arg ("Tpp_lb.create: collect program: " ^ e)
   in
-  incr next_uid;
   let t =
     {
       stack;
@@ -175,7 +168,9 @@ let create ?(config = default_config) stack ~flow ~dst =
       samples = Array.make config.num_paths 0;
       flowlet = Flowlet.create ~gap_ns:config.flowlet_gap_ns;
       pending = Hashtbl.create 16;
-      seq_base = !next_uid * seq_block;
+      (* A disjoint echo-seq block: several controllers can share one
+         host's reply stream. *)
+      seq_base = Probe.alloc_seq_block stack;
       seq = 0;
       rr = 0;
       current = 0;
@@ -206,7 +201,7 @@ let create ?(config = default_config) stack ~flow ~dst =
           | Some u when u.Udp.src_port = flow_port -> (
             match Probe.decode_echo (Frame.payload frame) with
             | Some (seq, tpp)
-              when seq < t.seq_base || seq > t.seq_base + seq_block ->
+              when seq < t.seq_base || seq > t.seq_base + Probe.seq_block ->
               t.replies_seen <- t.replies_seen + 1;
               t.loads.(t.current) <- path_load tpp;
               t.samples.(t.current) <- t.samples.(t.current) + 1;

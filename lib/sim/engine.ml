@@ -1,16 +1,15 @@
 module Time_ns = Tpp_util.Time_ns
-module Heap = Tpp_util.Heap
 module Wheel = Tpp_util.Wheel
 module Frame = Tpp_isa.Frame
 
-(* The dataplane's event vocabulary, dispatched by one match in [run].
+(* The dataplane's event vocabulary, dispatched by one match in [fire].
    Steady-state events are not closures: their ingredients live in the
    engine's own structure-of-arrays slab (kind / node / port as unboxed
    ints, the handlers record and frame as two Obj.t cells), and the
-   scheduler — wheel or heap — orders bare slab indices. Scheduling and
-   firing a Deliver/Port_dequeue/Fault_restart therefore allocates zero
-   minor words; only the Thunk escape hatch (control-plane timers,
-   [every] ticks) still captures a closure. *)
+   timing wheel orders bare slab indices. Scheduling and firing a
+   delivery, port dequeue or fault restart therefore allocates zero
+   minor words; only the thunk kind (control-plane timers, [every]
+   ticks) still captures a closure. *)
 
 type handlers = {
   on_deliver : node:int -> port:int -> Frame.t -> unit;
@@ -18,26 +17,14 @@ type handlers = {
   on_restart : node:int -> unit;
 }
 
-type event =
-  | Deliver of (int * int) * Frame.t
-  | Port_dequeue of int * int
-  | Fault_restart of int
-  | Thunk of (unit -> unit)
-
-type scheduler = [ `Wheel | `Heap ]
-
-(* [`Wheel] is the production scheduler; the stable binary heap stays
-   available as a differential oracle (same ordering contract). *)
-type queue = Q_wheel of Wheel.t | Q_heap of int Heap.t
-
 let kind_thunk = 0
 let kind_deliver = 1
 let kind_dequeue = 2
 let kind_restart = 3
 
 type t = {
-  queue : queue;
-  (* Event slab, indexed by the slot ints the scheduler carries.
+  wheel : Wheel.t;
+  (* Event slab, indexed by the slot ints the wheel carries.
      (kind, node, port) are packed into one int per slot — the same
      (kind << 40) | (node << 20) | port encoding as the canonical tie
      key below, so the tie is read straight from the slab — and the two
@@ -55,20 +42,15 @@ type t = {
 
 let hole = Obj.repr ()
 
-let create ?(scheduler = `Wheel) () =
+let create () =
   {
-    queue =
-      (match scheduler with
-      | `Wheel -> Q_wheel (Wheel.create ())
-      | `Heap -> Q_heap (Heap.create ()));
+    wheel = Wheel.create ();
     e_meta = [||];
     e_obj = [||];
     free = -1;
     clock = 0;
     processed = 0;
   }
-
-let scheduler t = match t.queue with Q_wheel _ -> `Wheel | Q_heap _ -> `Heap
 
 let now t = t.clock
 
@@ -119,9 +101,7 @@ let[@inline] schedule_slot ?emitted t time ~kind ~node ~port h frame =
   t.e_meta.(s) <- meta;
   t.e_obj.(2 * s) <- h;
   t.e_obj.((2 * s) + 1) <- frame;
-  match t.queue with
-  | Q_wheel w -> Wheel.push_keyed w ~prio:time ~emitted ~tie:meta s
-  | Q_heap q -> Heap.push_keyed q ~prio:time ~emitted ~tie:meta s
+  Wheel.push_keyed t.wheel ~prio:time ~emitted ~tie:meta s
 
 let at ?emitted t time callback =
   schedule_slot ?emitted t time ~kind:kind_thunk ~node:0 ~port:0
@@ -136,13 +116,6 @@ let dequeue_at t time h ~node ~port =
 
 let restart_at t time h ~node =
   schedule_slot t time ~kind:kind_restart ~node ~port:0 (Obj.repr h) hole
-
-let schedule t ~at:time h ev =
-  match ev with
-  | Thunk f -> at t time f
-  | Deliver ((node, port), frame) -> deliver_at t time h ~node ~port frame
-  | Port_dequeue (node, port) -> dequeue_at t time h ~node ~port
-  | Fault_restart node -> restart_at t time h ~node
 
 let after t span callback = at t (Time_ns.add t.clock span) callback
 
@@ -166,10 +139,7 @@ let every t ?start ~period ~until callback =
   in
   if start <= until then at t start (tick start)
 
-let next_event_time t =
-  match t.queue with
-  | Q_wheel w -> Wheel.peek_prio w
-  | Q_heap q -> Heap.peek_prio q
+let next_event_time t = Wheel.peek_prio t.wheel
 
 (* Decodes and dispatches one slab slot. The slot is freed before the
    handler runs, so a handler can schedule (and reuse the slot)
@@ -199,37 +169,21 @@ let run t ~until =
      priority: an event legitimately scheduled at [max_int] is
      distinguishable from an empty queue and still fires when [until]
      reaches it. *)
-  (match t.queue with
-  | Q_wheel w ->
-    let continue = ref true in
-    while !continue do
-      if Wheel.is_empty w then continue := false
+  let w = t.wheel in
+  let continue = ref true in
+  while !continue do
+    if Wheel.is_empty w then continue := false
+    else begin
+      let time = Wheel.peek_prio_or w ~default:0 in
+      if time > until then continue := false
       else begin
-        let time = Wheel.peek_prio_or w ~default:0 in
-        if time > until then continue := false
-        else begin
-          let s = Wheel.pop_value w ~default:(-1) in
-          t.clock <- time;
-          t.processed <- t.processed + 1;
-          fire t s
-        end
+        let s = Wheel.pop_value w ~default:(-1) in
+        t.clock <- time;
+        t.processed <- t.processed + 1;
+        fire t s
       end
-    done
-  | Q_heap q ->
-    let continue = ref true in
-    while !continue do
-      if Heap.is_empty q then continue := false
-      else begin
-        let time = Heap.peek_prio_or q ~default:0 in
-        if time > until then continue := false
-        else begin
-          let s = Heap.pop_value q ~default:(-1) in
-          t.clock <- time;
-          t.processed <- t.processed + 1;
-          fire t s
-        end
-      end
-    done);
+    end
+  done;
   if until > t.clock then t.clock <- until
 
 let events_processed t = t.processed

@@ -3,19 +3,18 @@
     Steady-state dataplane events — frame deliveries, port dequeues,
     fault restarts — are not closures. Their ingredients live in the
     engine's structure-of-arrays event slab (ints plus two object
-    cells), the scheduler orders bare slot indices, and a single match
-    in {!run} dispatches them through a {!handlers} record that the
-    network allocates once. Scheduling and firing one of these events
-    allocates zero minor words. Control-plane code (RCP ticks, probe
-    timeouts, {!every}) keeps the closure-based {!at}/{!after} escape
-    hatch — the [Thunk] case of {!event}.
+    cells), a hierarchical timing {!Tpp_util.Wheel} orders bare slot
+    indices, and a single match dispatches them through a {!handlers}
+    record that the network allocates once. Scheduling and firing one
+    of these events allocates zero minor words. Control-plane code (RCP
+    ticks, probe timeouts, {!every}) keeps the closure-based
+    {!at}/{!after} escape hatch.
 
-    Two schedulers implement the same ordering contract (nondecreasing
-    time; among equal timestamps, by emission stamp then scheduling
-    order): the hierarchical timing {!Tpp_util.Wheel} (the default) and
-    the stable binary {!Tpp_util.Heap}, kept as a differential oracle.
-    Pop order is bit-identical between them, so the choice never
-    changes simulation results.
+    Ordering contract: nondecreasing time; among equal timestamps, by
+    emission stamp, then by a canonical (kind, node, port) key, then by
+    scheduling order. This is the wheel's contract; its overflow queue
+    for far-future events and its test oracle are described in
+    {!Tpp_util.Wheel}.
 
     Every scheduled event is stamped with the engine clock at
     scheduling time; since the clock is monotone, sequential runs pop
@@ -32,53 +31,36 @@ type t
 
 (** Callbacks for the typed event kinds. A dataplane allocates one of
     these per network (not per event) and passes it to every
-    [schedule]; the engine stores it untyped in the slab and calls the
-    matching field on dispatch. *)
+    {!deliver_at}/{!dequeue_at}/{!restart_at}; the engine stores it
+    untyped in the slab and calls the matching field on dispatch. *)
 type handlers = {
   on_deliver : node:int -> port:int -> Frame.t -> unit;
   on_dequeue : node:int -> port:int -> unit;
   on_restart : node:int -> unit;
 }
 
-(** The engine's event vocabulary. [Deliver], [Port_dequeue] and
-    [Fault_restart] are stored flattened in the slab (allocation-free
-    end to end); [Thunk] is the closure escape hatch. *)
-type event =
-  | Deliver of (int * int) * Frame.t  (** frame arrives at (node, port) *)
-  | Port_dequeue of int * int         (** (node, port) finishes its tx *)
-  | Fault_restart of int              (** frozen switch [node] restarts *)
-  | Thunk of (unit -> unit)
-
-type scheduler = [ `Wheel | `Heap ]
-
-val create : ?scheduler:scheduler -> unit -> t
-(** Fresh engine at time 0. [scheduler] defaults to [`Wheel]. *)
-
-val scheduler : t -> scheduler
+val create : unit -> t
+(** Fresh engine at time 0. *)
 
 val now : t -> Time_ns.t
-
-val schedule : t -> at:Time_ns.t -> handlers -> event -> unit
-(** Schedules [event] at absolute time [at]. Raises [Invalid_argument]
-    when [at] is in the past. [Deliver]/[Port_dequeue]/[Fault_restart]
-    are destructured into the slab; prefer {!deliver_at} and friends on
-    hot paths to skip constructing the variant at all. *)
 
 val deliver_at :
   ?emitted:Time_ns.t ->
   t -> Time_ns.t -> handlers -> node:int -> port:int -> Frame.t -> unit
-(** Allocation-free [schedule ... (Deliver ((node, port), frame))].
-    [emitted] (default: the current clock) backdates the event's
-    tie-break stamp — see the module comment. *)
+(** Schedules the arrival of [frame] at ([node], [port]) at an absolute
+    time, which must not be in the past (raises [Invalid_argument]).
+    Allocation-free. [emitted] (default: the current clock) backdates
+    the event's tie-break stamp — see the module comment. *)
 
 val dequeue_at : t -> Time_ns.t -> handlers -> node:int -> port:int -> unit
-(** Allocation-free [schedule ... (Port_dequeue (node, port))]. *)
+(** Schedules the end of ([node], [port])'s current transmission.
+    Allocation-free. *)
 
 val restart_at : t -> Time_ns.t -> handlers -> node:int -> unit
-(** Allocation-free [schedule ... (Fault_restart node)]. *)
+(** Schedules the restart of frozen switch [node]. Allocation-free. *)
 
 val at : ?emitted:Time_ns.t -> t -> Time_ns.t -> (unit -> unit) -> unit
-(** Schedules a closure ([Thunk]) at an absolute time, which must not
+(** Schedules a closure at an absolute time, which must not
     be in the past (raises [Invalid_argument]). [emitted] as in
     {!deliver_at}. *)
 

@@ -22,9 +22,7 @@ type host = {
 
 type node_impl = Switch_n of Switch.t | Host_n of host
 
-type wire_check = [ `Always | `Cached | `Off ]
-
-type event_mode = [ `Typed | `Closure ]
+type wire_check = [ `Always | `Cached ]
 
 (* When this net is one shard of a parallel run: which shard each node
    belongs to, which shard this instance executes, and how a frame whose
@@ -69,7 +67,6 @@ type fault_hooks = {
 type t = {
   eng : Engine.t;
   wire_check : wire_check;
-  event_mode : event_mode;
   handlers : Engine.handlers;
       (* the net's one handlers record: every typed event carries it *)
   no_frame : Frame.t;  (* dummy parked in [in_flight] between txs *)
@@ -326,14 +323,10 @@ let next_frame t id port =
     | Some r -> Ring.take_or r ~default:t.no_frame)
 
 (* The dataplane cycle — deliver, start transmissions, complete them —
-   as mutually recursive functions over plain (node, port) ints. In
-   [`Typed] mode each step schedules the next through the engine's
-   event slab (the net's one [handlers] record dispatches back here),
-   so a frame hop costs zero minor allocations in the engine; [`Closure]
-   mode schedules the same steps at the same timestamps as closures,
-   reproducing the old per-event allocation profile for A/B
-   measurement. The event sequence — and therefore the simulation — is
-   bit-identical either way. *)
+   as mutually recursive functions over plain (node, port) ints. Each
+   step schedules the next through the engine's event slab (the net's
+   one [handlers] record dispatches back here), so a frame hop costs
+   zero minor allocations in the engine. *)
 let rec deliver t id port frame =
   let alive =
     match t.fault with
@@ -375,10 +368,8 @@ and maybe_start_tx t id port =
         | Some h -> h.f_rate ~node:id ~port ~now:(Engine.now t.eng) ~bps
       in
       let tx = tx_time_ns ~bps frame in
-      let at = Time_ns.add (Engine.now t.eng) tx in
-      match t.event_mode with
-      | `Typed -> Engine.dequeue_at t.eng at t.handlers ~node:id ~port
-      | `Closure -> Engine.at t.eng at (fun () -> tx_complete t id port)
+      Engine.dequeue_at t.eng (Time_ns.add (Engine.now t.eng) tx) t.handlers
+        ~node:id ~port
     end
   end
 
@@ -444,13 +435,10 @@ and tx_complete t id port =
   maybe_start_tx t id port
 
 and schedule_deliver t delay pn pp frame =
-  let at = Time_ns.add (Engine.now t.eng) delay in
-  match t.event_mode with
-  | `Typed -> Engine.deliver_at t.eng at t.handlers ~node:pn ~port:pp frame
-  | `Closure -> Engine.at t.eng at (fun () -> deliver t pn pp frame)
+  Engine.deliver_at t.eng (Time_ns.add (Engine.now t.eng) delay) t.handlers
+    ~node:pn ~port:pp frame
 
-let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always)
-    ?(event_mode = `Typed) eng =
+let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always) eng =
   let no_frame =
     Frame.udp_frame ~src_mac:(Mac.of_host_id 0) ~dst_mac:(Mac.of_host_id 0)
       ~src_ip:(Ipv4.Addr.of_host_id 0) ~dst_ip:(Ipv4.Addr.of_host_id 0)
@@ -465,7 +453,6 @@ let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always)
     {
       eng;
       wire_check;
-      event_mode;
       handlers =
         {
           Engine.on_deliver = (fun ~node ~port frame -> deliver t node port frame);
@@ -496,16 +483,10 @@ let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always)
   in
   t
 
-let event_mode t = t.event_mode
-
 let schedule_delivery ?emitted t ~arrival ~dst frame =
   let dn, dp = dst in
   ignore (gp t dn dp);
-  match t.event_mode with
-  | `Typed ->
-    Engine.deliver_at ?emitted t.eng arrival t.handlers ~node:dn ~port:dp frame
-  | `Closure ->
-    Engine.at ?emitted t.eng arrival (fun () -> deliver t dn dp frame)
+  Engine.deliver_at ?emitted t.eng arrival t.handlers ~node:dn ~port:dp frame
 
 (* One key per header *layout*: two frames with the same key serialise
    through exactly the same write/parse paths and length computations,
@@ -543,7 +524,6 @@ let host_send t host frame =
   | _ -> ());
   let frame =
     match t.wire_check with
-    | `Off -> frame
     | `Always -> (
       (* Full-strength: every packet becomes its wire image, so the
          receiver sees exactly what a byte-faithful network would carry. *)

@@ -8,6 +8,11 @@
     queues are unbounded (hosts self-pace via {!Tpp_endhost} rate
     limiters).
 
+    Each hop is two typed {!Engine} events — the end of the sender's
+    transmission and the frame's arrival at the peer — both carrying
+    the net's one handlers record through the engine's slab and timing
+    wheel, so forwarding a frame allocates nothing in the event core.
+
     Link and port state is stored in structure-of-arrays form (flat int
     arrays over global port slots, DESIGN §15) so a fabric's footprint
     is dominated by its switches, not by per-link records: an idle host
@@ -35,7 +40,7 @@ type host = {
           inspection, don't replace it. *)
 }
 
-type wire_check = [ `Always | `Cached | `Off ]
+type wire_check = [ `Always | `Cached ]
 (** How [host_send] validates frames against the byte-level wire format:
     - [`Always] (the default): serialise and re-parse every frame, and
       forward the re-parsed copy, so every simulated transmission is
@@ -43,26 +48,12 @@ type wire_check = [ `Always | `Cached | `Off ]
     - [`Cached]: round-trip each distinct header {e layout} (ethertype,
       TPP section geometry, IP/UDP presence, payload length) once, then
       forward structurally with no per-packet serialisation. The
-      steady-state fast path for throughput runs.
-    - [`Off]: no checking. *)
-
-type event_mode = [ `Typed | `Closure ]
-(** How the dataplane schedules its own events:
-    - [`Typed] (the default): deliveries, port dequeues and fault
-      restarts go through {!Engine}'s flattened event slab and are
-      dispatched via the net's single handlers record — zero minor
-      allocations per steady-state event.
-    - [`Closure]: the same events at the same timestamps, each as a
-      captured closure — the pre-slab allocation profile, kept as the
-      measurable baseline for [bench/perf.exe --engine].
-
-    The event sequence is bit-identical between modes. *)
+      steady-state fast path for throughput runs. *)
 
 val create :
   ?nodes:int ->
   ?ports:int ->
   ?wire_check:wire_check ->
-  ?event_mode:event_mode ->
   Engine.t ->
   t
 (** [?nodes]/[?ports] are capacity hints: a builder that knows the final
@@ -71,8 +62,6 @@ val create :
     the amortised-doubling slack would otherwise cost a million-host
     fabric up to 2x its steady-state footprint. Registering past a hint
     is fine; growth just resumes doubling. *)
-
-val event_mode : t -> event_mode
 
 val engine : t -> Engine.t
 

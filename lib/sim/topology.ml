@@ -312,7 +312,7 @@ let ecmp_salt_of node =
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
   (z lxor (z lsr 32)) land max_int
 
-let fat_tree eng ?wire_check ?event_mode ?(ecmp = true) ?(addressing = `Counter)
+let fat_tree eng ?wire_check ?(ecmp = true) ?(addressing = `Counter)
     ?(fib = `Host32) ~k ~bps ~delay () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even, >= 2";
   if fib = `Aggregated && addressing <> `Pods then
@@ -325,7 +325,7 @@ let fat_tree eng ?wire_check ?event_mode ?(ecmp = true) ?(addressing = `Counter)
   let hosts = k * half * half in
   let net =
     Net.create ~nodes:(switches + hosts) ~ports:((switches * k) + hosts)
-      ?wire_check ?event_mode eng
+      ?wire_check eng
   in
   let next_switch_id = ref 0 in
   let mk ~num_ports =
@@ -432,7 +432,7 @@ type leaf_spine = {
   ls_hosts_per_leaf : int;
 }
 
-let leaf_spine eng ?wire_check ?event_mode ?(ecmp = true) ~leaves ~spines
+let leaf_spine eng ?wire_check ?(ecmp = true) ~leaves ~spines
     ~hosts_per_leaf ~bps ~delay () =
   if leaves < 1 || leaves > 0x10000 then
     invalid_arg "Topology.leaf_spine: need 1 <= leaves <= 65536";
@@ -444,7 +444,7 @@ let leaf_spine eng ?wire_check ?event_mode ?(ecmp = true) ~leaves ~spines
     Net.create
       ~nodes:(leaves + spines + hosts)
       ~ports:((leaves * (hosts_per_leaf + spines)) + (spines * leaves) + hosts)
-      ?wire_check ?event_mode eng
+      ?wire_check eng
   in
   let leaf_ids =
     Array.init leaves (fun l ->

@@ -132,7 +132,7 @@ val random :
     these. *)
 
 val fat_tree :
-  Engine.t -> ?wire_check:Net.wire_check -> ?event_mode:Net.event_mode ->
+  Engine.t -> ?wire_check:Net.wire_check ->
   ?ecmp:bool -> ?addressing:[ `Counter | `Pods ] ->
   ?fib:[ `Host32 | `Aggregated ] -> k:int -> bps:int ->
   delay:Time_ns.span -> unit -> fat_tree
@@ -167,7 +167,7 @@ type leaf_spine = {
 }
 
 val leaf_spine :
-  Engine.t -> ?wire_check:Net.wire_check -> ?event_mode:Net.event_mode ->
+  Engine.t -> ?wire_check:Net.wire_check ->
   ?ecmp:bool -> leaves:int -> spines:int -> hosts_per_leaf:int -> bps:int ->
   delay:Time_ns.span -> unit -> leaf_spine
 (** A two-tier leaf-spine fabric: [leaves] (<= 65536) leaf switches of

@@ -7,7 +7,8 @@
     global insertion sequence — across levels, cascades, and the
     overflow heap, so simulations built on it stay bit-for-bit
     deterministic whether events were pushed locally or adopted from
-    another shard. Peek and pop select the key minimum by scanning the
+    another shard (the test suite checks that it pops exactly as
+    {!Heap} does). Peek and pop select the key minimum by scanning the
     one slot holding the current timestamp (a handful of same-ns
     events); the memoised minimum keeps that to one scan per
     peek-then-pop pair.

@@ -137,6 +137,26 @@ let test_probe_echo_roundtrip () =
       (String.concat ";" (List.map string_of_int values))
   | other -> Alcotest.failf "expected one reply, got %d" (List.length other)
 
+(* Echo seq blocks are per host: disjoint, never below [seq_block]
+   (left to callers of [Probe.send]), and the host's last block is the
+   one that ends at 2^32 — one more raises instead of wrapping the u32
+   echo seq into a block already in use. *)
+let test_probe_seq_blocks_per_host () =
+  let _eng, net, a, b = two_hosts () in
+  let sa = Stack.create net a in
+  let sb = Stack.create net b in
+  let bs = Probe.alloc_seq_block sb in
+  let blocks = List.init 4095 (fun _ -> Probe.alloc_seq_block sa) in
+  check Alcotest.int "first block" Probe.seq_block (List.hd blocks);
+  check Alcotest.int "other hosts count their own" Probe.seq_block bs;
+  check Alcotest.int "last block ends at 2^32" ((1 lsl 32) - Probe.seq_block)
+    (List.nth blocks 4094);
+  check Alcotest.int "all disjoint" 4095
+    (List.length (List.sort_uniq compare blocks));
+  match Probe.alloc_seq_block sa with
+  | b -> Alcotest.failf "block %d past the u32 echo seq space" b
+  | exception Failure _ -> ()
+
 let test_probe_template_not_mutated () =
   let eng, net, a, b = two_hosts () in
   let sa = Stack.create net a in
@@ -318,6 +338,8 @@ let suite =
     Alcotest.test_case "stack dispatch" `Quick test_stack_dispatch;
     Alcotest.test_case "probe echo roundtrip" `Quick test_probe_echo_roundtrip;
     Alcotest.test_case "probe template immutable" `Quick test_probe_template_not_mutated;
+    Alcotest.test_case "probe seq blocks per host" `Quick
+      test_probe_seq_blocks_per_host;
     Alcotest.test_case "cbr flow rate" `Quick test_cbr_flow_rate;
     Alcotest.test_case "cbr set rate" `Quick test_cbr_set_rate_takes_effect;
     Alcotest.test_case "burst flow shape" `Quick test_burst_flow_shape;

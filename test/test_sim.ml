@@ -86,22 +86,19 @@ let test_engine_run_until_is_exclusive_of_later_events () =
   check Alcotest.bool "then fires" true !fired
 
 (* An event at max_int must be a real event, not an empty-queue
-   sentinel: the run loop tests emptiness explicitly. Both schedulers. *)
+   sentinel: the run loop tests emptiness explicitly. *)
 let test_engine_max_int_event () =
-  List.iter
-    (fun scheduler ->
-      let eng = Engine.create ~scheduler () in
-      let fired = ref false in
-      Engine.at eng max_int (fun () -> fired := true);
-      Engine.run eng ~until:(max_int - 1);
-      check Alcotest.bool "not an empty-queue sentinel" false !fired;
-      check
-        (Alcotest.option Alcotest.int)
-        "still queued" (Some max_int)
-        (Engine.next_event_time eng);
-      Engine.run eng ~until:max_int;
-      check Alcotest.bool "fires at the end of time" true !fired)
-    [ `Wheel; `Heap ]
+  let eng = Engine.create () in
+  let fired = ref false in
+  Engine.at eng max_int (fun () -> fired := true);
+  Engine.run eng ~until:(max_int - 1);
+  check Alcotest.bool "not an empty-queue sentinel" false !fired;
+  check
+    (Alcotest.option Alcotest.int)
+    "still queued" (Some max_int)
+    (Engine.next_event_time eng);
+  Engine.run eng ~until:max_int;
+  check Alcotest.bool "fires at the end of time" true !fired
 
 (* Typed events round-trip through the slab: payload ints and the frame
    come back through the handlers record. Same-timestamp events fire in
@@ -130,7 +127,7 @@ let test_engine_typed_dispatch () =
   Engine.deliver_at eng 10 h ~node:4 ~port:0 frame;
   Engine.at eng 10 (fun () -> log := ("thunk", 0, 0, 0) :: !log);
   Engine.restart_at eng 20 h ~node:9;
-  Engine.schedule eng ~at:30 h (Engine.Port_dequeue (5, 2));
+  Engine.dequeue_at eng 30 h ~node:5 ~port:2;
   Engine.run eng ~until:100;
   check
     (Alcotest.list
@@ -147,6 +144,37 @@ let test_engine_typed_dispatch () =
     ]
     (List.rev_map (fun (k, a, b, c) -> ((k, a), (b, c))) !log);
   check Alcotest.int "all five processed" 5 (Engine.events_processed eng)
+
+(* The typed event core allocates nothing: 64 self-rescheduling port
+   dequeues, each on its own stride so the wheel always holds events at
+   mixed horizons and cascades, fire 200k times inside one [Engine.run].
+   [Gc.minor_words] is exact (unlike [Gc.quick_stat], which only moves
+   at minor collections), so the budget is exactly zero words. *)
+let test_engine_typed_core_allocates_nothing () =
+  let eng = Engine.create () in
+  let events = 200_000 in
+  let budget = ref events in
+  let stride node = 1 + ((node * 7919) land 0xFFFF) in
+  let rec h =
+    {
+      Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
+      on_dequeue =
+        (fun ~node ~port ->
+          if !budget > 0 then begin
+            decr budget;
+            Engine.dequeue_at eng (Engine.now eng + stride node) h ~node ~port
+          end);
+      on_restart = (fun ~node:_ -> ());
+    }
+  in
+  for node = 0 to 63 do
+    Engine.dequeue_at eng (stride node) h ~node ~port:0
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run eng ~until:max_int;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "events fired" (events + 64) (Engine.events_processed eng);
+  check (Alcotest.float 0.0) "minor words across Engine.run" 0.0 words
 
 (* --- Net timing ------------------------------------------------------------ *)
 
@@ -198,51 +226,38 @@ let test_fifo_no_reordering () =
     (List.rev !seen);
   check Alcotest.int "all delivered" 50 (Net.frames_delivered net)
 
-(* The same traffic must produce a bit-identical simulation whatever
-   the scheduler (wheel vs heap oracle) and event representation (typed
-   slab vs closures): same arrival timestamps, same delivery and event
-   counts. 50 frames through a store-and-forward switch give plenty of
-   same-timestamp ties to disagree on. *)
-let test_scheduler_and_event_mode_identity () =
-  let run ~scheduler ~event_mode =
-    let eng = Engine.create ~scheduler () in
-    let net = Net.create ~event_mode eng in
-    let sw = Switch.create ~id:1 ~num_ports:2 () in
-    let sw_id = Net.add_switch net sw in
-    let a = Net.add_host net ~name:"a" in
-    let b = Net.add_host net ~name:"b" in
-    Net.connect net (a.Net.node_id, 0) (sw_id, 0) ~bps:100_000_000
-      ~delay:(Time_ns.ms 1);
-    Net.connect net (b.Net.node_id, 0) (sw_id, 1) ~bps:100_000_000
-      ~delay:(Time_ns.ms 1);
-    Topology.install_routes net;
-    let arrivals = ref [] in
-    b.Net.receive <- (fun ~now _ -> arrivals := now :: !arrivals);
-    for i = 1 to 50 do
-      let payload = Bytes.create (60 + (i mod 7)) in
-      let frame =
-        Frame.udp_frame ~src_mac:a.Net.mac ~dst_mac:b.Net.mac ~src_ip:a.Net.ip
-          ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2 ~payload ()
-      in
-      Net.host_send net a frame
-    done;
-    Engine.run eng ~until:(Time_ns.sec 1);
-    (List.rev !arrivals, Net.frames_delivered net, Engine.events_processed eng)
-  in
-  let reference = run ~scheduler:`Heap ~event_mode:`Closure in
-  List.iter
-    (fun (scheduler, event_mode, label) ->
-      let got = run ~scheduler ~event_mode in
-      check
-        (Alcotest.triple
-           (Alcotest.list Alcotest.int)
-           Alcotest.int Alcotest.int)
-        label reference got)
-    [
-      (`Wheel, `Typed, "wheel+typed == heap+closure");
-      (`Heap, `Typed, "heap+typed == heap+closure");
-      (`Wheel, `Closure, "wheel+closure == heap+closure");
-    ]
+(* The event path pinned to literal goldens: 50 frames of varying size
+   through a store-and-forward switch, with plenty of same-timestamp
+   ties between NIC, switch and delivery events. The arrival times,
+   delivery count and event count were recorded when the closure-event
+   and binary-heap engines still existed to agree with this one; any
+   change to event ordering or timing shows up here. *)
+let event_path_golden_arrivals =
+  [ 2017120; 2025840; 2034640; 2043520; 2052480; 2061520; 2070000; 2078560;
+    2087200; 2095920; 2104720; 2113600; 2122560; 2131040; 2139600; 2148240;
+    2156960; 2165760; 2174640; 2183600; 2192080; 2200640; 2209280; 2218000;
+    2226800; 2235680; 2244640; 2253120; 2261680; 2270320; 2279040; 2287840;
+    2296720; 2305680; 2314160; 2322720; 2331360; 2340080; 2348880; 2357760;
+    2366720; 2375200; 2383760; 2392400; 2401120; 2409920; 2418800; 2427760;
+    2436240; 2444800 ]
+
+let test_event_path_goldens () =
+  let eng, net, a, b = two_hosts () in
+  let arrivals = ref [] in
+  b.Net.receive <- (fun ~now _ -> arrivals := now :: !arrivals);
+  for i = 1 to 50 do
+    let payload = Bytes.create (60 + (i mod 7)) in
+    let frame =
+      Frame.udp_frame ~src_mac:a.Net.mac ~dst_mac:b.Net.mac ~src_ip:a.Net.ip
+        ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2 ~payload ()
+    in
+    Net.host_send net a frame
+  done;
+  Engine.run eng ~until:(Time_ns.sec 1);
+  check (Alcotest.list Alcotest.int) "arrival timestamps"
+    event_path_golden_arrivals (List.rev !arrivals);
+  check Alcotest.int "delivered" 50 (Net.frames_delivered net);
+  check Alcotest.int "events" 200 (Engine.events_processed eng)
 
 let test_wire_check_exercised () =
   (* host_send serialises and reparses; a frame that round-trips fine
@@ -320,17 +335,12 @@ let test_wire_check_modes_agree () =
     Engine.run eng ~until:(Time_ns.sec 1);
     (List.rev !arrivals, Net.frames_delivered net)
   in
-  let always = run `Always and cached = run `Cached and off = run `Off in
+  let always = run `Always and cached = run `Cached in
   check
     (Alcotest.pair
        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
        Alcotest.int)
-    "cached = always" always cached;
-  check
-    (Alcotest.pair
-       (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-       Alcotest.int)
-    "off = always" always off
+    "cached = always" always cached
 
 let test_deliver_hooks_in_registration_order () =
   let eng, net, a, b = two_hosts () in
@@ -583,8 +593,9 @@ let suite =
     Alcotest.test_case "engine next event time" `Quick test_engine_next_event_time;
     Alcotest.test_case "engine max_int event" `Quick test_engine_max_int_event;
     Alcotest.test_case "engine typed dispatch" `Quick test_engine_typed_dispatch;
-    Alcotest.test_case "scheduler and event-mode identity" `Quick
-      test_scheduler_and_event_mode_identity;
+    Alcotest.test_case "engine typed core allocates nothing" `Quick
+      test_engine_typed_core_allocates_nothing;
+    Alcotest.test_case "event path goldens" `Quick test_event_path_goldens;
     Alcotest.test_case "engine until boundary" `Quick
       test_engine_run_until_is_exclusive_of_later_events;
     Alcotest.test_case "delivery and latency" `Quick test_delivery_and_latency;

@@ -210,6 +210,35 @@ let test_fct_rejects_bad_shape () =
         (Fct.fabric_run Fct.Ndp_t
            { Fct.fabric_default with Fct.f_shape = 0.9 }))
 
+(* Probe seq blocks belong to a host, not to the process: a second
+   RCP* run after more controllers than one host's u32 echo-seq space
+   holds (4095 blocks) have been created elsewhere in the process must
+   reproduce the first run exactly. With a process-wide counter the
+   later controllers' seqs passed 2^32 and never matched their echoes. *)
+let test_rcp_star_repeat_run_after_many_controllers () =
+  let params = { Fct.fabric_default with Fct.f_duration = Time_ns.ms 60 } in
+  let first = Fct.fingerprint (Fct.fabric_run Fct.Rcp_star_t params) in
+  let eng = Engine.create () in
+  let chain =
+    Topology.chain eng ~num_switches:1 ~hosts_per_switch:2 ~bps:100_000_000
+      ~delay:(Time_ns.us 1) ()
+  in
+  let net = chain.Topology.net in
+  let src = chain.Topology.hosts.(0).(0) and dst = chain.Topology.hosts.(0).(1) in
+  let config = Rcp_star.default_config ~slot:0 in
+  for _ = 1 to 4100 do
+    let stack = Stack.create net src in
+    let flow =
+      Flow.cbr ~src:stack ~dst ~dst_port:9000 ~payload_bytes:100
+        ~rate_bps:1_000_000
+    in
+    ignore (Rcp_star.create stack config ~flow ~dst)
+  done;
+  let second = Fct.fingerprint (Fct.fabric_run Fct.Rcp_star_t params) in
+  check Alcotest.bool "the first run completed flows" true
+    (List.nth first 1 > 0);
+  check (Alcotest.list Alcotest.int) "same fingerprint" first second
+
 let suite =
   [
     Alcotest.test_case "ndp clean completion with trims" `Quick test_ndp_clean;
@@ -222,4 +251,6 @@ let suite =
     Alcotest.test_case "dctcp u32 wraparound" `Quick test_dctcp_u32_wrap;
     Alcotest.test_case "fct rejects pareto shape <= 1" `Quick
       test_fct_rejects_bad_shape;
+    Alcotest.test_case "rcp* repeat run after 4100 controllers" `Quick
+      test_rcp_star_repeat_run_after_many_controllers;
   ]
