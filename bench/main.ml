@@ -4,7 +4,7 @@
      dune exec bench/main.exe              run all experiments
      dune exec bench/main.exe e2 e5        run a subset
      dune exec bench/main.exe -- --micro   also run bechamel microbenches
-     dune exec bench/main.exe -- --benches summarise BENCH_*.json and exit
+     dune exec bench/main.exe -- --benches summarise BENCH.json and exit
 *)
 
 open Tpp
@@ -497,7 +497,7 @@ let all = [ ("e1", Demos.figure1); ("e2", e2); ("e3", Demos.table1);
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   if List.mem "--benches" args then begin
-    Report.benches ();
+    Report.print_benches "BENCH.json";
     exit 0
   end;
   let micro = List.mem "--micro" args in

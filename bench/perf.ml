@@ -1,2727 +1,64 @@
-(* Packet-rate benchmark: the dataplane fast-path gate.
-
-   Drives a many-switch ECMP fat-tree with TPP-tagged UDP flows and
-   reports end-to-end event and packet throughput of the simulator
-   itself (wall-clock, not simulated time). Writes a machine-readable
-   BENCH_<n>.json so successive PRs have a trajectory to beat.
-
-     dune exec bench/perf.exe                 sequential engine -> BENCH_1.json
-     dune exec bench/perf.exe -- --shards 4   parallel (tpp_parsim) -> BENCH_2.json
-     dune exec bench/perf.exe -- --k 4        smaller fabric
-     dune exec bench/perf.exe -- --smoke      quick CI check: sequential and
-                                              2-shard runs must agree exactly
-     dune exec bench/perf.exe -- --tpp-heavy  TCPU compilation gate: interpreter
-                                              vs compiled backend -> BENCH_3.json
-     dune exec bench/perf.exe -- --tpp-heavy --smoke
-                                              quick CI check: compiled backend
-                                              (sequential and 2-shard) must match
-                                              the interpreter exactly
-     dune exec bench/perf.exe -- --chaos      fault-injection gate: an attached
-                                              empty schedule must be free, and a
-                                              chaotic run must be bit-identical
-                                              sequential vs sharded -> BENCH_4.json
-     dune exec bench/perf.exe -- --chaos --smoke
-                                              quick CI variant of the same gate
-     dune exec bench/perf.exe -- --frames     zero-copy frame gate: pooled
-                                              flat frames vs the unpooled
-                                              allocate-per-send oracle, with
-                                              chaos and sharded identity
-                                              -> BENCH_6.json
-     dune exec bench/perf.exe -- --frames --smoke
-                                              quick CI check: pooled runs
-                                              (plain, chaotic, 2-shard) must
-                                              match the unpooled oracle and
-                                              stay inside the allocation
-                                              budget
-     dune exec bench/perf.exe -- --telemetry  streaming-telemetry gate: the
-                                              postcard pipeline must sustain
-                                              >= 1e6 cards/sec in bounded
-                                              memory, sketches must sit inside
-                                              their proven error bounds of the
-                                              exact oracles, and sequential vs
-                                              sharded collectors must agree
-                                              bit-for-bit -> BENCH_7.json
-     dune exec bench/perf.exe -- --telemetry --smoke
-                                              quick CI variant of the same gate
-     dune exec bench/perf.exe -- --transports five-way transport testbed on a
-                                              fat-tree (RCP*, TCP, DCTCP, NDP,
-                                              TPP-LB): NDP's 99p short-flow FCT
-                                              must beat TCP's at 60% load, all
-                                              five transports must be
-                                              bit-identical sequential vs
-                                              sharded, NDP must complete every
-                                              message under a chaotic drop
-                                              schedule, and the trim hot path
-                                              must stay allocation-free
-                                              -> BENCH_8.json
-     dune exec bench/perf.exe -- --transports --smoke
-                                              quick CI variant of the same gate
-     dune exec bench/perf.exe -- --scale      million-host fabric gate:
-                                              aggregated FIBs must forward
-                                              bit-identically to the per-host
-                                              /32 oracle (sequentially and
-                                              sharded) at ~1000x fewer entries,
-                                              a 100k-host leaf-spine must build
-                                              at <= 200 bytes/idle-host, and
-                                              the k=16 fabric must hold
-                                              BENCH_6's event rate
-                                              -> BENCH_9.json
-     dune exec bench/perf.exe -- --scale --smoke
-                                              quick CI variant: k=8 route
-                                              equivalence + leaf-spine
-                                              delivery, bounded runtime
-     dune exec bench/perf.exe -- --out b.json custom output path
-
-   Every mode reports allocation provenance alongside throughput:
-   minor-words/event and promoted-words/event from Gc.quick_stat deltas
-   around the run (per-domain and summed for sharded runs).
-*)
-
-open Tpp
-
-let collect_program =
-  "PUSH [Switch:SwitchID]\n\
-   PUSH [Link:QueueSize]\n\
-   PUSH [Link:RxUtilization]\n\
-   PUSH [Link:CapacityKbps]\n\
-   PUSH [Link:Drops]\n"
-
-type config = {
-  k : int;                    (* fat-tree arity *)
-  packets_per_host : int;
-  payload_bytes : int;
-  gap_ns : int;               (* inter-departure time per host *)
-  wire_check : Net.wire_check;
-  shards : int;               (* 0 = plain sequential engine *)
-  smoke : bool;
-  tpp_heavy : bool;           (* BENCH_3: TCPU backend comparison *)
-  chaos : bool;               (* BENCH_4: fault-injection gate *)
-  frames : bool;              (* BENCH_6: zero-copy frame / pool gate *)
-  telemetry : bool;           (* BENCH_7: streaming-telemetry gate *)
-  transports : bool;          (* BENCH_8: five-way transport gate *)
-  scale : bool;               (* BENCH_9: million-host fabric gate *)
-  out : string option;
-}
-
-let default =
-  { k = 8; packets_per_host = 1500; payload_bytes = 1000; gap_ns = 6_000;
-    wire_check = `Cached; shards = 0; smoke = false; tpp_heavy = false;
-    chaos = false; frames = false; telemetry = false;
-    transports = false; scale = false; out = None }
-
-let horizon = Time_ns.sec 10
-
-let build cfg eng =
-  let ft =
-    Topology.fat_tree eng ~wire_check:cfg.wire_check ~ecmp:true
-      ~k:cfg.k ~bps:10_000_000_000 ~delay:(Time_ns.us 1) ()
-  in
-  ft.Topology.f_net
-
-(* GC provenance. [gc_mark]/[gc_delta] use quick_stat and are for
-   single-domain (sequential) sections only: in OCaml 5 quick_stat
-   AGGREGATES minor_words across every running domain, so summing
-   per-shard quick_stat deltas counts each word once per shard — a
-   4-shard run would report up to 4x its true allocation. Sharded runs
-   must sample inside the shard with the [_local] variants below, which
-   read only the calling domain's counters. *)
-let gc_mark () =
-  let s = Gc.quick_stat () in
-  (s.Gc.minor_words, s.Gc.promoted_words)
-
-let gc_delta (m0, p0) =
-  let s = Gc.quick_stat () in
-  (s.Gc.minor_words -. m0, s.Gc.promoted_words -. p0)
-
-(* Domain-local: Gc.minor_words is exact for the calling domain;
-   Gc.counters' promoted_words lags by at most one minor-heap's worth
-   (it updates at collection boundaries), which is noise at bench
-   scale. Same tuple shape as gc_mark/gc_delta so call sites swap
-   freely. *)
-let gc_mark_local () =
-  let _, promoted, _ = Gc.counters () in
-  (Gc.minor_words (), promoted)
-
-let gc_delta_local (m0, p0) =
-  let _, promoted, _ = Gc.counters () in
-  (Gc.minor_words () -. m0, promoted -. p0)
-
-let per_event words events =
-  if events = 0 then 0.0 else words /. float_of_int events
-
-(* Identical traffic whether the net is the whole fabric or one shard:
-   each host streams to a partner in the opposite half, so flows cross
-   edge, aggregation and core layers and exercise ECMP. *)
-let setup_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let tpp_template = Result.get_ok (Asm.to_tpp ~mem_len:64 collect_program) in
-  let payload = Bytes.create cfg.payload_bytes in
-  let send src =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let frame =
-      Frame.udp_frame ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac ~src_ip:s.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7
-        ~tpp:(Prog.copy tpp_template) ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id then
-      for j = 0 to cfg.packets_per_host - 1 do
-        (* Offset hosts against each other so departures are not all
-           simultaneous (keeps the event queue realistically mixed). *)
-        let t = (j * cfg.gap_ns) + (src * 7) + 1 in
-        Engine.at eng t (fun () -> send src)
-      done
-  done
-
-type outcome = {
-  events : int;
-  delivered : int;
-  wall : float;
-  minor_pe : float;   (* minor words allocated per event processed *)
-  promoted_pe : float;
-  rounds : int;       (* parallel only *)
-  messages : int;     (* frames that crossed a shard boundary *)
-  cut_links : int;
-  lookahead_ns : int;
-}
-
-let run_sequential cfg =
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  setup_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  { events; delivered = Net.frames_delivered net; wall;
-    minor_pe = per_event minor events;
-    promoted_pe = per_event promoted events;
-    rounds = 0; messages = 0; cut_links = 0; lookahead_ns = 0 }
-
-(* ---- TPP-heavy workload (BENCH_3): the TCPU compilation gate -------
-
-   Long per-hop programs make the TCPU the dominant per-event cost, so
-   the interpreter-vs-compiled instruction throughput is visible above
-   the simulator's fixed overheads. The same workload runs under both
-   backends (and sharded), and every architectural observable — events,
-   deliveries, faults, execs, cycles, switch registers, SRAM — must be
-   bit-identical. *)
-
-let heavy_block =
-  "LOAD [Switch:PacketsSeen], [Packet:0]\n\
-   LOAD [Link:QueueSize], [Packet:4]\n\
-   ADD [Packet:0], [Packet:4]\n\
-   LOAD [Link:TxBytes], [Packet:8]\n\
-   MAX [Packet:8], [Packet:0]\n\
-   AND [Packet:0], 0xFFF\n\
-   OR [Packet:4], 7\n\
-   SUB [Packet:8], [Packet:4]\n\
-   ADD [Packet:12], 1\n\
-   MIN [Packet:12], 0xFFF\n\
-   MOV [Packet:16], [Packet:8]\n\
-   ADD [Packet:16], [Packet:0]\n"
-
-let heavy_program =
-  (* mask 0 always passes: the CEXEC is here to keep the pool machinery
-     on the hot path, not to filter. 8 blocks = 99 instructions, still
-     inside the 300-cycle budget (4 + 99 cycles). *)
-  "CEXEC [Switch:Version], 0, 0\n"
-  ^ String.concat "" (List.init 8 (fun _ -> heavy_block))
-  ^ "ADD [Sram:7], 1\n\
-     MAX [Sram:8], [Link:QueueSize]\n"
-
-(* Every 16th packet of each host carries this instead: the STORE to a
-   read-only register faults at the first hop, exercising the faulted-
-   TPP inert path and fault accounting under both backends. *)
-let heavy_fault_program =
-  "ADD [Sram:9], 1\n\
-   STORE [Switch:SwitchID], 1\n\
-   ADD [Sram:9], 1\n"
-
-let setup_heavy_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let tpp_template = Result.get_ok (Asm.to_tpp ~mem_len:32 heavy_program) in
-  let fault_template = Result.get_ok (Asm.to_tpp ~mem_len:32 heavy_fault_program) in
-  let payload = Bytes.create cfg.payload_bytes in
-  let send src faulty =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let tpp = Prog.copy (if faulty then fault_template else tpp_template) in
-    let frame =
-      Frame.udp_frame ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac ~src_ip:s.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7 ~tpp ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id then
-      for j = 0 to cfg.packets_per_host - 1 do
-        let t = (j * cfg.gap_ns) + (src * 7) + 1 in
-        (* The faulting-packet choice depends only on (src, j), so the
-           set is identical whatever the shard layout. *)
-        Engine.at eng t (fun () -> send src (j mod 16 = 0))
-      done
-  done
-
-(* Per-switch register fingerprint, same shape as test_parsim's. The
-   compile hit/miss counters are deliberately excluded: each shard links
-   its own template family, so the hit/miss split — unlike every
-   architectural register — legitimately varies with the shard count. *)
-module SS = Switch_state
-
-let sram_hash (st : SS.t) =
-  Array.fold_left (fun acc w -> (acc * 1_000_003) + w) 0 st.SS.sram
-
-let port_fp (p : SS.Port.t) =
-  [
-    p.SS.Port.rx_bytes; p.rx_pkts; p.tx_bytes; p.tx_pkts; p.drops;
-    p.offered_bytes; p.queue_bytes;
-  ]
-
-let switch_fp id sw =
-  let st = Switch.state sw in
-  ( id,
-    [
-      st.SS.packets_seen; st.SS.bytes_seen; st.SS.drops; st.SS.tpp_execs;
-      st.SS.tpp_faults; st.SS.tpp_cycles; sram_hash st;
-    ]
-    @ List.concat_map port_fp (Array.to_list st.SS.ports) )
-
-let net_fp ~owns net =
-  Net.switches net
-  |> List.filter (fun (id, _) -> owns id)
-  |> List.map (fun (id, sw) -> switch_fp id sw)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-type tpp_totals = {
-  t_execs : int;
-  t_faults : int;
-  t_cycles : int;
-  t_hits : int;    (* per-switch compile-cache hits, observability only *)
-  t_misses : int;
-}
-
-let tpp_zero = { t_execs = 0; t_faults = 0; t_cycles = 0; t_hits = 0; t_misses = 0 }
-
-let tpp_add a b =
-  {
-    t_execs = a.t_execs + b.t_execs;
-    t_faults = a.t_faults + b.t_faults;
-    t_cycles = a.t_cycles + b.t_cycles;
-    t_hits = a.t_hits + b.t_hits;
-    t_misses = a.t_misses + b.t_misses;
-  }
-
-let tpp_totals_of ~owns net =
-  Net.switches net
-  |> List.filter (fun (id, _) -> owns id)
-  |> List.fold_left
-       (fun acc (_, sw) ->
-         let st = Switch.state sw in
-         tpp_add acc
-           {
-             t_execs = st.SS.tpp_execs;
-             t_faults = st.SS.tpp_faults;
-             t_cycles = st.SS.tpp_cycles;
-             t_hits = st.SS.tpp_compile_hits;
-             t_misses = st.SS.tpp_compile_misses;
-           })
-       tpp_zero
-
-(* Instructions actually executed: every exec costs 4 fill cycles plus
-   one cycle per instruction, so the instruction count falls out of the
-   two counters the ASIC already keeps. *)
-let instrs_of t = t.t_cycles - (4 * t.t_execs)
-
-type heavy_run = {
-  h_events : int;
-  h_delivered : int;
-  h_wall : float;
-  h_minor_pe : float;
-  h_promoted_pe : float;
-  h_totals : tpp_totals;
-  h_fp : (int * int list) list;
-}
-
-let run_heavy_sequential cfg ~backend =
-  Tcpu.set_default_backend backend;
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  setup_heavy_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  Tcpu.set_default_backend Tcpu.Compiled;
-  let events = Engine.events_processed eng in
-  {
-    h_events = events;
-    h_delivered = Net.frames_delivered net;
-    h_wall = wall;
-    h_minor_pe = per_event minor events;
-    h_promoted_pe = per_event promoted events;
-    h_totals = tpp_totals_of ~owns:(fun _ -> true) net;
-    h_fp = net_fp ~owns:(fun _ -> true) net;
-  }
-
-let run_heavy_parallel cfg ~shards =
-  let marks = Array.make shards (0.0, 0.0) in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        setup_heavy_traffic cfg ~owns net;
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns net ->
-        (tpp_totals_of ~owns net, net_fp ~owns net,
-         gc_delta_local marks.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let totals =
-    Array.fold_left (fun acc (t, _, _) -> tpp_add acc t) tpp_zero parts
-  in
-  let fp =
-    Array.to_list parts
-    |> List.concat_map (fun (_, fp, _) -> fp)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let minor = Array.fold_left (fun a (_, _, (m, _)) -> a +. m) 0.0 parts in
-  let promoted = Array.fold_left (fun a (_, _, (_, p)) -> a +. p) 0.0 parts in
-  {
-    h_events = stats.Parsim.events;
-    h_delivered = stats.Parsim.delivered;
-    h_wall = wall;
-    h_minor_pe = per_event minor stats.Parsim.events;
-    h_promoted_pe = per_event promoted stats.Parsim.events;
-    h_totals = totals;
-    h_fp = fp;
-  }
-
-(* Everything architectural must match; wall time and compile counters
-   may differ. Exits non-zero on divergence: a fast wrong TCPU is not a
-   result. *)
-let check_heavy_identity ~label (ref_ : heavy_run) (got : heavy_run) =
-  let fail what a b =
-    Printf.eprintf "perf(tpp-heavy): FAIL — %s: %s differs (%d vs %d)\n" label
-      what a b;
-    exit 1
-  in
-  if ref_.h_events <> got.h_events then fail "events" ref_.h_events got.h_events;
-  if ref_.h_delivered <> got.h_delivered then
-    fail "delivered" ref_.h_delivered got.h_delivered;
-  if ref_.h_totals.t_execs <> got.h_totals.t_execs then
-    fail "tpp_execs" ref_.h_totals.t_execs got.h_totals.t_execs;
-  if ref_.h_totals.t_faults <> got.h_totals.t_faults then
-    fail "tpp_faults" ref_.h_totals.t_faults got.h_totals.t_faults;
-  if ref_.h_totals.t_cycles <> got.h_totals.t_cycles then
-    fail "tpp_cycles" ref_.h_totals.t_cycles got.h_totals.t_cycles;
-  if ref_.h_fp <> got.h_fp then begin
-    Printf.eprintf
-      "perf(tpp-heavy): FAIL — %s: switch register fingerprints differ\n" label;
-    exit 1
-  end
-
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then "unknown" else line
-  with _ -> "unknown"
-
-let wire_check_name = function
-  | `Always -> "always"
-  | `Cached -> "cached"
-
-let workload_of cfg =
-  Printf.sprintf
-    "fat-tree k=%d (ECMP), %d hosts x %d TPP-tagged UDP packets, %dB \
-     payload, wire_check=%s"
-    cfg.k
-    (cfg.k * cfg.k * cfg.k / 4)
-    cfg.packets_per_host cfg.payload_bytes
-    (wire_check_name cfg.wire_check)
-
-let heavy_workload_of cfg =
-  let program_len =
-    Array.length
-      (Result.get_ok (Asm.to_tpp ~mem_len:32 heavy_program)).Prog.program
-  in
-  Printf.sprintf
-    "fat-tree k=%d (ECMP), %d hosts x %d UDP packets, %d-instr TPP per hop \
-     (1 in 16 packets faulting), %dB payload, wire_check=%s"
-    cfg.k
-    (cfg.k * cfg.k * cfg.k / 4)
-    cfg.packets_per_host program_len cfg.payload_bytes
-    (wire_check_name cfg.wire_check)
-
-let write_heavy_json cfg ~out ~interp ~comp ~par ~shards ~speedup
-    ~(cache : Tcpu_compile.cache_stats) =
-  let sent = cfg.k * cfg.k * cfg.k / 4 * cfg.packets_per_host in
-  let instrs = instrs_of comp.h_totals in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 3,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_sent\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"tpp_execs\": %d,\n\
-    \  \"tpp_faults\": %d,\n\
-    \  \"tpp_instrs\": %d,\n\
-    \  \"interpreter_wall_s\": %.6f,\n\
-    \  \"interpreter_instrs_per_sec\": %.1f,\n\
-    \  \"compiled_wall_s\": %.6f,\n\
-    \  \"compiled_instrs_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"identical_to_interpreter\": true,\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": true },\n\
-    \  \"cache\": { \"programs\": %d, \"hits\": %d, \"misses\": %d }\n\
-     }\n"
-    (heavy_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    comp.h_events sent comp.h_delivered comp.h_totals.t_execs
-    comp.h_totals.t_faults instrs interp.h_wall
-    (float_of_int instrs /. interp.h_wall)
-    comp.h_wall
-    (float_of_int instrs /. comp.h_wall)
-    comp.h_minor_pe comp.h_promoted_pe
-    speedup shards par.h_wall cache.Tcpu_compile.programs
-    cache.Tcpu_compile.hits cache.Tcpu_compile.misses;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-(* The BENCH_3 gate: same heavy workload under the interpreter, the
-   compiled backend, and a sharded compiled run. Identity is mandatory;
-   the >= 2x instruction-throughput target is reported (and written to
-   the JSON) but only warned about, like BENCH_2's core-count caveat. *)
-let tpp_heavy cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 150 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(tpp-heavy smoke)" else "perf(tpp-heavy)" in
-  Printf.printf "%s: %s\n%!" tag (heavy_workload_of cfg);
-  Tcpu_compile.clear_cache ();
-  let interp = run_heavy_sequential cfg ~backend:Tcpu.Interpreter in
-  Tcpu_compile.clear_cache ();
-  let comp = run_heavy_sequential cfg ~backend:Tcpu.Compiled in
-  let cache = Tcpu_compile.cache_stats () in
-  check_heavy_identity ~label:"compiled vs interpreter" interp comp;
-  let shards = if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4 in
-  let par = run_heavy_parallel cfg ~shards in
-  check_heavy_identity
-    ~label:(Printf.sprintf "%d-shard compiled vs interpreter" shards)
-    interp par;
-  let instrs = instrs_of comp.h_totals in
-  let speedup = interp.h_wall /. comp.h_wall in
-  Printf.printf
-    "%s: %d events, %d delivered, %d TPP execs (%d faulted), %d instructions\n\
-     %s: interpreter %.3fs (%.3e instrs/sec)\n\
-     %s: compiled    %.3fs (%.3e instrs/sec)  speedup %.2fx\n\
-     %s: %d-shard compiled %.3fs — identical registers\n\
-     %s: cache %d program(s), %d hits / %d misses; per-switch linked \
-     hits %d / misses %d\n%!"
-    tag comp.h_events comp.h_delivered comp.h_totals.t_execs
-    comp.h_totals.t_faults instrs tag interp.h_wall
-    (float_of_int instrs /. interp.h_wall)
-    tag comp.h_wall
-    (float_of_int instrs /. comp.h_wall)
-    speedup tag shards par.h_wall tag cache.Tcpu_compile.programs
-    cache.Tcpu_compile.hits cache.Tcpu_compile.misses comp.h_totals.t_hits
-    comp.h_totals.t_misses;
-  Printf.printf
-    "%s: OK — compiled backend matches the interpreter bit-for-bit\n%!" tag;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_3.json" in
-    write_heavy_json cfg ~out ~interp ~comp ~par ~shards ~speedup ~cache;
-    if speedup < 2.0 then
-      Printf.printf
-        "%s: WARNING — speedup %.2fx below the 2x target on this machine\n%!"
-        tag speedup
-  end
-
-let write_json cfg ~out r =
-  let sent = cfg.k * cfg.k * cfg.k / 4 * cfg.packets_per_host in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": %d,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"shards\": %d,\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_sent\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"boundary_messages\": %d,\n\
-    \  \"cut_links\": %d,\n\
-    \  \"lookahead_ns\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"packets_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f\n\
-     }\n"
-    (if cfg.shards > 0 then 2 else 1)
-    (workload_of cfg) cfg.shards (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    r.events sent r.delivered r.rounds r.messages r.cut_links r.lookahead_ns
-    r.wall
-    (float_of_int r.events /. r.wall)
-    (float_of_int r.delivered /. r.wall)
-    r.minor_pe r.promoted_pe;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-(* A fast cross-check for CI: the sequential engine and an N-shard
-   parallel run of a small fabric must agree on every count and every
-   switch register. Honors --shards (default 2) so CI can probe the
-   wider merge paths cheaply. Bit-identity only — never speed: the
-   speedup gate lives in the full --shards bench, behind a core-count
-   probe. *)
-let smoke cfg =
-  let shards = if cfg.shards > 0 then cfg.shards else 2 in
-  let cfg = { cfg with k = 4; packets_per_host = 200 } in
-  Printf.printf "perf(smoke): %s, %d shards\n%!" (workload_of cfg) shards;
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  setup_traffic cfg ~owns:(fun _ -> true) net;
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let s_wall = Unix.gettimeofday () -. t0 in
-  let s_events = Engine.events_processed eng in
-  let s_delivered = Net.frames_delivered net in
-  let s_fp = net_fp ~owns:(fun _ -> true) net in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard:_ ~owns net -> setup_traffic cfg ~owns net)
-      ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
-      ()
-  in
-  let p_wall = Unix.gettimeofday () -. t0 in
-  let p_fp =
-    Array.to_list parts |> List.concat
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Printf.printf
-    "perf(smoke): sequential %d events / %d delivered (%.3fs), %d-shard %d \
-     events / %d delivered (%.3fs, %d rounds, %d boundary frames in %d \
-     chunks)\n%!"
-    s_events s_delivered s_wall shards stats.Parsim.events
-    stats.Parsim.delivered p_wall stats.Parsim.rounds stats.Parsim.messages
-    stats.Parsim.chunks;
-  if s_events <> stats.Parsim.events || s_delivered <> stats.Parsim.delivered
-  then begin
-    Printf.eprintf "perf(smoke): FAIL — parallel run diverged from sequential\n";
-    exit 1
-  end;
-  if s_fp <> p_fp then begin
-    Printf.eprintf
-      "perf(smoke): FAIL — switch register fingerprints differ from \
-       sequential\n";
-    exit 1
-  end;
-  if stats.Parsim.boundary_outstanding <> 0 then begin
-    Printf.eprintf
-      "perf(smoke): FAIL — %d boundary frames never returned to their pools\n"
-      stats.Parsim.boundary_outstanding;
-    exit 1
-  end;
-  Printf.printf
-    "perf(smoke): OK — %d-shard run bit-identical to sequential (registers \
-     included), boundary pools drained\n%!"
-    shards
-
-(* ---- chaos workload (BENCH_4): the fault-injection gate ------------
-
-   Two properties the Fault subsystem must never lose:
-
-   1. Zero cost when unattached. The dataplane consults the fault hooks
-      only when a schedule is installed, and an installed-but-empty
-      schedule must not change a single count (and must cost next to
-      nothing in wall time).
-
-   2. Determinism under sharding. A chaotic schedule — flap, loss,
-      corruption, freeze-restart, degradation all at once — must yield
-      bit-identical event/delivery/fault counts whether the run is
-      sequential or sharded.
-
-   The faulted cables are host access links plus the edge switch above
-   host 1: these carry traffic by construction, where an arbitrary core
-   uplink may be starved by ECMP hashing. Fault windows scale with the
-   send span so every rule fires at any --packets setting. *)
-
-let chaos_seed = 4242
-
-let chaos_schedule cfg net =
-  let span = cfg.packets_per_host * cfg.gap_ns in
-  let f = Fault.create ~seed:chaos_seed in
-  let hosts = Array.of_list (Net.hosts net) in
-  let access i = (hosts.(i).Net.node_id, 0) in
-  let edge_above i =
-    match Net.neighbors net hosts.(i).Net.node_id with
-    | (_, peer, _) :: _ -> peer
-    | [] -> invalid_arg "chaos_schedule: host has no uplink"
-  in
-  let period = max 2 (span / 25) in
-  Fault.flap f ~from_:(span / 10) ~until_:(span * 4 / 5) ~period
-    ~down_for:(max 1 (period * 2 / 5)) (access 0);
-  Fault.lossy f ~from_:0 ~until_:span ~drop:0.2 ~corrupt:0.05 (access 5);
-  Fault.freeze f ~from_:(span / 5) ~until_:(span * 2 / 5) (edge_above 1);
-  Fault.degrade f ~from_:(span / 3) ~until_:(span * 9 / 10) ~rate_factor:0.5
-    ~extra_delay:(Time_ns.us 2) (access 9);
-  Fault.attach f net;
-  f
-
-let fault_fp (s : Fault.stats) =
-  [
-    s.Fault.lost_down; s.Fault.dropped; s.Fault.corrupt_header;
-    s.Fault.corrupt_fcs; s.Fault.frozen_arrivals; s.Fault.restarts;
-  ]
-
-let fault_fp_add = List.map2 ( + )
-
-(* Sequential run with an arbitrary fault setup applied post-build. *)
-let run_sequential_faulted cfg ~fault =
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  let f = fault net in
-  setup_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  ( { events; delivered = Net.frames_delivered net; wall;
-      minor_pe = per_event minor events;
-      promoted_pe = per_event promoted events;
-      rounds = 0; messages = 0; cut_links = 0; lookahead_ns = 0 },
-    f )
-
-let run_parallel_chaos cfg ~shards =
-  let faults = Array.make shards None in
-  let marks = Array.make shards (0.0, 0.0) in
-  let t0 = Unix.gettimeofday () in
-  let stats, per_shard =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        faults.(shard) <- Some (chaos_schedule cfg net);
-        setup_traffic cfg ~owns net;
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns:_ _ ->
-        (fault_fp (Fault.stats (Option.get faults.(shard))),
-         gc_delta_local marks.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fp =
-    Array.fold_left
-      (fun acc (f, _) -> fault_fp_add acc f)
-      [ 0; 0; 0; 0; 0; 0 ] per_shard
-  in
-  let minor = Array.fold_left (fun a (_, (m, _)) -> a +. m) 0.0 per_shard in
-  let promoted = Array.fold_left (fun a (_, (_, p)) -> a +. p) 0.0 per_shard in
-  ( { events = stats.Parsim.events; delivered = stats.Parsim.delivered; wall;
-      minor_pe = per_event minor stats.Parsim.events;
-      promoted_pe = per_event promoted stats.Parsim.events;
-      rounds = stats.Parsim.rounds; messages = stats.Parsim.messages;
-      cut_links = stats.Parsim.cut_links; lookahead_ns = stats.Parsim.lookahead },
-    fp )
-
-let write_chaos_json cfg ~out ~base ~empty ~(chaotic : outcome)
-    ~(stats : Fault.stats) ~shards ~par_wall =
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 4,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"baseline_wall_s\": %.6f,\n\
-    \  \"empty_schedule_wall_s\": %.6f,\n\
-    \  \"empty_schedule_overhead\": %.4f,\n\
-    \  \"chaos_events\": %d,\n\
-    \  \"chaos_delivered\": %d,\n\
-    \  \"chaos_wall_s\": %.6f,\n\
-    \  \"chaos_events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"faults\": { \"lost_down\": %d, \"dropped\": %d, \"corrupt_header\": \
-     %d, \"corrupt_fcs\": %d, \"frozen_arrivals\": %d, \"restarts\": %d },\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": true }\n\
-     }\n"
-    (workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    base.wall empty.wall (empty.wall /. base.wall) chaotic.events
-    chaotic.delivered chaotic.wall
-    (float_of_int chaotic.events /. chaotic.wall)
-    chaotic.minor_pe chaotic.promoted_pe
-    stats.Fault.lost_down stats.Fault.dropped stats.Fault.corrupt_header
-    stats.Fault.corrupt_fcs stats.Fault.frozen_arrivals stats.Fault.restarts
-    shards par_wall;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-let chaos cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(chaos smoke)" else "perf(chaos)" in
-  Printf.printf "%s: %s\n%!" tag (workload_of cfg);
-  (* 1. Zero cost when unattached: an empty schedule changes nothing.
-     Best of two runs each, so a scheduler hiccup on a short smoke run
-     cannot fake a regression. *)
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if b.wall < a.wall then b else a
-  in
-  let base = best_of_two (fun () -> run_sequential cfg) in
-  let empty =
-    best_of_two (fun () ->
-        fst
-          (run_sequential_faulted cfg ~fault:(fun net ->
-               let f = Fault.create ~seed:1 in
-               Fault.attach f net;
-               f)))
-  in
-  if base.events <> empty.events || base.delivered <> empty.delivered then begin
-    Printf.eprintf
-      "%s: FAIL — empty fault schedule changed counts (%d/%d events, %d/%d \
-       delivered)\n"
-      tag base.events empty.events base.delivered empty.delivered;
-    exit 1
-  end;
-  let overhead = empty.wall /. base.wall in
-  Printf.printf
-    "%s: baseline %.3fs, empty schedule attached %.3fs (%.2fx)\n%!" tag
-    base.wall empty.wall overhead;
-  if overhead > 1.5 then begin
-    Printf.eprintf
-      "%s: FAIL — empty fault schedule costs %.2fx (budget 1.5x)\n" tag
-      overhead;
-    exit 1
-  end;
-  (* 2. Determinism under sharding: full chaos, sequential vs sharded. *)
-  let chaotic, f = run_sequential_faulted cfg ~fault:(chaos_schedule cfg) in
-  let stats = Fault.stats f in
-  Printf.printf
-    "%s: chaotic run %d events, %d delivered in %.3fs\n\
-     %s: lost_down=%d dropped=%d corrupt=%d+%d frozen=%d restarts=%d\n%!"
-    tag chaotic.events chaotic.delivered chaotic.wall tag
-    stats.Fault.lost_down stats.Fault.dropped stats.Fault.corrupt_header
-    stats.Fault.corrupt_fcs stats.Fault.frozen_arrivals stats.Fault.restarts;
-  if
-    stats.Fault.lost_down = 0 || stats.Fault.dropped = 0
-    || stats.Fault.corrupt_header + stats.Fault.corrupt_fcs = 0
-    || stats.Fault.frozen_arrivals = 0 || stats.Fault.restarts <> 1
-  then begin
-    Printf.eprintf "%s: FAIL — some fault class never fired\n" tag;
-    exit 1
-  end;
-  let shards = if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4 in
-  let par, par_fp = run_parallel_chaos cfg ~shards in
-  if
-    chaotic.events <> par.events
-    || chaotic.delivered <> par.delivered
-    || fault_fp stats <> par_fp
-  then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard chaotic run diverged from sequential\n" tag shards;
-    exit 1
-  end;
-  Printf.printf
-    "%s: OK — empty schedule free, %d-shard chaos identical to sequential \
-     (%.3fs)\n%!"
-    tag shards par.wall;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_4.json" in
-    write_chaos_json cfg ~out ~base ~empty ~chaotic ~stats ~shards
-      ~par_wall:par.wall
-  end
-
-(* ---- plain-traffic fabric: the workload of the frame, shard,
-   telemetry and scale gates below ---------------------------------------
-
-   Untagged UDP, so the event core, links and switches rather than the
-   TCPU dominate the per-event cost. *)
-
-let setup_plain_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let payload = Bytes.create cfg.payload_bytes in
-  let send src =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let frame =
-      Frame.udp_frame ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac ~src_ip:s.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7 ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  (* Self-scheduling sends: host [src]'s thunk sends packet [j], then
-     schedules packet [j+1] at the same timestamp formula the old
-     schedule-everything-up-front loop used — the simulated workload is
-     unchanged. What changes is residency: pre-scheduling parks
-     hosts x packets closures and wheel entries for the whole run,
-     which at fat-tree scale is tens of MB of cold slab that every
-     wheel cascade walks and the GC's mark phase chews through.
-     Lazily, the wheel holds one pending send per host plus the
-     in-flight dataplane events, and stays cache-resident. *)
-  let rec tick src j () =
-    send src;
-    let j = j + 1 in
-    if j < cfg.packets_per_host then
-      Engine.at eng ((j * cfg.gap_ns) + (src * 7) + 1) (tick src j)
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id && cfg.packets_per_host > 0 then
-      Engine.at eng ((src * 7) + 1) (tick src 0)
-  done
-
-type engine_run = {
-  g_events : int;
-  g_delivered : int;
-  g_wall : float;
-  g_minor_pe : float;
-  g_promoted_pe : float;
-  g_fp : (int * int list) list;
-}
-
-let engine_workload_of cfg =
-  Printf.sprintf
-    "fat-tree k=%d (ECMP), %d hosts x %d plain UDP packets, %dB payload, \
-     wire_check=%s"
-    cfg.k
-    (cfg.k * cfg.k * cfg.k / 4)
-    cfg.packets_per_host cfg.payload_bytes
-    (wire_check_name cfg.wire_check)
-
-(* ---- flat-frame workload (BENCH_6): the zero-copy frame gate --------
-
-   The flat Bytes-backed frame representation with per-flow pools must
-   be (a) allocation-light — the whole simulator, not just the event
-   core, within 10 minor words per event on the plain-traffic
-   workload — and (b) observably identical to the unpooled path. The
-   unpooled run allocates a fresh frame per send, exactly the lifecycle
-   the record-frame representation had (and the QCheck differential
-   suite pins the flat codecs to the record codecs byte-for-byte), so
-   it is the oracle: events, deliveries and every switch register must
-   match bit-for-bit on the plain run, under the BENCH_4 chaos
-   schedule, and on a sharded run. Both sides run the same engine, so
-   the delta measured here is the frame representation and pooling,
-   nothing else. *)
-
-let setup_pooled_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let payload = Bytes.create cfg.payload_bytes in
-  (* One pool per sending host — per-flow in this workload, since each
-     host originates exactly one flow. Pools are created here, in the
-     calling domain; for a sharded run setup executes on the shard's
-     own domain, so recycling at delivery is a same-domain operation
-     for intra-shard traffic and a safe no-op across a boundary. *)
-  let pools =
-    Array.map (fun _ -> Frame.Pool.create ~capacity:64 ~frame_bytes:2048 ())
-      hosts
-  in
-  let send src =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let frame =
-      Frame.Pool.udp_frame pools.(src) ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac
-        ~src_ip:s.Net.ip ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7
-        ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  (* Same self-scheduling shape as [setup_plain_traffic] — the two are
-     compared event-for-event by the frames gate, so their send
-     scheduling must stay mirror images. *)
-  let rec tick src j () =
-    send src;
-    let j = j + 1 in
-    if j < cfg.packets_per_host then
-      Engine.at eng ((j * cfg.gap_ns) + (src * 7) + 1) (tick src j)
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id && cfg.packets_per_host > 0 then
-      Engine.at eng ((src * 7) + 1) (tick src 0)
-  done;
-  pools
-
-let pool_totals pools =
-  Array.fold_left
-    (fun (c, r, o) p ->
-      ( c + Frame.Pool.created p,
-        r + Frame.Pool.reused p,
-        o + Frame.Pool.outstanding p ))
-    (0, 0, 0) pools
-
-let run_frames_fabric cfg ~pooled =
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  let pools =
-    if pooled then setup_pooled_traffic cfg ~owns:(fun _ -> true) net
-    else begin
-      setup_plain_traffic cfg ~owns:(fun _ -> true) net;
-      [||]
-    end
-  in
-  (* Exact counts: see the budgets below. *)
-  let g0 = gc_mark_local () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta_local g0 in
-  let events = Engine.events_processed eng in
-  ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-      g_minor_pe = per_event minor events;
-      g_promoted_pe = per_event promoted events;
-      g_fp = net_fp ~owns:(fun _ -> true) net },
-    pool_totals pools )
-
-let run_frames_chaos cfg ~pooled =
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  let f = chaos_schedule cfg net in
-  (if pooled then ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net)
-   else setup_plain_traffic cfg ~owns:(fun _ -> true) net);
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let events = Engine.events_processed eng in
-  ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-      g_minor_pe = 0.0; g_promoted_pe = 0.0;
-      g_fp = net_fp ~owns:(fun _ -> true) net },
-    fault_fp (Fault.stats f) )
-
-let run_frames_parallel cfg ~shards =
-  let marks = Array.make shards (0.0, 0.0) in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        ignore (setup_pooled_traffic cfg ~owns net);
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns net ->
-        (net_fp ~owns net, gc_delta_local marks.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fp =
-    Array.to_list parts
-    |> List.concat_map fst
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let minor = Array.fold_left (fun a (_, (m, _)) -> a +. m) 0.0 parts in
-  ( { g_events = stats.Parsim.events; g_delivered = stats.Parsim.delivered;
-      g_wall = wall;
-      g_minor_pe = per_event minor stats.Parsim.events;
-      g_promoted_pe = 0.0; g_fp = fp },
-    stats.Parsim.rounds )
-
-let write_frames_json cfg ~out ~(oracle : engine_run) ~(pooled : engine_run)
-    ~pool:(p_created, p_reused, p_out) ~speedup ~shards ~par_wall ~par_minor =
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 6,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"speedup_vs_unpooled\": %.3f,\n\
-    \  \"pool\": { \"created\": %d, \"reused\": %d, \"outstanding\": %d },\n\
-    \  \"oracle\": { \"frames\": \"unpooled\", \"events\": %d, \"wall_s\": \
-     %.6f, \"events_per_sec\": %.1f,\n\
-    \              \"minor_words_per_event\": %.3f },\n\
-    \  \"chaos\": { \"identical\": true },\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \
-     \"speedup_vs_sequential\": %.3f, \"identical\": true },\n\
-    \  \"sharded_minor_words_per_event\": %.3f,\n\
-    \  \"identical\": true\n\
-     }\n"
-    (engine_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    pooled.g_events pooled.g_delivered pooled.g_wall
-    (float_of_int pooled.g_events /. pooled.g_wall)
-    pooled.g_minor_pe pooled.g_promoted_pe speedup p_created p_reused p_out
-    oracle.g_events oracle.g_wall
-    (float_of_int oracle.g_events /. oracle.g_wall)
-    oracle.g_minor_pe shards par_wall
-    (pooled.g_wall /. par_wall)
-    par_minor;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-(* Allocation budgets for the pooled fabric, in minor words/event,
-   counted exactly (domain-local Gc.minor_words) around the timed run.
-   The full run (k=8, 1500 packets/host) measures 2.80 w/ev and the
-   smoke run (k=4, 200 packets/host, 41.6k events) 2.97 on every
-   repetition. The smoke budget is the tighter of the two: it is the
-   CI regression gate. (Under quick_stat, which only moves in whole
-   minor-heap quanta, the smoke run read 3.15 or 6.30 depending on
-   which of its two timed runs won wall-clock.) *)
-let frames_minor_budget = 10.0
-let frames_smoke_minor_budget = 6.0
-
-let frames_bench cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(frames smoke)" else "perf(frames)" in
-  Printf.printf "%s: %s\n%!" tag (engine_workload_of cfg);
-  (* Best of two runs per variant so a scheduler hiccup cannot fake (or
-     hide) a regression; the runs are deterministic, so the fingerprint
-     of either serves. *)
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if (fst b).g_wall < (fst a).g_wall then b else a
-  in
-  let oracle, _ = best_of_two (fun () -> run_frames_fabric cfg ~pooled:false) in
-  let pooled, (p_created, p_reused, p_out) =
-    best_of_two (fun () -> run_frames_fabric cfg ~pooled:true)
-  in
-  let check label (a : engine_run) (b : engine_run) =
-    if a.g_events <> b.g_events || a.g_delivered <> b.g_delivered then begin
-      Printf.eprintf
-        "%s: FAIL — %s diverged from the unpooled oracle (%d/%d events, \
-         %d/%d delivered)\n"
-        tag label a.g_events b.g_events a.g_delivered b.g_delivered;
-      exit 1
-    end;
-    if a.g_fp <> b.g_fp then begin
-      Printf.eprintf
-        "%s: FAIL — %s: switch register fingerprints differ\n" tag label;
-      exit 1
-    end
-  in
-  check "pooled plain run" oracle pooled;
-  let fab name (r : engine_run) =
-    Printf.printf
-      "%s: fabric %-9s %d events, %d delivered in %.3fs (%.3e ev/s, %.2f \
-       minor w/ev)\n%!"
-      tag name r.g_events r.g_delivered r.g_wall
-      (float_of_int r.g_events /. r.g_wall)
-      r.g_minor_pe
-  in
-  fab "unpooled" oracle;
-  fab "pooled" pooled;
-  Printf.printf "%s: pool %d created / %d reused, %d outstanding at end\n%!" tag
-    p_created p_reused p_out;
-  (* The allocation gate: the whole pooled dataplane, not just the
-     event core, within budget. See the budget constants above for why
-     the smoke bound is the tighter one. *)
-  let budget =
-    if cfg.smoke then frames_smoke_minor_budget else frames_minor_budget
-  in
-  if pooled.g_minor_pe > budget then begin
-    Printf.eprintf
-      "%s: FAIL — pooled run allocates %.2f minor words/event (budget %.1f)\n"
-      tag pooled.g_minor_pe budget;
-    exit 1
-  end;
-  (* Chaos identity: the full BENCH_4 fault schedule, pooled vs
-     unpooled, sequentially under the wheel. *)
-  let chaos_oracle, chaos_oracle_faults = run_frames_chaos cfg ~pooled:false in
-  let chaos_pooled, chaos_pooled_faults = run_frames_chaos cfg ~pooled:true in
-  check "pooled chaotic run" chaos_oracle chaos_pooled;
-  if chaos_oracle_faults <> chaos_pooled_faults then begin
-    Printf.eprintf
-      "%s: FAIL — pooled chaotic run's fault counts diverged ([%s] vs [%s])\n"
-      tag
-      (String.concat ";" (List.map string_of_int chaos_oracle_faults))
-      (String.concat ";" (List.map string_of_int chaos_pooled_faults));
-    exit 1
-  end;
-  Printf.printf
-    "%s: chaos %d events, %d delivered — pooled identical to unpooled\n%!" tag
-    chaos_pooled.g_events chaos_pooled.g_delivered;
-  (* Sharded identity: pooled frames under the parallel scheduler must
-     reproduce the sequential oracle's registers exactly (cross-shard
-     recycles are no-ops by the pool's domain-ownership rule). *)
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  let par, rounds = run_frames_parallel cfg ~shards in
-  check (Printf.sprintf "pooled %d-shard run" shards) oracle par;
-  Printf.printf
-    "%s: %d-shard pooled run identical to sequential (%.3fs, %d rounds, %.2f \
-     minor w/ev)\n%!"
-    tag shards par.g_wall rounds par.g_minor_pe;
-  let speedup = oracle.g_wall /. pooled.g_wall in
-  Printf.printf "%s: pooled speedup over unpooled: %.2fx\n%!" tag speedup;
-  Printf.printf
-    "%s: OK — pooled flat frames bit-identical to the unpooled oracle \
-     (plain, chaos, %d-shard)\n%!"
-    tag shards;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_6.json" in
-    write_frames_json cfg ~out ~oracle ~pooled
-      ~pool:(p_created, p_reused, p_out) ~speedup ~shards ~par_wall:par.g_wall
-      ~par_minor:par.g_minor_pe;
-    let eps = float_of_int pooled.g_events /. pooled.g_wall in
-    if eps < 2.4e6 then
-      Printf.printf
-        "%s: WARNING — %.3e events/sec below the 2.4e6 target on this \
-         machine\n%!"
-        tag eps
-  end
-
-(* ---- sharded workload (BENCH_2): the multicore gate ----------------
-
-   The flat-boundary parallel engine measured against the sequential
-   engine on the BENCH_6 pooled-frame workload (the same engine on
-   both sides — the deltas here are sharding and the boundary
-   protocol, nothing else). Three hard gates and one
-   conditional:
-
-   1. Bit identity: events, deliveries and every switch register must
-      match the sequential run exactly.
-   2. Allocation: sharded minor words/event <= 2x sequential — the
-      boundary path (chunk blits, in-place inbox merge, receiver-side
-      pool materialization) must not reintroduce per-message garbage.
-   3. Pool conservation: every traffic-pool frame and every boundary
-      frame is back in its pool at the horizon (outstanding = 0) —
-      the cross-domain leak stays fixed.
-   4. Speedup (conditional): >= 2x events/sec over sequential at
-      4+ shards, asserted only when the machine has >= 4 cores;
-      otherwise skipped loudly, with the provenance recorded in
-      BENCH_2.json so a reader knows the number was not checked.
-
-   A k=16 row (reduced packet count) rides along to show the
-   bigger-fabric trajectory the ROADMAP's k=16/k=32 target needs. *)
-
-let speedup_gate_min_cores = 4
-let speedup_target = 2.0
-
-(* Pooled traffic under Parsim, collecting per-shard register
-   fingerprints, GC deltas and traffic-pool totals. *)
-let run_shards cfg ~shards =
-  let marks = Array.make shards (0.0, 0.0) in
-  let pools = Array.make shards [||] in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        pools.(shard) <- setup_pooled_traffic cfg ~owns net;
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns net ->
-        (net_fp ~owns net, gc_delta_local marks.(shard),
-         pool_totals pools.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fp =
-    Array.to_list parts
-    |> List.concat_map (fun (fp, _, _) -> fp)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let minor = Array.fold_left (fun a (_, (m, _), _) -> a +. m) 0.0 parts in
-  let pool =
-    Array.fold_left
-      (fun (c, r, o) (_, _, (pc, pr, po)) -> (c + pc, r + pr, o + po))
-      (0, 0, 0) parts
-  in
-  ( { g_events = stats.Parsim.events; g_delivered = stats.Parsim.delivered;
-      g_wall = wall;
-      g_minor_pe = per_event minor stats.Parsim.events;
-      g_promoted_pe = 0.0; g_fp = fp },
-    stats, pool )
-
-let write_shards_json cfg ~out ~(seq : engine_run) ~(par : engine_run)
-    ~(stats : Parsim.stats) ~pool:(p_created, p_reused, p_out) ~speedup
-    ~gate_enforced ~gate_reason ~k16 =
-  let cores = Domain.recommended_domain_count () in
-  let k16_cfg, (k16_seq : engine_run), (k16_par : engine_run), k16_speedup =
-    k16
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 2,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"shards\": %d,\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"boundary_messages\": %d,\n\
-    \  \"boundary_chunks\": %d,\n\
-    \  \"cut_links\": %d,\n\
-    \  \"lookahead_ns\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"sharded_minor_words_per_event\": %.3f,\n\
-    \  \"speedup_vs_sequential\": %.3f,\n\
-    \  \"sequential\": { \"wall_s\": %.6f, \"events_per_sec\": %.1f, \
-     \"minor_words_per_event\": %.3f },\n\
-    \  \"pool\": { \"created\": %d, \"reused\": %d, \"outstanding\": %d },\n\
-    \  \"boundary_outstanding\": %d,\n\
-    \  \"speedup_gate\": { \"target\": %.1f, \"enforced\": %s, \"reason\": \
-     \"%s\" },\n\
-    \  \"k16\": { \"workload\": \"%s\", \"events\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f,\n\
-    \            \"sequential_wall_s\": %.6f, \"speedup_vs_sequential\": \
-     %.3f, \"identical\": true },\n\
-    \  \"identical\": true\n\
-     }\n"
-    (engine_workload_of cfg) stats.Parsim.shards (git_commit ())
-    Sys.ocaml_version cores par.g_events par.g_delivered stats.Parsim.rounds
-    stats.Parsim.messages stats.Parsim.chunks stats.Parsim.cut_links
-    stats.Parsim.lookahead par.g_wall
-    (float_of_int par.g_events /. par.g_wall)
-    par.g_minor_pe par.g_minor_pe speedup seq.g_wall
-    (float_of_int seq.g_events /. seq.g_wall)
-    seq.g_minor_pe p_created p_reused p_out stats.Parsim.boundary_outstanding
-    speedup_target
-    (if gate_enforced then "true" else "false")
-    gate_reason
-    (engine_workload_of k16_cfg)
-    k16_par.g_events k16_par.g_wall
-    (float_of_int k16_par.g_events /. k16_par.g_wall)
-    k16_seq.g_wall k16_speedup;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-let shards_bench cfg =
-  let shards = cfg.shards in
-  let cores = Domain.recommended_domain_count () in
-  let tag = "perf(shards)" in
-  Printf.printf "%s: %s — %d shards on %d core(s)\n%!" tag
-    (engine_workload_of cfg) shards cores;
-  let check label (seq : engine_run) (par : engine_run) =
-    if seq.g_events <> par.g_events || seq.g_delivered <> par.g_delivered
-    then begin
-      Printf.eprintf
-        "%s: FAIL — %s diverged from sequential (%d vs %d events, %d vs %d \
-         delivered)\n"
-        tag label par.g_events seq.g_events par.g_delivered seq.g_delivered;
-      exit 1
-    end;
-    if seq.g_fp <> par.g_fp then begin
-      Printf.eprintf
-        "%s: FAIL — %s: switch register fingerprints differ from sequential\n"
-        tag label;
-      exit 1
-    end
-  in
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if (fst b).g_wall < (fst a).g_wall then b else a
-  in
-  (* Sequential baseline: same pooled workload, same scheduler. *)
-  let seq, _ = best_of_two (fun () -> run_frames_fabric cfg ~pooled:true) in
-  let par, stats, (p_created, p_reused, p_out) = run_shards cfg ~shards in
-  check (Printf.sprintf "%d-shard run" shards) seq par;
-  Printf.printf
-    "%s: sequential %d events in %.3fs (%.3e ev/s, %.2f minor w/ev)\n\
-     %s: %d-shard   %d events in %.3fs (%.3e ev/s, %.2f minor w/ev)\n\
-     %s: %d rounds, %d boundary frames in %d chunks over %d cut links, \
-     lookahead %dns\n%!"
-    tag seq.g_events seq.g_wall
-    (float_of_int seq.g_events /. seq.g_wall)
-    seq.g_minor_pe tag shards par.g_events par.g_wall
-    (float_of_int par.g_events /. par.g_wall)
-    par.g_minor_pe tag stats.Parsim.rounds stats.Parsim.messages
-    stats.Parsim.chunks stats.Parsim.cut_links stats.Parsim.lookahead;
-  (* Pool conservation: traffic pools and boundary pools both drain. *)
-  Printf.printf "%s: pool %d created / %d reused, %d outstanding, %d \
-                 boundary outstanding\n%!"
-    tag p_created p_reused p_out stats.Parsim.boundary_outstanding;
-  if p_out <> 0 || stats.Parsim.boundary_outstanding <> 0 then begin
-    Printf.eprintf
-      "%s: FAIL — %d traffic-pool and %d boundary frames never returned to \
-       their pools\n"
-      tag p_out stats.Parsim.boundary_outstanding;
-    exit 1
-  end;
-  (* Allocation gate: the boundary path must stay flat. *)
-  if par.g_minor_pe > 2.0 *. seq.g_minor_pe then begin
-    Printf.eprintf
-      "%s: FAIL — sharded run allocates %.2f minor words/event, over 2x the \
-       sequential %.2f\n"
-      tag par.g_minor_pe seq.g_minor_pe;
-    exit 1
-  end;
-  let speedup = seq.g_wall /. par.g_wall in
-  Printf.printf "%s: speedup over sequential: %.2fx\n%!" tag speedup;
-  (* Speedup gate, behind the core-count probe: a 1-2 core machine
-     cannot speed anything up, so asserting there would only test the
-     scheduler's mercy. The skip is loud and lands in the JSON. *)
-  let gate_enforced = cores >= speedup_gate_min_cores && shards >= 4 in
-  let gate_reason =
-    if gate_enforced then
-      Printf.sprintf "checked: %d cores >= %d, %d shards" cores
-        speedup_gate_min_cores shards
-    else if cores < speedup_gate_min_cores then
-      Printf.sprintf "skipped: only %d core(s) < %d" cores
-        speedup_gate_min_cores
-    else Printf.sprintf "skipped: only %d shard(s) < 4" shards
-  in
-  if gate_enforced then begin
-    if speedup < speedup_target then begin
-      Printf.eprintf
-        "%s: FAIL — speedup %.2fx below the %.1fx target (%d shards, %d \
-         cores)\n"
-        tag speedup speedup_target shards cores;
-      exit 1
-    end;
-    Printf.printf "%s: speedup gate passed (%.2fx >= %.1fx)\n%!" tag speedup
-      speedup_target
-  end
-  else
-    Printf.printf
-      "%s: SKIPPED speedup gate — %s (recorded in BENCH_2.json)\n%!" tag
-      gate_reason;
-  (* k=16 trajectory row: the fabric the ROADMAP's north star needs,
-     at a packet count that keeps the row affordable. Identity is
-     checked here too — a bigger fabric that silently diverged would
-     be worse than no row. *)
-  let k16_cfg =
-    { cfg with k = 16; packets_per_host = min cfg.packets_per_host 50 }
-  in
-  Printf.printf "%s: k=16 row — %s\n%!" tag (engine_workload_of k16_cfg);
-  let k16_seq, _ = run_frames_fabric k16_cfg ~pooled:true in
-  let k16_par, k16_stats, (_, _, k16_p_out) = run_shards k16_cfg ~shards in
-  check "k=16 run" k16_seq k16_par;
-  if k16_p_out <> 0 || k16_stats.Parsim.boundary_outstanding <> 0 then begin
-    Printf.eprintf
-      "%s: FAIL — k=16: %d traffic-pool and %d boundary frames leaked\n" tag
-      k16_p_out k16_stats.Parsim.boundary_outstanding;
-    exit 1
-  end;
-  let k16_speedup = k16_seq.g_wall /. k16_par.g_wall in
-  Printf.printf
-    "%s: k=16 sequential %.3fs, %d-shard %.3fs (%.2fx, %d rounds) — \
-     identical\n%!"
-    tag k16_seq.g_wall shards k16_par.g_wall k16_speedup k16_stats.Parsim.rounds;
-  Printf.printf
-    "%s: OK — %d-shard runs bit-identical to sequential, pools drained\n%!"
-    tag shards;
-  let out = match cfg.out with Some o -> o | None -> "BENCH_2.json" in
-  write_shards_json cfg ~out ~seq ~par ~stats
-    ~pool:(p_created, p_reused, p_out) ~speedup ~gate_enforced ~gate_reason
-    ~k16:(k16_cfg, k16_seq, k16_par, k16_speedup)
-
-(* ---- telemetry workload (BENCH_7): the streaming-telemetry gate -----
-
-   Four properties lib/telemetry must hold, each checked against an
-   exact oracle or a bit-identity witness:
-
-   1. Ingest throughput. The emit -> chunk -> drain -> collector
-      pipeline must sustain >= 1e6 postcards/sec (hard gate) while
-      recirculating its fixed chunk pool — no drops, no growth.
-
-   2. Bounded memory. The sink never holds more than
-      max_chunks * chunk_bytes even when the producer outruns the
-      collector: overflow cannibalises the oldest chunk, and the
-      accounting stays exact (drained = emitted - dropped).
-
-   3. Sketch error bounds. CMS point queries never underestimate and
-      stay within epsilon * total of an exact hashtable oracle; a
-      4-way-split merged CMS is bit-identical to the single-stream
-      sketch (merge is elementwise sum). t-digest quantiles stay
-      inside the k1 cluster-width rank bound of the exact sorted
-      oracle — 2x for a merged digest, whose clusters may coarsen
-      once — and the centroid count stays under its cap.
-
-   4. Fabric identity. The plain-traffic fabric with binary
-      switch taps and a periodically absorbing collector, run
-      sequentially and sharded, must agree on total cards and on the
-      collector's order-independent fingerprint bit-for-bit. *)
-
-(* Ingest microbench: synthetic hop cards through a default sink into
-   a collector that drains every ~8k cards, i.e. always keeps up. The
-   max byte footprint observed across rotations is the bounded-memory
-   witness on the fast path. *)
-let telemetry_cards_per_chunk = 1024
-let telemetry_max_chunks = 64
-
-let telemetry_ingest ~cards =
-  let sink =
-    Telemetry_sink.create ~cards_per_chunk:telemetry_cards_per_chunk
-      ~max_chunks:telemetry_max_chunks ()
-  in
-  let col = Collector.create () in
-  let max_bytes = ref 0 in
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to cards - 1 do
-    Telemetry_sink.emit_hop sink ~now:(i * 50) ~switch_id:(i land 63)
-      ~in_port:(i land 3) ~out_port:((i lsr 2) land 3)
-      ~queue_bytes:(i land 0xFFFF) ~version:1 ~frame_id:i
-      ~flow_hash:(i land 1023) ~wire_bytes:1000 ~entry:1;
-    if i land 0x1FFF = 0x1FFF then begin
-      let b = Telemetry_sink.card_bytes_alive sink in
-      if b > !max_bytes then max_bytes := b;
-      Collector.absorb col sink
-    end
-  done;
-  Collector.absorb col sink;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, _ = gc_delta g0 in
-  (col, sink, wall, minor /. float_of_int cards, !max_bytes)
-
-(* Overload: a small sink fed 10x its capacity with no drain at all.
-   Memory must stay at the cap and every offered card must end up
-   either drained or counted dropped. *)
-let telemetry_overload () =
-  let cards_per_chunk = 256 and max_chunks = 8 in
-  let sink = Telemetry_sink.create ~cards_per_chunk ~max_chunks () in
-  let cap = max_chunks * cards_per_chunk * Telemetry_wire.bytes_per_card in
-  let offered = 10 * max_chunks * cards_per_chunk in
-  for i = 0 to offered - 1 do
-    Telemetry_sink.emit_hop sink ~now:i ~switch_id:0 ~in_port:0 ~out_port:0
-      ~queue_bytes:0 ~version:1 ~frame_id:i ~flow_hash:0 ~wire_bytes:64
-      ~entry:0
-  done;
-  let held = Telemetry_sink.card_bytes_alive sink in
-  let drained = ref 0 in
-  Telemetry_sink.drain sink (fun _ ~off:_ -> incr drained);
-  (cap, held, offered, Telemetry_sink.dropped sink, !drained)
-
-type sketch_report = {
-  sk_samples : int;
-  cms_total : int;
-  cms_bound : int;        (* ceil (epsilon * total) *)
-  cms_max_over : int;
-  cms_under : int;        (* keys estimated below exact: must be 0 *)
-  cms_viol : int;         (* keys overestimated past the bound *)
-  cms_merged_equal : bool;
-  td_centroids : int;
-  td_max_err : float;     (* max rank error over the probed quantiles *)
-  td_max_ratio : float;   (* max err / per-quantile bound *)
-  td_merged_max_err : float;
-  td_merged_max_ratio : float;  (* vs 2x the per-quantile bound *)
-}
-
-let telemetry_quantiles = [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
-
-(* k1-scale cluster width in q-space at q: a merging digest's cluster
-   spans at most dq where k(q+dq) - k(q) = 1, and k'(q) =
-   delta / (2 pi sqrt (q (1-q))), so dq <= 2 pi sqrt (q (1-q)) / delta.
-   Interpolation across one cluster cannot miss the true rank by more
-   than that (plus the 1/n discretisation of the oracle itself). *)
-let td_delta = 100.0
-
-let td_rank_bound ~n q =
-  (2.0 *. Float.pi /. td_delta *. sqrt (q *. (1.0 -. q)))
-  +. (1.0 /. float_of_int n)
-
-let telemetry_sketches ~samples =
-  let rng = Rng.create ~seed:chaos_seed in
-  (* Count-min vs an exact hashtable. min-of-two-uniforms skews the
-     key distribution so the stream has genuine heavy hitters. *)
-  let keys = 4096 in
-  let cms = Sketch.Cms.create () in
-  let shard_cms = Array.init 4 (fun _ -> Sketch.Cms.create ()) in
-  let exact = Hashtbl.create keys in
-  for i = 0 to samples - 1 do
-    let key = min (Rng.int rng keys) (Rng.int rng keys) in
-    let w = 64 + Rng.int rng 1400 in
-    Sketch.Cms.add cms ~key w;
-    Sketch.Cms.add shard_cms.(i land 3) ~key w;
-    Hashtbl.replace exact key
-      (w + Option.value ~default:0 (Hashtbl.find_opt exact key))
-  done;
-  let total = Sketch.Cms.total cms in
-  let bound =
-    int_of_float (Float.ceil (Sketch.Cms.epsilon cms *. float_of_int total))
-  in
-  let max_over = ref 0 and under = ref 0 and viol = ref 0 in
-  Hashtbl.iter
-    (fun key exact_v ->
-      let est = Sketch.Cms.estimate cms ~key in
-      if est < exact_v then incr under;
-      let over = est - exact_v in
-      if over > !max_over then max_over := over;
-      if over > bound then incr viol)
-    exact;
-  let merged = Sketch.Cms.create () in
-  Array.iter (fun s -> Sketch.Cms.merge ~into:merged s) shard_cms;
-  let merged_equal = Sketch.Cms.equal cms merged in
-  (* The heaviest exact key must surface through the candidate API:
-     estimates never underestimate, so threshold = its exact count. *)
-  let top_key, top_count =
-    Hashtbl.fold
-      (fun k v ((_, bv) as best) -> if v > bv then (k, v) else best)
-      exact (-1, min_int)
-  in
-  let hh =
-    Sketch.Cms.heavy_hitters cms
-      ~candidates:(List.init keys (fun k -> k))
-      ~threshold:top_count
-  in
-  if not (List.mem_assoc top_key hh) then begin
-    Printf.eprintf
-      "perf(telemetry): FAIL — exact-heaviest key %d missing from \
-       heavy_hitters\n"
-      top_key;
-    exit 1
-  end;
-  (* t-digest vs the exact sorted sample. Rank error: where the
-     digest's answer really falls in the data, against the q asked. *)
-  let td = Sketch.Tdigest.create ~delta:td_delta () in
-  let shard_td = Array.init 4 (fun _ -> Sketch.Tdigest.create ~delta:td_delta ()) in
-  let vals =
-    Array.init samples (fun _ -> Rng.exponential rng ~mean:250.0)
-  in
-  Array.iteri
-    (fun i v ->
-      Sketch.Tdigest.add td v;
-      Sketch.Tdigest.add shard_td.(i land 3) v)
-    vals;
-  Array.sort compare vals;
-  let rank_of v =
-    let lo = ref 0 and hi = ref samples in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if vals.(mid) <= v then lo := mid + 1 else hi := mid
-    done;
-    float_of_int !lo /. float_of_int samples
-  in
-  let merged_td = Sketch.Tdigest.create ~delta:td_delta () in
-  Array.iter (fun s -> Sketch.Tdigest.merge ~into:merged_td s) shard_td;
-  let max_err = ref 0.0 and max_ratio = ref 0.0 in
-  let m_max_err = ref 0.0 and m_max_ratio = ref 0.0 in
-  List.iter
-    (fun q ->
-      let b = td_rank_bound ~n:samples q in
-      let err = Float.abs (rank_of (Sketch.Tdigest.quantile td q) -. q) in
-      if err > !max_err then max_err := err;
-      if err /. b > !max_ratio then max_ratio := err /. b;
-      let merr =
-        Float.abs (rank_of (Sketch.Tdigest.quantile merged_td q) -. q)
-      in
-      if merr > !m_max_err then m_max_err := merr;
-      if merr /. (2.0 *. b) > !m_max_ratio then
-        m_max_ratio := merr /. (2.0 *. b))
-    telemetry_quantiles;
-  {
-    sk_samples = samples;
-    cms_total = total;
-    cms_bound = bound;
-    cms_max_over = !max_over;
-    cms_under = !under;
-    cms_viol = !viol;
-    cms_merged_equal = merged_equal;
-    td_centroids = Sketch.Tdigest.centroids td;
-    td_max_err = !max_err;
-    td_max_ratio = !max_ratio;
-    td_merged_max_err = !m_max_err;
-    td_merged_max_ratio = !m_max_ratio;
-  }
-
-(* Fabric runs: the plain-traffic fabric with a binary tap on every
-   switch, the collector absorbing every 50us of simulated time — a
-   real control-loop cadence, and frequent enough that the default
-   sink never drops. The horizon hugs the traffic
-   span so the absorb ticks stop when the fabric does. *)
-let telemetry_absorb_period = Time_ns.us 50
-
-let telemetry_until cfg = (cfg.packets_per_host * cfg.gap_ns) + Time_ns.ms 10
-
-let run_telemetry_fabric cfg =
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  let sink = Telemetry_sink.create () in
-  let col = Collector.create () in
-  Telemetry_emit.tap_switches sink net;
-  setup_plain_traffic cfg ~owns:(fun _ -> true) net;
-  let until = telemetry_until cfg in
-  Engine.every eng ~period:telemetry_absorb_period ~until (fun () ->
-      Collector.absorb col sink);
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until;
-  let wall = Unix.gettimeofday () -. t0 in
-  Collector.absorb col sink;
-  ( col,
-    Telemetry_sink.dropped sink,
-    Engine.events_processed eng,
-    Net.frames_delivered net,
-    wall )
-
-(* Each shard taps every switch of its own topology copy, but only
-   owned switches ever process frames (boundary frames are shipped to
-   their owning shard), so each hop cards exactly once fabric-wide and
-   merging the shard collectors reproduces the sequential stream. *)
-let run_telemetry_parallel cfg ~shards =
-  let sinks = Array.make shards None in
-  let cols = Array.make shards None in
-  let until = telemetry_until cfg in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until
-      ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        let sink = Telemetry_sink.create () in
-        let col = Collector.create () in
-        Telemetry_emit.tap_switches sink net;
-        setup_plain_traffic cfg ~owns net;
-        Engine.every (Net.engine net) ~period:telemetry_absorb_period ~until
-          (fun () -> Collector.absorb col sink);
-        sinks.(shard) <- Some sink;
-        cols.(shard) <- Some col)
-      ~collect:(fun ~shard ~owns:_ _ ->
-        let sink = Option.get sinks.(shard) in
-        let col = Option.get cols.(shard) in
-        Collector.absorb col sink;
-        (col, Telemetry_sink.dropped sink))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let merged = Collector.create () in
-  Array.iter (fun (col, _) -> Collector.merge ~into:merged col) parts;
-  let dropped = Array.fold_left (fun a (_, d) -> a + d) 0 parts in
-  (merged, dropped, stats.Parsim.delivered, wall)
-
-let telemetry_workload_of cfg =
-  Printf.sprintf "%s, binary tap on every switch, 50us collector windows"
-    (engine_workload_of cfg)
-
-let write_telemetry_json cfg ~out ~ingest_cards ~ingest_wall ~ingest_minor
-    ~ingest_max_bytes ~sink_cap ~(sk : sketch_report) ~fab_cards ~fab_events
-    ~fab_delivered ~fab_wall ~fingerprint ~shards ~par_wall =
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 7,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"ingest\": { \"cards\": %d, \"wall_s\": %.6f, \"cards_per_sec\": \
-     %.1f,\n\
-    \              \"minor_words_per_card\": %.3f, \"max_sink_bytes\": %d, \
-     \"sink_cap_bytes\": %d },\n\
-    \  \"sketch\": { \"samples\": %d,\n\
-    \              \"cms\": { \"total\": %d, \"bound\": %d, \
-     \"max_overestimate\": %d, \"underestimates\": %d, \"violations\": %d, \
-     \"merged_identical\": %b },\n\
-    \              \"tdigest\": { \"delta\": %.0f, \"centroids\": %d, \
-     \"max_rank_error\": %.5f, \"max_error_over_bound\": %.3f, \
-     \"merged_max_rank_error\": %.5f } },\n\
-    \  \"fabric\": { \"events\": %d, \"cards\": %d, \"cards_dropped\": 0, \
-     \"packets_delivered\": %d,\n\
-    \              \"wall_s\": %.6f, \"cards_per_sec\": %.1f, \
-     \"collector_fingerprint\": %d },\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": true }\n\
-     }\n"
-    (telemetry_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    ingest_cards ingest_wall
-    (float_of_int ingest_cards /. ingest_wall)
-    ingest_minor ingest_max_bytes sink_cap sk.sk_samples sk.cms_total
-    sk.cms_bound sk.cms_max_over sk.cms_under sk.cms_viol sk.cms_merged_equal
-    td_delta sk.td_centroids sk.td_max_err sk.td_max_ratio
-    sk.td_merged_max_err fab_events fab_cards fab_delivered fab_wall
-    (float_of_int fab_cards /. fab_wall)
-    fingerprint shards par_wall;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-let telemetry_bench cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(telemetry smoke)" else "perf(telemetry)" in
-  Printf.printf "%s: %s\n%!" tag (telemetry_workload_of cfg);
-  (* 1. Ingest throughput, best of two so a hiccup cannot fake a miss. *)
-  let ingest_cards = if cfg.smoke then 1_000_000 else 8_000_000 in
-  let run_ingest () = telemetry_ingest ~cards:ingest_cards in
-  let ((icol, isink, iwall, iminor, imax_bytes) as _a) =
-    let a = run_ingest () in
-    let b = run_ingest () in
-    let wall_of (_, _, w, _, _) = w in
-    if wall_of b < wall_of a then b else a
-  in
-  let sink_cap =
-    telemetry_max_chunks * telemetry_cards_per_chunk
-    * Telemetry_wire.bytes_per_card
-  in
-  let rate = float_of_int ingest_cards /. iwall in
-  Printf.printf
-    "%s: ingest %d cards in %.3fs (%.3e cards/s, %.3f minor w/card, sink <= \
-     %d bytes)\n%!"
-    tag ingest_cards iwall rate iminor imax_bytes;
-  if Collector.cards icol <> ingest_cards || Telemetry_sink.dropped isink <> 0
-  then begin
-    Printf.eprintf
-      "%s: FAIL — ingest lost cards (%d collected of %d, %d dropped)\n" tag
-      (Collector.cards icol) ingest_cards
-      (Telemetry_sink.dropped isink);
-    exit 1
-  end;
-  if imax_bytes > sink_cap then begin
-    Printf.eprintf
-      "%s: FAIL — sink footprint %d bytes exceeds its %d-byte cap\n" tag
-      imax_bytes sink_cap;
-    exit 1
-  end;
-  if rate < 1e6 then begin
-    Printf.eprintf
-      "%s: FAIL — %.3e cards/sec below the 1e6 sustained target\n" tag rate;
-    exit 1
-  end;
-  (* 2. Bounded memory under overload. *)
-  let cap, held, offered, dropped, drained = telemetry_overload () in
-  Printf.printf
-    "%s: overload %d offered into an 8-chunk sink: %d drained + %d dropped, \
-     %d bytes held (cap %d)\n%!"
-    tag offered drained dropped held cap;
-  if held > cap || dropped = 0 || drained + dropped <> offered then begin
-    Printf.eprintf
-      "%s: FAIL — overloaded sink broke its bound or its accounting\n" tag;
-    exit 1
-  end;
-  (* 3. Sketches vs exact oracles. *)
-  let sk = telemetry_sketches ~samples:(if cfg.smoke then 50_000 else 200_000) in
-  Printf.printf
-    "%s: cms %d samples, max overestimate %d (bound %d), %d underestimates, \
-     merged shards %s\n%!"
-    tag sk.sk_samples sk.cms_max_over sk.cms_bound sk.cms_under
-    (if sk.cms_merged_equal then "identical" else "DIVERGED");
-  if sk.cms_under > 0 || sk.cms_viol > 0 || not sk.cms_merged_equal then begin
-    Printf.eprintf
-      "%s: FAIL — cms outside its bound (%d underestimates, %d violations, \
-       merged_equal=%b)\n"
-      tag sk.cms_under sk.cms_viol sk.cms_merged_equal;
-    exit 1
-  end;
-  Printf.printf
-    "%s: t-digest %d centroids, max rank error %.5f (%.2f of bound), merged \
-     %.5f (%.2f of 2x bound)\n%!"
-    tag sk.td_centroids sk.td_max_err sk.td_max_ratio sk.td_merged_max_err
-    sk.td_merged_max_ratio;
-  if
-    sk.td_max_ratio > 1.0 || sk.td_merged_max_ratio > 1.0
-    || sk.td_centroids > int_of_float (2.0 *. td_delta) + 8
-  then begin
-    Printf.eprintf
-      "%s: FAIL — t-digest outside the k1 rank bound (or over its centroid \
-       cap: %d)\n"
-      tag sk.td_centroids;
-    exit 1
-  end;
-  (* 4. Fabric: sequential vs sharded collector identity. *)
-  let col, fab_dropped, fab_events, fab_delivered, fab_wall =
-    run_telemetry_fabric cfg
-  in
-  let fab_cards = Collector.cards col in
-  Printf.printf
-    "%s: fabric %d events, %d cards (%d dropped), %d delivered in %.3fs \
-     (%.3e cards/s)\n%!"
-    tag fab_events fab_cards fab_dropped fab_delivered fab_wall
-    (float_of_int fab_cards /. fab_wall);
-  if fab_dropped <> 0 then begin
-    Printf.eprintf
-      "%s: FAIL — fabric run dropped %d cards (collector fell behind)\n" tag
-      fab_dropped;
-    exit 1
-  end;
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  let par_col, par_dropped, par_delivered, par_wall =
-    run_telemetry_parallel cfg ~shards
-  in
-  if
-    par_dropped <> 0
-    || Collector.cards par_col <> fab_cards
-    || par_delivered <> fab_delivered
-    || Collector.fingerprint par_col <> Collector.fingerprint col
-  then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard telemetry diverged from sequential\n\
-       %s:   cards %d vs %d (%d dropped), delivered %d vs %d, fingerprint \
-       %d vs %d\n"
-      tag shards tag
-      (Collector.cards par_col)
-      fab_cards par_dropped par_delivered fab_delivered
-      (Collector.fingerprint par_col)
-      (Collector.fingerprint col);
-    exit 1
-  end;
-  Printf.printf
-    "%s: %d-shard fabric %.3fs — merged collector identical to sequential \
-     (fingerprint %d)\n%!"
-    tag shards par_wall
-    (Collector.fingerprint col);
-  Printf.printf
-    "%s: OK — 1e6+ cards/s sustained, memory bounded, sketches inside their \
-     bounds, %d-shard identical\n%!"
-    tag shards;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_7.json" in
-    write_telemetry_json cfg ~out ~ingest_cards ~ingest_wall:iwall
-      ~ingest_minor:iminor ~ingest_max_bytes:imax_bytes ~sink_cap ~sk
-      ~fab_cards ~fab_events ~fab_delivered ~fab_wall
-      ~fingerprint:(Collector.fingerprint col) ~shards ~par_wall
-  end
-
-(* ---- transports workload (BENCH_8): the five-way FCT gate -----------
-
-   The same pre-drawn Poisson/Pareto workload crosses a k=4 fat-tree
-   under five transports (Fct.fabric_run): RCP* (TPPs), TCP Reno, DCTCP,
-   NDP (pull/trim) and TPP-LB (AIMD plus CONGA-style flowlet steering
-   from TPP path probes). Four gates:
-
-   1. NDP's 99th-percentile short-flow FCT beats TCP's at the 60%-load
-      point — the receiver-driven transport's whole reason to exist.
-   2. Every transport produces a bit-identical outcome fingerprint
-      sequentially and under the sharded scheduler.
-   3. Under a chaotic drop schedule on every access link, NDP still
-      completes 100% of started messages with its state-machine
-      invariants intact.
-   4. The trim-to-header hot path allocates at most 2 minor words per
-      frame more than the plain drop path it replaces (the BENCH_6
-      flat-frame discipline: trim is an in-place length patch). *)
-
-let transports_gate_load = 0.6
-let transports_chaos_drop = 0.01
-let transports_trim_budget = 2.0
-
-let transports_params cfg ~load ~chaos =
-  {
-    Fct.fabric_default with
-    Fct.f_load = load;
-    f_duration = (if cfg.smoke then Time_ns.ms 80 else Time_ns.ms 300);
-    f_chaos_drop = (if chaos then transports_chaos_drop else 0.0);
-  }
-
-(* Trim-vs-drop allocation micro-gate, engine-free: one switch whose
-   data subqueue is too small for any data frame, so every ingress
-   takes the overflow branch — trimmed onto the priority queue when
-   trimming is on, dropped when off. Pooled frames; the measured delta
-   is exactly what the trim branch itself allocates. *)
-let trim_microbench ~trim ~iters =
-  let dst_ip = Ipv4.Addr.of_host_id 2 in
-  let sw = Switch.create ~id:1 ~num_ports:2 () in
-  Switch.install_route sw (Ipv4.Prefix.host dst_ip) ~port:1 ~entry_id:1
-    ~version:1;
-  Switch.configure_queues sw ~port:1 ~count:2;
-  Switch.set_subqueue_limit sw ~port:1 ~queue:0 ~bytes:512;
-  Switch.set_subqueue_limit sw ~port:1 ~queue:1 ~bytes:1_000_000;
-  if trim then Switch.set_trim_keep sw ~keep:28;
-  let pool = Frame.Pool.create ~capacity:4 () in
-  let payload = Bytes.make 1000 'x' in
-  (* The unboxed dequeue, as the simulator drives it: with the option
-     API the gate would measure its own [Some] box, not the switch. *)
-  let none = Frame.placeholder () in
-  let one now =
-    let f =
-      Frame.Pool.udp_frame pool ~src_mac:(Mac.of_host_id 1)
-        ~dst_mac:(Mac.of_host_id 2) ~src_ip:(Ipv4.Addr.of_host_id 1)
-        ~dst_ip ~src_port:5 ~dst_port:6 ~payload ()
-    in
-    match Switch.handle_ingress sw ~now ~in_port:0 f with
-    | Switch.Queued _ ->
-      let g = Switch.dequeue_or sw ~port:1 ~default:none in
-      if g != none then Frame.recycle g
-    | Switch.Dropped _ -> Frame.recycle f
-  in
-  (* Warm the pool and the priority ring before measuring. *)
-  for i = 0 to 99 do
-    one i
-  done;
-  let g0 = gc_mark () in
-  for i = 0 to iters - 1 do
-    one (100 + i)
-  done;
-  let minor, _ = gc_delta g0 in
-  (Switch.trims sw, minor /. float_of_int iters)
-
-(* Completed/started drain fraction of a fabric run. FCT percentiles
-   only cover completed flows, so a transport that drains much less
-   than its peers is reporting survivor-biased latency — worth a loud
-   flag on every row, not just a number in the JSON. *)
-let drain_frac (o : Fct.fabric_outcome) =
-  if o.Fct.fo_started = 0 then 1.0
-  else float_of_int o.Fct.fo_completed /. float_of_int o.Fct.fo_started
-
-let transports_drain_warn_frac = 0.9
-
-let transports_row_json (o : Fct.fabric_outcome) ~load ~wall =
-  let s =
-    Fct.summarize
-      (Fct.short_samples o ~threshold:Fct.fabric_default.Fct.f_short_bytes)
-  in
-  let l =
-    Fct.summarize
-      (List.filter
-         (fun (size, _) -> size > Fct.fabric_default.Fct.f_short_bytes)
-         o.Fct.fo_samples)
-  in
-  let a = Fct.summarize o.Fct.fo_samples in
-  let part name (f : Fct.fct_summary) =
-    Printf.sprintf
-      "\"%s\": { \"n\": %d, \"mean_ns\": %.0f, \"p50_ns\": %d, \"p99_ns\": %d }"
-      name f.Fct.fs_n f.Fct.fs_mean_ns f.Fct.fs_p50_ns f.Fct.fs_p99_ns
-  in
-  Printf.sprintf
-    "    { \"transport\": \"%s\", \"load\": %.2f, \"started\": %d, \
-     \"completed\": %d, \"completed_frac\": %.3f, %s, %s, %s, \"drops\": %d, \
-     \"trims\": %d, \"events\": %d, \"wall_s\": %.3f }"
-    (Fct.transport_name o.Fct.fo_transport)
-    load o.Fct.fo_started o.Fct.fo_completed (drain_frac o) (part "short" s)
-    (part "long" l) (part "all" a) o.Fct.fo_drops o.Fct.fo_trims
-    o.Fct.fo_events wall
-
-let transports_bench cfg =
-  let tag =
-    if cfg.smoke then "perf(transports smoke)" else "perf(transports)"
-  in
-  let loads =
-    if cfg.smoke then [ transports_gate_load ] else [ 0.2; 0.4; 0.6; 0.8 ]
-  in
-  let shards = if cfg.shards > 0 then cfg.shards else 4 in
-  Printf.printf "%s: k=%d fat-tree, loads [%s], %d shards for identity\n%!" tag
-    Fct.fabric_default.Fct.fk
-    (String.concat "; " (List.map (Printf.sprintf "%.2f") loads))
-    shards;
-  (* Sequential rows: transport x load. *)
-  let rows = ref [] in
-  let gate = Hashtbl.create 8 in
-  let min_frac = ref 1.0 in
-  let drain_warnings = ref 0 in
-  List.iter
-    (fun transport ->
-      List.iter
-        (fun load ->
-          let p = transports_params cfg ~load ~chaos:false in
-          let t0 = Unix.gettimeofday () in
-          let o = Fct.fabric_run transport p in
-          let wall = Unix.gettimeofday () -. t0 in
-          if load = transports_gate_load then
-            Hashtbl.replace gate transport o;
-          let s =
-            Fct.summarize (Fct.short_samples o ~threshold:p.Fct.f_short_bytes)
-          in
-          Printf.printf
-            "%s: %-8s load %.2f  %d/%d done (%3.0f%%)  short p50 %6.0fus p99 \
-             %6.0fus  drops %d trims %d (%.2fs)\n%!"
-            tag
-            (Fct.transport_name transport)
-            load o.Fct.fo_completed o.Fct.fo_started
-            (100.0 *. drain_frac o)
-            (float_of_int s.Fct.fs_p50_ns /. 1e3)
-            (float_of_int s.Fct.fs_p99_ns /. 1e3)
-            o.Fct.fo_drops o.Fct.fo_trims wall;
-          let frac = drain_frac o in
-          if frac < !min_frac then min_frac := frac;
-          if frac < transports_drain_warn_frac then begin
-            incr drain_warnings;
-            Printf.printf
-              "%s: WARNING — %s at load %.2f drained only %d of %d started \
-               flows (%.0f%% < %.0f%%): its FCT percentiles cover completed \
-               flows only and are survivor-biased\n%!"
-              tag
-              (Fct.transport_name transport)
-              load o.Fct.fo_completed o.Fct.fo_started (100.0 *. frac)
-              (100.0 *. transports_drain_warn_frac)
-          end;
-          rows := transports_row_json o ~load ~wall :: !rows)
-        loads)
-    Fct.all_transports;
-  let rows = List.rev !rows in
-  (* Gate 1: NDP beats TCP on 99p short-flow FCT at the gate load. *)
-  let p99_short transport =
-    let o = Hashtbl.find gate transport in
-    (Fct.summarize
-       (Fct.short_samples o
-          ~threshold:Fct.fabric_default.Fct.f_short_bytes))
-      .Fct.fs_p99_ns
-  in
-  let ndp_p99 = p99_short Fct.Ndp_t in
-  let tcp_p99 = p99_short Fct.Tcp_t in
-  if ndp_p99 <= 0 || ndp_p99 >= tcp_p99 then begin
-    Printf.eprintf
-      "%s: FAIL — NDP 99p short-flow FCT (%dns) does not beat TCP (%dns) at \
-       load %.2f\n"
-      tag ndp_p99 tcp_p99 transports_gate_load;
-    exit 1
-  end;
-  Printf.printf "%s: NDP 99p short FCT %.0fus beats TCP %.0fus at load %.2f\n%!"
-    tag
-    (float_of_int ndp_p99 /. 1e3)
-    (float_of_int tcp_p99 /. 1e3)
-    transports_gate_load;
-  (* Gate 2: sequential vs sharded identity, all five transports. *)
-  List.iter
-    (fun transport ->
-      let p = transports_params cfg ~load:transports_gate_load ~chaos:false in
-      let seq = Hashtbl.find gate transport in
-      let par = Fct.fabric_run ~shards transport p in
-      if Fct.fingerprint seq <> Fct.fingerprint par then begin
-        Printf.eprintf
-          "%s: FAIL — %s diverged under %d shards (seq %d/%d vs par %d/%d \
-           completed/started)\n"
-          tag
-          (Fct.transport_name transport)
-          shards seq.Fct.fo_completed seq.Fct.fo_started par.Fct.fo_completed
-          par.Fct.fo_started;
-        exit 1
-      end)
-    Fct.all_transports;
-  Printf.printf
-    "%s: all five transports bit-identical sequential vs %d shards\n%!" tag
-    shards;
-  (* Gate 3: NDP completes everything under the chaotic drop schedule.
-     The gate is about loss *recovery*, so the workload is shaped to
-     make 100% completion the right criterion: moderate load and a
-     flow-size cap, because at peak load an uncapped Pareto tail can
-     leave a pair with more backlog at the arrival window's end than
-     any transport can drain before the horizon, drops or not. *)
-  let chaos_p =
-    {
-      (transports_params cfg ~load:0.4 ~chaos:true) with
-      Fct.f_max_bytes = 100_000;
-    }
-  in
-  let chaos_o = Fct.fabric_run Fct.Ndp_t chaos_p in
-  if
-    chaos_o.Fct.fo_started = 0
-    || chaos_o.Fct.fo_completed <> chaos_o.Fct.fo_started
-    || not chaos_o.Fct.fo_ok
-  then begin
-    Printf.eprintf
-      "%s: FAIL — NDP under %.0f%% access-link drop completed %d of %d \
-       (invariants %s)\n"
-      tag
-      (transports_chaos_drop *. 100.0)
-      chaos_o.Fct.fo_completed chaos_o.Fct.fo_started
-      (if chaos_o.Fct.fo_ok then "ok" else "VIOLATED");
-    exit 1
-  end;
-  Printf.printf
-    "%s: NDP chaos (%.0f%% drop): %d/%d messages completed, invariants ok, \
-     %d trims\n%!"
-    tag
-    (transports_chaos_drop *. 100.0)
-    chaos_o.Fct.fo_completed chaos_o.Fct.fo_started chaos_o.Fct.fo_trims;
-  (* Gate 4: the trim hot path is allocation-free (<= budget delta). *)
-  let iters = if cfg.smoke then 20_000 else 200_000 in
-  let drop_trims, drop_pe = trim_microbench ~trim:false ~iters in
-  let trim_trims, trim_pe = trim_microbench ~trim:true ~iters in
-  if drop_trims <> 0 || trim_trims < iters then begin
-    Printf.eprintf "%s: FAIL — trim microbench did not exercise the trim path\n"
-      tag;
-    exit 1
-  end;
-  let delta = trim_pe -. drop_pe in
-  Printf.printf
-    "%s: trim hot path %.2f minor w/frame vs drop %.2f (delta %.2f, budget \
-     %.1f)\n%!"
-    tag trim_pe drop_pe delta transports_trim_budget;
-  if delta > transports_trim_budget then begin
-    Printf.eprintf
-      "%s: FAIL — trimmed-header path allocates %.2f minor words/frame over \
-       the drop path (budget %.1f)\n"
-      tag delta transports_trim_budget;
-    exit 1
-  end;
-  Printf.printf
-    "%s: OK — NDP beats TCP on short flows, identity holds, chaos completes, \
-     trim is allocation-free\n%!"
-    tag;
-  let out = match cfg.out with Some o -> o | None -> "BENCH_8.json" in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"transports\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml_version\": \"%s\",\n\
-    \  \"fabric\": { \"k\": %d, \"link_bps\": %d, \"delay_ns\": %d, \
-     \"mean_flow_bytes\": %.0f, \"pareto_shape\": %.2f, \"duration_ns\": %d, \
-     \"short_threshold_bytes\": %d },\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"gates\": {\n\
-    \    \"ndp_vs_tcp_p99_short_ns\": { \"ndp\": %d, \"tcp\": %d, \"load\": \
-     %.2f },\n\
-    \    \"identity_shards\": %d,\n\
-    \    \"chaos\": { \"drop\": %.3f, \"started\": %d, \"completed\": %d, \
-     \"trims\": %d },\n\
-    \    \"drain\": { \"min_completed_frac\": %.3f, \"warn_below\": %.2f, \
-     \"warnings\": %d },\n\
-    \    \"trim_minor_words_per_frame\": { \"trim\": %.3f, \"drop\": %.3f, \
-     \"delta\": %.3f, \"budget\": %.1f }\n\
-    \  }\n\
-     }\n"
-    cfg.smoke (git_commit ()) Sys.ocaml_version Fct.fabric_default.Fct.fk
-    Fct.fabric_default.Fct.f_bps Fct.fabric_default.Fct.f_delay_ns
-    Fct.fabric_default.Fct.f_mean_bytes Fct.fabric_default.Fct.f_shape
-    (transports_params cfg ~load:transports_gate_load ~chaos:false)
-      .Fct.f_duration
-    Fct.fabric_default.Fct.f_short_bytes
-    (String.concat ",\n" rows)
-    ndp_p99 tcp_p99 transports_gate_load shards transports_chaos_drop
-    chaos_o.Fct.fo_started chaos_o.Fct.fo_completed chaos_o.Fct.fo_trims
-    !min_frac transports_drain_warn_frac !drain_warnings trim_pe drop_pe delta
-    transports_trim_budget;
-  close_out oc;
-  Printf.printf "%s: wrote %s\n%!" tag out
-
-(* ---- scale workload (BENCH_9): the million-host fabric gate ---------
-
-   Three claims behind the ROADMAP's million-host item, each measured:
-
-   1. Aggregated FIBs. Under `Pods addressing every switch installs
-      O(1) prefix entries — a Connected block route over everything
-      below it plus an ECMP default up — instead of O(hosts) /32s. The
-      per-host /32 installation stays available as the differential
-      oracle: the same pooled traffic must leave every switch register
-      (ECMP spraying included) bit-identical to the oracle, both
-      sequentially and under the sharded scheduler, while the k=32
-      fabric's FIB shrinks >= 50x. The oracle is measured for real
-      wherever its trie fits (it is the thing that does NOT scale — the
-      k=32 oracle costs ~8192 entries on each of 1280 switches, which
-      is exactly why aggregation exists — so the k=32 oracle count is
-      the closed form hosts-/32s-per-switch, verified against the
-      measured count at every smaller k).
-
-   2. Memory-lean topology. The SoA link state plus flyweight hosts
-      must fit a 100k-host leaf-spine in <= 200 bytes per idle host,
-      measured as the compacted live-word delta across the build.
-
-   3. No throughput regression: the k=16 aggregated fabric must process
-      events at least at the fabric rate recorded in BENCH_6.json. *)
-
-let scale_bytes_budget = 200.0
-let scale_fib_reduction_target = 50.0
-let scale_link_bps = 10_000_000_000
-let scale_link_delay = Time_ns.us 1
-
-let scale_build ~fib cfg eng =
-  let ft =
-    Topology.fat_tree eng ~wire_check:cfg.wire_check ~ecmp:true
-      ~addressing:`Pods ~fib ~k:cfg.k ~bps:scale_link_bps
-      ~delay:scale_link_delay ()
-  in
-  ft.Topology.f_net
-
-let fib_per_switch net =
-  let total = ref 0 and n = ref 0 in
-  List.iter
-    (fun (_, sw) ->
-      incr n;
-      total := !total + Switch.l3_size sw)
-    (Net.switches net);
-  float_of_int !total /. float_of_int (max 1 !n)
-
-let run_scale_fabric cfg ~fib =
-  let eng = Engine.create () in
-  let net = scale_build ~fib cfg eng in
-  ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net);
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-      g_minor_pe = per_event minor events;
-      g_promoted_pe = per_event promoted events;
-      g_fp = net_fp ~owns:(fun _ -> true) net },
-    fib_per_switch net )
-
-let run_scale_parallel cfg ~fib ~shards =
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon
-      ~build:(scale_build ~fib cfg)
-      ~setup:(fun ~shard:_ ~owns net ->
-        ignore (setup_pooled_traffic cfg ~owns net))
-      ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
-      ()
-  in
-  let fp =
-    Array.to_list parts |> List.concat
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  (stats.Parsim.events, stats.Parsim.delivered, fp)
-
-(* Build-memory probe: compacted live words before and after running
-   [f], whose result is kept alive across the second compaction so the
-   delta is the structure's steady-state footprint, not its garbage. *)
-let scale_build_bytes f =
-  Gc.compact ();
-  let w0 = (Gc.stat ()).Gc.live_words in
-  let keep = Sys.opaque_identity (f ()) in
-  Gc.compact ();
-  let w1 = (Gc.stat ()).Gc.live_words in
-  ignore (Sys.opaque_identity keep);
-  (w1 - w0) * (Sys.word_size / 8)
-
-let scale_fat_tree_bytes_per_host cfg =
-  let hosts = cfg.k * cfg.k * cfg.k / 4 in
-  let bytes =
-    scale_build_bytes (fun () ->
-        let eng = Engine.create () in
-        (eng, scale_build ~fib:`Aggregated cfg eng))
-  in
-  float_of_int bytes /. float_of_int hosts
-
-let scale_leaf_spine_bytes ~leaves ~spines ~hosts_per_leaf =
-  let hosts = leaves * hosts_per_leaf in
-  let bytes =
-    scale_build_bytes (fun () ->
-        let eng = Engine.create () in
-        let ls =
-          Topology.leaf_spine eng ~ecmp:true ~leaves ~spines ~hosts_per_leaf
-            ~bps:scale_link_bps ~delay:scale_link_delay ()
-        in
-        (eng, ls))
-  in
-  (hosts, float_of_int bytes /. float_of_int hosts)
-
-(* The k=16 row's throughput floor: the pooled fabric rate BENCH_6
-   recorded on this machine. Read back with the same first-occurrence
-   key scan bench/report.ml uses — BENCH_6's top-level events_per_sec
-   precedes its oracle subobject. *)
-let scale_floor () =
-  let path = "BENCH_6.json" in
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let needle = "\"events_per_sec\":" in
-    let nl = String.length needle and tl = String.length text in
-    let rec find i =
-      if i + nl > tl then None
-      else if String.sub text i nl = needle then Some (i + nl)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-      let s = ref start in
-      while !s < tl && (text.[!s] = ' ' || text.[!s] = '\n') do incr s done;
-      let e = ref !s in
-      while
-        !e < tl
-        && (match text.[!e] with
-           | '0' .. '9' | '-' | '.' | 'e' | '+' -> true
-           | _ -> false)
-      do
-        incr e
-      done;
-      if !e = !s then None
-      else float_of_string_opt (String.sub text !s (!e - !s))
-  end
-
-type scale_row = {
-  s_k : int;
-  s_hosts : int;
-  s_switches : int;
-  s_run : engine_run;
-  s_fib : float;          (* aggregated L3 entries per switch *)
-  s_fib_oracle : float;   (* per-host /32 entries per switch *)
-  s_oracle_measured : bool;
-  s_bytes_per_host : float;
-  s_shards : int;
-}
-
-(* One fabric size: timed aggregated run, oracle equivalence, sharded
-   identity, FIB census and build footprint. Exits on any divergence. *)
-let scale_row cfg ~tag ~shards ~measure_oracle ~timed =
-  let hosts = cfg.k * cfg.k * cfg.k / 4 in
-  let switches = 5 * cfg.k * cfg.k / 4 in
-  Printf.printf "%s: k=%d — %s, aggregated FIBs\n%!" tag cfg.k
-    (engine_workload_of cfg);
-  let agg, agg_fib =
-    if timed then begin
-      let a = run_scale_fabric cfg ~fib:`Aggregated in
-      let b = run_scale_fabric cfg ~fib:`Aggregated in
-      if (fst b).g_wall < (fst a).g_wall then b else a
-    end
-    else run_scale_fabric cfg ~fib:`Aggregated
-  in
-  Printf.printf
-    "%s: k=%d aggregated  %d events, %d delivered in %.3fs (%.3e ev/s, %.2f \
-     minor w/ev), %.1f FIB entries/switch\n%!"
-    tag cfg.k agg.g_events agg.g_delivered agg.g_wall
-    (float_of_int agg.g_events /. agg.g_wall)
-    agg.g_minor_pe agg_fib;
-  let fib_oracle =
-    if measure_oracle then begin
-      let orc, orc_fib = run_scale_fabric cfg ~fib:`Host32 in
-      if
-        orc.g_events <> agg.g_events
-        || orc.g_delivered <> agg.g_delivered
-        || orc.g_fp <> agg.g_fp
-      then begin
-        Printf.eprintf
-          "%s: FAIL — k=%d aggregated FIBs diverged from the /32 oracle \
-           (%d/%d events, %d/%d delivered)\n"
-          tag cfg.k agg.g_events orc.g_events agg.g_delivered orc.g_delivered;
-        exit 1
-      end;
-      Printf.printf
-        "%s: k=%d oracle      identical registers at %.1f FIB entries/switch \
-         (%.1fx more)\n%!"
-        tag cfg.k orc_fib (orc_fib /. agg_fib);
-      orc_fib
-    end
-    else begin
-      (* The /32 oracle installs one host route on every switch, so its
-         per-switch count is exactly [hosts] — the closed form the
-         measured counts confirm at every k where the trie fits. *)
-      Printf.printf
-        "%s: k=%d oracle      counted analytically: %d /32 entries/switch \
-         (trie would not fit — the point of aggregation)\n%!"
-        tag cfg.k hosts;
-      float_of_int hosts
-    end
-  in
-  let par_events, par_delivered, par_fp =
-    run_scale_parallel cfg ~fib:`Aggregated ~shards
-  in
-  if
-    par_events <> agg.g_events
-    || par_delivered <> agg.g_delivered
-    || par_fp <> agg.g_fp
-  then begin
-    Printf.eprintf
-      "%s: FAIL — k=%d %d-shard aggregated run diverged from sequential \
-       (%d/%d events, %d/%d delivered)\n"
-      tag cfg.k shards par_events agg.g_events par_delivered agg.g_delivered;
-    exit 1
-  end;
-  Printf.printf "%s: k=%d %d-shard     identical to sequential\n%!" tag cfg.k
-    shards;
-  let bytes_per_host = scale_fat_tree_bytes_per_host cfg in
-  Printf.printf "%s: k=%d build       %.1f bytes/host\n%!" tag cfg.k
-    bytes_per_host;
-  {
-    s_k = cfg.k;
-    s_hosts = hosts;
-    s_switches = switches;
-    s_run = agg;
-    s_fib = agg_fib;
-    s_fib_oracle = fib_oracle;
-    s_oracle_measured = measure_oracle;
-    s_bytes_per_host = bytes_per_host;
-    s_shards = shards;
-  }
-
-(* Leaf-spine forwarding sanity: a small fabric must deliver every
-   pooled frame and agree bit-for-bit with its own sharded run — the
-   memory-lean build is only interesting if it still forwards. *)
-let scale_leaf_spine_traffic cfg ~tag ~shards =
-  let leaves = 8 and spines = 4 and hosts_per_leaf = 10 in
-  let build eng =
-    (Topology.leaf_spine eng ~wire_check:cfg.wire_check ~ecmp:true ~leaves
-       ~spines ~hosts_per_leaf ~bps:scale_link_bps ~delay:scale_link_delay ())
-      .Topology.ls_net
-  in
-  let eng = Engine.create () in
-  let net = build eng in
-  ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net);
-  Engine.run eng ~until:horizon;
-  let sent = leaves * hosts_per_leaf * cfg.packets_per_host in
-  let delivered = Net.frames_delivered net in
-  if delivered <> sent then begin
-    Printf.eprintf
-      "%s: FAIL — leaf-spine delivered %d of %d pooled frames\n" tag delivered
-      sent;
-    exit 1
-  end;
-  let seq_fp = net_fp ~owns:(fun _ -> true) net in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build
-      ~setup:(fun ~shard:_ ~owns net ->
-        ignore (setup_pooled_traffic cfg ~owns net))
-      ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
-      ()
-  in
-  let par_fp =
-    Array.to_list parts |> List.concat
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  if stats.Parsim.delivered <> delivered || par_fp <> seq_fp then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard leaf-spine diverged from sequential (%d vs %d \
-       delivered)\n"
-      tag shards stats.Parsim.delivered delivered;
-    exit 1
-  end;
-  Printf.printf
-    "%s: leaf-spine %dx%d (%d hosts) delivered all %d frames, %d-shard \
-     identical\n%!"
-    tag leaves spines (leaves * hosts_per_leaf) sent shards
-
-let write_scale_json ~out ~(rows : scale_row list) ~floor ~ls =
-  let ls_leaves, ls_spines, ls_hpl, ls_hosts, ls_bph = ls in
-  let headline = List.hd rows in
-  let row_json (r : scale_row) =
-    Printf.sprintf
-      "    { \"k\": %d, \"hosts\": %d, \"switches\": %d, \"events\": %d, \
-       \"packets_delivered\": %d, \"wall_s\": %.6f, \"events_per_sec\": \
-       %.1f,\n\
-      \      \"minor_words_per_event\": %.3f, \"fib_entries_per_switch\": \
-       %.2f, \"fib_oracle_entries_per_switch\": %.1f, \"fib_reduction\": \
-       %.1f,\n\
-      \      \"oracle_measured\": %b, \"bytes_per_host\": %.1f, \"shards\": \
-       %d, \"identical\": true }"
-      r.s_k r.s_hosts r.s_switches r.s_run.g_events r.s_run.g_delivered
-      r.s_run.g_wall
-      (float_of_int r.s_run.g_events /. r.s_run.g_wall)
-      r.s_run.g_minor_pe r.s_fib r.s_fib_oracle
-      (r.s_fib_oracle /. r.s_fib)
-      r.s_oracle_measured r.s_bytes_per_host r.s_shards
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 9,\n\
-    \  \"workload\": \"aggregated-FIB fat-trees (pooled plain UDP) + \
-     leaf-spine build memory\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"hosts\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"bytes_per_host\": %.1f,\n\
-    \  \"fib_entries_per_switch\": %.2f,\n\
-    \  \"fib_reduction\": %.1f,\n\
-    \  \"events_per_sec_floor\": { \"source\": \"BENCH_6.json\", \"floor\": \
-     %s, \"enforced\": %b },\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"leaf_spine\": { \"leaves\": %d, \"spines\": %d, \"hosts_per_leaf\": \
-     %d, \"hosts\": %d,\n\
-    \                  \"bytes_per_host\": %.1f, \"budget_bytes_per_host\": \
-     %.0f },\n\
-    \  \"identical\": true\n\
-     }\n"
-    (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    headline.s_hosts headline.s_run.g_events headline.s_run.g_wall
-    (float_of_int headline.s_run.g_events /. headline.s_run.g_wall)
-    headline.s_run.g_minor_pe headline.s_bytes_per_host headline.s_fib
-    (headline.s_fib_oracle /. headline.s_fib)
-    (match floor with Some f -> Printf.sprintf "%.1f" f | None -> "null")
-    (floor <> None)
-    (String.concat ",\n" (List.map row_json rows))
-    ls_leaves ls_spines ls_hpl ls_hosts ls_bph scale_bytes_budget;
-  close_out oc;
-  Printf.printf "%s: wrote %s\n%!" "perf(scale)" out
-
-let scale_bench cfg =
-  let tag = if cfg.smoke then "perf(scale smoke)" else "perf(scale)" in
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  if cfg.smoke then begin
-    (* CI variant: the k=8 route-equivalence and sharded-identity gates
-       plus leaf-spine delivery, all at bounded size. No JSON, no
-       machine-dependent perf gates. *)
-    let cfg8 = { cfg with k = 8; packets_per_host = 100 } in
-    let row =
-      scale_row cfg8 ~tag ~shards ~measure_oracle:true ~timed:false
-    in
-    if row.s_fib_oracle /. row.s_fib < 2.0 then begin
-      Printf.eprintf "%s: FAIL — aggregation did not shrink the FIB (%.1f vs \
-                      %.1f entries/switch)\n"
-        tag row.s_fib row.s_fib_oracle;
-      exit 1
-    end;
-    scale_leaf_spine_traffic { cfg8 with packets_per_host = 200 } ~tag ~shards;
-    Printf.printf
-      "%s: OK — aggregated FIBs identical to the /32 oracle (sequential and \
-       %d-shard), leaf-spine delivers\n%!"
-      tag shards
-  end
-  else begin
-    (* k=16: the timed, gated row — oracle measured for real. *)
-    let row16 =
-      scale_row
-        { cfg with k = 16; packets_per_host = 400 }
-        ~tag ~shards ~measure_oracle:true ~timed:true
-    in
-    (* k=32: 8192 hosts. The aggregated fabric builds and runs; the
-       oracle trie (8192 x 1280 entries) is the thing aggregation
-       retires, so its census is the closed form. *)
-    let row32 =
-      scale_row
-        { cfg with k = 32; packets_per_host = 80 }
-        ~tag ~shards ~measure_oracle:false ~timed:false
-    in
-    let reduction = row32.s_fib_oracle /. row32.s_fib in
-    if reduction < scale_fib_reduction_target then begin
-      Printf.eprintf
-        "%s: FAIL — k=32 FIB shrank only %.1fx (%.2f vs %.1f entries/switch, \
-         target %.0fx)\n"
-        tag reduction row32.s_fib row32.s_fib_oracle scale_fib_reduction_target;
-      exit 1
-    end;
-    Printf.printf "%s: k=32 FIB reduction %.0fx (target %.0fx)\n%!" tag
-      reduction scale_fib_reduction_target;
-    (* Throughput floor from BENCH_6. *)
-    let floor = scale_floor () in
-    let rate16 = float_of_int row16.s_run.g_events /. row16.s_run.g_wall in
-    (match floor with
-    | Some f ->
-      if rate16 < f then begin
-        Printf.eprintf
-          "%s: FAIL — k=16 runs at %.3e events/sec, below the BENCH_6 fabric \
-           rate %.3e\n"
-          tag rate16 f;
-        exit 1
-      end;
-      Printf.printf "%s: k=16 rate %.3e ev/s holds the BENCH_6 floor %.3e\n%!"
-        tag rate16 f
-    | None ->
-      Printf.printf
-        "%s: SKIPPED events/sec floor — no BENCH_6.json in the working \
-         directory (run --frames first)\n%!"
-        tag);
-    (* Leaf-spine: forwarding sanity, then the 100k-host build budget. *)
-    scale_leaf_spine_traffic
-      { cfg with packets_per_host = 200 }
-      ~tag ~shards;
-    let leaves = 400 and spines = 8 and hosts_per_leaf = 250 in
-    let ls_hosts, ls_bph =
-      scale_leaf_spine_bytes ~leaves ~spines ~hosts_per_leaf
-    in
-    Printf.printf
-      "%s: leaf-spine %dx%d, %d hosts: %.1f bytes/host (budget %.0f)\n%!" tag
-      leaves spines ls_hosts ls_bph scale_bytes_budget;
-    if ls_bph > scale_bytes_budget then begin
-      Printf.eprintf
-        "%s: FAIL — %d-host leaf-spine costs %.1f bytes/host (budget %.0f)\n"
-        tag ls_hosts ls_bph scale_bytes_budget;
-      exit 1
-    end;
-    Printf.printf
-      "%s: OK — aggregated FIBs oracle-identical (sequential and %d-shard), \
-       k=32 FIB %.0fx smaller, %d hosts at %.1f bytes each\n%!"
-      tag shards reduction ls_hosts ls_bph;
-    let out = match cfg.out with Some o -> o | None -> "BENCH_9.json" in
-    write_scale_json ~out ~rows:[ row16; row32 ] ~floor
-      ~ls:(leaves, spines, hosts_per_leaf, ls_hosts, ls_bph)
-  end
+(* Command line for bench/gates.ml's scenario table.
+
+     dune exec bench/perf.exe                  every row at full size
+                                               -> BENCH.json
+     dune exec bench/perf.exe -- --smoke       every row at CI size;
+                                               writes nothing
+     dune exec bench/perf.exe -- --row NAME    one row (repeatable);
+                                               writes nothing
+     dune exec bench/perf.exe -- --out FILE    write FILE (with any of
+                                               the above)
+
+   Exits 1 if any identity check or assertion failed (each failure is
+   printed as it happens, naming the row, the run and the first field
+   that differs; the record is still written); 2 on a bad argument. *)
 
 let () =
-  let cfg = ref default in
+  let smoke = ref false and rows = ref [] and out = ref None in
   let rec parse = function
     | [] -> ()
-    | "--perf" :: rest | "--" :: rest -> parse rest
-    | "--k" :: v :: rest ->
-      cfg := { !cfg with k = int_of_string v };
-      parse rest
-    | "--packets" :: v :: rest ->
-      cfg := { !cfg with packets_per_host = int_of_string v };
-      parse rest
-    | "--shards" :: v :: rest ->
-      let s = int_of_string v in
-      if s < 0 then begin
-        Printf.eprintf "perf: --shards expects a non-negative count\n";
-        exit 2
-      end;
-      cfg := { !cfg with shards = s };
-      parse rest
+    | "--" :: rest -> parse rest
     | "--smoke" :: rest ->
-      cfg := { !cfg with smoke = true };
+      smoke := true;
       parse rest
-    | "--tpp-heavy" :: rest ->
-      cfg := { !cfg with tpp_heavy = true };
+    | "--row" :: name :: rest ->
+      rows := name :: !rows;
       parse rest
-    | "--chaos" :: rest ->
-      cfg := { !cfg with chaos = true };
-      parse rest
-    | "--frames" :: rest ->
-      cfg := { !cfg with frames = true };
-      parse rest
-    | "--telemetry" :: rest ->
-      cfg := { !cfg with telemetry = true };
-      parse rest
-    | "--transports" :: rest ->
-      cfg := { !cfg with transports = true };
-      parse rest
-    | "--scale" :: rest ->
-      cfg := { !cfg with scale = true };
-      parse rest
-    | "--out" :: v :: rest ->
-      cfg := { !cfg with out = Some v };
-      parse rest
-    | "--wire-check" :: v :: rest ->
-      let wc =
-        match v with
-        | "always" -> `Always
-        | "cached" -> `Cached
-        | _ ->
-          Printf.eprintf "perf: --wire-check expects always|cached\n";
-          exit 2
-      in
-      cfg := { !cfg with wire_check = wc };
+    | "--out" :: file :: rest ->
+      out := Some file;
       parse rest
     | a :: _ ->
-      Printf.eprintf "perf: unknown argument %S\n" a;
+      Printf.eprintf
+        "perf: unknown argument %S (expected --smoke, --row NAME, --out FILE)\n" a;
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let cfg = !cfg in
-  if cfg.scale then scale_bench cfg
-  else if cfg.transports then transports_bench cfg
-  else if cfg.telemetry then telemetry_bench cfg
-  else if cfg.frames then frames_bench cfg
-  else if cfg.chaos then chaos cfg
-  else if cfg.tpp_heavy then tpp_heavy cfg
-  else if cfg.smoke then smoke cfg
-  else if cfg.shards > 0 then shards_bench cfg
-  else begin
-    let sent = cfg.k * cfg.k * cfg.k / 4 * cfg.packets_per_host in
-    Printf.printf "perf: %s\n%!" (workload_of cfg);
-    let r = run_sequential cfg in
-    Printf.printf
-      "perf: %d events, %d/%d packets delivered in %.3fs wall\n\
-       perf: %.3e events/sec, %.3e packets/sec\n\
-       perf: %.2f minor words/event, %.4f promoted words/event\n%!"
-      r.events r.delivered sent r.wall
-      (float_of_int r.events /. r.wall)
-      (float_of_int r.delivered /. r.wall)
-      r.minor_pe r.promoted_pe;
-    let out = match cfg.out with Some o -> o | None -> "BENCH_1.json" in
-    write_json cfg ~out r
-  end
+  let table = Gates.table ~smoke:!smoke in
+  let names = List.map (fun s -> s.Gates.name) table in
+  List.iter
+    (fun r ->
+      if not (List.mem r names) then begin
+        Printf.eprintf "perf: no row %S; rows: %s\n" r (String.concat " " names);
+        exit 2
+      end)
+    !rows;
+  let specs =
+    if !rows = [] then table else List.filter (fun s -> List.mem s.Gates.name !rows) table
+  in
+  let lines, failed = Gates.run_table ~smoke:!smoke specs in
+  let out =
+    match !out with
+    | Some _ as o -> o
+    | None -> if !smoke || !rows <> [] then None else Some "BENCH.json"
+  in
+  Option.iter
+    (fun out ->
+      Report.write_benches ~smoke:!smoke ~out lines;
+      Printf.printf "perf: wrote %s\n%!" out)
+    out;
+  if failed <> [] then begin
+    Printf.eprintf "perf: FAIL — %d of %d row(s) failed: %s\n" (List.length failed)
+      (List.length lines) (String.concat " " failed);
+    exit 1
+  end;
+  Printf.printf "perf: OK — %d row(s) hold\n%!" (List.length lines)

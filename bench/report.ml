@@ -74,37 +74,53 @@ let csv_of_series series =
   |> List.map (fun (t, v) ->
          Printf.sprintf "%.6f,%.6f" (Tpp_util.Time_ns.to_sec_f t) v)
 
-(* --- BENCH_*.json summary table -------------------------------------- *)
+(* --- BENCH.json ---------------------------------------------------------- *)
 
-(* Minimal field extraction — the bench files are flat-ish JSON written
-   by bench/perf.ml itself, so a first-occurrence key scan is exact
-   enough (top-level fields precede any subobject) and avoids a JSON
-   dependency. Returns the number following ["key": ], or None. *)
-let json_number text key =
+(* bench/perf.exe writes BENCH.json: one provenance block, then one gate
+   row per line, its own fields ahead of its "runs" and "assertions".
+   A first-occurrence key scan of a line is therefore exact and needs
+   no JSON dependency. *)
+
+(* Every row carries these. *)
+let bench_fields =
+  [ "row"; "why"; "workload"; "oracle"; "events"; "delivered"; "registers";
+    "faults"; "pool_outstanding"; "boundary_outstanding"; "wall_s";
+    "minor_words_per_event"; "promoted_words_per_event"; "metrics"; "runs";
+    "assertions" ]
+
+(* Index just past the first ["key":] at or after [from] in [text]. *)
+let rec key_end ?(from = 0) text key =
   let needle = Printf.sprintf "\"%s\":" key in
-  match
-    let nl = String.length needle and tl = String.length text in
-    let rec find i =
-      if i + nl > tl then None
-      else if String.sub text i nl = needle then Some (i + nl)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start ->
-    let tl = String.length text in
-    let s = ref start in
-    while !s < tl && (text.[!s] = ' ' || text.[!s] = '\n') do incr s done;
-    let e = ref !s in
-    while
-      !e < tl
-      && (match text.[!e] with '0' .. '9' | '-' | '.' | 'e' | '+' -> true
-          | _ -> false)
-    do
-      incr e
-    done;
-    if !e = !s then None else float_of_string_opt (String.sub text !s (!e - !s))
+  let nl = String.length needle in
+  if from + nl > String.length text then None
+  else if String.sub text from nl = needle then Some (from + nl)
+  else key_end ~from:(from + 1) text key
+
+let skip_blanks text i =
+  let i = ref i in
+  while !i < String.length text && (text.[!i] = ' ' || text.[!i] = '\n') do incr i done;
+  !i
+
+(* The number following ["key": ], or None. *)
+let json_number text key =
+  Option.bind (key_end text key) (fun start ->
+      let s = skip_blanks text start in
+      let e = ref s in
+      while
+        !e < String.length text
+        && match text.[!e] with '0' .. '9' | '-' | '.' | 'e' | '+' -> true | _ -> false
+      do incr e done;
+      if !e = s then None else float_of_string_opt (String.sub text s (!e - s)))
+
+(* The (escape-free) string value starting at [start]. *)
+let string_at text start =
+  let s = skip_blanks text start in
+  if s >= String.length text || text.[s] <> '"' then None
+  else
+    Option.map (fun e -> String.sub text (s + 1) (e - s - 1))
+      (String.index_from_opt text (s + 1) '"')
+
+let json_string text key = Option.bind (key_end text key) (string_at text)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -113,71 +129,75 @@ let read_file path =
   close_in ic;
   b
 
-(* One row per BENCH_*.json in the working directory: throughput plus
-   the GC provenance columns ("-" for files written before the engine
-   work added them). *)
-let benches () =
-  let files =
-    Sys.readdir "." |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json")
-    |> List.sort compare
+type benches = {
+  commits : string list;  (* every git_commit in the file: one, if it is whole *)
+  rows : (string * string) list;  (* row name, its line *)
+}
+
+let benches path =
+  let text = read_file path in
+  let rec commits from =
+    match key_end ~from text "git_commit" with
+    | None -> []
+    | Some i -> Option.to_list (string_at text i) @ commits i
   in
-  if files = [] then print_endline "no BENCH_*.json files in the working directory"
+  let rows =
+    String.split_on_char '\n' text
+    |> List.filter_map (fun line ->
+           Option.map (fun n -> (n, line)) (json_string line "row"))
+  in
+  { commits = commits 0; rows }
+
+(* The checked-out commit, "-dirty" when the tree has uncommitted edits. *)
+let git_commit () =
+  try
+    let ic =
+      Unix.open_process_in "git describe --always --dirty --abbrev=7 2>/dev/null"
+    in
+    let line = try String.trim (input_line ic) with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+  with _ -> "unknown"
+
+(* One provenance block, then one gate row (a JSON object rendered by
+   bench/gates.ml) per line: the shape [benches] reads. *)
+let write_benches ~smoke ~out rows =
+  let oc = open_out out in
+  Printf.fprintf oc
+    "{\n  \"schema\": \"tpp-gates/1\",\n  \"git_commit\": \"%s\",\n  \"ocaml\": \"%s\",\n  \
+     \"cores\": %d,\n  \"smoke\": %b,\n  \"rows\": [\n    %s\n  ]\n}\n"
+    (git_commit ()) Sys.ocaml_version (Domain.recommended_domain_count ()) smoke
+    (String.concat ",\n    " rows);
+  close_out oc
+
+let count_sub text needle =
+  let nl = String.length needle in
+  let n = ref 0 in
+  for i = 0 to String.length text - nl do
+    if String.sub text i nl = needle then incr n
+  done;
+  !n
+
+(* One line per gate row: the sequential run's throughput and exact
+   allocation, and how many of its assertions warned or skipped. *)
+let print_benches path =
+  if not (Sys.file_exists path) then Printf.printf "no %s in the working directory\n" path
   else begin
-    sub "bench results (BENCH_*.json)";
-    Printf.printf "  %-14s %10s %14s %12s %8s %9s %12s %8s %10s %8s\n" "file"
-      "events" "events/sec" "minor w/ev" "trend" "shard x" "shard w/ev" "hosts"
-      "bytes/host" "fib/sw";
-    let prev_minor = ref nan in
+    let b = benches path in
+    sub (Printf.sprintf "gate rows (%s, commit %s)" path (String.concat ", " b.commits));
+    Printf.printf "  %-22s %10s %12s %10s %10s %9s %s\n" "row" "events" "events/sec"
+      "minor w/ev" "prom w/ev" "wall s" "warned/skipped";
     List.iter
-      (fun f ->
-        let text = read_file f in
-        let num keys =
-          match List.find_map (json_number text) keys with
-          | Some v -> v
-          | None -> nan
+      (fun (name, line) ->
+        let cell fmt key =
+          match json_number line key with Some v -> Printf.sprintf fmt v | None -> "-"
         in
-        let cell fmt v = if Float.is_nan v then "-" else Printf.sprintf fmt v in
-        (* BENCH_4 names its totals chaos_*, and BENCH_7 (telemetry)
-           counts postcards instead of engine events — its row is the
-           ingest microbench (cards, cards/sec, minor words/card),
-           which is listed first in the file so the first-occurrence
-           scan picks it over the fabric section. *)
-        let minor = num [ "minor_words_per_event"; "minor_words_per_card" ] in
-        (* Trend: this file's allocation rate relative to the previous
-           bench that reported one — the column that shows the
-           flattening work paying off (x1.00 = flat, below = better). *)
-        let trend =
-          if Float.is_nan minor || Float.is_nan !prev_minor then "-"
-          else if !prev_minor = 0.0 then (if minor = 0.0 then "x1.00" else "up")
-          else Printf.sprintf "x%.2f" (minor /. !prev_minor)
-        in
-        if not (Float.is_nan minor) then prev_minor := minor;
-        (* Sharded columns: the sharded-vs-sequential wall-clock ratio
-           and the sharded run's allocation rate, so a BENCH_2 (or
-           BENCH_6 sharded-path) regression is visible in the trend
-           output without opening the file. *)
-        (* Scale columns (BENCH_9): fabric size, build memory per host
-           and aggregated-FIB entries per switch — "-" for the benches
-           that predate million-host fabrics. *)
-        Printf.printf "  %-14s %10s %14s %12s %8s %9s %12s %8s %10s %8s\n" f
-          (cell "%.0f" (num [ "cards"; "events"; "chaos_events" ]))
-          (cell "%.3e"
-             (num [ "events_per_sec"; "chaos_events_per_sec"; "cards_per_sec" ]))
-          (cell "%.3f" minor) trend
-          (cell "x%.2f" (num [ "speedup_vs_sequential" ]))
-          (cell "%.3f" (num [ "sharded_minor_words_per_event" ]))
-          (cell "%.0f" (num [ "hosts" ]))
-          (cell "%.1f" (num [ "bytes_per_host" ]))
-          (cell "%.1f" (num [ "fib_entries_per_switch" ])))
-      files;
-    if List.mem "BENCH_7.json" files then
-      print_endline
-        "  (BENCH_7 counts telemetry postcards: cards, cards/sec, minor \
-         words/card)"
+        Printf.printf "  %-22s %10s %12s %10s %10s %9s %d/%d\n" name (cell "%.0f" "events")
+          (cell "%.3e" "events_per_sec") (cell "%.3f" "minor_words_per_event")
+          (cell "%.3f" "promoted_words_per_event") (cell "%.3f" "wall_s")
+          (count_sub line "\"verdict\": \"WARNING\"")
+          (count_sub line "\"verdict\": \"SKIPPED\""))
+      b.rows
   end
 
 (* Paper-vs-measured rows collected for the experiment summary. *)

@@ -526,9 +526,13 @@ let host_send t host frame =
     match t.wire_check with
     | `Always -> (
       (* Full-strength: every packet becomes its wire image, so the
-         receiver sees exactly what a byte-faithful network would carry. *)
+         receiver sees exactly what a byte-faithful network would carry.
+         The re-parsed copy travels in the caller's place, so the
+         caller's frame goes back to its pool (a no-op if unpooled). *)
       match Frame.parse (Frame.serialize frame) with
-      | Ok f -> f
+      | Ok f ->
+        Frame.recycle frame;
+        f
       | Error e -> wire_check_fail e)
     | `Cached ->
       (* Validate each distinct header layout once; frames of an

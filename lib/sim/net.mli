@@ -94,7 +94,10 @@ val connect :
     capacities. A port can hold one link (raises [Invalid_argument]). *)
 
 val host_send : t -> host -> Frame.t -> unit
-(** Queues a frame on the host's NIC for transmission. *)
+(** Queues a frame on the host's NIC for transmission. Takes ownership
+    of the frame: a pooled frame returns to its pool once delivered or
+    dropped — under [`Always], as soon as its re-parsed copy replaces
+    it — so the caller must not touch it after the call. *)
 
 val set_link_up : t -> int * int -> bool -> unit
 (** Fails or restores the (full-duplex) link attached at this endpoint.

@@ -342,6 +342,26 @@ let test_wire_check_modes_agree () =
        Alcotest.int)
     "cached = always" always cached
 
+(* [`Always] forwards the re-parsed copy, so the pooled frame the
+   caller handed over must go straight back to its pool: N sends reuse
+   one buffer instead of leaking N. *)
+let test_wire_check_always_recycles_pooled () =
+  let eng, net, a, b = two_hosts () in
+  let pool = Frame.Pool.create ~capacity:4 ~frame_bytes:256 () in
+  let sends = 100 in
+  for _ = 1 to sends do
+    Net.host_send net a
+      (Frame.Pool.udp_frame pool ~src_mac:a.Net.mac ~dst_mac:b.Net.mac
+         ~src_ip:a.Net.ip ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2
+         ~payload:(Bytes.create 64) ())
+  done;
+  Engine.run eng ~until:(Time_ns.sec 1);
+  check Alcotest.int "all delivered" sends (Net.frames_delivered net);
+  check Alcotest.int "one buffer created" 1 (Frame.Pool.created pool);
+  check Alcotest.int "reused for every later send" (sends - 1)
+    (Frame.Pool.reused pool);
+  check Alcotest.int "nothing outstanding" 0 (Frame.Pool.outstanding pool)
+
 let test_deliver_hooks_in_registration_order () =
   let eng, net, a, b = two_hosts () in
   let order = ref [] in
@@ -606,6 +626,8 @@ let suite =
     Alcotest.test_case "wire check catches corruption (cached)" `Quick
       test_wire_check_cached_catches_new_shape;
     Alcotest.test_case "wire check modes agree" `Quick test_wire_check_modes_agree;
+    Alcotest.test_case "always wire check recycles pooled frames" `Quick
+      test_wire_check_always_recycles_pooled;
     Alcotest.test_case "deliver hooks in order" `Quick
       test_deliver_hooks_in_registration_order;
     Alcotest.test_case "tx time integer ceiling" `Quick test_tx_time_integer_ceiling;
