@@ -764,7 +764,10 @@ let workload spec =
     | Pods k ->
       Printf.sprintf "fat-tree k=%d (ECMP, %d hosts, aggregated FIBs)" k (k * k * k / 4)
     | Leaf_spine (l, s, h) -> Printf.sprintf "leaf-spine %dx%d (%d hosts)" l s (l * h)
-    | Fct_fabric -> Printf.sprintf "fat-tree k=%d" Fct.fabric_default.Fct.fk
+    | Fct_fabric -> (
+      match Fct.fabric_default.Fct.f_topo with
+      | Fct.Fat_tree k -> Printf.sprintf "fat-tree k=%d" k
+      | Fct.Dumbbell { pairs; _ } -> Printf.sprintf "dumbbell, %d pairs" pairs)
     | No_fabric -> "one process"
   in
   let per_host what = Printf.sprintf "%d %s UDP packets/host" spec.packets what in

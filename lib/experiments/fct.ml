@@ -1,5 +1,4 @@
 module Time_ns = Tpp_util.Time_ns
-module Stats = Tpp_util.Stats
 module Rng = Tpp_util.Rng
 module Engine = Tpp_sim.Engine
 module Net = Tpp_sim.Net
@@ -20,204 +19,15 @@ module Dctcp = Tpp_rcp.Dctcp
 module Ndp = Tpp_rcp.Ndp
 module Tpp_lb = Tpp_rcp.Tpp_lb
 
-type controller = Rcp_star_ctl | Aimd_ctl | Tcp_ctl
+(* One flow-completion harness. A pre-drawn Poisson/Pareto workload
+   crosses a topology — a k-ary fat-tree or E9's dumbbell — under one
+   transport: RCP* (TPP-driven), TCP Reno, DCTCP, NDP (pull/trim,
+   receiver-driven), plain AIMD, or TPP-LB (the same AIMD plus
+   CONGA-style flowlet steering from TPP path probes). The runner works
+   unchanged under conservative sharding ([Parsim]), so sequential and
+   sharded runs must produce bit-identical outcomes. *)
 
-type params = {
-  core_bps : int;
-  edge_bps : int;
-  link_delay_ns : int;
-  pairs : int;
-  arrivals_per_sec : float;
-  mean_flow_bytes : float;
-  pareto_shape : float;
-  payload_bytes : int;
-  duration : int;
-  seed : int;
-  short_threshold_bytes : int;
-}
-
-let default =
-  {
-    core_bps = 10_000_000;
-    edge_bps = 100_000_000;
-    link_delay_ns = Time_ns.ms 5;
-    pairs = 4;
-    arrivals_per_sec = 8.0;
-    mean_flow_bytes = 60_000.0;
-    pareto_shape = 1.5;
-    payload_bytes = 1000;
-    duration = Time_ns.sec 30;
-    seed = 7;
-    short_threshold_bytes = 50_000;
-  }
-
-type result = {
-  started : int;
-  completed : int;
-  short_fct : Stats.t;
-  long_fct : Stats.t;
-  all_fct : Stats.t;
-  bottleneck_drops : int;
-}
-
-type pair = { src_stack : Stack.t; dst_stack : Stack.t; dst_host : Net.host }
-
-(* A Pareto shape at or below 1 has no finite mean: the derived [scale]
-   goes non-positive and [Rng.pareto] then yields zero/negative sizes
-   that [int_of_float] would silently truncate. Reject loudly. *)
-let validate_workload ~arrivals_per_sec ~mean_flow_bytes ~pareto_shape =
-  if pareto_shape <= 1.0 then invalid_arg "Fct: pareto_shape must be > 1.0";
-  if mean_flow_bytes <= 0.0 then invalid_arg "Fct: mean_flow_bytes must be positive";
-  if arrivals_per_sec <= 0.0 then invalid_arg "Fct: arrivals_per_sec must be positive"
-
-(* Pre-draws the whole arrival schedule so both controllers run exactly
-   the same workload. The [Workload] primitives make the very draws this
-   function always made, so schedules are bit-identical across the
-   refactor. *)
-let schedule p =
-  validate_workload ~arrivals_per_sec:p.arrivals_per_sec
-    ~mean_flow_bytes:p.mean_flow_bytes ~pareto_shape:p.pareto_shape;
-  let rng = Rng.create ~seed:p.seed in
-  let mix =
-    Workload.Pareto { shape = p.pareto_shape; mean_bytes = p.mean_flow_bytes }
-  in
-  let rec go now acc =
-    let now = now +. Workload.exp_gap rng ~rate:p.arrivals_per_sec in
-    if Time_ns.of_sec_f now >= p.duration then List.rev acc
-    else begin
-      let size = max p.payload_bytes (Workload.sample_bytes rng mix) in
-      go now ((Time_ns.of_sec_f now, size) :: acc)
-    end
-  in
-  go 0.0 []
-
-let run controller p =
-  let eng = Engine.create () in
-  let bell =
-    Topology.dumbbell eng ~pairs:p.pairs ~core_bps:p.core_bps ~edge_bps:p.edge_bps
-      ~delay:p.link_delay_ns ()
-  in
-  let net = bell.Topology.d_net in
-  let slot =
-    match controller with
-    | Rcp_star_ctl -> (
-      match Rcp_star.setup_network net with
-      | Ok s -> Some s
-      | Error e -> invalid_arg ("Fct.run: " ^ e))
-    | Aimd_ctl | Tcp_ctl -> None
-  in
-  (match slot with
-  | Some _ ->
-    Net.start_utilization_updates net ~period:10_000_000 ~until:p.duration
-  | None -> ());
-  let pairs =
-    Array.init p.pairs (fun i ->
-        let src_stack = Stack.create net bell.Topology.senders.(i) in
-        let dst_host = bell.Topology.receivers.(i) in
-        let dst_stack = Stack.create net dst_host in
-        Probe.install_echo dst_stack;
-        { src_stack; dst_stack; dst_host })
-  in
-  let short_fct = Stats.create () in
-  let long_fct = Stats.create () in
-  let all_fct = Stats.create () in
-  let started = ref 0 in
-  let completed = ref 0 in
-  let record ~now ~at ~size =
-    incr completed;
-    let fct = Time_ns.to_sec_f (now - at) in
-    Stats.add all_fct fct;
-    if size <= p.short_threshold_bytes then Stats.add short_fct fct
-    else Stats.add long_fct fct
-  in
-  let launch idx (at, size) =
-    let pair = pairs.(idx mod p.pairs) in
-    let port = 10_000 + idx in
-    match controller with
-    | Tcp_ctl ->
-      Engine.at eng at (fun () ->
-          incr started;
-          let _rx = Tcp.Receiver.attach pair.dst_stack ~port in
-          ignore
-            (Tcp.Transfer.start ~src:pair.src_stack ~dst:pair.dst_host ~port
-               ~total_bytes:size
-               ~on_complete:(fun ~now -> record ~now ~at ~size)
-               ()))
-    | Rcp_star_ctl | Aimd_ctl ->
-    Engine.at eng at (fun () ->
-        incr started;
-        let initial_rate = max 100_000 (p.core_bps / 10) in
-        let flow =
-          Flow.transfer ~src:pair.src_stack ~dst:pair.dst_host ~dst_port:port
-            ~payload_bytes:p.payload_bytes ~rate_bps:initial_rate
-            ~total_bytes:size
-        in
-        let finished = ref false in
-        let stop_ctl = ref (fun () -> ()) in
-        let sink = ref None in
-        let tap ~now =
-          match !sink with
-          | Some s when (not !finished) && Flow.Sink.rx_payload_bytes s >= size ->
-            finished := true;
-            record ~now ~at ~size;
-            Flow.stop flow;
-            !stop_ctl ()
-          | _ -> ()
-        in
-        sink := Some (Flow.Sink.attach ~tap pair.dst_stack ~port);
-        (match (controller, slot) with
-        | Rcp_star_ctl, Some slot ->
-          (* A 3-hop path: small packet memory; 25 ms probe period keeps
-             aggregate probe load under ~5% of the bottleneck. *)
-          let config =
-            { (Rcp_star.default_config ~slot) with
-              Rcp_star.period_ns = Time_ns.ms 25;
-              rtt_ns = Time_ns.ms 40;
-              max_hops = 4 }
-          in
-          let ctl = Rcp_star.create pair.src_stack config ~flow ~dst:pair.dst_host in
-          Rcp_star.start ctl ();
-          stop_ctl := fun () -> Rcp_star.stop ctl
-        | (Aimd_ctl | Tcp_ctl), _ | Rcp_star_ctl, None ->
-          let config = Aimd.default_config ~max_rate_bps:p.core_bps in
-          let ctl = Aimd.create pair.src_stack config ~flow ~report_port:port in
-          let receiver =
-            Aimd.Receiver.attach pair.dst_stack ~sink:(Option.get !sink)
-              ~report_to:(Stack.host pair.src_stack) ~report_port:port
-              ~period:config.Aimd.report_period_ns
-          in
-          Aimd.start ctl;
-          stop_ctl :=
-            fun () ->
-              Aimd.stop ctl;
-              Aimd.Receiver.stop receiver);
-        Flow.start flow ())
-  in
-  List.iteri launch (schedule p);
-  Engine.run eng ~until:p.duration;
-  let bottleneck = Net.switch net bell.Topology.left_switch in
-  {
-    started = !started;
-    completed = !completed;
-    short_fct;
-    long_fct;
-    all_fct;
-    bottleneck_drops =
-      State.port_stat (Switch.state bottleneck) ~port:0
-        Tpp_isa.Vaddr.Port_stat.Drops;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Five-way transport testbed on a fat-tree fabric.
-
-   The same pre-drawn Poisson/Pareto workload crosses a k-ary fat-tree
-   under each of five transports — RCP* (TPP-driven), TCP Reno, DCTCP,
-   NDP (pull/trim, receiver-driven) and TPP-LB (AIMD rate control plus
-   CONGA-style flowlet steering from TPP path probes) — and the runner
-   works unchanged under conservative sharding ([Parsim]), so sequential
-   and [--shards 4] runs must produce bit-identical outcomes. *)
-
-type transport = Rcp_star_t | Tcp_t | Dctcp_t | Ndp_t | Tpp_lb_t
+type transport = Rcp_star_t | Tcp_t | Dctcp_t | Ndp_t | Tpp_lb_t | Aimd_t
 
 let transport_name = function
   | Rcp_star_t -> "rcp_star"
@@ -225,11 +35,14 @@ let transport_name = function
   | Dctcp_t -> "dctcp"
   | Ndp_t -> "ndp"
   | Tpp_lb_t -> "tpp_lb"
+  | Aimd_t -> "aimd"
 
 let all_transports = [ Rcp_star_t; Tcp_t; Dctcp_t; Ndp_t; Tpp_lb_t ]
 
+type topo = Fat_tree of int | Dumbbell of { pairs : int; core_bps : int }
+
 type fabric_params = {
-  fk : int;
+  f_topo : topo;
   f_bps : int;
   f_delay_ns : int;
   f_load : float;
@@ -245,7 +58,7 @@ type fabric_params = {
 
 let fabric_default =
   {
-    fk = 4;
+    f_topo = Fat_tree 4;
     f_bps = 200_000_000;
     f_delay_ns = Time_ns.us 5;
     f_load = 0.6;
@@ -258,6 +71,72 @@ let fabric_default =
     f_chaos_drop = 0.0;
     f_max_bytes = max_int;
   }
+
+(* E9: 4 pairs across a 10 Mb/s core; load 0.384 of the core is 8
+   arrivals/s of 60 kB flows. *)
+let dumbbell_default =
+  {
+    f_topo = Dumbbell { pairs = 4; core_bps = 10_000_000 };
+    f_bps = 100_000_000;
+    f_delay_ns = Time_ns.ms 5;
+    f_load = 0.384;
+    f_mean_bytes = 60_000.0;
+    f_shape = 1.5;
+    f_payload = 1000;
+    f_duration = Time_ns.sec 30;
+    f_seed = 7;
+    f_short_bytes = 50_000;
+    f_chaos_drop = 0.0;
+    f_max_bytes = max_int;
+  }
+
+(* What the topology decides, so no parameter has to: which hosts draw
+   arrivals (hosts [0, sources) after sorting by node id; each sends to
+   the host halfway round) and at what rate, the line rate one flow can
+   reach (initial and maximum controller rates, NDP pull pacing), and
+   the control timing. *)
+type layout = {
+  build : Engine.t -> Net.t;
+  sources : int;
+  source_bps : int;     (* offered load is a fraction of this, per source *)
+  line_bps : int;
+  probe_period : int;   (* RCP* and TPP-LB probes *)
+  ctl_rtt : int;        (* controller RTT and receiver report period *)
+  util_period : int;    (* switch utilisation register updates *)
+}
+
+let layout p =
+  match p.f_topo with
+  | Fat_tree k ->
+    {
+      build =
+        (fun eng ->
+          (Topology.fat_tree eng ~k ~bps:p.f_bps ~delay:p.f_delay_ns ())
+            .Topology.f_net);
+      sources = k * k * k / 4;
+      source_bps = p.f_bps;
+      line_bps = p.f_bps;
+      probe_period = Time_ns.us 200;
+      ctl_rtt = Time_ns.us 200;
+      util_period = Time_ns.us 100;
+    }
+  | Dumbbell { pairs; core_bps } ->
+    (* Senders sort before receivers, so sender i sends to receiver i.
+       A 25 ms probe period keeps aggregate probe load under ~5% of the
+       core. *)
+    {
+      build =
+        (fun eng ->
+          (Topology.dumbbell eng ~pairs ~core_bps ~edge_bps:p.f_bps
+             ~delay:p.f_delay_ns ())
+            .Topology.d_net);
+      sources = pairs;
+      source_bps = core_bps / pairs;
+      line_bps = core_bps;
+      probe_period = Time_ns.ms 25;
+      ctl_rtt = Time_ns.ms 40;
+      util_period = Time_ns.ms 10;
+    }
 
 type fabric_outcome = {
   fo_transport : transport;
@@ -307,18 +186,17 @@ let short_samples o ~threshold =
    transport (and every shard replica) sees the same flows. Sizes are
    rounded up to whole packets so completion detection can distinguish
    full-size data packets from tiny control datagrams sharing a port. *)
-let fabric_schedule p ~hosts:n =
-  validate_workload ~arrivals_per_sec:1.0 ~mean_flow_bytes:p.f_mean_bytes
-    ~pareto_shape:p.f_shape;
-  let rng = Rng.create ~seed:p.f_seed in
+let fabric_schedule p l =
   let mix = Workload.Pareto { shape = p.f_shape; mean_bytes = p.f_mean_bytes } in
+  Workload.validate mix;
+  let rng = Rng.create ~seed:p.f_seed in
   let per_host =
-    Workload.arrival_rate ~load:p.f_load ~link_bps:p.f_bps ~mix
+    Workload.arrival_rate ~load:p.f_load ~link_bps:l.source_bps ~mix
   in
   (* Stop arrivals at 70% of the horizon so the tail can drain. *)
   let window = Time_ns.to_sec_f p.f_duration *. 0.7 in
   let flows = ref [] in
-  for i = 0 to n - 1 do
+  for i = 0 to l.sources - 1 do
     let rec go now =
       let now = now +. Workload.exp_gap rng ~rate:per_host in
       if now < window then begin
@@ -344,10 +222,9 @@ let sorted_hosts net =
        (Net.hosts net))
 
 let fabric_run ?(shards = 1) transport p =
-  let n = p.fk * p.fk * p.fk / 4 in
-  let sched = fabric_schedule p ~hosts:n in
-  let init_rate = max 100_000 (p.f_bps / 10) in
-  let ctl_period = Time_ns.us 200 in
+  let l = layout p in
+  let sched = fabric_schedule p l in
+  let init_rate = max 100_000 (l.line_bps / 10) in
   let ndp_config =
     {
       Ndp.default_config with
@@ -362,13 +239,9 @@ let fabric_run ?(shards = 1) transport p =
          margin so queues drain and new messages' sprays fit in the
          headroom the pacer leaves *)
       pull_gap_ns =
-        (42 + Ndp.header_bytes + p.f_payload) * 8 * 1_000_000_000 / p.f_bps
+        (42 + Ndp.header_bytes + p.f_payload) * 8 * 1_000_000_000 / l.line_bps
         * 135 / 100;
     }
-  in
-  let build eng =
-    (Topology.fat_tree eng ~k:p.fk ~bps:p.f_bps ~delay:p.f_delay_ns ())
-      .Topology.f_net
   in
   (* Per-shard mutable outcome state, each slot touched only by its own
      shard's domain (the [collect] read happens there too). *)
@@ -378,6 +251,7 @@ let fabric_run ?(shards = 1) transport p =
   let setup ~shard ~owns net =
     let eng = Net.engine net in
     let hosts = sorted_hosts net in
+    let n = Array.length hosts in
     let stacks = Array.map (Stack.create net) hosts in
     (* Fabric-wide switch configuration is engine-free and applied on
        every replica, exactly as a sequential run would. *)
@@ -390,7 +264,7 @@ let fabric_run ?(shards = 1) transport p =
             Switch.set_ecn_threshold sw ~port (Some 15_000)
           done)
         (Net.switches net)
-    | Rcp_star_t | Tcp_t | Tpp_lb_t -> ());
+    | Rcp_star_t | Tcp_t | Tpp_lb_t | Aimd_t -> ());
     if p.f_chaos_drop > 0.0 then begin
       let f = Fault.create ~seed:(p.f_seed + 31) in
       (* The loss episode covers the whole arrival window but ends with
@@ -413,7 +287,7 @@ let fabric_run ?(shards = 1) transport p =
       match transport with
       | Rcp_star_t -> (
         Array.iter Probe.install_echo stacks;
-        Net.start_utilization_updates net ~period:(Time_ns.us 100)
+        Net.start_utilization_updates net ~period:l.util_period
           ~until:p.f_duration;
         match Rcp_star.setup_network net with
         | Ok s -> s
@@ -464,7 +338,7 @@ let fabric_run ?(shards = 1) transport p =
                    ~port:data_port ~total_bytes:size
                    ~on_complete:(fun ~now -> record size (now - at))
                    ()))
-      | Rcp_star_t | Dctcp_t | Tpp_lb_t ->
+      | Rcp_star_t | Dctcp_t | Tpp_lb_t | Aimd_t ->
         if owns src_h.Net.node_id then
           Engine.at eng at (fun () ->
               started.(shard) <- started.(shard) + 1;
@@ -478,8 +352,8 @@ let fabric_run ?(shards = 1) transport p =
                 | Rcp_star_t ->
                   let config =
                     { (Rcp_star.default_config ~slot) with
-                      Rcp_star.period_ns = ctl_period;
-                      rtt_ns = ctl_period;
+                      Rcp_star.period_ns = l.probe_period;
+                      rtt_ns = l.ctl_rtt;
                       max_hops = 8 }
                   in
                   let ctl =
@@ -489,35 +363,38 @@ let fabric_run ?(shards = 1) transport p =
                   fun () -> Rcp_star.stop ctl
                 | Dctcp_t ->
                   let config =
-                    { (Dctcp.default_config ~max_rate_bps:p.f_bps) with
-                      Dctcp.report_period_ns = ctl_period;
-                      rtt_ns = ctl_period;
+                    { (Dctcp.default_config ~max_rate_bps:l.line_bps) with
+                      Dctcp.report_period_ns = l.ctl_rtt;
+                      rtt_ns = l.ctl_rtt;
                       initial_rate_bps = init_rate }
                   in
                   let ctl = Dctcp.create stacks.(src_i) config ~flow ~report_port in
                   Dctcp.start ctl;
                   fun () -> Dctcp.stop ctl
-                | Tpp_lb_t | Tcp_t | Ndp_t ->
+                | Aimd_t | Tpp_lb_t | Tcp_t | Ndp_t ->
                   let config =
-                    { (Aimd.default_config ~max_rate_bps:p.f_bps) with
-                      Aimd.report_period_ns = ctl_period;
-                      rtt_ns = ctl_period;
+                    { (Aimd.default_config ~max_rate_bps:l.line_bps) with
+                      Aimd.report_period_ns = l.ctl_rtt;
+                      rtt_ns = l.ctl_rtt;
                       initial_rate_bps = init_rate }
                   in
                   let ctl = Aimd.create stacks.(src_i) config ~flow ~report_port in
                   let lb =
-                    Tpp_lb.create
-                      ~config:
-                        { Tpp_lb.default_config with
-                          Tpp_lb.probe_period_ns = ctl_period;
-                          flowlet_gap_ns = Time_ns.us 100 }
-                      stacks.(src_i) ~flow ~dst:dst_h
+                    if transport <> Tpp_lb_t then None
+                    else
+                      Some
+                        (Tpp_lb.create
+                           ~config:
+                             { Tpp_lb.default_config with
+                               Tpp_lb.probe_period_ns = l.probe_period;
+                               flowlet_gap_ns = Time_ns.us 100 }
+                           stacks.(src_i) ~flow ~dst:dst_h)
                   in
                   Aimd.start ctl;
-                  Tpp_lb.start lb ();
+                  Option.iter (fun lb -> Tpp_lb.start lb ()) lb;
                   fun () ->
                     Aimd.stop ctl;
-                    Tpp_lb.stop lb
+                    Option.iter Tpp_lb.stop lb
               in
               (* The receiver signals completion with a 4-byte datagram
                  (too short for any report parser); registered after the
@@ -542,7 +419,7 @@ let fabric_run ?(shards = 1) transport p =
                 Probe.install_echo_on_port stacks.(dst_i) ~port:data_port;
                 let recv =
                   Aimd.Receiver.attach stacks.(dst_i) ~sink ~report_to:src_h
-                    ~report_port ~period:ctl_period
+                    ~report_port ~period:l.ctl_rtt
                 in
                 let got = ref 0 in
                 let finished = ref false in
@@ -558,7 +435,7 @@ let fabric_run ?(shards = 1) transport p =
                         send_done ()
                       end
                     end)
-              | Rcp_star_t | Dctcp_t ->
+              | Rcp_star_t | Dctcp_t | Aimd_t ->
                 let finished = ref false in
                 let sink = ref None in
                 let stop_rx = ref (fun () -> ()) in
@@ -573,15 +450,22 @@ let fabric_run ?(shards = 1) transport p =
                     send_done ()
                   | _ -> ()
                 in
-                sink := Some (Flow.Sink.attach ~tap stacks.(dst_i) ~port:data_port);
-                if transport = Dctcp_t then begin
+                let sink_t = Flow.Sink.attach ~tap stacks.(dst_i) ~port:data_port in
+                sink := Some sink_t;
+                (match transport with
+                | Dctcp_t ->
                   let recv =
-                    Dctcp.Receiver.attach stacks.(dst_i)
-                      ~sink:(Option.get !sink) ~report_to:src_h ~report_port
-                      ~period:ctl_period
+                    Dctcp.Receiver.attach stacks.(dst_i) ~sink:sink_t
+                      ~report_to:src_h ~report_port ~period:l.ctl_rtt
                   in
                   stop_rx := fun () -> Dctcp.Receiver.stop recv
-                end
+                | Aimd_t ->
+                  let recv =
+                    Aimd.Receiver.attach stacks.(dst_i) ~sink:sink_t
+                      ~report_to:src_h ~report_port ~period:l.ctl_rtt
+                  in
+                  stop_rx := fun () -> Aimd.Receiver.stop recv
+                | _ -> ())
               | Tcp_t | Ndp_t -> ())
     in
     List.iteri launch sched
@@ -623,7 +507,7 @@ let fabric_run ?(shards = 1) transport p =
       ok )
   in
   let _stats, per_shard =
-    Parsim.run ~shards ~until:p.f_duration ~build ~setup ~collect ()
+    Parsim.run ~shards ~until:p.f_duration ~build:l.build ~setup ~collect ()
   in
   let fo_started = Array.fold_left (fun a (s, _, _, _, _, _) -> a + s) 0 per_shard in
   let all_samples =

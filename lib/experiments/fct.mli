@@ -1,52 +1,18 @@
-(** Experiment E9 (extension): flow completion times.
+(** Flow completion times: one harness for every topology and transport.
 
-    The paper motivates RCP with flows "finishing quickly"; this
-    experiment quantifies it on the workload the introduction implies:
-    Poisson flow arrivals with heavy-tailed (Pareto) sizes crossing a
-    shared bottleneck, driven either by RCP* (TPPs) or by a TCP-like
-    AIMD controller that needs no dataplane support. Short flows are
-    where the difference shows: AIMD spends their whole lifetime
-    probing for bandwidth, while RCP* starts at the network's advertised
-    fair rate within one control period. *)
+    The paper motivates RCP with flows "finishing quickly"; this module
+    measures it. A workload of Poisson flow arrivals with heavy-tailed
+    (Pareto) sizes is drawn once, before any engine exists, and then
+    run under one transport on one topology: E9's dumbbell (a shared
+    10 Mb/s bottleneck, RCP* against TCP Reno and plain AIMD) or a
+    k-ary fat-tree (the five-way transport comparison of the gate
+    table). Short flows are where transports differ: AIMD spends their
+    whole lifetime probing for bandwidth, while RCP* starts at the
+    network's advertised fair rate within one control period.
 
-type controller =
-  | Rcp_star_ctl  (** TPP-driven RCP (paper §2.2) *)
-  | Aimd_ctl      (** rate-based AIMD on loss reports *)
-  | Tcp_ctl       (** the real thing: Reno-style reliable transport *)
-
-type params = {
-  core_bps : int;
-  edge_bps : int;
-  link_delay_ns : int;
-  pairs : int;                (** sender/receiver host pairs *)
-  arrivals_per_sec : float;
-  mean_flow_bytes : float;
-  pareto_shape : float;
-  payload_bytes : int;
-  duration : int;
-  seed : int;
-  short_threshold_bytes : int;
-}
-
-val default : params
-
-type result = {
-  started : int;
-  completed : int;
-  short_fct : Tpp_util.Stats.t;   (** seconds *)
-  long_fct : Tpp_util.Stats.t;
-  all_fct : Tpp_util.Stats.t;
-  bottleneck_drops : int;
-}
-
-val run : controller -> params -> result
-
-(** {2 Five-way transport testbed}
-
-    The same pre-drawn Poisson/Pareto workload crosses a k-ary fat-tree
-    under five transports; the runner is built on {!Tpp_parsim.Parsim},
-    so sequential ([shards = 1]) and sharded runs of the same
-    configuration must produce bit-identical {!fingerprint}s. *)
+    The runner is built on {!Tpp_parsim.Parsim}, so sequential
+    ([shards = 1]) and sharded runs of the same parameters must produce
+    bit-identical {!fingerprint}s. *)
 
 type transport =
   | Rcp_star_t  (** TPP-driven RCP (paper §2.2) *)
@@ -54,15 +20,26 @@ type transport =
   | Dctcp_t     (** ECN-fraction rate control *)
   | Ndp_t       (** receiver-driven pull/trim transport *)
   | Tpp_lb_t    (** AIMD + CONGA-style flowlet steering from TPP probes *)
+  | Aimd_t      (** rate-based AIMD on loss reports: TPP-LB without the balancer *)
 
 val transport_name : transport -> string
 val all_transports : transport list
+(** The five the gate table's [flows-*] rows sweep ({!Aimd_t} is E9's). *)
+
+type topo =
+  | Fat_tree of int  (** k-ary fat-tree (k even); every host sends *)
+  | Dumbbell of { pairs : int; core_bps : int }
+      (** [pairs] senders, each sending to its paired receiver across a
+          [core_bps] core link *)
 
 type fabric_params = {
-  fk : int;              (** fat-tree arity (k even) *)
-  f_bps : int;           (** every link's rate *)
+  f_topo : topo;
+  f_bps : int;           (** every link's rate (dumbbell: every host link) *)
   f_delay_ns : int;      (** every link's propagation delay *)
-  f_load : float;        (** offered load as a fraction of access bandwidth *)
+  f_load : float;
+      (** offered load: a fraction of each host's access link on the
+          fat-tree, of each sender's [core_bps / pairs] share on the
+          dumbbell *)
   f_mean_bytes : float;
   f_shape : float;       (** Pareto shape (> 1) *)
   f_payload : int;       (** data bytes per packet *)
@@ -77,6 +54,15 @@ type fabric_params = {
 }
 
 val fabric_default : fabric_params
+(** k=4 fat-tree, 200 Mb/s links, load 0.6, seed 11. Control timing is
+    fixed by the topology: 200 us probes and controller RTT, switch
+    utilisation updated every 100 us. *)
+
+val dumbbell_default : fabric_params
+(** E9: 4 pairs across a 10 Mb/s core, 100 Mb/s host links, 5 ms per
+    link, load 0.384 (8 arrivals/s of 60 kB Pareto(1.5) flows), 30 s,
+    seed 7. RCP* probes every 25 ms; controller RTT and receiver
+    reports are 40 ms; utilisation is updated every 10 ms. *)
 
 type fabric_outcome = {
   fo_transport : transport;
@@ -92,9 +78,11 @@ type fabric_outcome = {
 }
 
 val fabric_run : ?shards:int -> transport -> fabric_params -> fabric_outcome
-(** Runs the workload under one transport. [shards = 1] (default) is the
+(** Runs the workload under one transport. Arrivals stop at 70% of the
+    horizon so the tail can drain. [shards = 1] (default) is the
     sequential baseline; any sharding of the same parameters must agree
-    on {!fingerprint}. *)
+    on {!fingerprint}. Raises [Invalid_argument] for a Pareto shape
+    <= 1 (see {!Workload.validate}). *)
 
 val fingerprint : fabric_outcome -> int list
 (** Identity-stable digest: started, completed, drops, trims and the

@@ -1,4 +1,3 @@
-module Time_ns = Tpp_util.Time_ns
 module Rng = Tpp_util.Rng
 
 type mix =
@@ -103,80 +102,3 @@ let arrival_rate ~load ~link_bps ~mix =
   if not (load > 0.0) then invalid_arg "Workload: load must be positive";
   if link_bps <= 0 then invalid_arg "Workload: link_bps must be positive";
   load *. float_of_int link_bps /. (8.0 *. mean_bytes mix)
-
-(* ------------------------------------------------------------------ *)
-
-type flow = { at : Time_ns.t; src : int; dst : int; size : int }
-
-let compare_flow a b =
-  let c = Int.compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.src b.src in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.dst b.dst in
-      if c <> 0 then c else Int.compare a.size b.size
-
-(* Stream for one source host: the base seed mixed through splitmix64
-   with the host index folded in — the [Fault.wire_rng] recipe. Purely a
-   function of (seed, host): host h's flows are identical whatever the
-   fabric size or how many other hosts the plan covers. *)
-let host_rng ~seed i =
-  let r = Rng.create ~seed in
-  let mixed = Rng.bits64 r in
-  let keyed = Int64.logxor mixed (Int64.of_int (((i + 1) * 1_000_003) + 1)) in
-  Rng.of_state (Rng.bits64 (Rng.of_state keyed))
-
-let default_dst ~hosts src = (src + (hosts / 2)) mod hosts
-
-let poisson ?(seed = 11) ?dst_of ~hosts ~mix ~load ~link_bps ~window () =
-  validate mix;
-  if hosts < 2 then invalid_arg "Workload.poisson: need at least 2 hosts";
-  if window <= 0 then invalid_arg "Workload.poisson: empty window";
-  let rate = arrival_rate ~load ~link_bps ~mix in
-  let dst_of = match dst_of with Some f -> f | None -> default_dst ~hosts in
-  let horizon = Time_ns.to_sec_f window in
-  let flows = ref [] in
-  let count = ref 0 in
-  for src = 0 to hosts - 1 do
-    let rng = host_rng ~seed src in
-    let rec go now =
-      let now = now +. exp_gap rng ~rate in
-      if now < horizon then begin
-        let size = max 1 (sample_bytes rng mix) in
-        let dst = dst_of src in
-        if dst < 0 || dst >= hosts || dst = src then
-          invalid_arg "Workload.poisson: dst_of out of range";
-        flows := { at = Time_ns.of_sec_f now; src; dst; size } :: !flows;
-        incr count;
-        go now
-      end
-    in
-    go 0.0
-  done;
-  let arr = Array.of_list !flows in
-  Array.sort compare_flow arr;
-  arr
-
-(* N:1 incast: [senders] all fire [bytes] at [dst] in the same
-   nanosecond — the synchronized-read pattern that motivates both
-   trimming transports and the paper's queue-visibility TPPs. *)
-let incast ~at ~dst ~senders ~bytes =
-  if bytes <= 0 then invalid_arg "Workload.incast: bytes must be positive";
-  let arr =
-    Array.of_list
-      (List.filter_map
-         (fun src ->
-           if src = dst then None else Some { at; src; dst; size = bytes })
-         senders)
-  in
-  Array.sort compare_flow arr;
-  arr
-
-let merge a b =
-  let out = Array.append a b in
-  Array.sort compare_flow out;
-  out
-
-let total_bytes flows = Array.fold_left (fun acc f -> acc + f.size) 0 flows

@@ -1,17 +1,13 @@
-(** Deterministic heavy-tailed workload generation.
+(** Heavy-tailed workload draws.
 
-    One place to draw the traffic every experiment, bench and transport
-    comparison runs: Poisson flow arrivals at a target load with
-    flow sizes from a heavy-tailed {!mix} (the canonical "websearch" /
-    "datamining" datacenter CDFs, a parametric Pareto, or fixed-size),
-    plus N:1 incast bursts. Everything is a pure function of its seed —
-    same seed, same flows, on every platform and shard layout.
+    The primitives {!Fct} builds its flow schedules from: Poisson
+    inter-arrival gaps at a target load and flow sizes from a
+    heavy-tailed {!mix} (the canonical "websearch" / "datamining"
+    datacenter CDFs, a parametric Pareto, or fixed-size). Each is a
+    pure function of the {!Rng.t} it is handed, so a schedule is a pure
+    function of its seed — same seed, same flows, on every platform and
+    shard layout. *)
 
-    The low-level draw primitives ({!exp_gap}, {!sample_bytes}) are the
-    exact draws {!Fct} has always made, so schedules built through them
-    are bit-identical to the historical ones. *)
-
-module Time_ns = Tpp_util.Time_ns
 module Rng = Tpp_util.Rng
 
 (** Flow-size distribution. *)
@@ -24,7 +20,7 @@ type mix =
           with rare multi-hundred-MB shuffles carrying most bytes. *)
   | Pareto of { shape : float; mean_bytes : float }
       (** Parametric Pareto with the given mean ([shape] > 1). *)
-  | Fixed of int  (** Every flow the same size (incast-style). *)
+  | Fixed of int  (** Every flow the same size. *)
 
 val validate : mix -> unit
 (** Raises [Invalid_argument] for a mix with no finite mean
@@ -42,7 +38,7 @@ val exp_gap : Rng.t -> rate:float -> float
 val sample_bytes : Rng.t -> mix -> int
 (** One flow-size draw: a single uniform variate through the mix's
     inverse CDF ([Pareto]: a single [Rng.pareto] draw with the scale
-    derived from the mean — draw-compatible with {!Fct}). May return 0
+    derived from the mean). May return 0
     for the empirical mixes' smallest flows; clamp at the call site. *)
 
 val pareto_scale : shape:float -> mean_bytes:float -> float
@@ -51,43 +47,3 @@ val pareto_scale : shape:float -> mean_bytes:float -> float
 val arrival_rate : load:float -> link_bps:int -> mix:mix -> float
 (** Per-host arrivals/sec such that each host offers [load] of its
     [link_bps] access link: [load * bps / (8 * mean_bytes)]. *)
-
-(** {2 Flow plans} *)
-
-type flow = {
-  at : Time_ns.t;  (** arrival time *)
-  src : int;       (** source host index *)
-  dst : int;       (** destination host index *)
-  size : int;      (** bytes *)
-}
-
-val poisson :
-  ?seed:int ->
-  ?dst_of:(int -> int) ->
-  hosts:int ->
-  mix:mix ->
-  load:float ->
-  link_bps:int ->
-  window:Time_ns.span ->
-  unit ->
-  flow array
-(** Independent Poisson arrivals from every host over [\[0, window)],
-    sorted by (time, src, dst, size). Each host draws from its own
-    seeded splitmix64 stream keyed by (seed, host), so host [h]'s flows
-    do not change when the fabric grows. [dst_of] picks each source's
-    destination (default: the host halfway across, [(src + hosts/2) mod
-    hosts]); it must return a valid host distinct from the source.
-    [seed] defaults to 11. *)
-
-val incast : at:Time_ns.t -> dst:int -> senders:int list -> bytes:int -> flow array
-(** All [senders] (minus [dst] if present) fire [bytes] at [dst] in the
-    same nanosecond — the synchronized-read burst that motivates
-    trimming transports and queue-visibility TPPs. *)
-
-val merge : flow array -> flow array -> flow array
-(** Sorted union of two plans. *)
-
-val total_bytes : flow array -> int
-
-val compare_flow : flow -> flow -> int
-(** The (time, src, dst, size) order {!poisson} and {!merge} sort by. *)

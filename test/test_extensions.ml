@@ -548,20 +548,24 @@ let test_sweep_sees_congestion () =
 
 let test_fct_smoke () =
   let p =
-    { Fct.default with
-      Fct.arrivals_per_sec = 6.0;
-      duration = Time_ns.sec 8;
-      mean_flow_bytes = 30_000.0 }
+    { Fct.dumbbell_default with
+      Fct.f_load = 0.144;
+      f_duration = Time_ns.sec 8;
+      f_mean_bytes = 30_000.0 }
   in
-  let star = Fct.run Fct.Rcp_star_ctl p in
-  let aimd = Fct.run Fct.Aimd_ctl p in
-  check Alcotest.bool "flows started" true (star.Fct.started > 10);
-  check Alcotest.int "same schedule both runs" star.Fct.started aimd.Fct.started;
+  let run t = Fct.fabric_run t p in
+  let star = run Fct.Rcp_star_t and aimd = run Fct.Aimd_t and tcp = run Fct.Tcp_t in
+  check Alcotest.bool "flows started" true (star.Fct.fo_started > 10);
+  check Alcotest.int "same schedule both runs" star.Fct.fo_started
+    aimd.Fct.fo_started;
   check Alcotest.bool "most complete under RCP*" true
-    (10 * star.Fct.completed >= 8 * star.Fct.started);
-  check Alcotest.bool "rcp* short flows not slower" true
-    (Tpp_util.Stats.mean star.Fct.short_fct
-     <= Tpp_util.Stats.mean aimd.Fct.short_fct +. 0.01)
+    (10 * star.Fct.fo_completed >= 8 * star.Fct.fo_started);
+  let short o =
+    (Fct.summarize (Fct.short_samples o ~threshold:p.Fct.f_short_bytes))
+      .Fct.fs_mean_ns
+  in
+  check Alcotest.bool "rcp* short flows faster than AIMD and TCP" true
+    (short star < short aimd && short star < short tcp)
 
 let suite =
   [

@@ -1,6 +1,8 @@
 (* Transport testbed tests: the NDP receiver-driven state machine under
    random trim/drop schedules, flowlet steering, DCTCP report-counter
-   wraparound, and FCT workload validation. *)
+   wraparound, FCT workload validation, and the flow-completion
+   harness's identity (sharded == sequential, fat-tree fingerprints
+   pinned). *)
 
 open Tpp
 
@@ -201,14 +203,67 @@ let test_dctcp_u32_wrap () =
 (* --- FCT workload validation --------------------------------------------- *)
 
 let test_fct_rejects_bad_shape () =
-  Alcotest.check_raises "run rejects shape = 1.0"
-    (Invalid_argument "Fct: pareto_shape must be > 1.0") (fun () ->
-      ignore (Fct.run Fct.Tcp_ctl { Fct.default with Fct.pareto_shape = 1.0 }));
   Alcotest.check_raises "fabric_run rejects shape < 1.0"
-    (Invalid_argument "Fct: pareto_shape must be > 1.0") (fun () ->
+    (Invalid_argument "Workload: pareto shape must be > 1.0") (fun () ->
       ignore
         (Fct.fabric_run Fct.Ndp_t
            { Fct.fabric_default with Fct.f_shape = 0.9 }))
+
+(* --- Flow-completion harness identity ------------------------------------ *)
+
+(* A 2-shard run cuts the dumbbell's core (or the fat-tree's pod links)
+   and must reproduce the sequential run flow for flow. *)
+let test_sharded_identity p transport () =
+  let seq = Fct.fabric_run transport p in
+  let sharded = Fct.fabric_run ~shards:2 transport p in
+  check Alcotest.bool "flows completed" true (seq.Fct.fo_completed > 0);
+  check (Alcotest.list Alcotest.int) "2 shards == 1 shard" (Fct.fingerprint seq)
+    (Fct.fingerprint sharded)
+
+let identity_cases =
+  List.concat_map
+    (fun (topo_name, p) ->
+      List.map
+        (fun t ->
+          Alcotest.test_case
+            (Printf.sprintf "fct %s %s: 2 shards == 1" topo_name
+               (Fct.transport_name t))
+            `Quick
+            (test_sharded_identity p t))
+        [ Fct.Rcp_star_t; Fct.Aimd_t; Fct.Tcp_t ])
+    [
+      ("dumbbell", { Fct.dumbbell_default with Fct.f_duration = Time_ns.sec 3 });
+      ("fat-tree", { Fct.fabric_default with Fct.f_duration = Time_ns.ms 30 });
+    ]
+
+(* Every fat-tree transport at [fabric_default] over a 60 ms horizon:
+   (started, completed, MD5 of the comma-joined fingerprint). These
+   values predate the dumbbell's fold into [fabric_run]; a change to
+   any of them changes the fat-tree workload or a transport. *)
+let pinned_fat_tree =
+  [
+    (Fct.Rcp_star_t, (342, 92, "5f07f08be7c81645678a5e363d1480b3"));
+    (Fct.Tcp_t, (342, 324, "fbad9e1c0ed66bf25b181c22ea095b13"));
+    (Fct.Dctcp_t, (342, 315, "bb7729e44b5223f572737f03c185c6da"));
+    (Fct.Ndp_t, (342, 332, "27be6c3b3cb394ee1c5d09546511b414"));
+    (Fct.Tpp_lb_t, (342, 204, "1cc38c46f15558a58050acaaab41a951"));
+  ]
+
+let test_fat_tree_pinned () =
+  let p = { Fct.fabric_default with Fct.f_duration = Time_ns.ms 60 } in
+  List.iter
+    (fun (t, want) ->
+      let o = Fct.fabric_run t p in
+      let md5 =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "," (List.map string_of_int (Fct.fingerprint o))))
+      in
+      check
+        Alcotest.(triple int int string)
+        (Fct.transport_name t) want
+        (o.Fct.fo_started, o.Fct.fo_completed, md5))
+    pinned_fat_tree
 
 (* Probe seq blocks belong to a host, not to the process: a second
    RCP* run after more controllers than one host's u32 echo-seq space
@@ -253,4 +308,7 @@ let suite =
       test_fct_rejects_bad_shape;
     Alcotest.test_case "rcp* repeat run after 4100 controllers" `Quick
       test_rcp_star_repeat_run_after_many_controllers;
+    Alcotest.test_case "fct fat-tree fingerprints pinned" `Quick
+      test_fat_tree_pinned;
   ]
+  @ identity_cases
