@@ -104,13 +104,13 @@ let table1 () =
   let _ = run "PUSH [Queue:QueueSize]\nPOP [Sram:0]" in
   show "STORE, POP" "copy values from packet to switch"
     (Printf.sprintf "POP [Sram:0] -> switch SRAM holds %d"
-       (Option.get (State.sram_get st 0)));
+       (State.sram_get st 0));
   ignore (State.sram_set st 1 5);
   let t = run "CSTORE [Sram:1], 5, 8" in
   let won = Prog.mem_get t 0 = 5 in
   show "CSTORE" "conditional store for atomic operations"
     (Printf.sprintf "cond 5 matched: sram=%d, old value returned (%s)"
-       (Option.get (State.sram_get st 1))
+       (State.sram_get st 1)
        (if won then "write won" else "write lost"));
   let t = run "CEXEC [Switch:SwitchID], 0xFFFFFFFF, 99\nPUSH [Queue:QueueSize]" in
   show "CEXEC" "conditionally execute subsequent instructions"

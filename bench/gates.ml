@@ -22,8 +22,8 @@ type topo =
   | No_fabric                       (* a microbench *)
 
 type traffic =
-  | Collect    (* unpooled UDP, each frame carrying a 5-instruction TPP *)
-  | Heavy      (* unpooled UDP, a 99-instruction TPP, 1 in 16 faulting *)
+  | Collect    (* pooled UDP, each frame carrying a 5-instruction TPP *)
+  | Heavy      (* pooled UDP, a 99-instruction TPP, 1 in 16 faulting *)
   | Pooled     (* plain UDP from one frame pool per sending host *)
   | Postcard   (* Pooled, with a binary tap on every switch *)
   | Flows of Fct.transport * Fct.fabric_params   (* a transport flow set *)
@@ -207,7 +207,7 @@ let start_traffic spec ~pooled ~owns net =
      own, so recycling at delivery stays a same-domain operation. *)
   let pools =
     if pooled then
-      Array.map (fun _ -> Frame.Pool.create ~capacity:64 ~frame_bytes:2048 ()) hosts
+      Array.map (fun _ -> Frame.Pool.create ~frame_bytes:2048 ()) hosts
     else [||]
   in
   let send src j =
@@ -316,7 +316,7 @@ let setup spec ~oracle ~owns net =
       Some (sink, col)
     end
   in
-  let pooled = (spec.traffic = Pooled || spec.traffic = Postcard) && not (flip Unpooled) in
+  let pooled = not (flip Unpooled) in
   let pools = start_traffic spec ~pooled ~owns net in
   (* Absorbing every 50 us keeps the default sink from ever dropping;
      the ticks stop 10 ms after the last send. *)
@@ -670,7 +670,7 @@ let trim_words ~trim ~iters =
   Switch.set_subqueue_limit sw ~port:1 ~queue:0 ~bytes:512;
   Switch.set_subqueue_limit sw ~port:1 ~queue:1 ~bytes:1_000_000;
   if trim then Switch.set_trim_keep sw ~keep:28;
-  let pool = Frame.Pool.create ~capacity:4 () in
+  let pool = Frame.Pool.create () in
   let payload = Bytes.make 1000 'x' in
   (* The unboxed dequeue, as the simulator drives it. *)
   let none = Frame.placeholder () in
@@ -773,8 +773,8 @@ let workload spec =
   let per_host what = Printf.sprintf "%d %s UDP packets/host" spec.packets what in
   let traffic =
     match spec.traffic with
-    | Collect -> per_host "collect-TPP"
-    | Heavy -> per_host "99-instruction-TPP (1 in 16 faulting)"
+    | Collect -> per_host "pooled collect-TPP"
+    | Heavy -> per_host "pooled 99-instruction-TPP (1 in 16 faulting)"
     | Pooled -> per_host "pooled plain"
     | Postcard -> per_host "pooled plain" ^ ", binary tap on every switch"
     | Flows (t, p) ->
@@ -855,6 +855,10 @@ let speedup_gate =
           let d = Printf.sprintf "%.2fx at %d shards on %d core(s)" x s cores in
           if cores < 4 then (Skip, d ^ "; needs >= 4 cores") else (ok (x >= 2.0), d)) }
 
+(* TPP traffic rides pooled frames and allocation-free TCPU hops; what
+   remains per packet is the sender's [Prog.copy] of its template. *)
+let tpp_alloc = at_most "minor words/event" 8.0 (fun c -> c.seq.minor_pe)
+
 let faults_fire =
   holds "every fault class fires"
     (fun c ->
@@ -928,7 +932,7 @@ let table ~smoke =
   let pick s full = if smoke then s else full in
   let k = pick 4 8 and packets = pick 200 1500 and shards = pick [ 2 ] [ 4 ] in
   [ spec "collect" (Fat_tree k) Collect ~packets ~shards:(pick [ 2; 4 ] [ 4 ])
-      ~oracle:Always ~asserts:[ drained ]
+      ~oracle:Always ~asserts:[ tpp_alloc; drained ]
       ~why:
         "determinism: sharded runs reproduce the sequential engine's counts \
          and every switch register, boundary pools drain, and the cached wire \
@@ -936,7 +940,8 @@ let table ~smoke =
     spec "tpp-heavy" (Fat_tree k) Heavy ~packets:(pick 150 1500) ~shards
       ~oracle:Interpreter
       ~asserts:
-        [ at_least ~under:Warn "compiled >= 2x interpreter wall" 2.0 (fun c ->
+        [ tpp_alloc;
+          at_least ~under:Warn "compiled >= 2x interpreter wall" 2.0 (fun c ->
               (oracle_of c).wall /. c.seq.wall) ]
       ~why:
         "the compiled TCPU matches the interpreter event for event, \
@@ -948,7 +953,7 @@ let table ~smoke =
               c.seq.wall /. (oracle_of c).wall) ]
       ~why:"an attached but empty fault schedule changes nothing and costs next to nothing";
     spec "chaos" (Fat_tree k) Collect ~packets ~chaos:Chaotic ~shards
-      ~asserts:[ faults_fire ]
+      ~asserts:[ tpp_alloc; faults_fire ]
       ~why:
         "flaps, loss, corruption, freeze-restart and degradation at once stay \
          bit-identical sequential vs sharded";

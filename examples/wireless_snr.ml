@@ -57,8 +57,8 @@ let () =
   let poll_snr = Stats.create () in
   Engine.every eng ~period:(Time_ns.sec 1) ~until:(Time_ns.sec 10) (fun () ->
       match Tpp_asic.State.sram_get (Switch.state ap) snr_word with
-      | Some v -> Stats.add poll_snr (float_of_int v /. 10.0)
-      | None -> ());
+      | -1 -> ()
+      | v -> Stats.add poll_snr (float_of_int v /. 10.0));
 
   Engine.run eng ~until:(Time_ns.sec 10);
 

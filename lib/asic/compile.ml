@@ -21,27 +21,30 @@ let fault_message = function
   | Stack_underflow -> "stack underflow"
   | Bad_operand what -> "bad operand: " ^ what
 
-(* Per-execution context. Everything that varies between executions of
-   the same program — the switch, the packet, its memory layout — flows
+(* Execution context. Everything that varies between executions of the
+   same program — the switch, the packet, its memory layout — flows
    through here, which is what lets one compiled program serve every TPP
-   with the same instruction bytes.
+   with the same instruction bytes. The context is owned by its caller
+   and refilled by every {!run}, so an execution allocates nothing.
 
    Faults are signalled without allocating: a micro-op that faults
    records the fault as two ints ([f_kind]/[f_detail]) and the [fault]
-   value is only constructed on the (rare) faulting exit. [f_kind] is -1
-   while no fault has occurred; since execution stops at the first
-   fault, the field transitions at most once per run. *)
-type ectx = {
-  state : State.t;
-  meta : Meta.t;
-  tpp : Tpp.t;
-  memory : bytes;  (* backing buffer of packet memory *)
-  mem_off : int;   (* window start: flat frames alias the wire image *)
-  now : int;
-  mem_len : int;
-  hop_base : int;  (* base + hop * perhop_len, fixed for the whole run *)
+   value is only constructed when a caller asks for it ({!fault}).
+   [f_kind] is -1 while no fault has occurred; since execution stops at
+   the first fault, the field transitions at most once per run. [stop]
+   is the status code that ended the last run. *)
+type ctx = {
+  mutable state : State.t;
+  mutable meta : Meta.t;
+  mutable tpp : Tpp.t;
+  mutable memory : bytes;  (* backing buffer of packet memory *)
+  mutable mem_off : int;   (* window start: flat frames alias the wire image *)
+  mutable now : int;
+  mutable mem_len : int;
+  mutable hop_base : int;  (* base + hop * perhop_len, fixed for the whole run *)
   mutable f_kind : int;
   mutable f_detail : int;
+  mutable stop : int;
 }
 
 (* Encoded fault kinds (values of [f_kind]). *)
@@ -55,7 +58,7 @@ let k_bad_address = 6
 let k_read_only = 7
 let k_port_oor = 8
 
-let fault_of c =
+let decode_fault c =
   match c.f_kind with
   | 0 -> Packet_oob c.f_detail
   | 1 -> Misaligned c.f_detail
@@ -73,7 +76,25 @@ let st_halt = 1
 let st_cexec = 2
 let st_fault = 3
 
-type uop = ectx -> int
+(* The interpreter's fault, recorded in the context the way a micro-op
+   would have recorded it. [Bad_operand] has a single message. *)
+let encode_fault c f =
+  let kind, detail =
+    match f with
+    | Packet_oob off -> (k_packet_oob, off)
+    | Misaligned off -> (k_misaligned, off)
+    | Immediate_write -> (k_immediate_write, 0)
+    | Stack_overflow -> (k_stack_overflow, 0)
+    | Stack_underflow -> (k_stack_underflow, 0)
+    | Bad_operand _ -> (k_bad_operand, 0)
+    | Mmu_fault (Mmu.Bad_address a) -> (k_bad_address, a)
+    | Mmu_fault (Mmu.Read_only a) -> (k_read_only, a)
+    | Mmu_fault (Mmu.Port_out_of_range p) -> (k_port_oor, p)
+  in
+  c.f_kind <- kind;
+  c.f_detail <- detail
+
+type uop = ctx -> int
 
 type t = { uops : uop array }
 
@@ -134,7 +155,7 @@ let bad_address a : uop =
   c.f_detail <- a;
   0
 
-let compile_read (op : Instr.operand) : ectx -> int =
+let compile_read (op : Instr.operand) : ctx -> int =
   match op with
   | Instr.Imm v -> fun _ -> v
   | Instr.Pkt off ->
@@ -173,20 +194,14 @@ let compile_read (op : Instr.operand) : ectx -> int =
         end
         else begin
           match State.queue_stat c.state ~port ~queue:c.meta.Meta.queue_id s with
-          | Some v -> v
-          | None ->
-            c.f_kind <- k_bad_address;
-            c.f_detail <- a;
-            0
+          | -1 -> bad_address a c
+          | v -> v
         end
     | Ok (Vaddr.Link_sram slot) ->
       fun c -> (
         match State.link_sram_index c.state ~slot ~port:c.meta.Meta.out_port with
-        | Some idx -> (State.sram_array c.state).(idx)
-        | None ->
-          c.f_kind <- k_bad_address;
-          c.f_detail <- a;
-          0)
+        | -1 -> bad_address a c
+        | idx -> (State.sram_array c.state).(idx))
     | Ok (Vaddr.Port (port, s)) ->
       fun c ->
         if port >= c.state.State.num_ports then begin
@@ -198,14 +213,9 @@ let compile_read (op : Instr.operand) : ectx -> int =
     | Ok (Vaddr.Meta m) -> fun c -> Meta.get c.meta m
     | Ok (Vaddr.Sram w) ->
       fun c -> (
-        match State.sram_get c.state w with
-        | Some v -> v
-        | None ->
-          c.f_kind <- k_bad_address;
-          c.f_detail <- a;
-          0))
+        match State.sram_get c.state w with -1 -> bad_address a c | v -> v))
 
-let compile_write (op : Instr.operand) : ectx -> int -> bool =
+let compile_write (op : Instr.operand) : ctx -> int -> bool =
   match op with
   | Instr.Imm _ ->
     fun c _ ->
@@ -234,13 +244,13 @@ let compile_write (op : Instr.operand) : ectx -> int -> bool =
     | Ok (Vaddr.Link_sram slot) ->
       fun c v -> (
         match State.link_sram_index c.state ~slot ~port:c.meta.Meta.out_port with
-        | Some idx ->
-          (State.sram_array c.state).(idx) <- v land 0xFFFF_FFFF;
-          true
-        | None ->
+        | -1 ->
           c.f_kind <- k_bad_address;
           c.f_detail <- a;
-          false)
+          false
+        | idx ->
+          (State.sram_array c.state).(idx) <- v land 0xFFFF_FFFF;
+          true)
     | Ok (Vaddr.Sram w) ->
       fun c v ->
         if State.sram_set c.state w v then true
@@ -283,7 +293,7 @@ let oob c off =
 (* CSTORE/CEXEC pool operands must name packet memory; that property is
    static, so a switch/immediate pool compiles to a constant fault. The
    offset itself never faults — [read_mem] validates it. *)
-let compile_pool_offset (op : Instr.operand) : (ectx -> int) option =
+let compile_pool_offset (op : Instr.operand) : (ctx -> int) option =
   match op with
   | Instr.Pkt off -> Some (fun _ -> off)
   | Instr.Hop idx -> Some (fun c -> c.hop_base + (4 * idx))
@@ -514,34 +524,68 @@ let compile_instr (instr : Instr.t) : uop =
 let compile (program : Instr.t array) : t =
   { uops = Array.map compile_instr program }
 
-let run t state ~now ~(tpp : Tpp.t) ~(meta : Meta.t) =
-  let c =
-    {
-      state;
-      meta;
-      tpp;
-      memory = tpp.Tpp.memory;
-      mem_off = tpp.Tpp.mem_off;
-      now;
-      mem_len = tpp.Tpp.mem_len;
-      hop_base = tpp.Tpp.base + (tpp.Tpp.hop * tpp.Tpp.perhop_len);
-      f_kind = -1;
-      f_detail = 0;
-    }
-  in
-  let uops = t.uops in
-  let len = Array.length uops in
-  let rec go i =
-    if i >= len then (i, false, None)
+(* Placeholders a fresh context points at until its first [run]; no
+   micro-op ever runs against them, so domains may share them. *)
+let idle_state = State.create ~switch_id:0 ~num_ports:1 ()
+let idle_meta = Meta.create ()
+let idle_tpp = Tpp.make ~program:[] ~mem_len:0 ()
+
+let context () =
+  {
+    state = idle_state;
+    meta = idle_meta;
+    tpp = idle_tpp;
+    memory = Bytes.empty;
+    mem_off = 0;
+    now = 0;
+    mem_len = 0;
+    hop_base = 0;
+    f_kind = -1;
+    f_detail = 0;
+    stop = st_continue;
+  }
+
+(* Top level, not a closure inside [run]: the loop is one of the
+   per-hop costs that must not allocate. *)
+let rec exec_from uops len c i =
+  if i >= len then begin
+    c.stop <- st_continue;
+    i
+  end
+  else begin
+    let st = (Array.unsafe_get uops i) c in
+    if st = st_continue then exec_from uops len c (i + 1)
     else begin
-      let st = (Array.unsafe_get uops i) c in
-      if st = st_continue then go (i + 1)
-      else if st = st_halt then (i + 1, false, None)
-      else if st = st_cexec then (i + 1, true, None)
-      else (i + 1, false, Some (fault_of c))
+      c.stop <- st;
+      i + 1
     end
-  in
-  go 0
+  end
+
+let run t c state ~now ~(tpp : Tpp.t) ~(meta : Meta.t) =
+  c.state <- state;
+  c.meta <- meta;
+  c.tpp <- tpp;
+  c.memory <- tpp.Tpp.memory;
+  c.mem_off <- tpp.Tpp.mem_off;
+  c.now <- now;
+  c.mem_len <- tpp.Tpp.mem_len;
+  c.hop_base <- tpp.Tpp.base + (tpp.Tpp.hop * tpp.Tpp.perhop_len);
+  c.f_kind <- -1;
+  c.f_detail <- 0;
+  exec_from t.uops (Array.length t.uops) c 0
+
+let record_stop c ~cexec ~fault =
+  c.f_kind <- -1;
+  c.f_detail <- 0;
+  match fault with
+  | Some f ->
+    encode_fault c f;
+    c.stop <- st_fault
+  | None -> c.stop <- (if cexec then st_cexec else st_continue)
+
+let faulted c = c.stop = st_fault
+let stopped_by_cexec c = c.stop = st_cexec
+let fault c = if c.stop = st_fault then Some (decode_fault c) else None
 
 (* ---- Process-wide program cache ---------------------------------- *)
 

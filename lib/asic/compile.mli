@@ -47,19 +47,32 @@ val length : t -> int
 val compile : Tpp_isa.Instr.t array -> t
 (** Lowers a program, bypassing the cache (tests use this directly). *)
 
+type ctx
+(** A mutable execution context. Its owner reuses it for every
+    execution, so running a program allocates nothing; a context must
+    not be shared by two executions at once (one per switch, or one per
+    domain). *)
+
+val context : unit -> ctx
+
 val run :
-  t ->
-  State.t ->
-  now:int ->
-  tpp:Tpp_isa.Tpp.t ->
-  meta:Tpp_isa.Meta.t ->
-  int * bool * fault option
-(** [run c state ~now ~tpp ~meta] executes the compiled program against
-    [tpp]'s packet memory and the switch state, returning
-    [(executed, stopped_by_cexec, fault)] with the interpreter's exact
-    semantics. Post-processing (hop bump, fault flag, exec/cycle
-    accounting) is the caller's job — {!Tcpu.execute} does it for both
-    backends. *)
+  t -> ctx -> State.t -> now:int -> tpp:Tpp_isa.Tpp.t -> meta:Tpp_isa.Meta.t -> int
+(** [run c ctx state ~now ~tpp ~meta] executes the compiled program
+    against [tpp]'s packet memory and the switch state with the
+    interpreter's exact semantics, returning the number of instructions
+    executed. Why execution stopped stays in [ctx] until the next run
+    ({!faulted}, {!stopped_by_cexec}, {!fault}). Post-processing (hop
+    bump, fault flag, exec/cycle accounting) is the caller's job —
+    {!Tcpu} does it for both backends. *)
+
+val record_stop : ctx -> cexec:bool -> fault:fault option -> unit
+(** Leaves another backend's stop reason in [ctx], as {!run} would. *)
+
+val faulted : ctx -> bool
+val stopped_by_cexec : ctx -> bool
+
+val fault : ctx -> fault option
+(** The last run's fault, built on demand. *)
 
 type Tpp_isa.Tpp.compiled += Compiled of t
 (** The constructor {!Tcpu} stores in a TPP's shared compiled-handle

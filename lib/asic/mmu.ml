@@ -23,20 +23,18 @@ let read state ~meta ~now addr =
       if port < 0 || port >= state.State.num_ports then Error (Port_out_of_range port)
       else
         match State.queue_stat state ~port ~queue:meta.Meta.queue_id s with
-        | Some v -> Ok v
-        | None -> Error (Bad_address addr))
+        | -1 -> Error (Bad_address addr)
+        | v -> Ok v)
     | Vaddr.Link_sram slot -> (
       match State.link_sram_index state ~slot ~port:meta.Meta.out_port with
-      | Some idx -> Ok (State.sram_array state).(idx)
-      | None -> Error (Bad_address addr))
+      | -1 -> Error (Bad_address addr)
+      | idx -> Ok (State.sram_array state).(idx))
     | Vaddr.Port (port, s) ->
       if port >= state.State.num_ports then Error (Port_out_of_range port)
       else Ok (State.port_stat state ~port s)
     | Vaddr.Meta m -> Ok (Meta.get meta m)
     | Vaddr.Sram w -> (
-      match State.sram_get state w with
-      | Some v -> Ok v
-      | None -> Error (Bad_address addr)))
+      match State.sram_get state w with -1 -> Error (Bad_address addr) | v -> Ok v))
 
 let write state ~meta addr v =
   match Vaddr.classify addr with
@@ -45,10 +43,10 @@ let write state ~meta addr v =
     match region with
     | Vaddr.Link_sram slot -> (
       match State.link_sram_index state ~slot ~port:meta.Meta.out_port with
-      | Some idx ->
+      | -1 -> Error (Bad_address addr)
+      | idx ->
         (State.sram_array state).(idx) <- v land 0xFFFF_FFFF;
-        Ok ()
-      | None -> Error (Bad_address addr))
+        Ok ())
     | Vaddr.Sram w -> if State.sram_set state w v then Ok () else Error (Bad_address addr)
     | Vaddr.Switch _ | Vaddr.Link _ | Vaddr.Queue _ | Vaddr.Port _ | Vaddr.Meta _ ->
       Error (Read_only addr))

@@ -167,18 +167,17 @@ let port_stat t ~port:i stat =
 
 let queue_stat t ~port:i ~queue stat =
   let p = port t i in
-  if queue < 0 || queue >= Array.length p.Port.queues then None
+  if queue < 0 || queue >= Array.length p.Port.queues then -1
   else begin
     let q = p.Port.queues.(queue) in
     let open Vaddr.Queue_stat in
-    Some
-      (match stat with
-      | Q_bytes -> mask32 q.Subqueue.q_bytes
-      | Q_pkts -> Subqueue.packets q
-      | Q_enqueued -> mask32 q.Subqueue.q_enqueued
-      | Q_dropped -> mask32 q.Subqueue.q_dropped
-      | Q_limit -> mask32 q.Subqueue.q_limit
-      | Q_id -> queue)
+    match stat with
+    | Q_bytes -> mask32 q.Subqueue.q_bytes
+    | Q_pkts -> Subqueue.packets q
+    | Q_enqueued -> mask32 q.Subqueue.q_enqueued
+    | Q_dropped -> mask32 q.Subqueue.q_dropped
+    | Q_limit -> mask32 q.Subqueue.q_limit
+    | Q_id -> queue
   end
 
 let configure_queues t ~port:i ~count =
@@ -208,9 +207,9 @@ let switch_stat t ~now stat =
   | Tpp_compile_misses -> mask32 t.tpp_compile_misses
 
 let sram_get t i =
-  if i < 0 || i >= Vaddr.sram_words then None
-  else if Array.length t.sram = 0 then Some 0
-  else Some t.sram.(i)
+  if i < 0 || i >= Vaddr.sram_words then -1
+  else if Array.length t.sram = 0 then 0
+  else t.sram.(i)
 
 let sram_set t i v =
   if i < 0 || i >= Vaddr.sram_words then false
@@ -221,10 +220,10 @@ let sram_set t i v =
 
 let link_sram_index t ~slot ~port =
   if slot < 0 || slot >= Vaddr.link_sram_slots || port < 0 || port >= t.num_ports then
-    None
+    -1
   else begin
     let idx = (slot * t.num_ports) + port in
-    if idx >= Vaddr.sram_words then None else Some idx
+    if idx >= Vaddr.sram_words then -1 else idx
   end
 
 (* Queue-average smoothing factor: light smoothing so the register tracks

@@ -104,8 +104,12 @@ val capacity : t -> port:int -> int
 val port_stat : t -> port:int -> Tpp_isa.Vaddr.Port_stat.t -> int
 (** Current value of one per-port statistic register. *)
 
-val queue_stat : t -> port:int -> queue:int -> Tpp_isa.Vaddr.Queue_stat.t -> int option
-(** One per-queue register; [None] when the queue doesn't exist. *)
+val queue_stat : t -> port:int -> queue:int -> Tpp_isa.Vaddr.Queue_stat.t -> int
+(** One per-queue register; [-1] when the queue doesn't exist.
+
+    The register readers here return [-1] for "no such register" rather
+    than an option, so the TCPU's per-hop reads never box: every value
+    is masked to 32 bits, so the sentinel cannot collide with one. *)
 
 val configure_queues : t -> port:int -> count:int -> unit
 (** Replaces the port's queues with [count] fresh empty ones (each at
@@ -117,13 +121,15 @@ val force_queue_depth : t -> port:int -> bytes:int -> unit
 
 val switch_stat : t -> now:int -> Tpp_isa.Vaddr.Switch_stat.t -> int
 
-val sram_get : t -> int -> int option
+val sram_get : t -> int -> int
+(** SRAM word [i]; [-1] when the index is out of range. *)
+
 val sram_set : t -> int -> int -> bool
 (** [false] when the index is out of range. Values masked to 32 bits. *)
 
-val link_sram_index : t -> slot:int -> port:int -> int option
+val link_sram_index : t -> slot:int -> port:int -> int
 (** SRAM word backing contextual slot [slot] of [port]:
-    [slot * num_ports + port], when in range. *)
+    [slot * num_ports + port], or [-1] when out of range. *)
 
 val update_utilization : t -> window_ns:int -> unit
 (** Recomputes every port's [util_ppm] from the bytes received in the

@@ -35,7 +35,9 @@ type t = {
          routed frame): the unicast fast path returns these instead of
          consing a fresh list each hop. *)
   mutable tcpu_enabled : bool;
-  mutable last_tcpu : Tcpu.result option;
+  tcpu : Compile.ctx;
+      (* the TCPU's execution context, refilled every hop; a switch
+         runs in exactly one shard, so no two domains share it *)
   mutable tap : (now:int -> in_port:int -> out_port:int -> Frame.t -> unit) option;
   mutable bin_tap :
     (now:int -> in_port:int -> out_port:int -> queue_bytes:int ->
@@ -73,7 +75,7 @@ let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
     strip_tpp = [||];
     queued_one = [||];
     tcpu_enabled;
-    last_tcpu = None;
+    tcpu = Compile.context ();
     tap = None;
     bin_tap = None;
     classify_queue = dscp_classifier;
@@ -214,10 +216,7 @@ let process_and_enqueue t ~now (frame : Frame.t) ~out_port =
   let queue_id = max 0 (min (nq - 1) (t.classify_queue frame * nq / 64)) in
   frame.Frame.meta.Meta.queue_id <- queue_id;
   let sub = port.State.Port.queues.(queue_id) in
-  (if t.tcpu_enabled then
-     match Tcpu.execute st ~now ~frame with
-     | Some result -> t.last_tcpu <- Some result
-     | None -> ());
+  if t.tcpu_enabled then ignore (Tcpu.run t.tcpu st ~now ~frame : int);
   let wire = Frame.wire_size frame in
   (* Offered load on this link, drops included: what RCP's y(t) measures. *)
   port.State.Port.window_rx_bytes <- port.State.Port.window_rx_bytes + wire;
@@ -485,5 +484,3 @@ let dequeue t ~port:i =
 
 let queue_bytes t ~port:i = (State.port t.switch_state i).State.Port.queue_bytes
 let queue_packets t ~port:i = State.Port.total_packets (State.port t.switch_state i)
-
-let last_tcpu_result t = t.last_tcpu

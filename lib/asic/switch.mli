@@ -150,10 +150,6 @@ val dequeue_or : t -> port:int -> default:Frame.t -> Frame.t
 val queue_bytes : t -> port:int -> int
 val queue_packets : t -> port:int -> int
 
-val last_tcpu_result : t -> Tcpu.result option
-(** Result of the most recent TPP execution on this switch, for tests
-    and cycle accounting. *)
-
 val set_tap :
   t -> (now:int -> in_port:int -> out_port:int -> Frame.t -> unit) option -> unit
 (** Mirror point after the forwarding decision, used by the

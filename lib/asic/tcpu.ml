@@ -177,42 +177,63 @@ let run_interpreter state ~now ~tpp ~meta =
 (* ---- Compiled backend: link the TPP's shared handle to the cached
    compiled program, compiling on first sight of the bytes. ---- *)
 
-let run_compiled state ~now ~tpp ~meta =
-  let compiled =
-    match Tpp.compiled_handle tpp with
-    | Compile.Compiled c ->
-      (* The template family is already linked: zero lookups. *)
-      state.State.tpp_compile_hits <- state.State.tpp_compile_hits + 1;
-      c
-    | _ ->
-      state.State.tpp_compile_misses <- state.State.tpp_compile_misses + 1;
-      let c = Compile.lookup tpp in
-      Tpp.set_compiled_handle tpp (Compile.Compiled c);
-      c
-  in
-  Compile.run compiled state ~now ~tpp ~meta
+let compiled_for state tpp =
+  match Tpp.compiled_handle tpp with
+  | Compile.Compiled c ->
+    (* The template family is already linked: zero lookups. *)
+    state.State.tpp_compile_hits <- state.State.tpp_compile_hits + 1;
+    c
+  | _ ->
+    state.State.tpp_compile_misses <- state.State.tpp_compile_misses + 1;
+    let c = Compile.lookup tpp in
+    Tpp.set_compiled_handle tpp (Compile.Compiled c);
+    c
+
+(* The one execution core: run the program on either backend, then do
+   the post-processing both share. Allocation-free on the compiled
+   backend; why execution stopped stays in [ctx]. *)
+let run ?backend ctx state ~now ~(frame : Frame.t) =
+  match frame.Frame.tpp with
+  | None -> -1
+  | Some tpp when tpp.Tpp.faulted ->
+    (* A faulted TPP is inert for the rest of its journey. *)
+    -1
+  | Some tpp ->
+    let meta = frame.Frame.meta in
+    let backend = match backend with Some b -> b | None -> Atomic.get default in
+    let executed =
+      match backend with
+      | Compiled -> Compile.run (compiled_for state tpp) ctx state ~now ~tpp ~meta
+      | Interpreter ->
+        let executed, cexec, fault = run_interpreter state ~now ~tpp ~meta in
+        Compile.record_stop ctx ~cexec ~fault;
+        executed
+    in
+    tpp.Tpp.hop <- (tpp.Tpp.hop + 1) land 0xFFFF;
+    if Compile.faulted ctx then begin
+      tpp.Tpp.faulted <- true;
+      state.State.tpp_faults <- state.State.tpp_faults + 1
+    end;
+    state.State.tpp_execs <- state.State.tpp_execs + 1;
+    state.State.tpp_cycles <- state.State.tpp_cycles + cycles_for executed;
+    executed
+
+(* [execute] runs outside any switch, so it borrows its domain's
+   context. *)
+let domain_ctx = Domain.DLS.new_key Compile.context
 
 let execute ?backend state ~now ~frame =
   match frame.Frame.tpp with
   | None -> None
   | Some tpp when tpp.Tpp.faulted ->
-    (* A faulted TPP is inert for the rest of its journey. *)
     Some { executed = 0; cycles = 0; stopped_by_cexec = false; fault = None }
-  | Some tpp ->
-    let meta = frame.Frame.meta in
-    let backend = match backend with Some b -> b | None -> Atomic.get default in
-    let executed, stopped_by_cexec, fault =
-      match backend with
-      | Compiled -> run_compiled state ~now ~tpp ~meta
-      | Interpreter -> run_interpreter state ~now ~tpp ~meta
-    in
-    tpp.Tpp.hop <- (tpp.Tpp.hop + 1) land 0xFFFF;
-    (match fault with
-    | Some _ ->
-      tpp.Tpp.faulted <- true;
-      state.State.tpp_faults <- state.State.tpp_faults + 1
-    | None -> ());
-    let cycles = cycles_for executed in
-    state.State.tpp_execs <- state.State.tpp_execs + 1;
-    state.State.tpp_cycles <- state.State.tpp_cycles + cycles;
-    Some { executed; cycles; stopped_by_cexec; fault }
+  | Some _ ->
+    let ctx = Domain.DLS.get domain_ctx in
+    let executed = run ?backend ctx state ~now ~frame in
+    Some
+      {
+        executed;
+        cycles = cycles_for executed;
+        stopped_by_cexec = Compile.stopped_by_cexec ctx;
+        fault = Compile.fault ctx;
+      }

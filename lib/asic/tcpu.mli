@@ -41,16 +41,25 @@ type result = {
 type backend = Compiled | Interpreter
 
 val set_default_backend : backend -> unit
-(** Process-wide default for {!execute} calls that don't pass
-    [?backend]; starts as [Compiled]. The bench's interpreter baseline
-    runs flip this. *)
+(** Process-wide default for {!run} and {!execute} calls that don't
+    pass [?backend], the switch pipeline's included; starts as
+    [Compiled]. The bench's interpreter baseline runs flip this. *)
 
 val default_backend : unit -> backend
 
+val run :
+  ?backend:backend -> Compile.ctx -> State.t -> now:int -> frame:Tpp_isa.Frame.t -> int
+(** The execution core behind {!execute}, for the per-hop path: runs the
+    frame's TPP, bumps the hop counter, the fault flag and the switch's
+    TPP counters exactly as {!execute} does, and returns the number of
+    instructions executed, or [-1] when nothing ran (no TPP, or one that
+    already faulted). On the [Compiled] backend it allocates nothing.
+    Why execution stopped stays in the context ({!Compile.fault}). *)
+
 val execute : ?backend:backend -> State.t -> now:int -> frame:Tpp_isa.Frame.t -> result option
-(** Runs the frame's TPP, mutating its packet memory / stack pointer /
-    hop counter and any SRAM it stores to, and bumps the switch's
-    TPP counters. [None] when the frame carries no TPP (the TCPU
+(** Runs the frame's TPP through {!run}, mutating its packet memory /
+    stack pointer / hop counter and any SRAM it stores to, and bumps the
+    switch's TPP counters. [None] when the frame carries no TPP (the TCPU
     ignores non-TPP packets). The frame's metadata must already be
     filled in by the forwarding lookup.
 

@@ -74,10 +74,10 @@ let setup_network net =
         let st = Switch.state sw in
         for port = 0 to st.State.num_ports - 1 do
           match State.link_sram_index st ~slot ~port with
-          | Some idx ->
+          | -1 -> ()
+          | idx ->
             let kbps = (State.port st port).State.Port.capacity_bps / 1000 in
             ignore (State.sram_set st idx kbps)
-          | None -> ()
         done)
       switches;
     Ok slot
@@ -85,8 +85,8 @@ let setup_network net =
 let read_rate_kbps sw ~slot ~port =
   let st = Switch.state sw in
   match State.link_sram_index st ~slot ~port with
-  | Some idx -> State.sram_get st idx
-  | None -> None
+  | -1 -> None
+  | idx -> Some (State.sram_get st idx)
 
 type link_sample = {
   switch_id : int;

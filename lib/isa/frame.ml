@@ -183,26 +183,24 @@ let check_consistent ~eth ~tpp ~ip ~udp =
 
 (* ---- Construction: render the wire image into [t.buf] ---- *)
 
+(* Writes [s]'s section after the Ethernet header of [b] and rebases
+   [s] onto it, so the caller's handle keeps working and its stores hit
+   the wire image. Hand-built programs with unencodable operands still
+   get a frame (the TCPU executes the instruction array, not the
+   bytes): their program area is zero-filled and {!serialize} raises,
+   exactly as the record writer did. *)
+let write_tpp_section b s =
+  let prog = Instr.size * Array.length s.Tpp.program in
+  Tpp.write_header_into b ~off:Ethernet.size s;
+  (match Tpp.program_bytes s with
+  | pb -> Bytes.blit pb 0 b (Ethernet.size + 16) prog
+  | exception Invalid_argument _ -> Bytes.fill b (Ethernet.size + 16) prog '\000');
+  Tpp.rebase s ~memory:b ~mem_off:(Ethernet.size + 16 + prog)
+
 (* Writes the full stack and sets the offsets. [t.buf] is grown when the
-   frame (pooled or reused) is too small for this packet. The given
-   [tpp] is rebased onto the buffer, so the caller's handle keeps
-   working and its stores hit the wire image. *)
+   frame (pooled or reused) is too small for this packet. *)
 let render t ?tpp ?ip ?udp ~payload ~eth () =
-  (* Hand-built programs with unencodable operands still get a frame
-     (the TCPU executes the instruction array, not the bytes): their
-     program area is zero-filled and {!serialize} raises, exactly as
-     the record writer did. *)
-  let prog_bytes =
-    match tpp with
-    | Some s -> ( try Some (Tpp.program_bytes s) with Invalid_argument _ -> None)
-    | None -> None
-  in
-  let prog =
-    match tpp with
-    | Some s -> Instr.size * Array.length s.Tpp.program
-    | None -> 0
-  in
-  let sec = match tpp with Some s -> 16 + prog + s.Tpp.mem_len | None -> 0 in
+  let sec = match tpp with Some s -> Tpp.section_size s | None -> 0 in
   let pay = Bytes.length payload in
   let ip_len = match ip with Some _ -> Ipv4.Header.size | None -> 0 in
   let udp_len = match udp with Some _ -> Udp.size | None -> 0 in
@@ -210,14 +208,7 @@ let render t ?tpp ?ip ?udp ~payload ~eth () =
   if Bytes.length t.buf < len then t.buf <- Bytes.create len;
   let b = t.buf in
   Ethernet.Flat.write_into b ~off:0 eth;
-  (match tpp with
-  | Some s ->
-    Tpp.write_header_into b ~off:Ethernet.size s;
-    (match prog_bytes with
-    | Some pb -> Bytes.blit pb 0 b (Ethernet.size + 16) prog
-    | None -> Bytes.fill b (Ethernet.size + 16) prog '\000');
-    Tpp.rebase s ~memory:b ~mem_off:(Ethernet.size + 16 + prog)
-  | None -> ());
+  (match tpp with Some s -> write_tpp_section b s | None -> ());
   let l3 = Ethernet.size + sec in
   (match ip with
   | Some h -> Ipv4.Header.Flat.write_into b ~off:l3 h ~payload_len:(udp_len + pay)
@@ -254,56 +245,43 @@ let make ?tpp ?ip ?udp ?(payload = Bytes.empty) ~eth () =
   render t ?tpp ?ip ?udp ~payload ~eth ();
   t
 
+(* Headers are written straight into the buffer from the arguments, so
+   building a datagram materializes no header record: byte-identical to
+   [render] ([write_into] delegates to the same [write_fields]). *)
 let build_udp t ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?(ttl = 64)
     ?(dscp = 0) ?tpp ~payload () =
-  match tpp with
+  let pay = Bytes.length payload in
+  let l3 =
+    match tpp with Some s -> Ethernet.size + Tpp.section_size s | None -> Ethernet.size
+  in
+  let len = l3 + Ipv4.Header.size + Udp.size + pay in
+  if Bytes.length t.buf < len then t.buf <- Bytes.create len;
+  let b = t.buf in
+  Ethernet.Flat.write_fields b ~off:0 ~dst:dst_mac ~src:src_mac
+    ~ethertype:
+      (match tpp with
+      | Some _ -> Ethernet.ethertype_tpp
+      | None -> Ethernet.ethertype_ipv4);
+  (match tpp with
   | Some s ->
     (* A TPP wrapping an IPv4 datagram must declare it, or transit
        parsers could not find the routing header. *)
     s.Tpp.inner_ethertype <- Ethernet.ethertype_ipv4;
-    let eth =
-      { Ethernet.dst = dst_mac; src = src_mac;
-        ethertype = Ethernet.ethertype_tpp }
-    in
-    let ip =
-      {
-        Ipv4.Header.src = src_ip;
-        dst = dst_ip;
-        proto = Ipv4.proto_udp;
-        ttl;
-        dscp;
-        ecn = 0;
-        ident = fresh_id () land 0xFFFF;
-      }
-    in
-    let udp = { Udp.src_port; dst_port } in
-    render t ~tpp:s ~ip ~udp ~payload ~eth ()
-  | None ->
-    (* Scalar fast path for plain datagrams — the steady-state pooled
-       sender: headers are written straight into the buffer from the
-       arguments, so constructing a packet materializes no record at
-       all. Byte-identical to the record path ([write_into] delegates
-       to the same [write_fields]). *)
-    let pay = Bytes.length payload in
-    let len = Ethernet.size + Ipv4.Header.size + Udp.size + pay in
-    if Bytes.length t.buf < len then t.buf <- Bytes.create len;
-    let b = t.buf in
-    Ethernet.Flat.write_fields b ~off:0 ~dst:dst_mac ~src:src_mac
-      ~ethertype:Ethernet.ethertype_ipv4;
-    let l3 = Ethernet.size in
-    Ipv4.Header.Flat.write_fields b ~off:l3 ~src:src_ip ~dst:dst_ip
-      ~proto:Ipv4.proto_udp ~ttl ~dscp ~ecn:0
-      ~ident:(fresh_id () land 0xFFFF) ~payload_len:(Udp.size + pay);
-    Udp.Flat.write_fields b ~off:(l3 + Ipv4.Header.size) ~src_port ~dst_port
-      ~payload_len:pay;
-    let pay_off = l3 + Ipv4.Header.size + Udp.size in
-    Bytes.blit payload 0 b pay_off pay;
-    t.len <- len;
-    t.tpp <- None;
-    t.ip_off <- l3;
-    t.udp_off <- l3 + Ipv4.Header.size;
-    t.pay_off <- pay_off;
-    t.flow_hash_cache <- min_int
+    write_tpp_section b s
+  | None -> ());
+  Ipv4.Header.Flat.write_fields b ~off:l3 ~src:src_ip ~dst:dst_ip
+    ~proto:Ipv4.proto_udp ~ttl ~dscp ~ecn:0
+    ~ident:(fresh_id () land 0xFFFF) ~payload_len:(Udp.size + pay);
+  Udp.Flat.write_fields b ~off:(l3 + Ipv4.Header.size) ~src_port ~dst_port
+    ~payload_len:pay;
+  let pay_off = l3 + Ipv4.Header.size + Udp.size in
+  Bytes.blit payload 0 b pay_off pay;
+  t.len <- len;
+  t.tpp <- tpp;
+  t.ip_off <- l3;
+  t.udp_off <- l3 + Ipv4.Header.size;
+  t.pay_off <- pay_off;
+  t.flow_hash_cache <- min_int
 
 let udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?ttl ?dscp
     ?tpp ~payload () =
@@ -570,8 +548,7 @@ module Pool = struct
      section the end-host stack emits. *)
   let default_frame_bytes = 2048
 
-  let create ?(capacity = 256) ?(frame_bytes = default_frame_bytes) () =
-    if capacity <= 0 then invalid_arg "Frame.Pool.create: capacity";
+  let create ?(frame_bytes = default_frame_bytes) () =
     if frame_bytes < Ethernet.size then invalid_arg "Frame.Pool.create: frame_bytes";
     {
       frame_bytes;

@@ -192,7 +192,7 @@ module Pool : sig
   type frame = t
   type t = pool
 
-  val create : ?capacity:int -> ?frame_bytes:int -> unit -> t
+  val create : ?frame_bytes:int -> unit -> t
   (** [frame_bytes] (default 2048) is the buffer capacity preallocated
       per frame — MTU-sized datagram plus TPP section headroom. *)
 

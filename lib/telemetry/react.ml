@@ -76,7 +76,7 @@ let set_drain_flag t ~switch =
   | None -> ()
   | Some addr ->
     let sw = Net.switch t.net switch in
-    let prev = Option.value ~default:0 (State.sram_get (Switch.state sw) addr) in
+    let prev = max 0 (State.sram_get (Switch.state sw) addr) in
     ignore (State.sram_set (Switch.state sw) addr (prev + 1))
 
 let drain t ~switch ~port =

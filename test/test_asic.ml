@@ -55,21 +55,21 @@ let test_utilization_window () =
 let test_sram_accessors () =
   let st = mk () in
   check Alcotest.bool "set" true (State.sram_set st 0 0xFFFF_FFFF);
-  check (Alcotest.option Alcotest.int) "get" (Some 0xFFFF_FFFF) (State.sram_get st 0);
+  check Alcotest.int "get" 0xFFFF_FFFF (State.sram_get st 0);
   check Alcotest.bool "set masks" true (State.sram_set st 1 0x1_0000_0002);
-  check (Alcotest.option Alcotest.int) "masked" (Some 2) (State.sram_get st 1);
+  check Alcotest.int "masked" 2 (State.sram_get st 1);
   check Alcotest.bool "oob set" false (State.sram_set st Vaddr.sram_words 1);
-  check (Alcotest.option Alcotest.int) "oob get" None (State.sram_get st (-1))
+  check Alcotest.int "oob get" (-1) (State.sram_get st (-1))
 
 let test_link_sram_index () =
   let st = mk ~num_ports:4 () in
-  check (Alcotest.option Alcotest.int) "slot 0 port 0" (Some 0)
+  check Alcotest.int "slot 0 port 0" 0
     (State.link_sram_index st ~slot:0 ~port:0);
-  check (Alcotest.option Alcotest.int) "slot 2 port 3" (Some 11)
+  check Alcotest.int "slot 2 port 3" 11
     (State.link_sram_index st ~slot:2 ~port:3);
-  check (Alcotest.option Alcotest.int) "port oob" None
+  check Alcotest.int "port oob" (-1)
     (State.link_sram_index st ~slot:0 ~port:4);
-  check (Alcotest.option Alcotest.int) "slot oob" None
+  check Alcotest.int "slot oob" (-1)
     (State.link_sram_index st ~slot:Vaddr.link_sram_slots ~port:0)
 
 (* --- Alloc -------------------------------------------------------------- *)
@@ -99,7 +99,7 @@ let test_alloc_link_slots () =
   check Alcotest.int "first slot" 0 s0;
   check Alcotest.int "second slot" 1 s1;
   (* Their backing words are what link_sram_index reports. *)
-  check (Alcotest.option Alcotest.int) "backing" (Some 4)
+  check Alcotest.int "backing" 4
     (State.link_sram_index st ~slot:1 ~port:0)
 
 let test_alloc_mixed_no_overlap () =
@@ -156,7 +156,7 @@ let test_mmu_contextual_sram () =
   let meta = meta_with ~out_port:3 in
   (* LinkSram slot 1 of port 3 backs raw SRAM word 1*4+3 = 7. *)
   check Alcotest.bool "write" true (Result.is_ok (Mmu.write st ~meta (0x180 + 1) 555));
-  check (Alcotest.option Alcotest.int) "lands in word 7" (Some 555) (State.sram_get st 7);
+  check Alcotest.int "lands in word 7" 555 (State.sram_get st 7);
   check Alcotest.int "reads back" 555
     (Result.get_ok (Mmu.read st ~meta ~now:0 (0x180 + 1)))
 

@@ -139,7 +139,7 @@ let test_word_directive_executes () =
   in
   frame.Frame.meta.Meta.out_port <- 0;
   ignore (Tpp_asic.Tcpu.execute st ~now:0 ~frame);
-  check (Alcotest.option Alcotest.int) "stored" (Some 4242)
+  check Alcotest.int "stored" 4242
     (Tpp_asic.State.sram_get st 9)
 
 let test_word_directive_errors () =

@@ -84,9 +84,9 @@ let test_task_accounting_end_to_end () =
   let base = Option.get task.Controller.word_base in
   List.iter
     (fun (_, sw) ->
-      check (Alcotest.option Alcotest.int)
+      check Alcotest.int
         (Printf.sprintf "switch %d counted every packet" (Switch.id sw))
-        (Some 5)
+        5
         (State.sram_get (Switch.state sw) base))
     (Net.switches net)
 

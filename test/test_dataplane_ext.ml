@@ -233,7 +233,7 @@ let test_per_queue_stats_and_isolation () =
   | Switch.Queued _ -> ()
   | Switch.Dropped r -> Alcotest.failf "EF queue should be open: %s" r);
   let st = Switch.state sw in
-  let q queue stat = Option.get (Tpp_asic.State.queue_stat st ~port:2 ~queue stat) in
+  let q queue stat = Tpp_asic.State.queue_stat st ~port:2 ~queue stat in
   check Alcotest.int "q0 occupancy" wire (q 0 Vaddr.Queue_stat.Q_bytes);
   check Alcotest.int "q0 dropped bytes" wire (q 0 Vaddr.Queue_stat.Q_dropped);
   check Alcotest.int "q0 enqueued bytes" wire (q 0 Vaddr.Queue_stat.Q_enqueued);

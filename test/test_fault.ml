@@ -146,7 +146,7 @@ let test_freeze_restart () =
   let s = Fault.stats f in
   check Alcotest.int "arrival vanished" 1 s.Fault.frozen_arrivals;
   check Alcotest.int "one restart" 1 s.Fault.restarts;
-  check (Alcotest.option Alcotest.int) "SRAM wiped" (Some 0)
+  check Alcotest.int "SRAM wiped" 0
     (Switch_state.sram_get st 0);
   check Alcotest.int "post-restart frame delivered" 1 (Net.frames_delivered net)
 

@@ -144,20 +144,24 @@ let prop_pooled_construction_identical =
   QCheck.Test.make
     ~name:"pooled and unpooled frames render the same wire image" ~count:300
     frame_spec_arbitrary
-    (fun (sport, dport, ip, ttl, payload, _) ->
-      (* The pool path is exercised on plain UDP (its steady-state use),
-         so the spec's TPP component is dropped on both sides. *)
-      let pool = Frame.Pool.create ~capacity:4 ~frame_bytes:256 () in
+    (fun (sport, dport, ip, ttl, payload, tpp) ->
+      (* Each side gets its own TPP: building rebases it onto the frame. *)
+      let tpp () =
+        Option.map
+          (fun (prog, mem_words) -> Prog.make ~program:prog ~mem_len:(4 * mem_words) ())
+          tpp
+      in
+      let pool = Frame.Pool.create ~frame_bytes:256 () in
       let pooled =
         Frame.Pool.udp_frame pool ~src_mac:mac_a ~dst_mac:mac_b
           ~src_ip:(Ipv4.Addr.of_int ip) ~dst_ip:(Ipv4.Addr.of_host_id 2)
-          ~src_port:sport ~dst_port:dport ~ttl
+          ~src_port:sport ~dst_port:dport ~ttl ?tpp:(tpp ())
           ~payload:(Bytes.of_string payload) ()
       in
       let plain =
         Frame.udp_frame ~src_mac:mac_a ~dst_mac:mac_b
           ~src_ip:(Ipv4.Addr.of_int ip) ~dst_ip:(Ipv4.Addr.of_host_id 2)
-          ~src_port:sport ~dst_port:dport ~ttl
+          ~src_port:sport ~dst_port:dport ~ttl ?tpp:(tpp ())
           ~payload:(Bytes.of_string payload) ()
       in
       (* The IP ident is the one constructor input drawn from the global
@@ -169,7 +173,7 @@ let prop_pooled_construction_identical =
       && Frame.wire_size pooled = Frame.wire_size plain)
 
 let test_pool_reuse () =
-  let pool = Frame.Pool.create ~capacity:2 ~frame_bytes:256 () in
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
   let send payload =
     Frame.Pool.udp_frame pool ~src_mac:mac_a ~dst_mac:mac_b
       ~src_ip:(Ipv4.Addr.of_host_id 1) ~dst_ip:(Ipv4.Addr.of_host_id 2)
@@ -207,7 +211,7 @@ let test_pool_reuse () =
     (Frame.Pool.outstanding pool)
 
 let test_clone_is_private () =
-  let pool = Frame.Pool.create ~capacity:2 ~frame_bytes:256 () in
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
   let f =
     Frame.Pool.udp_frame pool ~src_mac:mac_a ~dst_mac:mac_b
       ~src_ip:(Ipv4.Addr.of_host_id 1) ~dst_ip:(Ipv4.Addr.of_host_id 2)

@@ -347,7 +347,7 @@ let test_wire_check_modes_agree () =
    one buffer instead of leaking N. *)
 let test_wire_check_always_recycles_pooled () =
   let eng, net, a, b = two_hosts () in
-  let pool = Frame.Pool.create ~capacity:4 ~frame_bytes:256 () in
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
   let sends = 100 in
   for _ = 1 to sends do
     Net.host_send net a

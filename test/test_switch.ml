@@ -13,6 +13,11 @@ let host_frame ?tpp ?(payload = 100) ~to_ip () =
 
 let dst_ip = Ipv4.Addr.of_host_id 2
 
+let host_frame_in pool ?tpp ~to_ip () =
+  Frame.Pool.udp_frame pool ~src_mac:(Mac.of_host_id 1) ~dst_mac:(Mac.of_host_id 2)
+    ~src_ip:(Ipv4.Addr.of_host_id 1) ~dst_ip:to_ip ~src_port:5 ~dst_port:6 ?tpp
+    ~payload:(Bytes.create 100) ()
+
 let make_switch () =
   let sw = Switch.create ~id:1 ~num_ports:4 () in
   Switch.install_route sw (Ipv4.Prefix.host dst_ip) ~port:2 ~entry_id:11 ~version:1;
@@ -119,9 +124,106 @@ let test_tcpu_runs_in_pipeline () =
   (* The queue was empty when the probe was about to join it. *)
   check (Alcotest.list Alcotest.int) "reads pre-enqueue occupancy" [ 0 ]
     (Prog.stack_values tpp);
-  match Switch.last_tcpu_result sw with
-  | Some r -> check Alcotest.int "one instruction" 1 r.Tpp_asic.Tcpu.executed
-  | None -> Alcotest.fail "no TCPU result recorded"
+  let st = Switch.state sw in
+  check Alcotest.int "one execution" 1 st.State.tpp_execs;
+  check Alcotest.int "one instruction's cycles" (Tpp_asic.Tcpu.cycles_for 1)
+    st.State.tpp_cycles
+
+(* The switch runs its TPPs through the same core as [Tcpu.execute],
+   so flipping the process default to the interpreter must reach the
+   pipeline too: no compile-cache traffic, yet the hop still executes. *)
+let test_tcpu_honours_default_backend () =
+  let sw = make_switch () in
+  Tpp_asic.Tcpu.set_default_backend Tpp_asic.Tcpu.Interpreter;
+  Fun.protect
+    ~finally:(fun () -> Tpp_asic.Tcpu.set_default_backend Tpp_asic.Tcpu.Compiled)
+    (fun () ->
+      let frame = host_frame ~tpp:(probe_tpp ()) ~to_ip:dst_ip () in
+      ignore (Switch.handle_ingress sw ~now:0 ~in_port:0 frame);
+      let st = Switch.state sw in
+      check Alcotest.int "executed" 1 st.State.tpp_execs;
+      check Alcotest.int "no compile hits" 0 st.State.tpp_compile_hits;
+      check Alcotest.int "no compile misses" 0 st.State.tpp_compile_misses;
+      check (Alcotest.list Alcotest.int) "interpreted the probe" [ 0 ]
+        (Prog.stack_values (Option.get frame.Frame.tpp)))
+
+(* One TPP per canned program, plus one reading both SRAM namespaces
+   (the canned ones read only registers). *)
+let canned_tpps () =
+  let sram =
+    match Asm.to_tpp ~mem_len:16 "PUSH [Sram:0]\nPUSH [LinkSram:0]\n" with
+    | Ok tpp -> tpp
+    | Error e -> Alcotest.failf "assembly: %s" e
+  in
+  List.map
+    (fun (name, src) ->
+      match Programs.build src with
+      | Ok tpp -> tpp
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    Programs.all
+  |> List.cons sram |> Array.of_list
+
+(* A TPP hop allocates nothing: every canned program crosses the switch
+   (ingress, lookup, TCPU, enqueue) and is dequeued again, many times,
+   with an exact [Gc.minor_words] budget of zero. The first pass warms
+   the compile cache and the switch's lazily built port state. Between
+   hops each frame is reset to a fresh TTL and an empty stack, as a new
+   packet would arrive. *)
+let test_tpp_hop_allocates_nothing () =
+  let sw = make_switch () in
+  let pool = Frame.Pool.create () in
+  let frames =
+    Array.map (fun tpp -> host_frame_in pool ~tpp ~to_ip:dst_ip ()) (canned_tpps ())
+  in
+  let hop f =
+    Frame.set_ip_ttl f 64;
+    (match f.Frame.tpp with
+    | Some t ->
+      t.Prog.hop <- 0;
+      t.Prog.sp <- t.Prog.base
+    | None -> ());
+    match Switch.handle_ingress sw ~now:0 ~in_port:0 f with
+    | Switch.Queued (port :: _) ->
+      if Switch.dequeue_or sw ~port ~default:f != f then
+        Alcotest.fail "dequeued a different frame"
+    | _ -> Alcotest.fail "TPP frame not forwarded"
+  in
+  Array.iter hop frames;
+  let rounds = 2_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Array.iter hop frames
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let st = Switch.state sw in
+  check Alcotest.int "every hop executed" ((rounds + 1) * Array.length frames)
+    st.State.tpp_execs;
+  check Alcotest.int "no faults" 0 st.State.tpp_faults;
+  check (Alcotest.float 0.0) "minor words across TPP hops" 0.0 words
+
+(* Building a pooled TPP datagram allocates nothing beyond the caller's
+   [Tpp.t]: the section, IPv4 and UDP headers are written straight into
+   the recycled buffer. *)
+let test_pooled_tpp_build_allocates_nothing () =
+  let pool = Frame.Pool.create () in
+  let tpps = Array.map Option.some (canned_tpps ()) in
+  let payload = Bytes.create 100 in
+  let src_mac = Mac.of_host_id 1 and dst_mac = Mac.of_host_id 2 in
+  let src_ip = Ipv4.Addr.of_host_id 1 in
+  let build tpp =
+    Frame.recycle
+      (Frame.Pool.udp_frame pool ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port:5
+         ~dst_port:6 ?tpp ~payload ())
+  in
+  Array.iter build tpps;
+  let rounds = 2_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Array.iter build tpps
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "one frame, reused" 1 (Frame.Pool.created pool);
+  check (Alcotest.float 0.0) "minor words across pooled TPP builds" 0.0 words
 
 let test_tcpu_sees_prior_queue () =
   let sw = make_switch () in
@@ -192,6 +294,12 @@ let suite =
       test_queue_accounting_and_tail_drop;
     Alcotest.test_case "rx counters" `Quick test_rx_counters;
     Alcotest.test_case "tcpu in pipeline" `Quick test_tcpu_runs_in_pipeline;
+    Alcotest.test_case "tcpu honours the default backend" `Quick
+      test_tcpu_honours_default_backend;
+    Alcotest.test_case "switch TPP hop allocates nothing" `Quick
+      test_tpp_hop_allocates_nothing;
+    Alcotest.test_case "pooled TPP build allocates nothing" `Quick
+      test_pooled_tpp_build_allocates_nothing;
     Alcotest.test_case "tcpu sees prior queue" `Quick test_tcpu_sees_prior_queue;
     Alcotest.test_case "tcpu disabled" `Quick test_tcpu_disabled;
     Alcotest.test_case "strip tpp at edge" `Quick test_strip_tpp_at_edge;

@@ -76,7 +76,7 @@ let test_pop_and_store_to_sram () =
   let frame = frame_of ~mem_len:16 "PUSH [Queue:QueueSize]\nPOP [Sram:3]\n" in
   let r = exec st frame in
   check Alcotest.bool "ok" true (r.Tcpu.fault = None);
-  check (Alcotest.option Alcotest.int) "sram got the value" (Some 4242)
+  check Alcotest.int "sram got the value" 4242
     (State.sram_get st 3);
   check Alcotest.int "sp back to base" 0 (tpp_of frame).Prog.sp
 
@@ -92,7 +92,7 @@ let test_load_store_mov () =
   check Alcotest.bool "ok" true (r.Tcpu.fault = None);
   check Alcotest.int "load" 55 (Prog.mem_get (tpp_of frame) 0);
   check Alcotest.int "mov imm" 99 (Prog.mem_get (tpp_of frame) 4);
-  check (Alcotest.option Alcotest.int) "store" (Some 99) (State.sram_get st 1)
+  check Alcotest.int "store" 99 (State.sram_get st 1)
 
 let binop_case op a b expected () =
   let st = make_state () in
@@ -114,7 +114,7 @@ let test_arith_on_sram () =
   ignore (State.sram_set st 0 10);
   let frame = frame_of ~mem_len:8 "ADD [Sram:0], 5\n" in
   ignore (exec st frame);
-  check (Alcotest.option Alcotest.int) "in-switch add" (Some 15) (State.sram_get st 0)
+  check Alcotest.int "in-switch add" 15 (State.sram_get st 0)
 
 let test_cstore_success_and_failure () =
   let st = make_state () in
@@ -123,12 +123,12 @@ let test_cstore_success_and_failure () =
   let frame = frame_of ~mem_len:0 "CSTORE [Sram:4], 5, 9\n" in
   let r = exec st frame in
   check Alcotest.bool "ok" true (r.Tcpu.fault = None);
-  check (Alcotest.option Alcotest.int) "stored" (Some 9) (State.sram_get st 4);
+  check Alcotest.int "stored" 9 (State.sram_get st 4);
   check Alcotest.int "old value reported" 5 (Prog.mem_get (tpp_of frame) 0);
   (* Fails: register is now 9, expect 5 again. *)
   let frame2 = frame_of ~mem_len:0 "CSTORE [Sram:4], 5, 1\n" in
   ignore (exec st frame2);
-  check (Alcotest.option Alcotest.int) "unchanged" (Some 9) (State.sram_get st 4);
+  check Alcotest.int "unchanged" 9 (State.sram_get st 4);
   check Alcotest.int "old value exposes failure" 9 (Prog.mem_get (tpp_of frame2) 0)
 
 let test_cexec_gates_execution () =
