@@ -565,6 +565,10 @@ let run t c state ~now ~(tpp : Tpp.t) ~(meta : Meta.t) =
   c.state <- state;
   c.meta <- meta;
   c.tpp <- tpp;
+  (* Micro-ops store into the bound buffer directly, past [Tpp.mem_set]'s
+     copy on write, so a copy still sharing its template's memory takes
+     its private copy first. *)
+  Tpp.unshare tpp;
   c.memory <- tpp.Tpp.memory;
   c.mem_off <- tpp.Tpp.mem_off;
   c.now <- now;

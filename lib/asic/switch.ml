@@ -364,7 +364,13 @@ let handle_ingress t ~now ~in_port frame =
         Array.length t.strip_tpp > 0
         && t.strip_tpp.(in_port)
         && Option.is_some frame.Frame.tpp
-      then Frame.with_tpp frame None
+      then begin
+        (* The stripped copy travels on; the original goes back to its
+           pool (a no-op if unpooled). *)
+        let stripped = Frame.with_tpp frame None in
+        Frame.recycle frame;
+        stripped
+      end
       else frame
     in
     let wire = Frame.wire_size frame in

@@ -517,6 +517,7 @@ let with_tpp t tpp =
     ip_off = (if t.ip_off >= 0 then t.ip_off + shift else -1);
     udp_off = (if t.udp_off >= 0 then t.udp_off + shift else -1);
     pay_off = t.pay_off + shift;
+    meta = Meta.copy t.meta;
     home = no_pool;
     in_free_list = false;
   }
@@ -634,7 +635,8 @@ let materialize ~pool ~id ~hop_count src ~pos ~len =
    unpooled frames, frames already in their free list, and frames being
    recycled from a foreign domain are all left alone. After recycling,
    the caller must not touch the frame again — the pool will hand its
-   buffer to a future packet. *)
+   buffer to a future packet — nor its TPP, if that was a [Tpp.copy]:
+   the copy goes back to its family's spare stack. *)
 let recycle t =
   let p = t.home in
   if
@@ -643,6 +645,7 @@ let recycle t =
     && (Domain.self () :> int) = p.pool_dom
   then begin
     t.in_free_list <- true;
+    (match t.tpp with Some s -> Tpp.release s ~memory:t.buf | None -> ());
     t.tpp <- None;
     if p.free_len = Array.length p.free then begin
       let grown = Array.make (max 16 (2 * Array.length p.free)) t in

@@ -170,9 +170,10 @@ val parse : ?len:int -> bytes -> (t, string) result
     with offsets precomputed, and is never pooled. *)
 
 val with_tpp : t -> Tpp.t option -> t
-(** Same frame (same id) with the TPP section replaced — the one
-    layout-changing operation; builds a fresh buffer. [tpp] is rebased
-    onto it. *)
+(** Same frame (same id, a copy of its metadata) with the TPP section
+    replaced — the one layout-changing operation; builds a fresh,
+    unpooled buffer, so the original may be recycled at once. [tpp] is
+    rebased onto it. *)
 
 val clone : t -> t
 (** Independent copy with a fresh id, fresh metadata and a private
@@ -259,6 +260,7 @@ val recycle : t -> unit
 (** Returns a pooled frame to its free list. Safe on any frame:
     unpooled frames, double recycles and foreign-domain recycles are
     no-ops. After a successful recycle the caller must not touch the
-    frame again. *)
+    frame again, nor a {!Tpp.copy} it carried: that record returns to
+    its family's spare stack ({!Tpp.release}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,6 +21,8 @@ let create () =
     hop_count = 0;
   }
 
+let copy t = { t with in_port = t.in_port }
+
 let reset t =
   t.in_port <- 0;
   t.out_port <- 0;

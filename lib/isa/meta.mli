@@ -18,6 +18,9 @@ type t = {
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent record with the same field values. *)
+
 val reset : t -> unit
 (** Clears everything except [hop_count] (which survives across hops). *)
 

@@ -5,15 +5,28 @@ type addr_mode = Stack | Hop_addressed
 type compiled = ..
 type compiled += Not_compiled
 
+(* What a record may do with its packet memory. [Private]: a standalone
+   buffer only this record writes. [Shared]: a standalone buffer that
+   copies may also read, so the first store copies it (copy on write).
+   [Embedded]: a window of a frame's (or a caller's) buffer, written in
+   place. [Retired]: a copy whose pooled frame was recycled; it waits in
+   its family's spare stack and every use raises. *)
+type state = Private | Shared | Embedded | Retired
+
 (* One cell per program "family": every [copy] shares it, so compiling
    any member (or even just computing the identity key) pays for all of
    them. The handle is atomic because frames — and therefore their TPPs
    — migrate between the domains of a sharded run; a stale read only
-   costs a cache lookup, never correctness. *)
+   costs a cache lookup, never correctness. The spare stack holds
+   retired copies for [copy] to reuse; only the [owner] domain touches
+   it, under the same rule as [Frame.Pool]. *)
 type exec_cache = {
   mutable key : string option;
   handle : compiled Atomic.t;
   mutable code : bytes option;  (* wire encoding of the program *)
+  owner : int;                  (* Domain.id that made the family *)
+  mutable spare : t array;      (* retired copies in [0, spare_len) *)
+  mutable spare_len : int;
 }
 
 (* Packet memory is a window [mem_off, mem_off + mem_len) of [memory]:
@@ -22,7 +35,7 @@ type exec_cache = {
    TCPU word store patches the wire image in place. [sp], [hop] and
    [faulted] stay authoritative in the record between hops; the frame
    layer flushes them into the serialized section header on export. *)
-type t = {
+and t = {
   mutable faulted : bool;
   addr_mode : addr_mode;
   perhop_len : int;
@@ -35,9 +48,13 @@ type t = {
   mem_len : int;
   mutable inner_ethertype : int;
   cache : exec_cache;
+  mutable state : state;
+  minted : bool;  (* made by [copy]: recycled with its pooled frame *)
 }
 
-let fresh_cache () = { key = None; handle = Atomic.make Not_compiled; code = None }
+let fresh_cache () =
+  { key = None; handle = Atomic.make Not_compiled; code = None;
+    owner = (Domain.self () :> int); spare = [||]; spare_len = 0 }
 
 let header_size = 16
 
@@ -75,31 +92,105 @@ let make ?(addr_mode = Stack) ?(perhop_len = 0) ?(pool = Bytes.empty)
     mem_len = total_mem;
     inner_ethertype;
     cache = fresh_cache ();
+    state = Private;
+    minted = false;
   }
 
-(* Programs are immutable after construction, so copies share the
-   instruction array and the compiled-code cell; only the packet memory
-   (the mutable per-packet state) is duplicated — always into a private
-   standalone buffer, even when the original aliases a frame. *)
-let copy t =
+let[@inline never] retired () =
+  invalid_arg "Tpp: a copy used after its frame was recycled"
+
+(* A standalone buffer holding the current memory contents. *)
+let snapshot t =
   let m = Bytes.create t.mem_len in
   Bytes.blit t.memory t.mem_off m 0 t.mem_len;
-  { t with memory = m; mem_off = 0 }
+  m
+
+let unshare t =
+  match t.state with
+  | Private | Embedded -> ()
+  | Shared ->
+    t.memory <- snapshot t;
+    t.mem_off <- 0;
+    t.state <- Private
+  | Retired -> retired ()
+
+(* A copy record over [memory]: a retired one from the family's spare
+   stack when this domain owns the family, else a fresh one. Records of
+   one family differ only in their mutable fields, so reusing one means
+   refilling exactly those. *)
+let mint t ~memory ~mem_off ~state =
+  let c = t.cache in
+  if c.spare_len > 0 && c.owner = (Domain.self () :> int) then begin
+    c.spare_len <- c.spare_len - 1;
+    let v = c.spare.(c.spare_len) in
+    v.faulted <- t.faulted;
+    v.sp <- t.sp;
+    v.hop <- t.hop;
+    v.memory <- memory;
+    v.mem_off <- mem_off;
+    v.inner_ethertype <- t.inner_ethertype;
+    v.state <- state;
+    v
+  end
+  else { t with memory; mem_off; state; minted = true }
+
+(* Programs are immutable after construction, so copies share the
+   instruction array and the compiled-code cell. Packet memory is shared
+   too while it is standalone: both sides become [Shared] and the first
+   store on either side copies it, so a template re-sent unchanged is
+   blitted once, by [rebase], straight into the frame. Memory embedded
+   in a frame changes under the TCPU without going through [mem_set],
+   so a copy of it is a snapshot. *)
+let copy t =
+  match t.state with
+  | Retired -> retired ()
+  | Embedded -> mint t ~memory:(snapshot t) ~mem_off:0 ~state:Private
+  | Private | Shared ->
+    t.state <- Shared;
+    mint t ~memory:t.memory ~mem_off:t.mem_off ~state:Shared
 
 (* Fresh view over a different backing buffer whose bytes already hold
    this TPP's memory image at [mem_off] (frame cloning). Shares the
    program and compiled-code cell, snapshots sp/hop/faulted. *)
-let reseat t ~memory ~mem_off = { t with memory; mem_off }
+let reseat t ~memory ~mem_off =
+  if t.state = Retired then retired ();
+  { t with memory; mem_off; state = Embedded; minted = false }
 
 (* Moves this TPP's packet memory into [memory] at [mem_off], carrying
    the current contents along (frame embedding: subsequent mem stores
-   land in the frame's backing buffer). *)
+   land in the frame's backing buffer). A shared buffer is only read,
+   so this is the one blit a copy of a template costs. *)
 let rebase t ~memory ~mem_off =
+  if t.state = Retired then retired ();
   if mem_off < 0 || mem_off + t.mem_len > Bytes.length memory then
     invalid_arg "Tpp.rebase: window out of range";
   Bytes.blit t.memory t.mem_off memory mem_off t.mem_len;
   t.memory <- memory;
-  t.mem_off <- mem_off
+  t.mem_off <- mem_off;
+  t.state <- Embedded
+
+(* A copy embedded in [memory] — the buffer of a pooled frame being
+   recycled — ends its life there: it is retired onto its family's
+   spare stack for the next [copy]. Anything else keeps its lifetime:
+   records the caller made or passed in directly, a copy since moved to
+   another buffer, and families another domain owns. *)
+let release t ~memory =
+  let c = t.cache in
+  if
+    t.minted && t.state = Embedded && t.memory == memory
+    && c.owner = (Domain.self () :> int)
+  then begin
+    t.state <- Retired;
+    t.memory <- Bytes.empty;
+    t.mem_off <- 0;
+    if c.spare_len = Array.length c.spare then begin
+      let grown = Array.make (max 16 (2 * c.spare_len)) t in
+      Array.blit c.spare 0 grown 0 c.spare_len;
+      c.spare <- grown
+    end;
+    c.spare.(c.spare_len) <- t;
+    c.spare_len <- c.spare_len + 1
+  end
 
 let program_key t =
   match t.cache.key with
@@ -138,11 +229,13 @@ let set_compiled_handle t c = Atomic.set t.cache.handle c
 let oob what = raise (Buf.Out_of_bounds what)
 
 let mem_get t off =
+  if t.state = Retired then retired ();
   if off < 0 || off + 4 > t.mem_len then oob "Tpp.mem_get";
   Int32.to_int (Bytes.get_int32_be t.memory (t.mem_off + off)) land 0xFFFF_FFFF
 
 let mem_set t off v =
   if off < 0 || off + 4 > t.mem_len then oob "Tpp.mem_set";
+  unshare t;
   Bytes.set_int32_be t.memory (t.mem_off + off) (Int32.of_int (v land 0xFFFF_FFFF))
 
 let words t =
@@ -177,6 +270,7 @@ let write_header_into b ~off t =
   Bytes.set_uint16_be b (off + 14) t.base
 
 let write w t =
+  if t.state = Retired then retired ();
   Buf.Writer.u8 w 1;
   Buf.Writer.u8 w (flags_of t);
   Buf.Writer.u16 w (Instr.size * Array.length t.program);
@@ -237,6 +331,8 @@ let read r =
                 mem_len;
                 inner_ethertype;
                 cache = fresh_cache ();
+                state = Private;
+                minted = false;
               }
       end
     end

@@ -224,6 +224,78 @@ let test_clone_is_private () =
   Alcotest.(check int) "patching the clone leaves the original intact" ttl
     (Frame.ip_ttl f)
 
+(* ---- TPP copies live and die with their pooled frames ---- *)
+
+let tpp_frame_in pool tpp =
+  Frame.Pool.udp_frame pool ~src_mac:mac_a ~dst_mac:mac_b
+    ~src_ip:(Ipv4.Addr.of_host_id 1) ~dst_ip:(Ipv4.Addr.of_host_id 2)
+    ~src_port:5 ~dst_port:7 ~tpp ~payload:(Bytes.make 8 'x') ()
+
+let template () =
+  Prog.make ~program:[ Instr.Push (Instr.Sw 0); Instr.Halt ] ~mem_len:16 ()
+
+let test_copy_recycled_with_frame () =
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
+  let tpl = template () in
+  let v = Prog.copy tpl in
+  let f = tpp_frame_in pool v in
+  Alcotest.(check bool) "embedded in the wire image" true (v.Prog.memory == f.Frame.buf);
+  Frame.recycle f;
+  Alcotest.(check int) "back on the family's spare stack" 1 tpl.Prog.cache.Prog.spare_len;
+  let raises what g =
+    match g () with
+    | _ -> Alcotest.failf "%s of a recycled copy did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "mem_get" (fun () -> Prog.mem_get v 0);
+  raises "mem_set" (fun () -> Prog.mem_set v 0 1);
+  raises "copy" (fun () -> ignore (Prog.copy v));
+  raises "write" (fun () -> Prog.write (Buf.Writer.create ()) v);
+  raises "build" (fun () -> ignore (tpp_frame_in pool v));
+  let w = Prog.copy tpl in
+  Alcotest.(check bool) "the next copy reuses the record" true (w == v);
+  Alcotest.(check int) "spare stack drained" 0 tpl.Prog.cache.Prog.spare_len;
+  Alcotest.(check (list int)) "reused record reads the template" (Prog.words tpl)
+    (Prog.words w)
+
+(* A template handed to a pooled build directly keeps today's lifetime:
+   recycling the frame neither retires it nor stacks it. *)
+let test_template_never_stacked () =
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
+  let tpl = template () in
+  Prog.mem_set tpl 4 3;
+  Frame.recycle (tpp_frame_in pool tpl);
+  Alcotest.(check int) "no spare" 0 tpl.Prog.cache.Prog.spare_len;
+  Alcotest.(check int) "template still readable" 3 (Prog.mem_get tpl 4);
+  let v = Prog.copy tpl in
+  Alcotest.(check bool) "a fresh copy" true (v != tpl);
+  Alcotest.(check int) "copy reads the template" 3 (Prog.mem_get v 4)
+
+(* The spare stack belongs to the domain that made the family: copies
+   of a family made in another domain are never stacked, and that
+   domain's stack is never popped here. *)
+let test_foreign_family_never_pooled () =
+  let tpl = Domain.join (Domain.spawn template) in
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
+  let v = Prog.copy tpl in
+  Frame.recycle (tpp_frame_in pool v);
+  Alcotest.(check int) "not stacked" 0 tpl.Prog.cache.Prog.spare_len;
+  Alcotest.(check bool) "still live" true (v.Prog.state <> Prog.Retired);
+  Alcotest.(check bool) "next copy is a fresh record" true (Prog.copy tpl != v)
+
+let test_with_tpp_copies_meta () =
+  let f =
+    Frame.udp_frame ~src_mac:mac_a ~dst_mac:mac_b ~src_ip:(Ipv4.Addr.of_host_id 1)
+      ~dst_ip:(Ipv4.Addr.of_host_id 2) ~src_port:5 ~dst_port:7
+      ~tpp:(template ()) ~payload:Bytes.empty ()
+  in
+  f.Frame.meta.Meta.hop_count <- 4;
+  let g = Frame.with_tpp f None in
+  Alcotest.(check bool) "own metadata" true (g.Frame.meta != f.Frame.meta);
+  Alcotest.(check int) "same values" 4 g.Frame.meta.Meta.hop_count;
+  Meta.clear f.Frame.meta;
+  Alcotest.(check int) "clearing the original leaves it" 4 g.Frame.meta.Meta.hop_count
+
 (* ---- pcap golden image ------------------------------------------------ *)
 
 (* Frozen pcap file image for a two-frame capture (one plain datagram,
@@ -271,5 +343,12 @@ let suite =
     qtest prop_pooled_construction_identical;
     Alcotest.test_case "pool reuse bookkeeping" `Quick test_pool_reuse;
     Alcotest.test_case "clone owns a private buffer" `Quick test_clone_is_private;
+    Alcotest.test_case "tpp copy recycled with its frame" `Quick
+      test_copy_recycled_with_frame;
+    Alcotest.test_case "pooled template never stacked" `Quick
+      test_template_never_stacked;
+    Alcotest.test_case "foreign-domain tpp family never pooled" `Quick
+      test_foreign_family_never_pooled;
+    Alcotest.test_case "with_tpp copies metadata" `Quick test_with_tpp_copies_meta;
     Alcotest.test_case "pcap golden image" `Quick test_pcap_golden;
   ]

@@ -265,6 +265,33 @@ let test_tpp_copy_is_deep () =
   check Alcotest.string "same program identity" (Prog.program_key tpp)
     (Prog.program_key dup)
 
+(* Copies share standalone memory copy-on-write: a store on any member
+   of the family stays private to that member. *)
+let test_tpp_copy_store_stays_private () =
+  let tpp = Prog.make ~program:sample_program ~mem_len:16 () in
+  Prog.mem_set tpp 0 1;
+  let a = Prog.copy tpp and b = Prog.copy tpp in
+  check Alcotest.bool "copies share the template's buffer" true
+    (a.Prog.memory == tpp.Prog.memory && b.Prog.memory == tpp.Prog.memory);
+  Prog.mem_set a 0 7;
+  check Alcotest.int "template unchanged" 1 (Prog.mem_get tpp 0);
+  check Alcotest.int "sibling unchanged" 1 (Prog.mem_get b 0);
+  check Alcotest.int "the copy sees its store" 7 (Prog.mem_get a 0);
+  check Alcotest.bool "the copy took a private buffer" true
+    (a.Prog.memory != tpp.Prog.memory)
+
+let test_tpp_template_store_stays_private () =
+  let tpp = Prog.make ~program:sample_program ~mem_len:16 () in
+  Prog.mem_set tpp 4 1;
+  let a = Prog.copy tpp and b = Prog.copy tpp in
+  Prog.mem_set tpp 4 9;
+  check (Alcotest.list Alcotest.int) "outstanding copies unchanged" [ 0; 1; 0; 0 ]
+    (Prog.words a);
+  check (Alcotest.list Alcotest.int) "both of them" (Prog.words a) (Prog.words b);
+  check Alcotest.int "the template sees its store" 9 (Prog.mem_get tpp 4);
+  let c = Prog.copy tpp in
+  check Alcotest.int "a later copy sees it too" 9 (Prog.mem_get c 4)
+
 let test_tpp_hop_block () =
   let tpp =
     Prog.make ~addr_mode:Prog.Hop_addressed ~perhop_len:8 ~program:[] ~mem_len:24 ()
@@ -367,6 +394,27 @@ let test_frame_clone_independent () =
   (Option.get frame.Frame.tpp).Prog.sp <- 4;
   check Alcotest.int "tpp state decoupled" 0 (Option.get copy.Frame.tpp).Prog.sp
 
+(* Memory embedded in a frame changes under the TCPU without a
+   [mem_set], so copying it must not share it. *)
+let test_tpp_copy_of_embedded_is_snapshot () =
+  let src_mac, dst_mac, src_ip, dst_ip = hosts () in
+  let frame =
+    Frame.udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port:1 ~dst_port:2
+      ~tpp:(Prog.make ~program:sample_program ~mem_len:16 ())
+      ~payload:Bytes.empty ()
+  in
+  let embedded = Option.get frame.Frame.tpp in
+  Prog.mem_set embedded 0 5;
+  let snap = Prog.copy embedded in
+  check Alcotest.bool "snapshot has its own buffer" true
+    (snap.Prog.memory != frame.Frame.buf);
+  ignore (Tpp_asic.Tcpu.execute (Tpp_asic.State.create ~switch_id:3 ~num_ports:2 ())
+            ~now:0 ~frame);
+  Prog.mem_set embedded 12 6;
+  check (Alcotest.list Alcotest.int) "snapshot unchanged by the hop and the store"
+    [ 5; 0; 0; 0 ] (Prog.words snap);
+  check Alcotest.int "snapshot kept sp" embedded.Prog.base snap.Prog.sp
+
 let suite =
   [
     Alcotest.test_case "vaddr bijection" `Quick test_vaddr_classify_encode_bijection;
@@ -387,6 +435,12 @@ let suite =
     Alcotest.test_case "tpp truncated rejected" `Quick test_tpp_truncated_rejected;
     Alcotest.test_case "tpp bad fields rejected" `Quick test_tpp_bad_fields_rejected;
     Alcotest.test_case "tpp deep copy" `Quick test_tpp_copy_is_deep;
+    Alcotest.test_case "tpp copy stores stay private" `Quick
+      test_tpp_copy_store_stays_private;
+    Alcotest.test_case "tpp template stores stay private" `Quick
+      test_tpp_template_store_stays_private;
+    Alcotest.test_case "tpp copy of a framed TPP is a snapshot" `Quick
+      test_tpp_copy_of_embedded_is_snapshot;
     Alcotest.test_case "tpp hop blocks" `Quick test_tpp_hop_block;
     Alcotest.test_case "frame udp roundtrip" `Quick test_frame_udp_roundtrip;
     Alcotest.test_case "frame tpp roundtrip" `Quick test_frame_tpp_roundtrip;

@@ -362,6 +362,27 @@ let test_wire_check_always_recycles_pooled () =
     (Frame.Pool.reused pool);
   check Alcotest.int "nothing outstanding" 0 (Frame.Pool.outstanding pool)
 
+(* An edge port that strips TPPs forwards an unpooled copy; the pooled
+   original must still go back to its pool. *)
+let test_strip_tpp_recycles_pooled () =
+  let eng, net, a, b = two_hosts ~wire_check:`Cached () in
+  List.iter (fun (_, sw) -> Switch.set_strip_tpp sw ~port:0 true) (Net.switches net);
+  let tpp = Prog.make ~program:[ Instr.Push (Instr.Sw 0) ] ~mem_len:8 () in
+  let pool = Frame.Pool.create ~frame_bytes:256 () in
+  let bare = ref 0 in
+  b.Net.receive <-
+    (fun ~now:_ f -> if Option.is_none f.Frame.tpp then incr bare);
+  let sends = 10 in
+  for _ = 1 to sends do
+    Net.host_send net a
+      (Frame.Pool.udp_frame pool ~src_mac:a.Net.mac ~dst_mac:b.Net.mac
+         ~src_ip:a.Net.ip ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2
+         ~tpp:(Prog.copy tpp) ~payload:(Bytes.create 64) ())
+  done;
+  Engine.run eng ~until:(Time_ns.sec 1);
+  check Alcotest.int "all delivered without their TPP" sends !bare;
+  check Alcotest.int "nothing outstanding" 0 (Frame.Pool.outstanding pool)
+
 let test_deliver_hooks_in_registration_order () =
   let eng, net, a, b = two_hosts () in
   let order = ref [] in
@@ -628,6 +649,8 @@ let suite =
     Alcotest.test_case "wire check modes agree" `Quick test_wire_check_modes_agree;
     Alcotest.test_case "always wire check recycles pooled frames" `Quick
       test_wire_check_always_recycles_pooled;
+    Alcotest.test_case "stripped TPP frames go back to their pool" `Quick
+      test_strip_tpp_recycles_pooled;
     Alcotest.test_case "deliver hooks in order" `Quick
       test_deliver_hooks_in_registration_order;
     Alcotest.test_case "tx time integer ceiling" `Quick test_tx_time_integer_ceiling;

@@ -225,6 +225,38 @@ let test_pooled_tpp_build_allocates_nothing () =
   check Alcotest.int "one frame, reused" 1 (Frame.Pool.created pool);
   check (Alcotest.float 0.0) "minor words across pooled TPP builds" 0.0 words
 
+(* A sender's whole cycle with the template kept: copy it, build the
+   pooled datagram, recycle the frame on delivery. The copy shares the
+   template's memory until the build blits it into the frame, and the
+   record goes back to the template's spare stack with the frame, so
+   after one warm pass the only allocation is the [Some] the caller
+   boxes the copy in: 2 words per send. *)
+let test_pooled_tpp_send_cycle_allocates_only_the_option () =
+  let pool = Frame.Pool.create () in
+  let templates = canned_tpps () in
+  let payload = Bytes.create 100 in
+  let src_mac = Mac.of_host_id 1 and dst_mac = Mac.of_host_id 2 in
+  let src_ip = Ipv4.Addr.of_host_id 1 in
+  let send template =
+    Frame.recycle
+      (Frame.Pool.udp_frame pool ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port:5
+         ~dst_port:6 ?tpp:(Some (Prog.copy template)) ~payload ())
+  in
+  Array.iter send templates;
+  let rounds = 2_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Array.iter send templates
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "one frame, reused" 1 (Frame.Pool.created pool);
+  Array.iter
+    (fun t -> check Alcotest.int "one spare copy per template" 1 t.Prog.cache.Prog.spare_len)
+    templates;
+  check (Alcotest.float 0.0) "minor words across pooled TPP sends"
+    (float_of_int (2 * rounds * Array.length templates))
+    words
+
 let test_tcpu_sees_prior_queue () =
   let sw = make_switch () in
   ignore (Switch.handle_ingress sw ~now:0 ~in_port:0 (host_frame ~to_ip:dst_ip ()));
@@ -300,6 +332,8 @@ let suite =
       test_tpp_hop_allocates_nothing;
     Alcotest.test_case "pooled TPP build allocates nothing" `Quick
       test_pooled_tpp_build_allocates_nothing;
+    Alcotest.test_case "pooled TPP send cycle allocates only the option box" `Quick
+      test_pooled_tpp_send_cycle_allocates_only_the_option;
     Alcotest.test_case "tcpu sees prior queue" `Quick test_tcpu_sees_prior_queue;
     Alcotest.test_case "tcpu disabled" `Quick test_tcpu_disabled;
     Alcotest.test_case "strip tpp at edge" `Quick test_strip_tpp_at_edge;
