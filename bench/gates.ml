@@ -991,16 +991,23 @@ let table ~smoke =
             (fun c -> Printf.sprintf "%d of %d" c.seq.cards c.seq.events);
           at_most "sink footprint (bytes)" (float_of_int sink_cap) (fun c ->
               metric "max_sink_bytes" c.seq);
-          at_least "cards/sec" 1e6 (fun c -> eps c.seq) ]
-      ~why:"the postcard pipeline sustains >= 1e6 cards/sec in bounded memory";
+          at_least "cards/sec" 1e6 (fun c -> eps c.seq);
+          at_most "minor words/card" 0.5 (fun c -> c.seq.minor_pe) ]
+      ~why:
+        "the postcard pipeline sustains >= 1e6 cards/sec in bounded memory, \
+         its collector allocating nothing per card";
     spec "overload" No_fabric Overload
       ~asserts:
-        [ holds "held <= cap, every offered card drained or counted dropped"
+        [ holds
+            "held <= cap, every offered card drained or counted dropped, \
+             a full sink drains whole"
             (fun c ->
               let r = c.seq in
               metric "held_bytes" r <= metric "cap_bytes" r
               && metric "cards_dropped" r > 0.0
-              && float_of_int r.cards +. metric "cards_dropped" r = float_of_int r.events)
+              && float_of_int r.cards +. metric "cards_dropped" r = float_of_int r.events
+              && float_of_int (r.cards * Telemetry_wire.bytes_per_card)
+                 = metric "cap_bytes" r)
             (fun c ->
               Printf.sprintf "%d drained + %.0f dropped of %d" c.seq.cards
                 (metric "cards_dropped" c.seq) c.seq.events) ]

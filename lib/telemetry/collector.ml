@@ -19,27 +19,12 @@ type t = {
   by_switch : (int, int ref) Hashtbl.t;
   by_link : (int, link_state) Hashtbl.t;  (* key = switch * 65536 + port *)
   flows : Sketch.Cms.t;
+  drain_card : bytes -> off:int -> unit;  (* [absorb_card] of this collector *)
 }
 
 let link_key ~switch ~port = (switch * 65536) + port
 let key_switch k = k / 65536
 let key_port k = k mod 65536
-
-let create ?(cms_width = 2048) ?(cms_depth = 4) ?(digest_delta = 100.0)
-    ?(depth_alpha = 0.2) ?(fault_alpha = 0.1) () =
-  {
-    digest_delta;
-    depth_alpha;
-    fault_alpha;
-    cards = 0;
-    hops = 0;
-    probe_retries = 0;
-    probe_failures = 0;
-    fault_events = 0;
-    by_switch = Hashtbl.create 64;
-    by_link = Hashtbl.create 256;
-    flows = Sketch.Cms.create ~width:cms_width ~depth:cms_depth ();
-  }
 
 (* Hashtbl.find + exception rather than find_opt: the option would be
    a fresh allocation per card on the absorb path. *)
@@ -74,9 +59,11 @@ let absorb_card t buf ~off =
     let ls = link_state t (link_key ~switch:node ~port:(Wire.out_port buf ~off)) in
     ls.l_hops <- ls.l_hops + 1;
     ls.l_bytes <- ls.l_bytes + wire_bytes;
-    let depth = float_of_int (Wire.value buf ~off) in
-    Sketch.Ewma.observe ls.depth_ewma depth;
-    Sketch.Tdigest.add ls.depth_digest depth;
+    (* int entry points: a float converted here would be boxed to
+       cross into Sketch *)
+    let depth = Wire.value buf ~off in
+    Sketch.Ewma.observe_int ls.depth_ewma depth;
+    Sketch.Tdigest.add_int ls.depth_digest depth;
     Sketch.Ewma.observe ls.fault_ewma 0.0
   end
   else if kind = Wire.kind_code Wire.Probe_retry then
@@ -90,7 +77,29 @@ let absorb_card t buf ~off =
     Sketch.Ewma.observe ls.fault_ewma 1.0
   end
 
-let absorb t sink = Sink.drain sink (absorb_card t)
+let create ?(cms_width = 2048) ?(cms_depth = 4) ?(digest_delta = 100.0)
+    ?(depth_alpha = 0.2) ?(fault_alpha = 0.1) () =
+  let rec t =
+    {
+      digest_delta;
+      depth_alpha;
+      fault_alpha;
+      cards = 0;
+      hops = 0;
+      probe_retries = 0;
+      probe_failures = 0;
+      fault_events = 0;
+      by_switch = Hashtbl.create 64;
+      by_link = Hashtbl.create 256;
+      flows = Sketch.Cms.create ~width:cms_width ~depth:cms_depth ();
+      drain_card = (fun buf ~off -> absorb_card t buf ~off);
+    }
+  in
+  t
+
+(* [drain_card] is [absorb_card t], built once: a partial application
+   here would allocate a closure per window. *)
+let absorb t sink = Sink.drain sink t.drain_card
 
 let cards t = t.cards
 let hops t = t.hops

@@ -35,25 +35,23 @@ let create ?(cards_per_chunk = 1024) ?(max_chunks = 64) () =
 (* The current chunk is full: park it on the pending ring and install an
    empty one. Reuse a drained chunk when one is free; allocate while
    under the bound; past the bound, cannibalise the oldest pending chunk
-   — its cards are lost (counted), memory stays put. *)
+   — its cards are lost (counted), memory stays put. [dummy_chunk] is
+   the empty-ring sentinel, so no option is boxed per rotation. *)
 let rotate t =
   Ring.push t.pending_q t.cur;
+  let next = Ring.take_or t.free ~default:dummy_chunk in
   let next =
-    match Ring.take_opt t.free with
-    | Some c -> c
-    | None ->
-      if t.chunks_alive < t.max_chunks then begin
-        t.chunks_alive <- t.chunks_alive + 1;
-        { buf = Bytes.create t.chunk_bytes; len = 0 }
-      end
-      else begin
-        match Ring.take_opt t.pending_q with
-        | Some oldest ->
-          t.dropped <- t.dropped + (oldest.len / Wire.bytes_per_card);
-          oldest.len <- 0;
-          oldest
-        | None -> assert false (* we just pushed cur *)
-      end
+    if next != dummy_chunk then next
+    else if t.chunks_alive < t.max_chunks then begin
+      t.chunks_alive <- t.chunks_alive + 1;
+      { buf = Bytes.create t.chunk_bytes; len = 0 }
+    end
+    else begin
+      (* never empty: we just pushed cur *)
+      let oldest = Ring.take_or t.pending_q ~default:dummy_chunk in
+      t.dropped <- t.dropped + (oldest.len / Wire.bytes_per_card);
+      oldest
+    end
   in
   next.len <- 0;
   t.cur <- next
@@ -72,25 +70,32 @@ let emit_hop t ~now ~switch_id ~in_port ~out_port ~queue_bytes ~version
   emit t ~kind:0 ~in_port ~out_port ~node:switch_id ~value:queue_bytes
     ~version ~subject:frame_id ~time_ns:now ~flow_hash ~wire_bytes ~entry
 
+(* Top level rather than local to [drain]: a local loop would be a
+   closure allocated per window. *)
+let rec drain_pending t f =
+  let c = Ring.take_or t.pending_q ~default:dummy_chunk in
+  if c != dummy_chunk then begin
+    let n = c.len in
+    let off = ref 0 in
+    while !off < n do
+      f c.buf ~off:!off;
+      off := !off + Wire.bytes_per_card
+    done;
+    c.len <- 0;
+    Ring.push t.free c;
+    drain_pending t f
+  end
+
 let drain t f =
-  (* Flush the partial chunk so a window sees everything emitted before
-     it; chunk order on the ring is emission order. *)
-  if t.cur.len > 0 then rotate t;
-  let rec loop () =
-    match Ring.take_opt t.pending_q with
-    | None -> ()
-    | Some c ->
-      let n = c.len in
-      let off = ref 0 in
-      while !off < n do
-        f c.buf ~off:!off;
-        off := !off + Wire.bytes_per_card
-      done;
-      c.len <- 0;
-      Ring.push t.free c;
-      loop ()
-  in
-  loop ()
+  (* Park the partial chunk on the pending ring so a window sees
+     everything emitted before it; chunk order on the ring is emission
+     order. Its replacement comes from the chunks this drain frees, so
+     an exhausted pool never cannibalises a chunk it is about to read,
+     as a [rotate] here would. *)
+  let parked = t.cur.len > 0 in
+  if parked then Ring.push t.pending_q t.cur;
+  drain_pending t f;
+  if parked then t.cur <- Ring.take_or t.free ~default:dummy_chunk
 
 let pending t =
   let cards = ref (t.cur.len / Wire.bytes_per_card) in

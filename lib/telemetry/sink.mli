@@ -53,9 +53,11 @@ val emit_hop :
 (** {!emit} specialised to the switch hot path (kind {!Wire.Hop}). *)
 
 val drain : t -> (bytes -> off:int -> unit) -> unit
-(** Flushes the current chunk and calls the decoder once per pending
-    card, oldest chunk first, then recycles every chunk. The callback
-    must not retain [bytes] — the buffer is reused. *)
+(** Calls the decoder once per pending card, the current partial chunk
+    included, oldest chunk first, recycling each chunk as it is read.
+    Every card pending at the call is read: none is dropped. The
+    callback must not retain [bytes] (the buffer is reused) and must
+    not emit into this sink. Allocation-free. *)
 
 val pending : t -> int
 (** Cards buffered and not yet drained. *)

@@ -84,25 +84,50 @@ end
 
 module Tdigest = struct
   (* The digest is on the collector's per-card path, so the whole
-     add -> flush -> compress cycle runs without allocating: scratch
-     arrays are preallocated, the sort compares unboxed loads (a
-     comparator closure would box two floats per comparison), and the
-     compress accumulators live in a scratch float array (stores into
-     float arrays are unboxed where a float ref would box on every
-     assignment). *)
+     add -> flush -> compress cycle runs without allocating once warm:
+     the sort compares unboxed loads (a comparator closure would box two
+     floats per comparison), and the compress accumulators live in a
+     scratch float array (stores into float arrays are unboxed where a
+     float ref would box on every assignment).
+
+     A collector holds one digest per link, thousands on a fabric, and
+     most of them never fill their buffer. So a digest owns only its
+     sample buffer; the centroid arrays appear on its first compress,
+     and the merge scratch is one growable set per domain, shared by
+     every digest that domain flushes or merges. [flush] and [merge]
+     overwrite the scratch prefix they read, so no state passes between
+     digests through it. *)
   type t = {
     delta : float;
-    means : float array;  (* first [n] slots live, sorted *)
-    weights : float array;
+    cap : int;  (* centroid slots: floor (2 delta) + 8 *)
+    mutable means : float array;  (* [||] until the first compress; first [n] live, sorted *)
+    mutable weights : float array;
     mutable n : int;  (* live centroids *)
     buf : float array;  (* unsorted incoming samples *)
     mutable buf_len : int;
-    mutable total : float;  (* compressed weight, excludes buffer *)
-    mutable count : int;  (* all samples ever added *)
-    sx : float array;  (* scratch: merged means, |means| + |buf| slots *)
-    sw : float array;  (* scratch: merged weights *)
-    st : float array;  (* scratch: compress accumulator cells *)
+    mutable count : int;
+        (* all samples ever added; once flushed, also the centroids'
+           total weight (every weight is a sample count, so float sums
+           of them are exact) *)
   }
+
+  type scratch = {
+    mutable sx : float array;  (* merged means *)
+    mutable sw : float array;  (* merged weights *)
+    st : float array;  (* compress accumulator cells *)
+  }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () -> { sx = [||]; sw = [||]; st = Array.make 5 0.0 })
+
+  (* This domain's scratch with at least [m] merge slots. *)
+  let scratch m =
+    let s = Domain.DLS.get scratch_key in
+    if Array.length s.sx < m then begin
+      s.sx <- Array.make m 0.0;
+      s.sw <- Array.make m 0.0
+    end;
+    s
 
   let pi = 4.0 *. Float.atan 1.0
 
@@ -116,23 +141,25 @@ module Tdigest = struct
     let cap = int_of_float (2.0 *. delta) + 8 in
     (* A buffer several times the centroid cap amortises each compress
        over more samples; still constant memory. *)
-    let buf_cap = 4 * cap in
     {
       delta;
-      means = Array.make cap 0.0;
-      weights = Array.make cap 0.0;
+      cap;
+      means = [||];
+      weights = [||];
       n = 0;
-      buf = Array.make buf_cap 0.0;
+      buf = Array.make (4 * cap) 0.0;
       buf_len = 0;
-      total = 0.0;
       count = 0;
-      sx = Array.make (cap + buf_cap) 0.0;
-      sw = Array.make (cap + buf_cap) 0.0;
-      st = Array.make 5 0.0;
     }
 
+  let swap (a : float array) i j =
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+
   (* In-place ascending sort of a.(lo..hi): median-of-three quicksort
-     with an insertion-sort tail, all comparisons on unboxed loads. *)
+     with an insertion-sort tail, all comparisons on unboxed loads. No
+     local closure: one would be allocated per partition. *)
   let rec sort_range (a : float array) lo hi =
     if hi - lo < 16 then
       for i = lo + 1 to hi do
@@ -145,17 +172,12 @@ module Tdigest = struct
         a.(!j) <- x
       done
     else begin
-      let swap i j =
-        let tmp = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- tmp
-      in
       let mid = lo + ((hi - lo) / 2) in
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi) < a.(lo) then swap hi lo;
-      if a.(hi) < a.(mid) then swap hi mid;
+      if a.(mid) < a.(lo) then swap a mid lo;
+      if a.(hi) < a.(lo) then swap a hi lo;
+      if a.(hi) < a.(mid) then swap a hi mid;
       (* a.(lo) <= pivot <= a.(hi): both ends are scan sentinels. *)
-      swap mid (hi - 1);
+      swap a mid (hi - 1);
       let pivot = a.(hi - 1) in
       let i = ref lo and j = ref (hi - 1) in
       let partitioning = ref true in
@@ -164,39 +186,43 @@ module Tdigest = struct
         while a.(!i) < pivot do incr i done;
         decr j;
         while a.(!j) > pivot do decr j done;
-        if !i >= !j then partitioning := false else swap !i !j
+        if !i >= !j then partitioning := false else swap a !i !j
       done;
-      swap !i (hi - 1);
+      swap a !i (hi - 1);
       sort_range a lo (!i - 1);
       sort_range a (!i + 1) hi
     end
 
   (* One merging pass under the k1 budget over sx/sw.(0..m-1) (sorted,
      weighted points), writing the new centroids back into t. *)
-  let compress t m =
+  let compress t s m =
     if m > 0 then begin
-      let st = t.st in
+      if Array.length t.means = 0 then begin
+        t.means <- Array.make t.cap 0.0;
+        t.weights <- Array.make t.cap 0.0
+      end;
+      let sx = s.sx and sw = s.sw and st = s.st in
       (* st.(0) cur_mean, st.(1) cur_w, st.(2) w_before, st.(3) k_lo,
          st.(4) weight total (a float ref would box per iteration) *)
-      st.(0) <- t.sx.(0);
-      st.(1) <- t.sw.(0);
+      st.(0) <- sx.(0);
+      st.(1) <- sw.(0);
       st.(2) <- 0.0;
       st.(3) <- -.t.delta /. 4.0 (* k_scale delta 0 *);
       st.(4) <- 0.0;
       for p = 0 to m - 1 do
-        st.(4) <- st.(4) +. t.sw.(p)
+        st.(4) <- st.(4) +. sw.(p)
       done;
       let total = st.(4) in
       let kf = t.delta /. (2.0 *. pi) in
       (* k_scale inlined: calling it would box two floats per point *)
       let out = ref 0 in
       for p = 1 to m - 1 do
-        let q = (st.(2) +. st.(1) +. t.sw.(p)) /. total in
+        let q = (st.(2) +. st.(1) +. sw.(p)) /. total in
         let q = if q > 1.0 then 1.0 else if q < 0.0 then 0.0 else q in
         if (kf *. Float.asin ((2.0 *. q) -. 1.0)) -. st.(3) <= 1.0 then begin
           (* fold point p into the current centroid *)
-          let w' = st.(1) +. t.sw.(p) in
-          st.(0) <- st.(0) +. ((t.sx.(p) -. st.(0)) *. t.sw.(p) /. w');
+          let w' = st.(1) +. sw.(p) in
+          st.(0) <- st.(0) +. ((sx.(p) -. st.(0)) *. sw.(p) /. w');
           st.(1) <- w'
         end
         else begin
@@ -207,14 +233,13 @@ module Tdigest = struct
           let qb = st.(2) /. total in
           let qb = if qb > 1.0 then 1.0 else if qb < 0.0 then 0.0 else qb in
           st.(3) <- kf *. Float.asin ((2.0 *. qb) -. 1.0);
-          st.(0) <- t.sx.(p);
-          st.(1) <- t.sw.(p)
+          st.(0) <- sx.(p);
+          st.(1) <- sw.(p)
         end
       done;
       t.means.(!out) <- st.(0);
       t.weights.(!out) <- st.(1);
-      t.n <- !out + 1;
-      t.total <- total
+      t.n <- !out + 1
     end
 
   let flush t =
@@ -223,29 +248,35 @@ module Tdigest = struct
       sort_range t.buf 0 (bn - 1);
       (* merge the sorted centroid run with the sorted buffer (unit
          weights) into the scratch runs *)
+      let s = scratch (t.n + bn) in
       let i = ref 0 and j = ref 0 and k = ref 0 in
       while !i < t.n || !j < bn do
         if !j >= bn || (!i < t.n && t.means.(!i) <= t.buf.(!j)) then begin
-          t.sx.(!k) <- t.means.(!i);
-          t.sw.(!k) <- t.weights.(!i);
+          s.sx.(!k) <- t.means.(!i);
+          s.sw.(!k) <- t.weights.(!i);
           incr i
         end
         else begin
-          t.sx.(!k) <- t.buf.(!j);
-          t.sw.(!k) <- 1.0;
+          s.sx.(!k) <- t.buf.(!j);
+          s.sw.(!k) <- 1.0;
           incr j
         end;
         incr k
       done;
       t.buf_len <- 0;
-      compress t !k
+      compress t s !k
     end
 
-  let add t x =
+  (* Inlined into both entry points, so [add_int]'s conversion is stored
+     straight into the buffer instead of boxed for a call. *)
+  let[@inline] push t x =
     if t.buf_len = Array.length t.buf then flush t;
     t.buf.(t.buf_len) <- x;
     t.buf_len <- t.buf_len + 1;
     t.count <- t.count + 1
+
+  let add t x = push t x
+  let add_int t x = push t (float_of_int x)
 
   let count t = t.count
 
@@ -255,7 +286,7 @@ module Tdigest = struct
     if t.n = 0 then Float.nan
     else if t.n = 1 then t.means.(0)
     else begin
-      let target = q *. t.total in
+      let target = q *. float_of_int t.count in
       (* centroid i's mass is centered at cum(i-1) + w_i/2; walk the
          midpoints and interpolate between neighbours. *)
       let rec walk i cum prev_mid prev_mean =
@@ -278,24 +309,25 @@ module Tdigest = struct
     if src.n > 0 then begin
       flush into;
       (* merge the two sorted centroid runs into scratch, recompress *)
+      let s = scratch (into.n + src.n) in
       let i = ref 0 and j = ref 0 and k = ref 0 in
       while !i < into.n || !j < src.n do
         if
           !j >= src.n
           || (!i < into.n && into.means.(!i) <= src.means.(!j))
         then begin
-          into.sx.(!k) <- into.means.(!i);
-          into.sw.(!k) <- into.weights.(!i);
+          s.sx.(!k) <- into.means.(!i);
+          s.sw.(!k) <- into.weights.(!i);
           incr i
         end
         else begin
-          into.sx.(!k) <- src.means.(!j);
-          into.sw.(!k) <- src.weights.(!j);
+          s.sx.(!k) <- src.means.(!j);
+          s.sw.(!k) <- src.weights.(!j);
           incr j
         end;
         incr k
       done;
-      compress into !k;
+      compress into s !k;
       into.count <- into.count + src.count
     end
 
@@ -315,10 +347,12 @@ module Ewma = struct
     if alpha <= 0.0 || alpha > 1.0 then invalid_arg "Ewma.create: alpha";
     { alpha; v = 0.0; n = 0.0 }
 
-  let observe t x =
+  let[@inline] observe t x =
     if t.n = 0.0 then t.v <- x
     else t.v <- (t.alpha *. x) +. ((1.0 -. t.alpha) *. t.v);
     t.n <- t.n +. 1.0
+
+  let observe_int t x = observe t (float_of_int x)
 
   let value t = t.v
   let count t = int_of_float t.n

@@ -68,9 +68,26 @@ module Tdigest : sig
 
   val create : ?delta:float -> unit -> t
   (** Compression parameter (default 100.0, must be >= 10): at most
-      about [2 * delta] centroids are retained. *)
+      [floor (2 * delta) + 8] centroids are retained.
+
+      Memory: a fresh digest holds only its sample buffer, four times
+      the centroid cap ([4 * (floor (2 * delta) + 8)] floats, 833 words
+      at the default delta). The two centroid arrays (one cap each) are
+      allocated by the first compress, i.e. once the buffer fills or a
+      query, {!merge} or {!centroids} flushes it. The merge scratch is
+      not per digest: each domain keeps one growable set, shared by
+      every digest it flushes or merges, and each flush or merge
+      overwrites the part it reads, so answers do not depend on what
+      other digests did on that domain. *)
 
   val add : t -> float -> unit
+
+  val add_int : t -> int -> unit
+  (** [add t (float_of_int x)] with the conversion inside this module,
+      so an integer sample (a queue depth) is never boxed for the
+      call. Allocation-free, like {!add}, once the digest has
+      compressed and its domain's scratch has grown to fit. *)
+
   val count : t -> int
 
   val quantile : t -> float -> float
@@ -93,6 +110,10 @@ module Ewma : sig
 
   val observe : t -> float -> unit
   (** First observation initialises the average to the sample. *)
+
+  val observe_int : t -> int -> unit
+  (** [observe t (float_of_int x)] without boxing the converted float
+      for the call. *)
 
   val value : t -> float
   (** Current average; 0.0 before any observation. *)

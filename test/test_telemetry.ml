@@ -76,6 +76,67 @@ let sink_accounting =
       && Telemetry_sink.emitted sink
          = !drained + Telemetry_sink.dropped sink + Telemetry_sink.pending sink)
 
+(* Draining a sink whose chunk pool is exhausted reads every pending
+   card: flushing the partial chunk must not cannibalise the full one
+   the drain is about to read. *)
+let test_drain_exhausted_pool () =
+  let sink = Telemetry_sink.create ~cards_per_chunk:4 ~max_chunks:2 () in
+  for i = 1 to 6 do
+    Telemetry_sink.emit_hop sink ~now:i ~switch_id:1 ~in_port:0 ~out_port:0
+      ~queue_bytes:0 ~version:1 ~frame_id:i ~flow_hash:0 ~wire_bytes:64 ~entry:0
+  done;
+  let drained = ref 0 in
+  Telemetry_sink.drain sink (fun _ ~off:_ -> incr drained);
+  Alcotest.(check int) "drained" 6 !drained;
+  Alcotest.(check int) "dropped" 0 (Telemetry_sink.dropped sink);
+  Alcotest.(check int) "pending" 0 (Telemetry_sink.pending sink);
+  Alcotest.(check int) "chunks" 2 (Telemetry_sink.chunks_alive sink)
+
+(* ---- collector allocation --------------------------------------- *)
+
+let write_hop buf ~off ~switch ~port ~depth ~i =
+  Telemetry_wire.write buf ~off ~kind:(Telemetry_wire.kind_code Telemetry_wire.Hop)
+    ~in_port:0 ~out_port:port ~node:switch ~value:depth ~version:1 ~subject:i
+    ~time_ns:(i * 10) ~flow_hash:(i land 255) ~wire_bytes:1000 ~entry:1
+
+(* A warm collector absorbs hop cards without allocating: the depth
+   crosses into the sketches as an int, every link's digest has compressed
+   at least once (so its centroid arrays exist), and the domain's merge
+   scratch has grown to the largest flush. Each window carries over 832
+   cards per link, so digests flush inside the measured absorbs too. *)
+let test_absorb_allocates_nothing () =
+  let links = 16 and per_link = 2_000 in
+  let sink = Telemetry_sink.create () and col = Collector.create () in
+  let window () =
+    for i = 0 to (links * per_link) - 1 do
+      let l = i mod links in
+      Telemetry_sink.emit_hop sink ~now:i ~switch_id:(l / 4) ~in_port:0
+        ~out_port:(l mod 4) ~queue_bytes:((i * 7919) land 0xFFFF) ~version:1
+        ~frame_id:i ~flow_hash:(i land 255) ~wire_bytes:1000 ~entry:1
+    done
+  in
+  window ();
+  Collector.absorb col sink;
+  let rounds = 4 in
+  let words = ref 0.0 in
+  for _ = 1 to rounds do
+    window ();
+    let w0 = Gc.minor_words () in
+    Collector.absorb col sink;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  Alcotest.(check int) "every card absorbed" ((rounds + 1) * links * per_link)
+    (Collector.hops col);
+  Alcotest.(check int) "none dropped" 0 (Telemetry_sink.dropped sink);
+  Alcotest.(check (float 0.0)) "minor words across warm absorbs" 0.0 !words
+
+(* A fresh digest holds its sample buffer (833 words at delta 100) and
+   little else: no centroid arrays before the first compress, no
+   private merge scratch. *)
+let test_tdigest_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Sketch.Tdigest.create ())) in
+  if words > 900 then Alcotest.failf "fresh t-digest holds %d words (> 900)" words
+
 (* ---- count-min vs exact ----------------------------------------- *)
 
 let cms_exact_of stream =
@@ -190,6 +251,101 @@ let tdigest_merge_rank =
       Sketch.Tdigest.count merged = n
       && List.for_all (td_within_bound ~slack:2.0 merged st n) td_quantiles)
 
+(* ---- per-domain digest scratch ---------------------------------- *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let probe_qs = [ 0.0; 0.01; 0.25; 0.5; 0.75; 0.99; 1.0 ]
+
+(* Many links' digests share one domain's merge scratch, flushing at
+   different times. Each link must answer bit for bit what a standalone
+   digest and EWMA answer when fed the same depths in order, one link
+   at a time, in a fresh domain whose scratch no other digest has
+   touched. A small delta (a 112-sample buffer) makes flushes frequent;
+   [None] ops query one link mid-stream on both sides. *)
+let collector_links_standalone =
+  QCheck.Test.make ~name:"collector: per-link sketches equal standalone ones"
+    ~count:40
+    QCheck.(
+      list_of_size Gen.(int_range 200 3000)
+        (pair (int_bound 11) (option (int_bound 100_000))))
+    (fun ops ->
+      let delta = 10.0 and links = 12 in
+      let answers ewma quantile = ewma :: List.map quantile probe_qs in
+      (* per link, the answers at each query and at the end, newest first *)
+      let collector_side () =
+        let col = Collector.create ~digest_delta:delta () in
+        let buf = Bytes.create Telemetry_wire.bytes_per_card in
+        let seen = Array.make links [] in
+        let query l =
+          let switch = l / 3 and port = l mod 3 in
+          seen.(l) <-
+            answers
+              (Collector.link_depth_ewma col ~switch ~port)
+              (fun q -> Collector.link_depth_quantile col ~switch ~port ~q)
+            :: seen.(l)
+        in
+        List.iteri
+          (fun i (l, op) ->
+            match op with
+            | Some depth ->
+              write_hop buf ~off:0 ~switch:(l / 3) ~port:(l mod 3) ~depth ~i;
+              Collector.absorb_card col buf ~off:0
+            | None -> query l)
+          ops;
+        for l = 0 to links - 1 do
+          query l
+        done;
+        seen
+      in
+      let standalone_side () =
+        Array.init links (fun l ->
+            let td = Sketch.Tdigest.create ~delta () and ewma = Sketch.Ewma.create () in
+            let query seen =
+              answers (Sketch.Ewma.value ewma) (Sketch.Tdigest.quantile td) :: seen
+            in
+            List.fold_left
+              (fun seen (l', op) ->
+                if l' <> l then seen
+                else
+                  match op with
+                  | Some depth ->
+                    Sketch.Tdigest.add td (float_of_int depth);
+                    Sketch.Ewma.observe ewma (float_of_int depth);
+                    seen
+                  | None -> query seen)
+              [] ops
+            |> query)
+      in
+      let expected = Domain.join (Domain.spawn standalone_side) in
+      Array.for_all2 (List.equal (List.equal same_float)) (collector_side ()) expected)
+
+(* Digests of two different deltas need different scratch sizes. Fed
+   interleaved on one domain, each answers exactly as it does alone in
+   a fresh domain, whose scratch has never grown. *)
+let tdigest_mixed_delta =
+  QCheck.Test.make ~name:"t-digest: mixed deltas on one domain answer as alone"
+    ~count:30
+    QCheck.(list_of_size Gen.(int_range 100 4000) (pair bool (int_bound 1_000_000)))
+    (fun ops ->
+      let deltas = [| 10.0; 150.0 |] in
+      let answers td = List.map (Sketch.Tdigest.quantile td) probe_qs in
+      let alone side =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let td = Sketch.Tdigest.create ~delta:deltas.(side) () in
+               List.iter
+                 (fun (b, v) ->
+                   if Bool.to_int b = side then Sketch.Tdigest.add td (float_of_int v))
+                 ops;
+               answers td))
+      in
+      let tds = Array.map (fun delta -> Sketch.Tdigest.create ~delta ()) deltas in
+      List.iter
+        (fun (b, v) -> Sketch.Tdigest.add tds.(Bool.to_int b) (float_of_int v))
+        ops;
+      List.for_all2 same_float (answers tds.(0)) (alone 0)
+      && List.for_all2 same_float (answers tds.(1)) (alone 1))
+
 (* ---- collector merge identity ----------------------------------- *)
 
 (* Random card streams split across four shard collectors must merge
@@ -225,9 +381,17 @@ let suite =
   [
     qtest wire_roundtrip;
     qtest sink_accounting;
+    Alcotest.test_case "sink drain reads every card of an exhausted pool" `Quick
+      test_drain_exhausted_pool;
+    Alcotest.test_case "warm collector absorb allocates nothing" `Quick
+      test_absorb_allocates_nothing;
+    Alcotest.test_case "fresh t-digest holds <= 900 words" `Quick
+      test_tdigest_footprint;
     qtest cms_bounds;
     qtest cms_merge_identity;
     qtest tdigest_rank;
     qtest tdigest_merge_rank;
     qtest collector_merge;
+    qtest collector_links_standalone;
+    qtest tdigest_mixed_delta;
   ]
