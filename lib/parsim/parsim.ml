@@ -261,7 +261,7 @@ module Boundary = struct
       c.cbuf <- b
     end
 
-  let append c ~arrival ~emitted ~seq ~dst frame =
+  let append c ~arrival ~emitted ~seq ~dst_node ~dst_port frame =
     let wire = frame.Frame.len in
     ensure c (header_bytes + wire);
     let b = c.cbuf and o = c.clen in
@@ -269,8 +269,8 @@ module Boundary = struct
     Bytes.set_int64_be b (o + 8) (Int64.of_int emitted);
     Bytes.set_int64_be b (o + 16) (Int64.of_int seq);
     Bytes.set_int64_be b (o + 24) (Int64.of_int frame.Frame.id);
-    Bytes.set_int32_be b (o + 32) (Int32.of_int (fst dst));
-    Bytes.set_int32_be b (o + 36) (Int32.of_int (snd dst));
+    Bytes.set_int32_be b (o + 32) (Int32.of_int dst_node);
+    Bytes.set_int32_be b (o + 36) (Int32.of_int dst_port);
     Bytes.set_int32_be b (o + 40) (Int32.of_int frame.Frame.meta.Meta.hop_count);
     Bytes.set_int32_be b (o + 44) (Int32.of_int wire);
     let n = Frame.blit_wire frame b ~pos:(o + header_bytes) in
@@ -495,10 +495,10 @@ let run ~shards ~until ~build ~setup ~collect () =
     let emitted = ref 0 in
     let chunks_sent = ref 0 in
     Net.set_sharding net ~owner ~shard:my
-      ~emit:(fun ~arrival ~emitted:stamp ~dst frame ->
+      ~emit:(fun ~arrival ~emitted:stamp ~dst_node ~dst_port frame ->
         incr seq;
         incr emitted;
-        let ch = out.(Array.unsafe_get owner (fst dst)) in
+        let ch = out.(Array.unsafe_get owner dst_node) in
         let c =
           match ch.open_chunk with
           | Some c -> c
@@ -513,7 +513,8 @@ let run ~shards ~until ~build ~setup ~collect () =
             ch.open_chunk <- Some c;
             c
         in
-        Boundary.append c ~arrival ~emitted:stamp ~seq:!seq ~dst frame);
+        Boundary.append c ~arrival ~emitted:stamp ~seq:!seq ~dst_node ~dst_port
+          frame);
     let publish_open_chunks () =
       for dst = 0 to shards - 1 do
         let ch = out.(dst) in
@@ -529,12 +530,25 @@ let run ~shards ~until ~build ~setup ~collect () =
     setup ~shard:my ~owns net;
     let rounds = ref 0 in
     let running = ref true in
-    (* Hoisted decode callback: [cur_src] names the channel being
-       drained so one closure serves every chunk. *)
+    (* The round loop's callbacks are built once, here, not per round:
+       [cur_src] names the channel being drained so one decode callback
+       serves every chunk. *)
     let cur_src = ref 0 in
     let on_msg ~arrival ~emitted ~seq ~dst_node ~dst_port frame =
       Inbox.add inbox ~arrival ~emitted ~src_shard:!cur_src ~seq ~dst_node
         ~dst_port frame
+    in
+    let rec drain ch =
+      match Spsc.pop ch.pending with
+      | None -> ()
+      | Some c ->
+        Boundary.decode c ~pool:bpool on_msg;
+        Boundary.reset c;
+        ignore (Spsc.try_push ch.free c : bool);
+        drain ch
+    in
+    let deliver ~arrival ~emitted ~src_shard:_ ~seq:_ ~dst_node ~dst_port frame =
+      Net.schedule_delivery net ~arrival ~emitted ~dst_node ~dst_port frame
     in
     while !running do
       (* Inbox drain: every chunk published before the previous barrier
@@ -543,35 +557,21 @@ let run ~shards ~until ~build ~setup ~collect () =
          tie-break) is run-independent. *)
       for src = 0 to shards - 1 do
         if src <> my then begin
-          let ch = chans.(src).(my) in
           cur_src := src;
-          let rec drain () =
-            match Spsc.pop ch.pending with
-            | None -> ()
-            | Some c ->
-              Boundary.decode c ~pool:bpool on_msg;
-              Boundary.reset c;
-              ignore (Spsc.try_push ch.free c : bool);
-              drain ()
-          in
-          drain ()
+          drain chans.(src).(my)
         end
       done;
       Inbox.sort inbox;
-      Inbox.iter_sorted inbox
-        (fun ~arrival ~emitted ~src_shard:_ ~seq:_ ~dst_node ~dst_port frame ->
-          Net.schedule_delivery ~emitted net ~arrival ~dst:(dst_node, dst_port)
-            frame);
+      Inbox.iter_sorted inbox deliver;
       Inbox.clear inbox;
-      let local_min =
-        match Engine.next_event_time eng with Some tm -> tm | None -> max_int
-      in
-      Atomic.set mins.(my) local_min;
+      Atomic.set mins.(my) (Engine.next_event_time_or eng ~default:max_int);
       Barrier.await barrier;
       (* Every shard folds the same published values: identical window. *)
-      let gmin =
-        Array.fold_left (fun acc a -> min acc (Atomic.get a)) max_int mins
-      in
+      let gmin = ref max_int in
+      for i = 0 to shards - 1 do
+        gmin := min !gmin (Atomic.get mins.(i))
+      done;
+      let gmin = !gmin in
       if gmin > until then begin
         (* Nothing left inside the horizon anywhere (inboxes are empty:
            drained above, and the barrier made all emissions visible).
@@ -620,16 +620,20 @@ let run ~shards ~until ~build ~setup ~collect () =
       Frame.Pool.outstanding bpool,
       collected )
   in
-  let domains =
-    Array.init shards (fun i ->
-        Domain.spawn (fun () ->
-            try shard_body i ()
-            with e ->
-              Barrier.poison barrier;
-              raise e))
-  in
+  (* A lone shard runs in the calling domain, so the caller's
+     domain-local counters ([Gc.minor_words]) see all of its work. *)
   let outcomes =
-    Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
+    if shards = 1 then [| Ok (shard_body 0 ()) |]
+    else
+      let domains =
+        Array.init shards (fun i ->
+            Domain.spawn (fun () ->
+                try shard_body i ()
+                with e ->
+                  Barrier.poison barrier;
+                  raise e))
+      in
+      Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
   in
   Array.iter
     (function

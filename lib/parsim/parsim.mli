@@ -125,7 +125,8 @@ module Boundary : sig
     arrival:Time_ns.t ->
     emitted:Time_ns.t ->
     seq:int ->
-    dst:int * int ->
+    dst_node:int ->
+    dst_port:int ->
     Frame.t ->
     unit
   (** Encode one message: stamps + destination + the frame's wire image
@@ -230,4 +231,6 @@ val run :
     state) there rather than touching foreign replicas.
 
     With [shards = 1] the behavior (and every counter) is identical to
-    building and running the net sequentially. *)
+    building and running the net sequentially, and the lone shard runs
+    in the calling domain: its allocation shows in the caller's
+    [Gc.minor_words]. *)

@@ -69,11 +69,13 @@ let grow t =
   t.e_meta.(cap - 1) <- t.free;
   t.free <- old
 
-(* Every push is stamped with an emission time: the engine clock by
-   default, which is monotone in push order. [?emitted] lets the
-   sharded simulator backdate a delivery adopted from another shard to
-   the time it was emitted there instead of inheriting this shard's
-   (arbitrary) inbox drain time.
+(* Every push is stamped with an emission time: the engine clock,
+   which is monotone in push order, except that a delivery's stamp is
+   the caller's. That lets the sharded simulator backdate a delivery
+   adopted from another shard to the time it was emitted there instead
+   of inheriting this shard's (arbitrary) inbox drain time. The stamp
+   is a required label all the way down to [Wheel.push_keyed]: an
+   optional one would box a [Some] per delivery.
 
    The stamp alone is not enough for seq-vs-sharded bit-identity:
    arrival-clocked protocols (ack/pull/probe clocking) quantise their
@@ -91,9 +93,8 @@ let grow t =
 let[@inline] tie_key ~kind ~node ~port =
   (kind lsl 40) lor (node lsl 20) lor port
 
-let[@inline] schedule_slot ?emitted t time ~kind ~node ~port h frame =
+let[@inline] schedule_slot t time ~emitted ~kind ~node ~port h frame =
   if time < t.clock then invalid_arg "Engine.at: scheduling in the past";
-  let emitted = match emitted with None -> t.clock | Some e -> e in
   if t.free < 0 then grow t;
   let s = t.free in
   t.free <- Array.unsafe_get t.e_meta s;
@@ -103,19 +104,21 @@ let[@inline] schedule_slot ?emitted t time ~kind ~node ~port h frame =
   t.e_obj.((2 * s) + 1) <- frame;
   Wheel.push_keyed t.wheel ~prio:time ~emitted ~tie:meta s
 
-let at ?emitted t time callback =
-  schedule_slot ?emitted t time ~kind:kind_thunk ~node:0 ~port:0
+let at t time callback =
+  schedule_slot t time ~emitted:t.clock ~kind:kind_thunk ~node:0 ~port:0
     (Obj.repr callback) hole
 
-let deliver_at ?emitted t time h ~node ~port frame =
-  schedule_slot ?emitted t time ~kind:kind_deliver ~node ~port (Obj.repr h)
+let deliver_at t time ~emitted h ~node ~port frame =
+  schedule_slot t time ~emitted ~kind:kind_deliver ~node ~port (Obj.repr h)
     (Obj.repr frame)
 
 let dequeue_at t time h ~node ~port =
-  schedule_slot t time ~kind:kind_dequeue ~node ~port (Obj.repr h) hole
+  schedule_slot t time ~emitted:t.clock ~kind:kind_dequeue ~node ~port
+    (Obj.repr h) hole
 
 let restart_at t time h ~node =
-  schedule_slot t time ~kind:kind_restart ~node ~port:0 (Obj.repr h) hole
+  schedule_slot t time ~emitted:t.clock ~kind:kind_restart ~node ~port:0
+    (Obj.repr h) hole
 
 let after t span callback = at t (Time_ns.add t.clock span) callback
 
@@ -140,6 +143,7 @@ let every t ?start ~period ~until callback =
   if start <= until then at t start (tick start)
 
 let next_event_time t = Wheel.peek_prio t.wheel
+let next_event_time_or t ~default = Wheel.peek_prio_or t.wheel ~default
 
 (* Decodes and dispatches one slab slot. The slot is freed before the
    handler runs, so a handler can schedule (and reuse the slot)

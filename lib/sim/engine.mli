@@ -16,11 +16,11 @@
     for far-future events and its test oracle are described in
     {!Tpp_util.Wheel}.
 
-    Every scheduled event is stamped with the engine clock at
-    scheduling time; since the clock is monotone, sequential runs pop
-    in plain (time, scheduling order). The [?emitted] override on
-    {!at}/{!deliver_at} exists for the sharded simulator: backdating a
-    delivery adopted from a peer shard to its original emission time
+    Every scheduled event is stamped with an emission time: the engine
+    clock at scheduling time, except that {!deliver_at} takes its stamp
+    from the caller. The network passes the clock, so sequential runs
+    pop in plain (time, scheduling order). The sharded simulator passes
+    a delivery's original emission time on its peer shard: that
     reproduces the sequential push order among same-timestamp events,
     which inbox drain order alone cannot. *)
 
@@ -45,12 +45,13 @@ val create : unit -> t
 val now : t -> Time_ns.t
 
 val deliver_at :
-  ?emitted:Time_ns.t ->
-  t -> Time_ns.t -> handlers -> node:int -> port:int -> Frame.t -> unit
+  t -> Time_ns.t -> emitted:Time_ns.t -> handlers -> node:int -> port:int ->
+  Frame.t -> unit
 (** Schedules the arrival of [frame] at ([node], [port]) at an absolute
     time, which must not be in the past (raises [Invalid_argument]).
-    Allocation-free. [emitted] (default: the current clock) backdates
-    the event's tie-break stamp — see the module comment. *)
+    Allocation-free. [emitted] is the event's tie-break stamp: the
+    current clock for a local delivery, the emission time on the peer
+    shard for an adopted one (see the module comment). *)
 
 val dequeue_at : t -> Time_ns.t -> handlers -> node:int -> port:int -> unit
 (** Schedules the end of ([node], [port])'s current transmission.
@@ -59,10 +60,9 @@ val dequeue_at : t -> Time_ns.t -> handlers -> node:int -> port:int -> unit
 val restart_at : t -> Time_ns.t -> handlers -> node:int -> unit
 (** Schedules the restart of frozen switch [node]. Allocation-free. *)
 
-val at : ?emitted:Time_ns.t -> t -> Time_ns.t -> (unit -> unit) -> unit
+val at : t -> Time_ns.t -> (unit -> unit) -> unit
 (** Schedules a closure at an absolute time, which must not
-    be in the past (raises [Invalid_argument]). [emitted] as in
-    {!deliver_at}. *)
+    be in the past (raises [Invalid_argument]). *)
 
 val after : t -> Time_ns.span -> (unit -> unit) -> unit
 
@@ -76,8 +76,12 @@ val every :
 
 val next_event_time : t -> Time_ns.t option
 (** Timestamp of the earliest queued event, [None] when the queue is
+    empty. *)
+
+val next_event_time_or : t -> default:Time_ns.t -> Time_ns.t
+(** Allocation-free {!next_event_time}: [default] when the queue is
     empty. The conservative parallel scheduler ({!Tpp_parsim.Parsim})
-    uses this to agree on a safe execution window each round. *)
+    reads this every round to agree on a safe execution window. *)
 
 val run : t -> until:Time_ns.t -> unit
 (** Processes events in (time, schedule) order until the queue drains

@@ -31,7 +31,8 @@ type sharding = {
   owner : int array;  (* node id -> owning shard *)
   shard : int;        (* the shard this Net instance runs *)
   emit :
-    arrival:Time_ns.t -> emitted:Time_ns.t -> dst:int * int -> Frame.t -> unit;
+    arrival:Time_ns.t -> emitted:Time_ns.t -> dst_node:int -> dst_port:int ->
+    Frame.t -> unit;
 }
 
 (* Injection points for the fault subsystem ({!Fault}). Kept as a
@@ -350,9 +351,17 @@ let rec deliver t id port frame =
     | Switch_n sw -> (
       match Switch.handle_ingress sw ~now:(Engine.now t.eng) ~in_port:port frame with
       | Switch.Dropped _ -> Frame.recycle frame
-      | Switch.Queued out_ports -> List.iter (fun p -> maybe_start_tx t id p) out_ports)
+      | Switch.Queued out_ports -> start_ports t id out_ports)
   end
   else Frame.recycle frame (* frozen node: the frame vanishes *)
+
+(* A top-level walk rather than [List.iter] with a closure over [t] and
+   [id], which would allocate on every switch hop. *)
+and start_ports t id = function
+  | [] -> ()
+  | p :: rest ->
+    maybe_start_tx t id p;
+    start_ports t id rest
 
 and maybe_start_tx t id port =
   let i = gp_trusted t id port in
@@ -427,7 +436,7 @@ and tx_complete t id port =
               — the emitter-side half of the cross-domain leak fix. *)
            s.emit
              ~arrival:(Time_ns.add (Engine.now t.eng) delay)
-             ~emitted:(Engine.now t.eng) ~dst:(pn, pp) frame;
+             ~emitted:(Engine.now t.eng) ~dst_node:pn ~dst_port:pp frame;
            Frame.recycle frame
          end
      end
@@ -435,7 +444,8 @@ and tx_complete t id port =
   maybe_start_tx t id port
 
 and schedule_deliver t delay pn pp frame =
-  Engine.deliver_at t.eng (Time_ns.add (Engine.now t.eng) delay) t.handlers
+  let now = Engine.now t.eng in
+  Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handlers
     ~node:pn ~port:pp frame
 
 let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always) eng =
@@ -483,10 +493,10 @@ let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always) eng =
   in
   t
 
-let schedule_delivery ?emitted t ~arrival ~dst frame =
-  let dn, dp = dst in
-  ignore (gp t dn dp);
-  Engine.deliver_at ?emitted t.eng arrival t.handlers ~node:dn ~port:dp frame
+let schedule_delivery t ~arrival ~emitted ~dst_node ~dst_port frame =
+  ignore (gp t dst_node dst_port);
+  Engine.deliver_at t.eng arrival ~emitted t.handlers ~node:dst_node
+    ~port:dst_port frame
 
 (* One key per header *layout*: two frames with the same key serialise
    through exactly the same write/parse paths and length computations,

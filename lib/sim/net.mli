@@ -169,8 +169,8 @@ val set_sharding :
   owner:int array ->
   shard:int ->
   emit:
-    (arrival:Time_ns.t -> emitted:Time_ns.t -> dst:int * int -> Frame.t ->
-     unit) ->
+    (arrival:Time_ns.t -> emitted:Time_ns.t -> dst_node:int -> dst_port:int ->
+     Frame.t -> unit) ->
   unit
 (** Marks this net as shard [shard] of a partitioned run. [owner] maps
     node ids to shards; [emit] is called at link-transmission completion
@@ -178,7 +178,8 @@ val set_sharding :
     time (tx end + propagation delay), the emission time (the clock at
     the emitting shard — the receiver passes it back through
     {!schedule_delivery} so same-timestamp ordering matches the
-    sequential run), and destination endpoint.
+    sequential run), and the destination endpoint as two ints (a tuple
+    would be allocated per crossing).
 
     [emit] {e consumes} the frame: it must copy what it needs (e.g.
     blit the wire image into a boundary chunk) and must not retain the
@@ -190,14 +191,15 @@ val owns : t -> int -> bool
     on an unsharded net. *)
 
 val schedule_delivery :
-  ?emitted:Time_ns.t ->
-  t -> arrival:Time_ns.t -> dst:int * int -> Frame.t -> unit
-(** Schedules a frame to arrive at endpoint [dst] at absolute time
-    [arrival], exactly as if it had finished crossing the attached link:
-    the receiving end of an inter-shard channel. [emitted] backdates the
-    event's tie-break stamp to the frame's original emission time (from
-    the [emit] hook), so arrivals in the same nanosecond order as the
-    sequential run would — by emission order, not inbox drain order. *)
+  t -> arrival:Time_ns.t -> emitted:Time_ns.t -> dst_node:int ->
+  dst_port:int -> Frame.t -> unit
+(** Schedules a frame to arrive at endpoint ([dst_node], [dst_port]) at
+    absolute time [arrival], exactly as if it had finished crossing the
+    attached link: the receiving end of an inter-shard channel.
+    [emitted] is the event's tie-break stamp, the frame's original
+    emission time (from the [emit] hook), so arrivals in the same
+    nanosecond order as the sequential run would — by emission order,
+    not inbox drain order. Allocation-free. *)
 
 val link_delay : t -> int * int -> Time_ns.span
 (** Propagation delay of the link attached at this endpoint (raises

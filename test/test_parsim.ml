@@ -155,7 +155,7 @@ let test_sharding_hooks () =
   check Alcotest.bool "unsharded owns all" true (Net.owns net sw);
   let owner = [| 0; 0; 1 |] in  (* b lives on another shard *)
   Net.set_sharding net ~owner ~shard:0
-    ~emit:(fun ~arrival:_ ~emitted:_ ~dst:_ _ -> ());
+    ~emit:(fun ~arrival:_ ~emitted:_ ~dst_node:_ ~dst_port:_ _ -> ());
   check Alcotest.bool "owns local" true (Net.owns net a.Net.node_id);
   check Alcotest.bool "foreign node" false (Net.owns net b.Net.node_id);
   let frame =
@@ -284,10 +284,11 @@ let prop_boundary_codec_roundtrip =
             let arrival = 1_000 + (base * 17) + (i * 31) in
             let emitted = arrival - 7 in
             let seq = i + 1 in
-            let dst = (variant mod 4, (variant / 4) mod 3) in
+            let dst_node = variant mod 4 and dst_port = (variant / 4) mod 3 in
             let image = Frame.serialize f in
-            Parsim.Boundary.append chunk ~arrival ~emitted ~seq ~dst f;
-            ( arrival, emitted, seq, fst dst, snd dst, f.Frame.id,
+            Parsim.Boundary.append chunk ~arrival ~emitted ~seq ~dst_node
+              ~dst_port f;
+            ( arrival, emitted, seq, dst_node, dst_port, f.Frame.id,
               f.Frame.meta.Meta.hop_count, image ))
           variants
       in
@@ -324,7 +325,7 @@ let prop_chunk_recycle_never_aliases =
           (fun i v ->
             let f = boundary_frame ~variant:v ~i:(i + off) in
             Parsim.Boundary.append chunk ~arrival:(100 + i) ~emitted:(99 + i)
-              ~seq:(i + 1) ~dst:(0, 0) f)
+              ~seq:(i + 1) ~dst_node:0 ~dst_port:0 f)
           vs
       in
       encode variants 0;
@@ -339,6 +340,53 @@ let prop_chunk_recycle_never_aliases =
       List.for_all
         (fun (f, image) -> Bytes.equal image (Frame.serialize f))
         !live)
+
+(* A warm boundary crossing allocates nothing: plain pooled frames go
+   through [Boundary.append] (and back to their sender's pool),
+   [Boundary.decode] into the boundary pool, and [Net.schedule_delivery]
+   to a host, whose delivery recycles them into the boundary pool. *)
+let test_boundary_crossing_allocates_nothing () =
+  let eng = Engine.create () in
+  let net = Net.create eng in
+  let a = Net.add_host net ~name:"a" in
+  let b = Net.add_host net ~name:"b" in
+  Net.connect net (a.Net.node_id, 0) (b.Net.node_id, 0) ~bps:1_000_000_000
+    ~delay:1_000;
+  let src_pool = Frame.Pool.create () and bpool = Frame.Pool.create () in
+  let chunk = Parsim.Boundary.chunk () in
+  let payload = Bytes.create 64 in
+  let batch = 32 and rounds = 500 in
+  let deliver ~arrival ~emitted ~seq:_ ~dst_node ~dst_port f =
+    Net.schedule_delivery net ~arrival ~emitted ~dst_node ~dst_port f
+  in
+  let round r =
+    let now = Engine.now eng in
+    Parsim.Boundary.reset chunk;
+    for i = 1 to batch do
+      let f =
+        Frame.Pool.udp_frame src_pool ~src_mac:a.Net.mac ~dst_mac:b.Net.mac
+          ~src_ip:a.Net.ip ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2 ~payload ()
+      in
+      Parsim.Boundary.append chunk ~arrival:(now + i) ~emitted:now
+        ~seq:((r * batch) + i) ~dst_node:b.Net.node_id ~dst_port:0 f;
+      Frame.recycle f
+    done;
+    Parsim.Boundary.decode chunk ~pool:bpool deliver;
+    Engine.run eng ~until:(now + batch + 1)
+  in
+  round 0;
+  let w0 = Gc.minor_words () in
+  for r = 1 to rounds do
+    round r
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "every message delivered" ((rounds + 1) * batch)
+    (Net.frames_delivered net);
+  check Alcotest.int "one sender frame" 1 (Frame.Pool.created src_pool);
+  check Alcotest.int "one boundary frame per message of a chunk" batch
+    (Frame.Pool.created bpool);
+  check Alcotest.int "boundary pool drained" 0 (Frame.Pool.outstanding bpool);
+  check (Alcotest.float 0.0) "minor words across boundary crossings" 0.0 words
 
 (* --- inbox merge order ---------------------------------------------- *)
 
@@ -414,6 +462,8 @@ let suite =
       test_barrier_poison_mid_spin;
     qtest prop_boundary_codec_roundtrip;
     qtest prop_chunk_recycle_never_aliases;
+    Alcotest.test_case "warm boundary crossing allocates nothing" `Quick
+      test_boundary_crossing_allocates_nothing;
     qtest prop_inbox_sorts_like_compare_msg;
     Alcotest.test_case "dumbbell w/ drops matches sequential" `Quick
       test_dumbbell_matches_sequential;

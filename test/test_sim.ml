@@ -124,7 +124,7 @@ let test_engine_typed_dispatch () =
       ~payload:(Bytes.create 7) ()
   in
   Engine.dequeue_at eng 10 h ~node:3 ~port:1;
-  Engine.deliver_at eng 10 h ~node:4 ~port:0 frame;
+  Engine.deliver_at eng 10 ~emitted:(Engine.now eng) h ~node:4 ~port:0 frame;
   Engine.at eng 10 (fun () -> log := ("thunk", 0, 0, 0) :: !log);
   Engine.restart_at eng 20 h ~node:9;
   Engine.dequeue_at eng 30 h ~node:5 ~port:2;
@@ -175,6 +175,99 @@ let test_engine_typed_core_allocates_nothing () =
   let words = Gc.minor_words () -. w0 in
   check Alcotest.int "events fired" (events + 64) (Engine.events_processed eng);
   check (Alcotest.float 0.0) "minor words across Engine.run" 0.0 words
+
+(* --- Net forwarding allocation ------------------------------------------- *)
+
+let ignore_card _ ~off:_ = ()
+
+(* Forwarding rounds in a warm k=4 fat-tree. Each round sends one
+   pooled frame from every host to the host opposite it, from a loop
+   outside the engine, then runs the engine until all are delivered.
+   [tpp i] is host [i]'s TPP option; [tap] installs a binary postcard
+   tap on every switch and drains it after each round. A first round
+   warms the pools, NIC rings, wire-check shapes, compile caches and
+   the switches' lazily built port state; the minor words of the 200
+   rounds after it are returned with the frames they sent and the net. *)
+let warm_forwarding_words ?tap ?(tpp = fun _ -> None) () =
+  let rounds = 200 in
+  let eng = Engine.create () in
+  let ft =
+    Topology.fat_tree eng ~wire_check:`Cached ~k:4 ~bps:1_000_000_000
+      ~delay:1_000 ()
+  in
+  let net = ft.Topology.f_net and hosts = ft.Topology.f_hosts in
+  let n = Array.length hosts in
+  let pools = Array.map (fun _ -> Frame.Pool.create ()) hosts in
+  let payload = Bytes.create 64 in
+  let drain =
+    match tap with
+    | None -> ignore
+    | Some sink ->
+      Telemetry_emit.tap_switches sink net;
+      fun () -> Telemetry_sink.drain sink ignore_card
+  in
+  let round r =
+    for i = 0 to n - 1 do
+      let s = hosts.(i) and d = hosts.((i + (n / 2)) mod n) in
+      Net.host_send net s
+        (Frame.Pool.udp_frame pools.(i) ~src_mac:s.Net.mac ~dst_mac:d.Net.mac
+           ~src_ip:s.Net.ip ~dst_ip:d.Net.ip ~src_port:(1000 + i) ~dst_port:7
+           ?tpp:(tpp i) ~payload ())
+    done;
+    Engine.run eng ~until:(Time_ns.ms (r + 1));
+    drain ()
+  in
+  round 0;
+  let w0 = Gc.minor_words () in
+  for r = 1 to rounds do
+    round r
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "every frame delivered" ((rounds + 1) * n)
+    (Net.frames_delivered net);
+  check Alcotest.int "one frame per pool" n
+    (Array.fold_left (fun a p -> a + Frame.Pool.created p) 0 pools);
+  (words, rounds * n, net)
+
+(* A warm frame hop through [Net] allocates nothing: host NIC, links,
+   switch ingress and egress, delivery and recycling, 5 switch hops per
+   frame here. Together with the engine, switch and TPP tests this pins
+   the whole sequential dataplane at zero words per hop. *)
+let test_warm_net_forwarding_allocates_nothing () =
+  let words, _, _ = warm_forwarding_words () in
+  check (Alcotest.float 0.0) "minor words across warm forwarding" 0.0 words
+
+let test_warm_net_postcards_allocate_nothing () =
+  let sink = Telemetry_sink.create () in
+  let words, sends, _ = warm_forwarding_words ~tap:sink () in
+  check Alcotest.bool "cards emitted" true (Telemetry_sink.emitted sink >= sends);
+  check Alcotest.int "no card dropped" 0 (Telemetry_sink.dropped sink);
+  check (Alcotest.float 0.0) "minor words across tapped forwarding" 0.0 words
+
+(* Pooled TPP frames: the only allocation is the [Some] the sender boxes
+   its copy of the template in, 2 words per send. *)
+let test_warm_net_tpp_forwarding_allocates_only_the_option () =
+  let templates =
+    Array.of_list
+      (List.map
+         (fun (name, src) ->
+           match Programs.build src with
+           | Ok tpp -> tpp
+           | Error e -> Alcotest.failf "%s: %s" name e)
+         Programs.all)
+  in
+  let tpp i = Some (Prog.copy templates.(i mod Array.length templates)) in
+  let words, sends, net = warm_forwarding_words ~tpp () in
+  let execs =
+    List.fold_left
+      (fun a (_, sw) -> a + (Switch.state sw).Switch_state.tpp_execs)
+      0 (Net.switches net)
+  in
+  (* Every frame, the warm round's 16 included, crosses the core: 5
+     switch hops, each running its TPP. *)
+  check Alcotest.int "a TPP ran on every switch hop" (5 * (sends + 16)) execs;
+  check (Alcotest.float 0.0) "minor words across warm TPP forwarding"
+    (float_of_int (2 * sends)) words
 
 (* --- Net timing ------------------------------------------------------------ *)
 
@@ -637,6 +730,12 @@ let suite =
     Alcotest.test_case "engine typed core allocates nothing" `Quick
       test_engine_typed_core_allocates_nothing;
     Alcotest.test_case "event path goldens" `Quick test_event_path_goldens;
+    Alcotest.test_case "warm Net forwarding allocates nothing" `Quick
+      test_warm_net_forwarding_allocates_nothing;
+    Alcotest.test_case "warm Net forwarding with postcard taps allocates nothing"
+      `Quick test_warm_net_postcards_allocate_nothing;
+    Alcotest.test_case "warm Net TPP forwarding allocates only the option box"
+      `Quick test_warm_net_tpp_forwarding_allocates_only_the_option;
     Alcotest.test_case "engine until boundary" `Quick
       test_engine_run_until_is_exclusive_of_later_events;
     Alcotest.test_case "delivery and latency" `Quick test_delivery_and_latency;
