@@ -18,9 +18,6 @@ module Buf = Tpp_util.Buf
 module Rng = Tpp_util.Rng
 module Stats = Tpp_util.Stats
 module Series = Tpp_util.Series
-module Spsc = Tpp_util.Spsc
-module Partition = Tpp_util.Partition
-module Wheel = Tpp_util.Wheel
 
 (* Wire formats *)
 module Mac = Tpp_packet.Mac

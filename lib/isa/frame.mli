@@ -243,8 +243,7 @@ val blit_wire : t -> bytes -> pos:int -> int
     encodability requirement as {!serialize}: a hand-built TPP whose
     program cannot be encoded raises [Invalid_argument], so such frames
     cannot cross a shard boundary, just as [Net.host_send]'s wire check
-    refuses them: always under the default [`Always], and under
-    [`Cached] whenever their header layout is new. *)
+    refuses them whenever their header layout is new. *)
 
 val materialize :
   pool:Pool.t -> id:int -> hop_count:int -> bytes -> pos:int -> len:int -> t

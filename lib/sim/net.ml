@@ -22,8 +22,6 @@ type host = {
 
 type node_impl = Switch_n of Switch.t | Host_n of host
 
-type wire_check = [ `Always | `Cached ]
-
 (* When this net is one shard of a parallel run: which shard each node
    belongs to, which shard this instance executes, and how a frame whose
    link crosses into another shard leaves this one. *)
@@ -67,7 +65,6 @@ type fault_hooks = {
    ({!port_index}), so the hot fault hooks are array lookups too. *)
 type t = {
   eng : Engine.t;
-  wire_check : wire_check;
   handlers : Engine.handlers;
       (* the net's one handlers record: every typed event carries it *)
   no_frame : Frame.t;  (* dummy parked in [in_flight] between txs *)
@@ -100,8 +97,8 @@ type t = {
   node_hint : int;  (* expected node/port counts: builders that know the *)
   port_hint : int;  (* final size pass them so the arrays never over-grow *)
   checked_shapes : (int, unit) Hashtbl.t;
-      (* header-layout keys already validated in [`Cached] mode *)
-  scratch : Buf.Writer.t;  (* reused by the cached wire check *)
+      (* header-layout keys already validated by the wire check *)
+  scratch : Buf.Writer.t;  (* reused by the wire check *)
 }
 
 let engine t = t.eng
@@ -345,8 +342,8 @@ let rec deliver t id port frame =
       h.receive ~now:(Engine.now t.eng) frame;
       (* The frame reached its destination and every handler has run:
          if it came from a pool, its buffer is free for the next send.
-         (No-op for unpooled frames, so receivers that retain frames —
-         the tests do — are unaffected: they never see pooled ones.) *)
+         (No-op for unpooled frames: a receiver that retains frames —
+         the tests do — must be sent unpooled ones.) *)
       Frame.recycle frame
     | Switch_n sw -> (
       match Switch.handle_ingress sw ~now:(Engine.now t.eng) ~in_port:port frame with
@@ -448,12 +445,8 @@ and schedule_deliver t delay pn pp frame =
   Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handlers
     ~node:pn ~port:pp frame
 
-let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always) eng =
-  let no_frame =
-    Frame.udp_frame ~src_mac:(Mac.of_host_id 0) ~dst_mac:(Mac.of_host_id 0)
-      ~src_ip:(Ipv4.Addr.of_host_id 0) ~dst_ip:(Ipv4.Addr.of_host_id 0)
-      ~src_port:0 ~dst_port:0 ~payload:Bytes.empty ()
-  in
+let create ?(nodes = 0) ?(ports = 0) eng =
+  let no_frame = Frame.placeholder () in
   let checked_shapes = Hashtbl.create 32 in
   let scratch = Buf.Writer.create ~capacity:256 () in
   (* The handlers close over the net they dispatch into, so the record
@@ -462,7 +455,6 @@ let create ?(nodes = 0) ?(ports = 0) ?(wire_check = `Always) eng =
   let rec t =
     {
       eng;
-      wire_check;
       handlers =
         {
           Engine.on_deliver = (fun ~node ~port frame -> deliver t node port frame);
@@ -524,43 +516,24 @@ let shape_key (frame : Frame.t) =
   Frame.flow_hash_values ~src:(Frame.ethertype frame) ~dst:tpp_key
     ~proto:l3_key ~src_port:0 ~dst_port:0
 
-let wire_check_fail e =
-  failwith ("Net.host_send: frame failed wire round-trip: " ^ e)
-
 let host_send t host frame =
   (match t.sharding with
   | Some s when Array.unsafe_get s.owner host.node_id <> s.shard ->
     invalid_arg "Net.host_send: host is owned by another shard"
   | _ -> ());
-  let frame =
-    match t.wire_check with
-    | `Always -> (
-      (* Full-strength: every packet becomes its wire image, so the
-         receiver sees exactly what a byte-faithful network would carry.
-         The re-parsed copy travels in the caller's place, so the
-         caller's frame goes back to its pool (a no-op if unpooled). *)
-      match Frame.parse (Frame.serialize frame) with
-      | Ok f ->
-        Frame.recycle frame;
-        f
-      | Error e -> wire_check_fail e)
-    | `Cached ->
-      (* Validate each distinct header layout once; frames of an
-         already-validated shape forward structurally with no
-         serialisation at all on the steady-state path. *)
-      let key = shape_key frame in
-      if not (Hashtbl.mem t.checked_shapes key) then begin
-        Buf.Writer.reset t.scratch;
-        Frame.serialize_into t.scratch frame;
-        match
-          Frame.parse ~len:(Buf.Writer.length t.scratch)
-            (Buf.Writer.buffer t.scratch)
-        with
-        | Ok _ -> Hashtbl.replace t.checked_shapes key ()
-        | Error e -> wire_check_fail e
-      end;
-      frame
-  in
+  (* Validate each distinct header layout once with a full round trip;
+     frames of an already-validated layout forward as they are, with no
+     serialisation on the steady-state path. *)
+  let key = shape_key frame in
+  if not (Hashtbl.mem t.checked_shapes key) then begin
+    Buf.Writer.reset t.scratch;
+    Frame.serialize_into t.scratch frame;
+    match
+      Frame.parse ~len:(Buf.Writer.length t.scratch) (Buf.Writer.buffer t.scratch)
+    with
+    | Ok _ -> Hashtbl.replace t.checked_shapes key ()
+    | Error e -> failwith ("Net.host_send: frame failed wire round-trip: " ^ e)
+  end;
   let q =
     match host.nic_q with
     | Some r -> r

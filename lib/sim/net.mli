@@ -40,20 +40,9 @@ type host = {
           inspection, don't replace it. *)
 }
 
-type wire_check = [ `Always | `Cached ]
-(** How [host_send] validates frames against the byte-level wire format:
-    - [`Always] (the default): serialise and re-parse every frame, and
-      forward the re-parsed copy, so every simulated transmission is
-      byte-faithful. Full-strength checking — what the test suite uses.
-    - [`Cached]: round-trip each distinct header {e layout} (ethertype,
-      TPP section geometry, IP/UDP presence, payload length) once, then
-      forward structurally with no per-packet serialisation. The
-      steady-state fast path for throughput runs. *)
-
 val create :
   ?nodes:int ->
   ?ports:int ->
-  ?wire_check:wire_check ->
   Engine.t ->
   t
 (** [?nodes]/[?ports] are capacity hints: a builder that knows the final
@@ -94,10 +83,14 @@ val connect :
     capacities. A port can hold one link (raises [Invalid_argument]). *)
 
 val host_send : t -> host -> Frame.t -> unit
-(** Queues a frame on the host's NIC for transmission. Takes ownership
-    of the frame: a pooled frame returns to its pool once delivered or
-    dropped — under [`Always], as soon as its re-parsed copy replaces
-    it — so the caller must not touch it after the call. *)
+(** Queues a frame on the host's NIC for transmission. The first frame
+    of each header {e layout} (ethertype, TPP section geometry, IP/UDP
+    presence, payload length) is checked against the byte-level wire
+    format with a full serialise-and-parse round trip; a frame that
+    fails it raises [Failure]. The frame itself is forwarded, never a
+    copy: takes ownership, and a pooled frame returns to its pool once
+    delivered or dropped, so the caller must not touch it after the
+    call, nor the receiver after its [receive] callback returns. *)
 
 val set_link_up : t -> int * int -> bool -> unit
 (** Fails or restores the (full-duplex) link attached at this endpoint.

@@ -130,9 +130,9 @@ type chain = {
   hosts : Net.host array array;
 }
 
-let chain eng ?wire_check ~num_switches ~hosts_per_switch ~bps ~delay () =
+let chain eng ~num_switches ~hosts_per_switch ~bps ~delay () =
   if num_switches < 1 then invalid_arg "Topology.chain: num_switches";
-  let net = Net.create ?wire_check eng in
+  let net = Net.create eng in
   let switch_ids =
     Array.init num_switches (fun i ->
         Net.add_switch net
@@ -159,9 +159,9 @@ type dumbbell = {
   receivers : Net.host array;
 }
 
-let dumbbell eng ?wire_check ~pairs ~core_bps ~edge_bps ~delay () =
+let dumbbell eng ~pairs ~core_bps ~edge_bps ~delay () =
   if pairs < 1 then invalid_arg "Topology.dumbbell: pairs";
-  let net = Net.create ?wire_check eng in
+  let net = Net.create eng in
   let left = Net.add_switch net (Switch.create ~id:1 ~num_ports:(1 + pairs) ()) in
   let right = Net.add_switch net (Switch.create ~id:2 ~num_ports:(1 + pairs) ()) in
   Net.connect net (left, 0) (right, 0) ~bps:core_bps ~delay;
@@ -190,9 +190,9 @@ type diamond = {
   dst_hosts : Net.host array;
 }
 
-let diamond eng ?wire_check ~hosts_per_side ~bps ~delay () =
+let diamond eng ~hosts_per_side ~bps ~delay () =
   if hosts_per_side < 1 then invalid_arg "Topology.diamond: hosts_per_side";
-  let net = Net.create ?wire_check eng in
+  let net = Net.create eng in
   let mk id = Net.add_switch net (Switch.create ~id ~num_ports:(2 + hosts_per_side) ()) in
   let a = mk 1 and b = mk 2 and c = mk 3 and d = mk 4 in
   (* A: port 0 -> B, port 1 -> C; D: port 0 -> B, port 1 -> C. *)
@@ -217,11 +217,11 @@ type random_topology = {
   r_hosts : Net.host array;
 }
 
-let random eng ?wire_check ~switches ~hosts ~extra_links ~seed ?(ecmp = false) ~bps ~delay () =
+let random eng ~switches ~hosts ~extra_links ~seed ?(ecmp = false) ~bps ~delay () =
   if switches < 1 then invalid_arg "Topology.random: switches";
   if hosts < 2 then invalid_arg "Topology.random: need at least 2 hosts";
   let rng = Tpp_util.Rng.create ~seed in
-  let net = Net.create ?wire_check eng in
+  let net = Net.create eng in
   (* Port budget: spanning tree + extra links + attached hosts could all
      land on one switch; size generously. *)
   let num_ports = switches + extra_links + hosts + 1 in
@@ -312,7 +312,7 @@ let ecmp_salt_of node =
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
   (z lxor (z lsr 32)) land max_int
 
-let fat_tree eng ?wire_check ?(ecmp = true) ?(addressing = `Counter)
+let fat_tree eng ?wire_check:_ ?(ecmp = true) ?(addressing = `Counter)
     ?(fib = `Host32) ~k ~bps ~delay () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even, >= 2";
   if fib = `Aggregated && addressing <> `Pods then
@@ -324,8 +324,7 @@ let fat_tree eng ?wire_check ?(ecmp = true) ?(addressing = `Counter)
   let switches = (k * k) + (half * half) in
   let hosts = k * half * half in
   let net =
-    Net.create ~nodes:(switches + hosts) ~ports:((switches * k) + hosts)
-      ?wire_check eng
+    Net.create ~nodes:(switches + hosts) ~ports:((switches * k) + hosts) eng
   in
   let next_switch_id = ref 0 in
   let mk ~num_ports =
@@ -432,7 +431,7 @@ type leaf_spine = {
   ls_hosts_per_leaf : int;
 }
 
-let leaf_spine eng ?wire_check ?(ecmp = true) ~leaves ~spines
+let leaf_spine eng ?(ecmp = true) ~leaves ~spines
     ~hosts_per_leaf ~bps ~delay () =
   if leaves < 1 || leaves > 0x10000 then
     invalid_arg "Topology.leaf_spine: need 1 <= leaves <= 65536";
@@ -444,7 +443,7 @@ let leaf_spine eng ?wire_check ?(ecmp = true) ~leaves ~spines
     Net.create
       ~nodes:(leaves + spines + hosts)
       ~ports:((leaves * (hosts_per_leaf + spines)) + (spines * leaves) + hosts)
-      ?wire_check eng
+      eng
   in
   let leaf_ids =
     Array.init leaves (fun l ->

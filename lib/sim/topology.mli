@@ -44,7 +44,6 @@ type chain = {
 
 val chain :
   Engine.t ->
-  ?wire_check:Net.wire_check ->
   num_switches:int ->
   hosts_per_switch:int ->
   bps:int ->
@@ -65,7 +64,6 @@ type dumbbell = {
 
 val dumbbell :
   Engine.t ->
-  ?wire_check:Net.wire_check ->
   pairs:int ->
   core_bps:int ->
   edge_bps:int ->
@@ -88,7 +86,6 @@ type diamond = {
 
 val diamond :
   Engine.t ->
-  ?wire_check:Net.wire_check ->
   hosts_per_side:int ->
   bps:int ->
   delay:Time_ns.span ->
@@ -115,7 +112,6 @@ type random_topology = {
 
 val random :
   Engine.t ->
-  ?wire_check:Net.wire_check ->
   switches:int ->
   hosts:int ->
   extra_links:int ->
@@ -132,7 +128,7 @@ val random :
     these. *)
 
 val fat_tree :
-  Engine.t -> ?wire_check:Net.wire_check ->
+  Engine.t -> ?wire_check:[ `Cached ] ->
   ?ecmp:bool -> ?addressing:[ `Counter | `Pods ] ->
   ?fib:[ `Host32 | `Aggregated ] -> k:int -> bps:int ->
   delay:Time_ns.span -> unit -> fat_tree
@@ -154,7 +150,11 @@ val fat_tree :
     oracle; [`Aggregated] (requires [`Pods]) installs O(1) prefix
     entries per switch (a {!Tpp_asic.Tables.Connected} block route over
     everything below, plus an ECMP default up), forwarding every packet
-    identically to the oracle with ~half * k^2 / 2 fewer FIB entries. *)
+    identically to the oracle with ~half * k^2 / 2 fewer FIB entries.
+
+    [wire_check] selects nothing: [`Cached] is the only value, and every
+    net checks each header layout once ({!Net.host_send}). It stays
+    only so existing callers that pass it keep compiling. *)
 
 type leaf_spine = {
   ls_net : Net.t;
@@ -167,8 +167,7 @@ type leaf_spine = {
 }
 
 val leaf_spine :
-  Engine.t -> ?wire_check:Net.wire_check ->
-  ?ecmp:bool -> leaves:int -> spines:int -> hosts_per_leaf:int -> bps:int ->
+  Engine.t -> ?ecmp:bool -> leaves:int -> spines:int -> hosts_per_leaf:int -> bps:int ->
   delay:Time_ns.span -> unit -> leaf_spine
 (** A two-tier leaf-spine fabric: [leaves] (<= 65536) leaf switches of
     [hosts_per_leaf] (<= 253) hosts each, every leaf connected to every

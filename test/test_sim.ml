@@ -192,8 +192,7 @@ let warm_forwarding_words ?tap ?(tpp = fun _ -> None) () =
   let rounds = 200 in
   let eng = Engine.create () in
   let ft =
-    Topology.fat_tree eng ~wire_check:`Cached ~k:4 ~bps:1_000_000_000
-      ~delay:1_000 ()
+    Topology.fat_tree eng ~k:4 ~bps:1_000_000_000 ~delay:1_000 ()
   in
   let net = ft.Topology.f_net and hosts = ft.Topology.f_hosts in
   let n = Array.length hosts in
@@ -272,9 +271,9 @@ let test_warm_net_tpp_forwarding_allocates_only_the_option () =
 (* --- Net timing ------------------------------------------------------------ *)
 
 (* One switch between two hosts; both links 100 Mb/s, 1 ms propagation. *)
-let two_hosts ?wire_check () =
+let two_hosts () =
   let eng = Engine.create () in
-  let net = Net.create ?wire_check eng in
+  let net = Net.create eng in
   let sw = Switch.create ~id:1 ~num_ports:2 () in
   let sw_id = Net.add_switch net sw in
   let a = Net.add_host net ~name:"a" in
@@ -353,8 +352,9 @@ let test_event_path_goldens () =
   check Alcotest.int "events" 200 (Engine.events_processed eng)
 
 let test_wire_check_exercised () =
-  (* host_send serialises and reparses; a frame that round-trips fine
-     must arrive, and the parse error path is covered by test_isa. *)
+  (* host_send round-trips the first frame of each header layout; a
+     frame that round-trips fine must arrive, and the parse error path
+     is covered by test_isa. *)
   let eng, net, a, b = two_hosts () in
   let got_tpp = ref false in
   b.Net.receive <- (fun ~now:_ frame -> got_tpp := Option.is_some frame.Frame.tpp);
@@ -369,9 +369,9 @@ let test_wire_check_exercised () =
 
 (* A frame whose headers cannot round-trip (IPv4 ethertype announced but
    the IP header ripped out, so the wire image truncates) must be
-   rejected at the NIC in [`Always] mode — the default, so the cache
-   never weakens test-time checking — and in [`Cached] mode too, since
-   an unseen shape gets the full round-trip. *)
+   rejected at the NIC: its header layout is new, so it gets the full
+   round trip, as the first frame sent and after a healthy layout
+   alike. *)
 let corrupted_frame a b =
   let frame =
     Frame.udp_frame ~src_mac:a.Net.mac ~dst_mac:b.Net.mac ~src_ip:a.Net.ip
@@ -393,12 +393,12 @@ let expect_wire_check_failure net a frame =
       (String.length msg > 0
       && String.sub msg 0 (min 17 (String.length msg)) = "Net.host_send: fr")
 
-let test_wire_check_always_catches_corruption () =
+let test_wire_check_catches_corruption () =
   let _eng, net, a, b = two_hosts () in
   expect_wire_check_failure net a (corrupted_frame a b)
 
-let test_wire_check_cached_catches_new_shape () =
-  let _eng, net, a, b = two_hosts ~wire_check:`Cached () in
+let test_wire_check_catches_new_shape () =
+  let _eng, net, a, b = two_hosts () in
   (* Warm the cache with a healthy frame of a different shape first. *)
   let ok =
     Frame.udp_frame ~src_mac:a.Net.mac ~dst_mac:b.Net.mac ~src_ip:a.Net.ip
@@ -407,58 +407,95 @@ let test_wire_check_cached_catches_new_shape () =
   Net.host_send net a ok;
   expect_wire_check_failure net a (corrupted_frame a b)
 
-(* The cached mode must not change what the simulation computes: same
-   workload, same deliveries at the same instants as [`Always]. *)
-let test_wire_check_modes_agree () =
-  let run wire_check =
-    let eng, net, a, b = two_hosts ~wire_check () in
+(* The reference injection: the frame's parsed wire image travels in
+   its place, as a byte-faithful network would carry it. *)
+let send_wire_image net host frame =
+  match Frame.parse (Frame.serialize frame) with
+  | Ok wire -> Net.host_send net host wire
+  | Error e -> Alcotest.failf "frame failed its wire round trip: %s" e
+
+(* Forwarding the sender's own frame must not change what the
+   simulation computes: same workload, same deliveries at the same
+   instants, the same TPP packet memory on arrival and the same switch
+   registers as sending every frame's parsed wire image. *)
+let test_forwarding_matches_wire_images () =
+  let tpp =
+    Result.get_ok
+      (Asm.to_tpp ~mem_len:16
+         "PUSH [Switch:SwitchID]\nPUSH [Link:QueueSize]\nADD [Sram:7], 1\n")
+  in
+  let run send =
+    let eng, net, a, b = two_hosts () in
     let arrivals = ref [] in
     b.Net.receive <-
       (fun ~now frame ->
-        arrivals := (now, Frame.payload_len frame) :: !arrivals);
+        let memory =
+          match frame.Frame.tpp with
+          | Some s -> List.map string_of_int (s.Prog.hop :: Prog.words s)
+          | None -> []
+        in
+        arrivals :=
+          Printf.sprintf "%d %d [%s]" now (Frame.payload_len frame)
+            (String.concat " " memory)
+          :: !arrivals);
     for i = 1 to 30 do
       let frame =
         Frame.udp_frame ~src_mac:a.Net.mac ~dst_mac:b.Net.mac ~src_ip:a.Net.ip
           ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2
-          ~payload:(Bytes.create (100 + (i mod 3)))
+          ?tpp:(if i mod 3 = 0 then Some (Prog.copy tpp) else None)
+          ~payload:(Bytes.make (100 + (i mod 3)) (Char.chr i))
           ()
       in
-      Net.host_send net a frame
+      send net a frame
     done;
     Engine.run eng ~until:(Time_ns.sec 1);
-    (List.rev !arrivals, Net.frames_delivered net)
+    let registers =
+      List.concat_map
+        (fun (_, sw) -> Array.to_list (Switch_state.sram_array (Switch.state sw)))
+        (Net.switches net)
+    in
+    (List.rev !arrivals, registers)
   in
-  let always = run `Always and cached = run `Cached in
-  check
-    (Alcotest.pair
-       (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-       Alcotest.int)
-    "cached = always" always cached
+  let arrivals, registers = run Net.host_send in
+  let wire_arrivals, wire_registers = run send_wire_image in
+  check Alcotest.int "all delivered" 30 (List.length arrivals);
+  check (Alcotest.list Alcotest.string) "arrivals, TPP memory included"
+    wire_arrivals arrivals;
+  check Alcotest.bool "TPPs wrote a register" true
+    (List.exists (fun r -> r <> 0) registers);
+  check (Alcotest.list Alcotest.int) "switch registers" wire_registers registers
 
-(* [`Always] forwards the re-parsed copy, so the pooled frame the
-   caller handed over must go straight back to its pool: N sends reuse
-   one buffer instead of leaking N. *)
-let test_wire_check_always_recycles_pooled () =
+(* The net forwards the frame the sender handed over, never a copy: the
+   receiver gets the pooled frame itself, which goes back to its pool
+   once received, so 100 sends in turn reuse one buffer. *)
+let test_net_forwards_senders_frame () =
   let eng, net, a, b = two_hosts () in
   let pool = Frame.Pool.create ~frame_bytes:256 () in
+  let sent = ref None and same = ref 0 in
+  b.Net.receive <-
+    (fun ~now:_ f -> match !sent with Some s when s == f -> incr same | _ -> ());
   let sends = 100 in
-  for _ = 1 to sends do
-    Net.host_send net a
-      (Frame.Pool.udp_frame pool ~src_mac:a.Net.mac ~dst_mac:b.Net.mac
-         ~src_ip:a.Net.ip ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2
-         ~payload:(Bytes.create 64) ())
+  for i = 1 to sends do
+    let f =
+      Frame.Pool.udp_frame pool ~src_mac:a.Net.mac ~dst_mac:b.Net.mac
+        ~src_ip:a.Net.ip ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2
+        ~payload:(Bytes.create 64) ()
+    in
+    sent := Some f;
+    Net.host_send net a f;
+    Engine.run eng ~until:(Time_ns.ms (10 * i));
+    check Alcotest.int "received and recycled" 0 (Frame.Pool.outstanding pool)
   done;
-  Engine.run eng ~until:(Time_ns.sec 1);
   check Alcotest.int "all delivered" sends (Net.frames_delivered net);
+  check Alcotest.int "the receiver got the sender's frame" sends !same;
   check Alcotest.int "one buffer created" 1 (Frame.Pool.created pool);
   check Alcotest.int "reused for every later send" (sends - 1)
-    (Frame.Pool.reused pool);
-  check Alcotest.int "nothing outstanding" 0 (Frame.Pool.outstanding pool)
+    (Frame.Pool.reused pool)
 
 (* An edge port that strips TPPs forwards an unpooled copy; the pooled
    original must still go back to its pool. *)
 let test_strip_tpp_recycles_pooled () =
-  let eng, net, a, b = two_hosts ~wire_check:`Cached () in
+  let eng, net, a, b = two_hosts () in
   List.iter (fun (_, sw) -> Switch.set_strip_tpp sw ~port:0 true) (Net.switches net);
   let tpp = Prog.make ~program:[ Instr.Push (Instr.Sw 0) ] ~mem_len:8 () in
   let pool = Frame.Pool.create ~frame_bytes:256 () in
@@ -742,12 +779,13 @@ let suite =
     Alcotest.test_case "fifo ordering" `Quick test_fifo_no_reordering;
     Alcotest.test_case "wire check" `Quick test_wire_check_exercised;
     Alcotest.test_case "wire check catches corruption (always)" `Quick
-      test_wire_check_always_catches_corruption;
+      test_wire_check_catches_corruption;
     Alcotest.test_case "wire check catches corruption (cached)" `Quick
-      test_wire_check_cached_catches_new_shape;
-    Alcotest.test_case "wire check modes agree" `Quick test_wire_check_modes_agree;
-    Alcotest.test_case "always wire check recycles pooled frames" `Quick
-      test_wire_check_always_recycles_pooled;
+      test_wire_check_catches_new_shape;
+    Alcotest.test_case "wire check modes agree" `Quick
+      test_forwarding_matches_wire_images;
+    Alcotest.test_case "Net forwards the sender's frame" `Quick
+      test_net_forwards_senders_frame;
     Alcotest.test_case "stripped TPP frames go back to their pool" `Quick
       test_strip_tpp_recycles_pooled;
     Alcotest.test_case "deliver hooks in order" `Quick

@@ -604,6 +604,8 @@ let test_stats_empty_safe () =
 
 (* --- Spsc ----------------------------------------------------------- *)
 
+module Spsc = Tpp_util.Spsc
+
 let test_spsc_fifo () =
   let q = Spsc.create () in
   check (Alcotest.option Alcotest.int) "empty" None (Spsc.pop q);
@@ -660,6 +662,8 @@ let test_spsc_cross_domain () =
   check (Alcotest.option Alcotest.int) "nothing extra" None (Spsc.pop q)
 
 (* --- Partition ------------------------------------------------------ *)
+
+module Partition = Tpp_util.Partition
 
 (* An even ring: optimal bisection is two arcs with a cut of 2. *)
 let ring n = List.init n (fun i -> (i, (i + 1) mod n, 1))
