@@ -404,6 +404,10 @@ let run_fabric spec ~oracle ~shards =
       parts
   in
   let taps = List.filter_map (fun p -> p.tap) parts in
+  (* Read before the merge below, which flushes every digest. *)
+  let tap_sum f = List.fold_left (fun a (col, _) -> a + f col) 0 taps in
+  let tap_words = tap_sum (fun col -> Obj.reachable_words (Obj.repr col))
+  and tap_links = tap_sum (fun col -> List.length (Collector.links col)) in
   let merged = Collector.create () in
   List.iter (fun (col, _) -> Collector.merge ~into:merged col) taps;
   let f = float_of_int in
@@ -428,7 +432,9 @@ let run_fabric spec ~oracle ~shards =
       sums
       @ [ ("fib_per_switch", List.assoc "fib_entries" sums /. List.assoc "switches" sums) ]
       @ (if taps = [] then []
-         else [ ("cards_dropped", f (List.fold_left (fun a (_, d) -> a + d) 0 taps)) ])
+         else
+           [ ("cards_dropped", f (List.fold_left (fun a (_, d) -> a + d) 0 taps));
+             ("collector_words_per_link", per tap_links (f tap_words)) ])
       @
       match stats with
       | None -> []
@@ -1014,7 +1020,14 @@ let table ~smoke =
       ~why:
         "the flat boundary at 4 shards: identity and drained pools on any \
          machine, the 2x speedup only where >= 4 cores can show it";
-    spec "postcard" (Fat_tree k) Postcard ~packets ~shards ~asserts:[ no_cards_dropped ]
+    spec "postcard" (Fat_tree k) Postcard ~packets ~shards
+      ~asserts:
+        [ no_cards_dropped;
+          (* Measured x 1.25, rounded up. At smoke size most links see
+             fewer than 2 cap depth samples and keep a half-size digest
+             buffer; at full size every link's has grown to 4 cap. *)
+          at_most "collector words/link" (pick 788.0 1624.0) (fun c ->
+              metric "collector_words_per_link" c.seq) ]
       ~why:
         "switch taps card each hop exactly once fabric-wide: merged shard \
          collectors reproduce the sequential collector bit for bit";

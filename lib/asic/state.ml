@@ -15,9 +15,14 @@ module Subqueue = struct
            the ring has grown to the port's working set *)
   }
 
+  (* Every ring's vacated-slot filler: it is only stored, never read
+     back, compared, sent or mutated, so one frame serves all rings
+     (and all domains). *)
+  let filler = Frame.placeholder ()
+
   let create ~limit =
     { q_bytes = 0; q_enqueued = 0; q_dropped = 0; q_limit = limit;
-      frames = Ring.create ~dummy:(Frame.placeholder ()) () }
+      frames = Ring.create ~dummy:filler () }
 
   let packets t = Ring.length t.frames
 end

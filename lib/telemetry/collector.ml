@@ -7,6 +7,21 @@ type link_state = {
   fault_ewma : Sketch.Ewma.t;
 }
 
+let mix = Sketch.mix
+
+(* Int-keyed tables for the per-card path: the generic Hashtbl would
+   call the polymorphic [caml_hash] and [compare] on every card. The
+   key must be mixed, as a link key ([switch * 65536 + port]) keeps the
+   port in its low 16 bits and the table indexes by the low bits. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash = mix
+end)
+
+type switch_state = { mutable s_hops : int }
+
 type t = {
   digest_delta : float;
   depth_alpha : float;
@@ -16,8 +31,8 @@ type t = {
   mutable probe_retries : int;
   mutable probe_failures : int;
   mutable fault_events : int;
-  by_switch : (int, int ref) Hashtbl.t;
-  by_link : (int, link_state) Hashtbl.t;  (* key = switch * 65536 + port *)
+  by_switch : switch_state Tbl.t;
+  by_link : link_state Tbl.t;  (* key = switch * 65536 + port *)
   flows : Sketch.Cms.t;
   drain_card : bytes -> off:int -> unit;  (* [absorb_card] of this collector *)
 }
@@ -26,10 +41,10 @@ let link_key ~switch ~port = (switch * 65536) + port
 let key_switch k = k / 65536
 let key_port k = k mod 65536
 
-(* Hashtbl.find + exception rather than find_opt: the option would be
-   a fresh allocation per card on the absorb path. *)
+(* Tbl.find + exception rather than find_opt: the option would be a
+   fresh allocation per card on the absorb path. *)
 let link_state t key =
-  match Hashtbl.find t.by_link key with
+  match Tbl.find t.by_link key with
   | ls -> ls
   | exception Not_found ->
     let ls =
@@ -42,7 +57,7 @@ let link_state t key =
         fault_ewma = Sketch.Ewma.create ~alpha:t.fault_alpha ();
       }
     in
-    Hashtbl.add t.by_link key ls;
+    Tbl.add t.by_link key ls;
     ls
 
 let absorb_card t buf ~off =
@@ -51,9 +66,9 @@ let absorb_card t buf ~off =
   let node = Wire.node buf ~off in
   if kind = Wire.kind_code Wire.Hop then begin
     t.hops <- t.hops + 1;
-    (match Hashtbl.find t.by_switch node with
-    | r -> incr r
-    | exception Not_found -> Hashtbl.add t.by_switch node (ref 1));
+    (match Tbl.find t.by_switch node with
+    | sw -> sw.s_hops <- sw.s_hops + 1
+    | exception Not_found -> Tbl.add t.by_switch node { s_hops = 1 });
     let wire_bytes = Wire.wire_bytes buf ~off in
     Sketch.Cms.add t.flows ~key:(Wire.flow_hash buf ~off) wire_bytes;
     let ls = link_state t (link_key ~switch:node ~port:(Wire.out_port buf ~off)) in
@@ -89,8 +104,8 @@ let create ?(cms_width = 2048) ?(cms_depth = 4) ?(digest_delta = 100.0)
       probe_retries = 0;
       probe_failures = 0;
       fault_events = 0;
-      by_switch = Hashtbl.create 64;
-      by_link = Hashtbl.create 256;
+      by_switch = Tbl.create 64;
+      by_link = Tbl.create 256;
       flows = Sketch.Cms.create ~width:cms_width ~depth:cms_depth ();
       drain_card = (fun buf ~off -> absorb_card t buf ~off);
     }
@@ -108,19 +123,19 @@ let probe_failures t = t.probe_failures
 let fault_events t = t.fault_events
 
 let switch_hops t ~switch =
-  match Hashtbl.find_opt t.by_switch switch with
-  | Some r -> !r
+  match Tbl.find_opt t.by_switch switch with
+  | Some sw -> sw.s_hops
   | None -> 0
 
 let flow_bytes t ~flow_hash = Sketch.Cms.estimate t.flows ~key:flow_hash
 let cms t = t.flows
 
 let links t =
-  Hashtbl.fold (fun k _ acc -> (key_switch k, key_port k) :: acc) t.by_link []
+  Tbl.fold (fun k _ acc -> (key_switch k, key_port k) :: acc) t.by_link []
   |> List.sort compare
 
 let with_link t ~switch ~port ~default f =
-  match Hashtbl.find_opt t.by_link (link_key ~switch ~port) with
+  match Tbl.find_opt t.by_link (link_key ~switch ~port) with
   | Some ls -> f ls
   | None -> default
 
@@ -146,7 +161,7 @@ let link_fault_ewma t ~switch ~port =
       Sketch.Ewma.value ls.fault_ewma)
 
 let hottest_link t ?(exclude = []) () =
-  Hashtbl.fold
+  Tbl.fold
     (fun k ls best ->
       let sw = key_switch k and port = key_port k in
       if List.mem (sw, port) exclude then best
@@ -165,13 +180,13 @@ let merge ~into src =
   into.probe_retries <- into.probe_retries + src.probe_retries;
   into.probe_failures <- into.probe_failures + src.probe_failures;
   into.fault_events <- into.fault_events + src.fault_events;
-  Hashtbl.iter
-    (fun sw r ->
-      match Hashtbl.find_opt into.by_switch sw with
-      | Some r' -> r' := !r' + !r
-      | None -> Hashtbl.add into.by_switch sw (ref !r))
+  Tbl.iter
+    (fun id sw ->
+      match Tbl.find_opt into.by_switch id with
+      | Some dst -> dst.s_hops <- dst.s_hops + sw.s_hops
+      | None -> Tbl.add into.by_switch id { s_hops = sw.s_hops })
     src.by_switch;
-  Hashtbl.iter
+  Tbl.iter
     (fun k ls ->
       let dst = link_state into k in
       dst.l_hops <- dst.l_hops + ls.l_hops;
@@ -190,19 +205,13 @@ let merge ~into src =
     src.by_link;
   Sketch.Cms.merge ~into:into.flows src.flows
 
-(* Same mixer as the sketches; see sketch.ml. *)
-let mix z =
-  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
-  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
-  (z lxor (z lsr 31)) land max_int
-
 let fingerprint t =
   (* Order-independent: commutative-sum the per-switch and per-link
      contributions, then mix with scalar counters and the CMS. *)
   let sw = ref 0 in
-  Hashtbl.iter (fun id r -> sw := !sw + mix ((id * 0x1000003) lxor !r)) t.by_switch;
+  Tbl.iter (fun id s -> sw := !sw + mix ((id * 0x1000003) lxor s.s_hops)) t.by_switch;
   let li = ref 0 in
-  Hashtbl.iter
+  Tbl.iter
     (fun k ls ->
       li :=
         !li

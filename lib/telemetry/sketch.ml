@@ -91,19 +91,21 @@ module Tdigest = struct
      float ref would box on every assignment).
 
      A collector holds one digest per link, thousands on a fabric, and
-     most of them never fill their buffer. So a digest owns only its
-     sample buffer; the centroid arrays appear on its first compress,
-     and the merge scratch is one growable set per domain, shared by
-     every digest that domain flushes or merges. [flush] and [merge]
-     overwrite the scratch prefix they read, so no state passes between
-     digests through it. *)
+     most of them never fill their buffer. So a fresh digest owns no
+     arrays at all: the sample buffer arrives on demand ([make_room]),
+     the centroid arrays on the first compress, and the merge scratch
+     is one growable set per domain, shared by every digest that
+     domain flushes or merges. [flush] and [merge] overwrite the
+     scratch prefix they read, so no state passes between digests
+     through it. *)
   type t = {
     delta : float;
     cap : int;  (* centroid slots: floor (2 delta) + 8 *)
     mutable means : float array;  (* [||] until the first compress; first [n] live, sorted *)
     mutable weights : float array;
     mutable n : int;  (* live centroids *)
-    buf : float array;  (* unsorted incoming samples *)
+    mutable buf : float array;
+        (* unsorted incoming samples: [||], then 2 cap, then 4 cap slots *)
     mutable buf_len : int;
     mutable count : int;
         (* all samples ever added; once flushed, also the centroids'
@@ -139,18 +141,7 @@ module Tdigest = struct
   let create ?(delta = 100.0) () =
     if delta < 10.0 then invalid_arg "Tdigest.create: delta";
     let cap = int_of_float (2.0 *. delta) + 8 in
-    (* A buffer several times the centroid cap amortises each compress
-       over more samples; still constant memory. *)
-    {
-      delta;
-      cap;
-      means = [||];
-      weights = [||];
-      n = 0;
-      buf = Array.make (4 * cap) 0.0;
-      buf_len = 0;
-      count = 0;
-    }
+    { delta; cap; means = [||]; weights = [||]; n = 0; buf = [||]; buf_len = 0; count = 0 }
 
   let swap (a : float array) i j =
     let tmp = a.(i) in
@@ -267,10 +258,30 @@ module Tdigest = struct
       compress t s !k
     end
 
+  (* Called when the buffer is full. A buffer several times the
+     centroid cap amortises each compress over more samples, but most
+     digests never see that many, so it arrives in two steps: 2 cap
+     slots on the first sample, grown once by blit to 4 cap. Only a
+     full 4 cap buffer flushes, so every compress sees the same samples
+     as with a 4 cap buffer from the start. Two steps and no more: at
+     the default delta both blocks (417 and 833 words) exceed the
+     minor heap's 256-word limit and go straight to the major heap,
+     while a ladder from small sizes would put its lower rungs in the
+     minor heap. *)
+  let[@inline never] make_room t =
+    let slots = Array.length t.buf and full = 4 * t.cap in
+    if slots = full then flush t
+    else if slots = 0 then t.buf <- Array.make (2 * t.cap) 0.0
+    else begin
+      let buf = Array.make full 0.0 in
+      Array.blit t.buf 0 buf 0 slots;
+      t.buf <- buf
+    end
+
   (* Inlined into both entry points, so [add_int]'s conversion is stored
      straight into the buffer instead of boxed for a call. *)
   let[@inline] push t x =
-    if t.buf_len = Array.length t.buf then flush t;
+    if t.buf_len = Array.length t.buf then make_room t;
     t.buf.(t.buf_len) <- x;
     t.buf_len <- t.buf_len + 1;
     t.count <- t.count + 1

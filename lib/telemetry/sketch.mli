@@ -13,6 +13,11 @@
     - {!Ewma}: exponentially weighted moving averages for per-link
       loss and depth trend detection. *)
 
+val mix : int -> int
+(** The sketches' int hash: a splitmix64-style finalizer with the
+    multipliers truncated to 62 bits. Allocation-free; the result is
+    never negative. *)
+
 (** Count-min sketch over int keys. [depth] rows of [width] counters;
     each update adds to one counter per row, a query takes the row
     minimum. Merging is elementwise counter addition, so a merge of
@@ -70,11 +75,14 @@ module Tdigest : sig
   (** Compression parameter (default 100.0, must be >= 10): at most
       [floor (2 * delta) + 8] centroids are retained.
 
-      Memory: a fresh digest holds only its sample buffer, four times
-      the centroid cap ([4 * (floor (2 * delta) + 8)] floats, 833 words
-      at the default delta). The two centroid arrays (one cap each) are
-      allocated by the first compress, i.e. once the buffer fills or a
-      query, {!merge} or {!centroids} flushes it. The merge scratch is
+      Memory: a fresh digest holds no arrays (12 words). Its first
+      sample allocates a sample buffer of twice the centroid cap
+      ([2 * (floor (2 * delta) + 8)] floats, 417 words at the default
+      delta), which grows once, when full, to four times the cap (833
+      words); only a full four-cap buffer flushes. The two centroid
+      arrays (one cap each) are allocated by the first compress, i.e.
+      once the buffer fills or a query, {!merge} or {!centroids}
+      flushes it. The merge scratch is
       not per digest: each domain keeps one growable set, shared by
       every digest it flushes or merges, and each flush or merge
       overwrites the part it reads, so answers do not depend on what

@@ -3,25 +3,27 @@
    touches only the preallocated array: the dataplane's per-hop queue
    operations allocate nothing once a ring has grown to its working set.
    Vacated slots are overwritten with [dummy] so the ring never pins a
-   dequeued element against the GC. *)
+   dequeued element against the GC. The array appears on the first
+   push: a switch materialises a ring for every port at once, and an
+   idle port never needs its slots. *)
 
 type 'a t = {
-  mutable buf : 'a array;
+  mutable buf : 'a array;  (* [||] until the first push *)
   mutable head : int;  (* index of the oldest element *)
   mutable len : int;
+  capacity : int;  (* slots allocated by the first push *)
   dummy : 'a;
 }
 
 let create ?(capacity = 16) ~dummy () =
-  let capacity = max capacity 1 in
-  { buf = Array.make capacity dummy; head = 0; len = 0; dummy }
+  { buf = [||]; head = 0; len = 0; capacity = max capacity 1; dummy }
 
 let length t = t.len
 let is_empty t = t.len = 0
 
 let grow t =
   let cap = Array.length t.buf in
-  let buf = Array.make (2 * cap) t.dummy in
+  let buf = Array.make (if cap = 0 then t.capacity else 2 * cap) t.dummy in
   let tail_run = min t.len (cap - t.head) in
   Array.blit t.buf t.head buf 0 tail_run;
   Array.blit t.buf 0 buf tail_run (t.len - tail_run);

@@ -7,6 +7,9 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+(** An empty ring holding no array: the first push allocates
+    [capacity] (default 16) slots. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

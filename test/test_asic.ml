@@ -13,6 +13,16 @@ let mk ?(num_ports = 4) () = State.create ~switch_id:7 ~num_ports ()
 
 (* --- State ------------------------------------------------------------- *)
 
+(* A 16-port switch with its port records materialised holds no
+   queue slots before a port's first enqueue and no private filler
+   frame: every subqueue ring shares one. *)
+let test_state_footprint () =
+  let st = mk ~num_ports:16 () in
+  ignore (State.port st 15);
+  check Alcotest.bool "ports materialised" true (State.ports_materialized st);
+  let words = Obj.reachable_words (Obj.repr st) in
+  if words > 700 then Alcotest.failf "16-port state holds %d words (> 700)" words
+
 let test_state_stats () =
   let st = mk () in
   st.State.packets_seen <- 5;
@@ -195,6 +205,7 @@ let suite =
   [
     Alcotest.test_case "state stats" `Quick test_state_stats;
     Alcotest.test_case "state port bounds" `Quick test_state_port_bounds;
+    Alcotest.test_case "16-port state holds <= 700 words" `Quick test_state_footprint;
     Alcotest.test_case "32-bit counter masking" `Quick test_state_counters_mask_to_32_bits;
     Alcotest.test_case "utilization window" `Quick test_utilization_window;
     Alcotest.test_case "sram accessors" `Quick test_sram_accessors;

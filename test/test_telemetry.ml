@@ -130,12 +130,125 @@ let test_absorb_allocates_nothing () =
   Alcotest.(check int) "none dropped" 0 (Telemetry_sink.dropped sink);
   Alcotest.(check (float 0.0)) "minor words across warm absorbs" 0.0 !words
 
-(* A fresh digest holds its sample buffer (833 words at delta 100) and
-   little else: no centroid arrays before the first compress, no
-   private merge scratch. *)
+(* A fresh digest holds no arrays: no sample buffer before its first
+   sample, no centroid arrays before its first compress, no private
+   merge scratch. *)
+let words d = Obj.reachable_words (Obj.repr d)
+
 let test_tdigest_footprint () =
-  let words = Obj.reachable_words (Obj.repr (Sketch.Tdigest.create ())) in
-  if words > 900 then Alcotest.failf "fresh t-digest holds %d words (> 900)" words
+  let fresh = words (Sketch.Tdigest.create ()) in
+  if fresh > 16 then Alcotest.failf "fresh t-digest holds %d words (> 16)" fresh
+
+(* The first sample brings the half-size buffer (2 cap slots, 416 at
+   delta 100) and nothing else. *)
+let test_tdigest_first_sample () =
+  let d = Sketch.Tdigest.create () in
+  Sketch.Tdigest.add d 1.0;
+  let limit = (2 * ((2 * 100) + 8)) + 32 and held = words d in
+  if held > limit then
+    Alcotest.failf "t-digest holds %d words after one sample (> %d)" held limit
+
+(* ---- t-digest golden quantiles ---------------------------------- *)
+
+(* Quantile answers pinned bit for bit (Int64.bits_of_float, in hex).
+   What a digest answers depends on exactly which samples each compress
+   sees, so a change that moves a flush point moves some of these bits
+   even where the rank-bound properties still hold. Per delta: a seeded
+   stream queried twice mid-stream and at its end, a 4-way merge into
+   a digest still holding buffered samples, and integer streams one
+   short of, at and one past the buffer's growth (2 cap) and flush
+   (4 cap) points. *)
+let golden_qs = [ 0.01; 0.25; 0.5; 0.9; 0.999 ]
+
+let golden_quantiles () =
+  let out = ref [] in
+  let ask td = List.iter (fun q -> out := Sketch.Tdigest.quantile td q :: !out) golden_qs in
+  List.iter
+    (fun delta ->
+      let rng = Rng.create ~seed:(int_of_float (delta *. 10.0)) in
+      let td = Sketch.Tdigest.create ~delta () in
+      let shards = Array.init 4 (fun _ -> Sketch.Tdigest.create ~delta ()) in
+      for i = 1 to 6000 do
+        let v = Rng.exponential rng ~mean:250.0 in
+        Sketch.Tdigest.add td v;
+        Sketch.Tdigest.add shards.(i land 3) v;
+        if i = 1234 || i = 3000 then ask td
+      done;
+      ask td;
+      let merged = Sketch.Tdigest.create ~delta () in
+      for i = 1 to 100 do
+        Sketch.Tdigest.add merged (float_of_int i)
+      done;
+      Array.iter (fun s -> Sketch.Tdigest.merge ~into:merged s) shards;
+      ask merged;
+      let cap = int_of_float (2.0 *. delta) + 8 in
+      List.iter
+        (fun n ->
+          let rng = Rng.create ~seed:n and td = Sketch.Tdigest.create ~delta () in
+          for _ = 1 to n do
+            Sketch.Tdigest.add_int td (Rng.int rng 100_000)
+          done;
+          ask td)
+        [ (2 * cap) - 1; 2 * cap; (2 * cap) + 1; (4 * cap) - 1; 4 * cap; (4 * cap) + 1 ])
+    [ 10.0; 37.5; 100.0; 300.0 ];
+  List.rev_map (fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x)) !out
+
+let golden_hex =
+  [
+    "402af5f6e7131915"; "40541a22af507675"; "40666243af0e7ca4"; "408286d23fbbe2fa";
+    "408eaf70ae19c50a"; "40294b951b69977a"; "40534515b9a2087f"; "40668c5ce009f796";
+    "40852af3a927cfea"; "409404c5ddb06115"; "4029225084ee6dd6"; "4052df2c4e8be672";
+    "40661e631c2f6e7b"; "408533ba90e5c530"; "409d4f86f81706b3"; "402961154ec42ba7";
+    "40554e89dcdbe4ba"; "406771d4948fcefc"; "40824e2b9dbf4114"; "408c136dc17bb1a0";
+    "40ba673333333333"; "40dbf3a2ff522a1a"; "40ea8da207507507"; "40f5ff1609c09c0a";
+    "40f7f77000000000"; "40a7e13333333333"; "40d2c4d1b6a2f1b7"; "40e6c8f460522a0d";
+    "40f5f2181767dce4"; "40f7e69000000000"; "40b1be999999999a"; "40d2539d4d4d4d4d";
+    "40e64b4e9a9a9a9a"; "40f4e769c335ccf7"; "40f787c000000000"; "40b2616666666666";
+    "40d56c60f6352893"; "40e7d7d74fbc4520"; "40f58a4b7ec38f23"; "40f854e000000000";
+    "40b645b333333334"; "40d8725ef1a78324"; "40e805bea23f2660"; "40f5da07eeeeeeef";
+    "40f830c000000000"; "40b54cb333333333"; "40d98db5e33c4c9f"; "40e9e7b5c027903a";
+    "40f4995c9fabf1b5"; "40f7f91000000000"; "4009f87b731527db"; "4052e34fbac795b1";
+    "4066f98a86804c90"; "4082460ba8d88b8f"; "40a4dee65ba558f3"; "40041903a4a082ff";
+    "40523688fb0be122"; "40665759fe80ea7c"; "40826a48c81f6c31"; "40974ee206d51710";
+    "40064e195b697214"; "405242a059b8c3b9"; "4065a95415ef2568"; "4081e3aa715bc404";
+    "409835a230c99f2a"; "400534179ea509b8"; "4051cd4501eb61d8"; "40655b49790afe8e";
+    "4081f614f1fc46f5"; "409b4c8b8a9fc4e0"; "4093254ccccccccd"; "40d85d7ec44ce6b4";
+    "40e81f83380c1e4c"; "40f60b2b00000000"; "40f84e1000000000"; "408e0d3a06d3a06d";
+    "40d993a7ed1cab58"; "40ea1b5276276276"; "40f67c8741d41d42"; "40f869d000000000";
+    "408c33e147ae147a"; "40d68569f1d25058"; "40e7209d28e63f9f"; "40f68e53e04e04e1";
+    "40f8506000000000"; "409d8131eb851eb8"; "40db853f1700bdf5"; "40e77930fcd6e9e0";
+    "40f580de9c9a4aff"; "40f866d000000000"; "408db5f258bf258c"; "40d9af4aaaaaaaaa";
+    "40e98b3e38e38e39"; "40f5665511dcbcc9"; "40f851f000000000"; "408be3947ae147ae";
+    "40d71419d0369d03"; "40e881452e00b3cc"; "40f5e09328baa139"; "40f8645000000000";
+    "4007857543e82be8"; "4050822fe6d7571a"; "4065106b1eb45f69"; "408127ed14bb3198";
+    "409825f46f7abc8c"; "4009da64ceea52b6"; "4051e59257e84c32"; "40657902713baae5";
+    "4081cf9f32732c43"; "409d34d4b57085ad"; "40096562b4e8e080"; "405248239719a0b7";
+    "4065877af8313b0c"; "408202e6fa9698f8"; "409bcdaeb1876882"; "4008d235a407450a";
+    "40517463d4ef5ca0"; "4064fa199f4c51d7"; "4081e2dc4bd0252f"; "409d2ec9974cc797";
+    "408135199999999a"; "40dc1019637021da"; "40e991fb13b13b14"; "40f66deccccccccd";
+    "40f867f000000000"; "40829fc28f5c28f6"; "40d8b35de2615284"; "40e7ecf8fe7c3688";
+    "40f5cfa222222223"; "40f85c6000000000"; "409594bd70a3d70a"; "40d8934419637022";
+    "40e77e0122d719c0"; "40f5e2efe0cad97a"; "40f8634000000000"; "408c3632dbd19424";
+    "40d7aba4a1167697"; "40e87236ef5657dd"; "40f60ebf956a7958"; "40f85971c28f5c29";
+    "40892fc6a7ef9db2"; "40d89cd4bfab180a"; "40e817013b13b13c"; "40f61cdfdbc64dbd";
+    "40f86046872b020c"; "4095324c1e098eae"; "40d9a2f3b45ba6dc"; "40e99742f5657dba";
+    "40f663bfe6acde6b"; "40f860a1eb851eb8"; "3ffd3f89e7a12b15"; "4051ca8086d49b84";
+    "4065aae7999e6d95"; "4081556b7ab9f2b6"; "409bbe10d72ad510"; "3fffcf8174deca53";
+    "405192cc7af216a4"; "4064f1ecc3fd2ac2"; "408172ef6d201a1e"; "409a6135d8d506ee";
+    "4002421290657617"; "4051b20dd0e50e24"; "40652280ea33f9cf"; "4081ecd2ae25614a";
+    "409d1c0065ddc5f8"; "400213b408adb5f1"; "40511b83084c6aac"; "4064abac65a0a43e";
+    "4081cd823389ba2c"; "409d00976d39f389"; "4089d7cccccccccd"; "40d785bd9ead7cd2";
+    "40e7c905aaaaaaab"; "40f5d2ffac687d63"; "40f86606b851eb85"; "4097d2f5c28f5c29";
+    "40d881aa50658dc0"; "40e8e779c71c71c8"; "40f62ddf8af8af8c"; "40f85aaec8b4395a";
+    "4095153333333333"; "40d5dcda94196370"; "40e78823c71c71c7"; "40f5d38ad73fbd20";
+    "40f866373b645a1c"; "40863b123456789c"; "40d7d588da589b41"; "40e8848bedfa43ff";
+    "40f5bfeb97530eca"; "40f862f8dd2f1aa0"; "408a3de181ef2930"; "40d8a8a4f04defc3";
+    "40e81eece703afb8"; "40f5bacbc4d5e6f8"; "40f8672f3b645a1d"; "408e584395810626";
+    "40d7bfe77eb9689d"; "40e7cf2dab9f559c"; "40f5ca4ca11bfd46"; "40f84d61c28f5c29";
+  ]
+
+let test_tdigest_golden () =
+  Alcotest.(check (list string)) "quantile bits" golden_hex (golden_quantiles ())
 
 (* ---- count-min vs exact ----------------------------------------- *)
 
@@ -385,8 +498,11 @@ let suite =
       test_drain_exhausted_pool;
     Alcotest.test_case "warm collector absorb allocates nothing" `Quick
       test_absorb_allocates_nothing;
-    Alcotest.test_case "fresh t-digest holds <= 900 words" `Quick
-      test_tdigest_footprint;
+    Alcotest.test_case "fresh t-digest holds <= 16 words" `Quick test_tdigest_footprint;
+    Alcotest.test_case "one-sample t-digest holds <= 2 cap + 32 words" `Quick
+      test_tdigest_first_sample;
+    Alcotest.test_case "t-digest quantiles match their golden bits" `Quick
+      test_tdigest_golden;
     qtest cms_bounds;
     qtest cms_merge_identity;
     qtest tdigest_rank;
