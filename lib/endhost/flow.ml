@@ -47,6 +47,16 @@ module Sink = struct
         match tap with Some f -> f ~now | None -> ());
     t
 
+  let report stack t ~report_to ~port ~period first second =
+    let loop = Engine.Loop.create (Net.engine (Stack.net stack)) in
+    Engine.Loop.start loop ~at:(Stack.now stack + period) (fun () ->
+        let payload = Bytes.create 8 in
+        Buf.set_u32i payload 0 (first t);
+        Buf.set_u32i payload 4 (second t);
+        Stack.send_udp stack ~dst:report_to ~src_port:port ~dst_port:port ~payload ();
+        period);
+    loop
+
   let rx_pkts t = t.rx_pkts
   let rx_bytes t = t.rx_bytes
   let rx_payload_bytes t = t.rx_payload
@@ -74,8 +84,7 @@ type t = {
   payload_bytes : int;
   kind : kind;
   mutable rate : int;
-  mutable running : bool;
-  mutable epoch : int;  (* invalidates stale scheduled sends *)
+  loop : Engine.Loop.t;
   mutable seq : int;
   mutable tx : int;
   mutable tx_payload : int;
@@ -112,8 +121,7 @@ let make ~src ~dst ~dst_port ~payload_bytes ~rate kind =
     payload_bytes;
     kind;
     rate;
-    running = false;
-    epoch = 0;
+    loop = Engine.Loop.create (Net.engine (Stack.net src));
     seq = 0;
     tx = 0;
     tx_payload = 0;
@@ -160,49 +168,22 @@ let send_one t =
 let interval_ns t =
   int_of_float (ceil (float_of_int (t.wire_bytes * 8) *. 1e9 /. float_of_int t.rate))
 
-let rec cbr_tick t epoch () =
-  if t.running && t.epoch = epoch then begin
-    let finished =
-      match t.kind with
-      | Transfer { total_bytes } -> t.tx_payload >= total_bytes
-      | Cbr | Burst _ -> false
-    in
-    if finished then begin
-      t.done_ <- true;
-      t.running <- false
-    end
-    else begin
-      send_one t;
-      Engine.after (engine t) (interval_ns t) (cbr_tick t epoch)
-    end
-  end
-
-let rec burst_tick t epoch ~burst_pkts ~period () =
-  if t.running && t.epoch = epoch then begin
+let tick t () =
+  match t.kind with
+  | Burst { burst_pkts; period } ->
     for _ = 1 to burst_pkts do
       send_one t
     done;
-    Engine.after (engine t) period (burst_tick t epoch ~burst_pkts ~period)
-  end
+    period
+  | Transfer { total_bytes } when t.tx_payload >= total_bytes ->
+    t.done_ <- true;
+    -1
+  | Cbr | Transfer _ ->
+    send_one t;
+    interval_ns t
 
-let start t ?at () =
-  if (not t.running) && not t.done_ then begin
-    t.running <- true;
-    t.epoch <- t.epoch + 1;
-    let epoch = t.epoch in
-    let eng = engine t in
-    let begin_at = match at with Some time -> time | None -> Engine.now eng in
-    let kick =
-      match t.kind with
-      | Cbr | Transfer _ -> cbr_tick t epoch
-      | Burst { burst_pkts; period } -> burst_tick t epoch ~burst_pkts ~period
-    in
-    Engine.at eng (max begin_at (Engine.now eng)) kick
-  end
-
-let stop t =
-  t.running <- false;
-  t.epoch <- t.epoch + 1
+let start t ?at () = if not t.done_ then Engine.Loop.start t.loop ?at (tick t)
+let stop t = Engine.Loop.stop t.loop
 
 let set_rate t ~rate_bps =
   if rate_bps <= 0 then invalid_arg "Flow.set_rate";

@@ -39,6 +39,15 @@ module Sink : sig
   val reordered : t -> int
   (** Packets that arrived with a sequence number lower than a
       previously seen one. *)
+
+  val report :
+    Stack.t -> t -> report_to:Net.host -> port:int -> period:int ->
+    (t -> int) -> (t -> int) -> Tpp_sim.Engine.Loop.t
+  (** A receiver's feedback to a rate-based sender: every [period],
+      starting one period from now, sends two of the sink's counters
+      as u32s in an 8-byte datagram from [port] to [report_to]'s [port]
+      (AIMD: {!holes} and {!rx_payload_bytes}; DCTCP: {!rx_pkts} and
+      {!ce_marked}). Stopping the returned loop ends the reports. *)
 end
 
 type t

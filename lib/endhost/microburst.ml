@@ -44,9 +44,8 @@ type t = {
   period : int;
   threshold : int;
   tpp : Tpp.t;
-  seq_base : int;
-  mutable running : bool;
-  mutable epoch : int;
+  block : Probe.Block.t;
+  loop : Engine.Loop.t;
   mutable seq : int;
   mutable sent : int;
   mutable received : int;
@@ -91,9 +90,8 @@ let create ~src ~dst ~period ~threshold_bytes =
       tpp;
       (* Monitors share the probe reply stream with other controllers
          on the same host; each owns a disjoint block of seqs. *)
-      seq_base = Probe.alloc_seq_block src;
-      running = false;
-      epoch = 0;
+      block = Probe.Block.take src;
+      loop = Engine.Loop.create (Net.engine (Stack.net src));
       seq = 0;
       sent = 0;
       received = 0;
@@ -101,35 +99,18 @@ let create ~src ~dst ~period ~threshold_bytes =
       table = Hashtbl.create 8;
     }
   in
-  Probe.install_reply_handler src (fun ~now:_ ~seq tpp ->
-      if t.running && seq >= t.seq_base && seq < t.seq_base + Probe.seq_block then
-        on_reply t tpp);
+  Probe.Block.on_echo t.block (fun ~now:_ ~seq:_ tpp ->
+      if Engine.Loop.running t.loop then on_reply t tpp);
   t
 
-let engine t = Net.engine (Stack.net t.stack)
+let tick t () =
+  t.seq <- t.seq + 1;
+  t.sent <- t.sent + 1;
+  Probe.send t.stack ~dst:t.dst ~tpp:t.tpp ~seq:(Probe.Block.seq t.block t.seq);
+  t.period
 
-let rec tick t epoch () =
-  if t.running && t.epoch = epoch then begin
-    t.seq <- t.seq + 1;
-    t.sent <- t.sent + 1;
-    Probe.send t.stack ~dst:t.dst ~tpp:t.tpp ~seq:(t.seq_base + t.seq);
-    Engine.after (engine t) t.period (tick t epoch)
-  end
-
-let start t ?at () =
-  if not t.running then begin
-    t.running <- true;
-    t.epoch <- t.epoch + 1;
-    let eng = engine t in
-    let begin_at =
-      match at with Some time -> max time (Engine.now eng) | None -> Engine.now eng
-    in
-    Engine.at eng begin_at (tick t t.epoch)
-  end
-
-let stop t =
-  t.running <- false;
-  t.epoch <- t.epoch + 1
+let start t ?at () = Engine.Loop.start t.loop ?at (tick t)
+let stop t = Engine.Loop.stop t.loop
 
 let probes_sent t = t.sent
 let replies_received t = t.received

@@ -62,20 +62,58 @@ let send stack ~dst ~tpp ~seq =
 let seq_block = 1 lsl 20
 let seq_blocks_per_host = (1 lsl 32) / seq_block
 
-let alloc_seq_block stack =
-  let b = Stack.take_seq_block stack in
-  if b >= seq_blocks_per_host then
-    failwith
-      (Printf.sprintf
-         "Probe.alloc_seq_block: host %d has used all %d probe sequence blocks"
-         (Stack.host stack).Net.node_id (seq_blocks_per_host - 1));
-  b * seq_block
+(* The host's echo demux: one handler on [reply_port] decodes each
+   echo once and hands the decoded TPP to every listener whose filter
+   accepts it, in registration order. Listeners only read that TPP. *)
+let accepts filter ~seq ~src_port =
+  match filter with
+  | Stack.Block base -> seq >= base && seq < base + seq_block
+  | Stack.Flow_port { port; except } ->
+    src_port = port && (seq < except || seq >= except + seq_block)
+  | Stack.Any -> true
 
-let install_reply_handler stack callback =
-  Stack.on_udp_add stack ~port:reply_port (fun ~now frame ->
-      match decode_echo (Frame.payload frame) with
-      | Some (seq, tpp) -> callback ~now ~seq tpp
-      | None -> ())
+let rec dispatch ~now ~seq ~src_port tpp = function
+  | [] -> ()
+  | { Stack.filter; on_echo } :: rest ->
+    if accepts filter ~seq ~src_port then on_echo ~now ~seq tpp;
+    dispatch ~now ~seq ~src_port tpp rest
+
+let demux stack ~now frame =
+  match decode_echo (Frame.payload frame) with
+  | None -> ()
+  | Some (seq, tpp) ->
+    dispatch ~now ~seq ~src_port:(Frame.udp_src_port frame) tpp
+      (Stack.echo_listeners stack)
+
+let listen stack filter on_echo =
+  (match Stack.echo_listeners stack with
+  | [] -> Stack.on_udp_add stack ~port:reply_port (demux stack)
+  | _ :: _ -> ());
+  Stack.add_echo_listener stack { Stack.filter; on_echo }
+
+let install_reply_handler stack callback = listen stack Stack.Any callback
+
+module Block = struct
+  type t = { stack : Stack.t; base : int }
+
+  let take stack =
+    let b = Stack.take_seq_block stack in
+    if b >= seq_blocks_per_host then
+      failwith
+        (Printf.sprintf
+           "Probe.Block.take: host %d has used all %d probe sequence blocks"
+           (Stack.host stack).Net.node_id (seq_blocks_per_host - 1));
+    { stack; base = b * seq_block }
+
+  (* The one place a seq offset wraps: whatever a controller counts,
+     its seqs stay inside its own block. *)
+  let seq b n = b.base + (n land (seq_block - 1))
+  let offset b seq = seq - b.base
+  let on_echo b callback = listen b.stack (Stack.Block b.base) callback
+
+  let on_flow_echo b ~port callback =
+    listen b.stack (Stack.Flow_port { port; except = b.base }) callback
+end
 
 module Reliable = struct
   module Engine = Tpp_sim.Engine
@@ -105,7 +143,7 @@ module Reliable = struct
     timeout : int;
     retries : int;
     backoff : float;
-    seq_base : int;
+    block : Block.t;
     mutable seq : int;
     pending : (int, outstanding) Hashtbl.t;
     mutable s_probes : int;
@@ -159,18 +197,16 @@ module Reliable = struct
         end)
 
   let on_echo t ~now ~seq tpp =
-    if seq >= t.seq_base && seq < t.seq_base + seq_block then begin
-      match Hashtbl.find_opt t.pending seq with
-      | Some o ->
-        o.o_done <- true;
-        Hashtbl.remove t.pending seq;
-        t.s_replies <- t.s_replies + 1;
-        (match o.o_on_reply with Some f -> f ~now tpp | None -> ())
-      | None ->
-        (* A retransmission's echo after the first one answered, or an
-           echo that beat its own timeout's failure call. *)
-        t.s_late <- t.s_late + 1
-    end
+    match Hashtbl.find_opt t.pending seq with
+    | Some o ->
+      o.o_done <- true;
+      Hashtbl.remove t.pending seq;
+      t.s_replies <- t.s_replies + 1;
+      (match o.o_on_reply with Some f -> f ~now tpp | None -> ())
+    | None ->
+      (* A retransmission's echo after the first one answered, or an
+         echo that beat its own timeout's failure call. *)
+      t.s_late <- t.s_late + 1
 
   let create ?(timeout = 1_000_000) ?(retries = 3) ?(backoff = 2.0) stack =
     if timeout <= 0 then invalid_arg "Probe.Reliable.create: timeout must be positive";
@@ -182,7 +218,7 @@ module Reliable = struct
         timeout;
         retries;
         backoff;
-        seq_base = alloc_seq_block stack;
+        block = Block.take stack;
         seq = 0;
         pending = Hashtbl.create 32;
         s_probes = 0;
@@ -193,12 +229,12 @@ module Reliable = struct
         observer = None;
       }
     in
-    install_reply_handler stack (fun ~now ~seq tpp -> on_echo t ~now ~seq tpp);
+    Block.on_echo t.block (fun ~now ~seq tpp -> on_echo t ~now ~seq tpp);
     t
 
   let send t ~dst ~tpp ?on_reply ?on_fail () =
-    let seq = t.seq_base + t.seq in
-    t.seq <- (t.seq + 1) mod seq_block;
+    let seq = Block.seq t.block t.seq in
+    t.seq <- t.seq + 1;
     t.s_probes <- t.s_probes + 1;
     let o =
       {

@@ -4,7 +4,14 @@
     TPP to a probe datagram; switches execute it on the way; "the
     receiver simply echoes a fully executed TPP back to the sender". The
     echo carries the executed TPP section as plain UDP payload — not as
-    a live TPP — so it is not executed again on the return path. *)
+    a live TPP — so it is not executed again on the return path.
+
+    Echoes come back to one demux per host: it decodes each echo once
+    and calls, in registration order, every callback whose filter
+    accepts it. A filter is a controller's own {!Block} of sequence
+    numbers, the source port of a flow that carries the TPP
+    ({!Block.on_flow_echo}), or everything ({!install_reply_handler}).
+    Callbacks share the decoded TPP, so they must only read it. *)
 
 module Net = Tpp_sim.Net
 module Tpp = Tpp_isa.Tpp
@@ -29,27 +36,45 @@ val send :
   Stack.t -> dst:Net.host -> tpp:Tpp.t -> seq:int -> unit
 (** Sends a probe carrying a fresh copy of [tpp] and a sequence number. *)
 
-val decode_echo : bytes -> (int * Tpp.t) option
-(** Decodes an echo payload into (sequence number, executed TPP);
-    building block for custom reply handling (e.g. piggybacked echoes
-    demultiplexed by the data flow's port). *)
-
 val install_reply_handler :
   Stack.t -> (now:int -> seq:int -> Tpp.t -> unit) -> unit
-(** Calls back with the executed TPP from each echo. Handlers
-    accumulate: every registered handler sees every echo, so concurrent
-    controllers on one host must partition the sequence-number space
-    (each built-in controller takes a block from {!alloc_seq_block}). *)
+(** Calls back with the executed TPP of every echo this host receives,
+    whatever its seq. Controllers that share a host take a {!Block}
+    instead, so each sees only its own echoes. *)
 
 val seq_block : int
 (** Sequence numbers per block (2^20). *)
 
-val alloc_seq_block : Stack.t -> int
-(** First sequence number of a fresh block of [seq_block] echo seqs,
-    disjoint from every other block taken on this host. Seqs below
-    [seq_block] are never handed out, so they stay free for callers of
-    {!send}. Raises [Failure] when the host has used all 4095 blocks
-    the u32 echo seq leaves room for. *)
+(** A controller's block of the host's echo sequence space: its probes
+    carry seqs from the block, and its callback sees only the echoes
+    that carry them. *)
+module Block : sig
+  type t
+
+  val take : Stack.t -> t
+  (** A fresh block of [seq_block] seqs, disjoint from every other
+      block taken on this host. Seqs below [seq_block] are never handed
+      out, so they stay free for callers of {!send}. Raises [Failure]
+      when the host has used all 4095 blocks the u32 echo seq leaves
+      room for. *)
+
+  val seq : t -> int -> int
+  (** [seq b n] is the seq a controller's [n]th probe carries: [n]
+      wrapped into the block, so any count [n >= 0] stays in it. *)
+
+  val offset : t -> int -> int
+  (** [offset b (seq b n)] is [n mod seq_block]. *)
+
+  val on_echo : t -> (now:int -> seq:int -> Tpp.t -> unit) -> unit
+  (** Registers the callback for the echoes whose seq lies in the
+      block. *)
+
+  val on_flow_echo :
+    t -> port:int -> (now:int -> seq:int -> Tpp.t -> unit) -> unit
+  (** Registers a callback for TPPs that rode the data flow on [port]
+      ({!install_echo_on_port}): echoes from UDP source [port] whose
+      seq, the data packet's, lies outside the block. *)
+end
 
 (** Probe round-trips hardened against loss: per-probe timeout, bounded
     retransmission with exponential backoff, and loss accounting. The

@@ -102,9 +102,9 @@ type t = {
   flow : Flow.t;
   dst : Net.host;
   collect_tpp : Tpp.t;
-  seq_base : int;  (* this controller's block of the echo seq space *)
+  block : Probe.Block.t;  (* this controller's share of the echo seqs *)
+  loop : Engine.Loop.t;  (* collect probes; idle in piggyback mode *)
   mutable running : bool;
-  mutable epoch : int;
   mutable seq : int;
   mutable probes_sent : int;
   mutable updates_sent : int;
@@ -117,7 +117,7 @@ type t = {
 (* Collect probes use even sequence numbers, updates odd ones. *)
 let next_seq t =
   t.seq <- t.seq + 2;
-  t.seq_base + t.seq
+  Probe.Block.seq t.block t.seq
 
 let parse_hops tpp =
   let values = Tpp.stack_values tpp in
@@ -217,9 +217,9 @@ let create stack config ~flow ~dst =
       flow;
       dst;
       collect_tpp;
-      seq_base = Probe.alloc_seq_block stack;
+      block = Probe.Block.take stack;
+      loop = Engine.Loop.create (Net.engine (Stack.net stack));
       running = false;
-      epoch = 0;
       seq = 0;
       probes_sent = 0;
       updates_sent = 0;
@@ -230,10 +230,9 @@ let create stack config ~flow ~dst =
       pending_updates = Hashtbl.create 16;
     }
   in
-  Probe.install_reply_handler stack (fun ~now:_ ~seq tpp ->
-      if t.running && seq >= t.seq_base && seq < t.seq_base + Probe.seq_block then begin
-        if seq land 1 = 0 then on_collect_reply t tpp else on_update_reply t ~seq tpp
-      end);
+  Probe.Block.on_echo t.block (fun ~now:_ ~seq tpp ->
+      if t.running then
+        if seq land 1 = 0 then on_collect_reply t tpp else on_update_reply t ~seq tpp);
   (* Piggyback mode (paper §2.2: phase 1 can use "the flow's packets"):
      collect programs ride data packets; their echoes come back with the
      data sequence number and the flow's port as the echo's source, which
@@ -242,49 +241,32 @@ let create stack config ~flow ~dst =
   | None -> ()
   | Some every ->
     Flow.carry_tpp flow ~every collect_tpp;
-    let flow_port = Flow.port flow in
-    Stack.on_udp_add stack ~port:Probe.reply_port (fun ~now frame ->
-        if t.running && now - t.last_piggyback >= t.config.period_ns then
-          match Tpp_isa.Frame.udp frame with
-          | Some u when u.Tpp_packet.Udp.src_port = flow_port -> (
-            match Probe.decode_echo (Tpp_isa.Frame.payload frame) with
-            | Some (_, tpp) ->
-              t.last_piggyback <- now;
-              t.probes_sent <- t.probes_sent + 1;
-              on_collect_reply t tpp
-            | None -> ())
-          | _ -> ()));
+    Probe.Block.on_flow_echo t.block ~port:(Flow.port flow) (fun ~now ~seq:_ tpp ->
+        if t.running && now - t.last_piggyback >= t.config.period_ns then begin
+          t.last_piggyback <- now;
+          t.probes_sent <- t.probes_sent + 1;
+          on_collect_reply t tpp
+        end));
   t
 
-let engine t = Net.engine (Stack.net t.stack)
+let tick t () =
+  let seq = next_seq t in
+  t.probes_sent <- t.probes_sent + 1;
+  Probe.send t.stack ~dst:t.dst ~tpp:t.collect_tpp ~seq;
+  t.config.period_ns
 
-let rec tick t epoch () =
-  if t.running && t.epoch = epoch then begin
-    (* In piggyback mode the data packets carry the collect program; the
-       periodic tick only keeps the epoch machinery alive. *)
-    (match t.config.piggyback_every with
-    | None ->
-      let seq = next_seq t in
-      t.probes_sent <- t.probes_sent + 1;
-      Probe.send t.stack ~dst:t.dst ~tpp:t.collect_tpp ~seq
-    | Some _ -> ());
-    Engine.after (engine t) t.config.period_ns (tick t epoch)
-  end
-
+(* In piggyback mode the data packets carry the collect program, so
+   there is nothing to send periodically. *)
 let start t ?at () =
   if not t.running then begin
     t.running <- true;
-    t.epoch <- t.epoch + 1;
-    let eng = engine t in
-    let begin_at =
-      match at with Some time -> max time (Engine.now eng) | None -> Engine.now eng
-    in
-    Engine.at eng begin_at (tick t t.epoch)
+    if Option.is_none t.config.piggyback_every then
+      Engine.Loop.start t.loop ?at (tick t)
   end
 
 let stop t =
   t.running <- false;
-  t.epoch <- t.epoch + 1
+  Engine.Loop.stop t.loop
 
 let current_rate_bps t = Flow.rate_bps t.flow
 let probes_sent t = t.probes_sent

@@ -11,6 +11,17 @@ type t = {
   mutable sent : int;
   mutable received : int;
   mutable seq_blocks : int;  (* probe sequence blocks handed out so far *)
+  mutable echo_listeners : echo_listener list;  (* registration order *)
+}
+
+and echo_filter =
+  | Block of int
+  | Flow_port of { port : int; except : int }
+  | Any
+
+and echo_listener = {
+  filter : echo_filter;
+  on_echo : now:int -> seq:int -> Tpp_isa.Tpp.t -> unit;
 }
 
 let dispatch t ~now frame =
@@ -35,6 +46,7 @@ let create net host =
       sent = 0;
       received = 0;
       seq_blocks = 0;
+      echo_listeners = [];
     }
   in
   host.Net.receive <- (fun ~now frame -> dispatch t ~now frame);
@@ -71,3 +83,6 @@ let udp_received t = t.received
 let take_seq_block t =
   t.seq_blocks <- t.seq_blocks + 1;
   t.seq_blocks
+
+let echo_listeners t = t.echo_listeners
+let add_echo_listener t l = t.echo_listeners <- t.echo_listeners @ [ l ]

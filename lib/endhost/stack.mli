@@ -59,4 +59,28 @@ val udp_received : t -> int
 
 val take_seq_block : t -> int
 (** Claims this host's next probe sequence-number block index (1, 2,
-    ...). Use {!Probe.alloc_seq_block}, which bounds it. *)
+    ...). Use {!Probe.Block.take}, which bounds it. *)
+
+(** {2 Echo demux state}
+
+    One list per host of the callbacks that want probe echoes, in
+    registration order. The stack only keeps it, so every controller on
+    the host shares one; {!Probe} decodes each echo once and calls the
+    listeners whose filter accepts it. *)
+
+type echo_filter =
+  | Block of int  (** seqs of the probe block starting at this seq *)
+  | Flow_port of { port : int; except : int }
+      (** echoes from UDP source [port] (TPPs that rode a data flow)
+          whose seq lies outside the block starting at [except] *)
+  | Any
+
+type echo_listener = {
+  filter : echo_filter;
+  on_echo : now:int -> seq:int -> Tpp_isa.Tpp.t -> unit;
+}
+
+val echo_listeners : t -> echo_listener list
+
+val add_echo_listener : t -> echo_listener -> unit
+(** Appends a listener; use {!Probe}'s registration functions. *)

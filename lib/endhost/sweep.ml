@@ -31,11 +31,10 @@ let words_per_hop = 4
 let max_hops = 10
 
 type t = {
-  circuits : (circuit * int) list;  (* with its source's seq block base *)
+  circuits : (circuit * Probe.Block.t) list;  (* with its source's block *)
   period : int;
   tpp : Tpp.t;
-  mutable running : bool;
-  mutable epoch : int;
+  loop : Engine.Loop.t;
   mutable seq : int;
   mutable sent : int;
   mutable received : int;
@@ -76,20 +75,19 @@ let create ~circuits ~period =
   in
   (* Replies come back to each circuit's source stack, so each distinct
      source gives the sweep a block of its own seq space. *)
-  let bases =
+  let blocks =
     List.fold_left
       (fun acc c ->
         if List.mem_assq c.src acc then acc
-        else (c.src, Probe.alloc_seq_block c.src) :: acc)
+        else (c.src, Probe.Block.take c.src) :: acc)
       [] circuits
   in
   let t =
     {
-      circuits = List.map (fun c -> (c, List.assq c.src bases)) circuits;
+      circuits = List.map (fun c -> (c, List.assq c.src blocks)) circuits;
       period;
       tpp;
-      running = false;
-      epoch = 0;
+      loop = Engine.Loop.create (Net.engine (Stack.net (List.hd circuits).src));
       seq = 0;
       sent = 0;
       received = 0;
@@ -97,43 +95,23 @@ let create ~circuits ~period =
     }
   in
   List.iter
-    (fun (stack, base) ->
-      Probe.install_reply_handler stack (fun ~now:_ ~seq tpp ->
-          if t.running && seq >= base && seq < base + Probe.seq_block then
-            accumulate t tpp))
-    bases;
+    (fun (_, block) ->
+      Probe.Block.on_echo block (fun ~now:_ ~seq:_ tpp ->
+          if Engine.Loop.running t.loop then accumulate t tpp))
+    blocks;
   t
 
-let engine t =
-  match t.circuits with
-  | (c, _) :: _ -> Net.engine (Stack.net c.src)
-  | [] -> assert false
+let tick t () =
+  List.iter
+    (fun (c, block) ->
+      t.seq <- t.seq + 1;
+      t.sent <- t.sent + 1;
+      Probe.send c.src ~dst:c.dst ~tpp:t.tpp ~seq:(Probe.Block.seq block t.seq))
+    t.circuits;
+  t.period
 
-let rec tick t epoch () =
-  if t.running && t.epoch = epoch then begin
-    List.iter
-      (fun (c, base) ->
-        t.seq <- t.seq + 1;
-        t.sent <- t.sent + 1;
-        Probe.send c.src ~dst:c.dst ~tpp:t.tpp ~seq:(base + t.seq))
-      t.circuits;
-    Engine.after (engine t) t.period (tick t epoch)
-  end
-
-let start t ?at () =
-  if not t.running then begin
-    t.running <- true;
-    t.epoch <- t.epoch + 1;
-    let eng = engine t in
-    let begin_at =
-      match at with Some time -> max time (Engine.now eng) | None -> Engine.now eng
-    in
-    Engine.at eng begin_at (tick t t.epoch)
-  end
-
-let stop t =
-  t.running <- false;
-  t.epoch <- t.epoch + 1
+let start t ?at () = Engine.Loop.start t.loop ?at (tick t)
+let stop t = Engine.Loop.stop t.loop
 
 let probes_sent t = t.sent
 let replies_received t = t.received

@@ -70,16 +70,18 @@ let run_one controller name =
           let config = Aimd.default_config ~max_rate_bps:core_bps in
           let ctl = Aimd.create src config ~flow ~report_port:9100 in
           let _ =
-            Aimd.Receiver.attach dst ~sink ~report_to:bell.Topology.senders.(i)
-              ~report_port:9100 ~period:config.Aimd.report_period_ns
+            Flow.Sink.report dst sink ~report_to:bell.Topology.senders.(i) ~port:9100
+              ~period:config.Aimd.report_period_ns Flow.Sink.holes
+              Flow.Sink.rx_payload_bytes
           in
           Aimd.start ctl
         | Dctcp_cc, _ ->
           let config = Dctcp.default_config ~max_rate_bps:core_bps in
           let ctl = Dctcp.create src config ~flow ~report_port:9100 in
           let _ =
-            Dctcp.Receiver.attach dst ~sink ~report_to:bell.Topology.senders.(i)
-              ~report_port:9100 ~period:config.Dctcp.report_period_ns
+            Flow.Sink.report dst sink ~report_to:bell.Topology.senders.(i) ~port:9100
+              ~period:config.Dctcp.report_period_ns Flow.Sink.rx_pkts
+              Flow.Sink.ce_marked
           in
           Dctcp.start ctl
         | Rcp_cc, None -> assert false);

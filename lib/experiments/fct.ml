@@ -418,8 +418,9 @@ let fabric_run ?(shards = 1) transport p =
                 let sink = Flow.Sink.attach stacks.(dst_i) ~port:data_port in
                 Probe.install_echo_on_port stacks.(dst_i) ~port:data_port;
                 let recv =
-                  Aimd.Receiver.attach stacks.(dst_i) ~sink ~report_to:src_h
-                    ~report_port ~period:l.ctl_rtt
+                  Flow.Sink.report stacks.(dst_i) sink ~report_to:src_h
+                    ~port:report_port ~period:l.ctl_rtt Flow.Sink.holes
+                    Flow.Sink.rx_payload_bytes
                 in
                 let got = ref 0 in
                 let finished = ref false in
@@ -431,7 +432,7 @@ let fabric_run ?(shards = 1) transport p =
                       if !got >= size then begin
                         finished := true;
                         record size (now - at);
-                        Aimd.Receiver.stop recv;
+                        Engine.Loop.stop recv;
                         send_done ()
                       end
                     end)
@@ -452,19 +453,16 @@ let fabric_run ?(shards = 1) transport p =
                 in
                 let sink_t = Flow.Sink.attach ~tap stacks.(dst_i) ~port:data_port in
                 sink := Some sink_t;
+                let report first second =
+                  let recv =
+                    Flow.Sink.report stacks.(dst_i) sink_t ~report_to:src_h
+                      ~port:report_port ~period:l.ctl_rtt first second
+                  in
+                  stop_rx := fun () -> Engine.Loop.stop recv
+                in
                 (match transport with
-                | Dctcp_t ->
-                  let recv =
-                    Dctcp.Receiver.attach stacks.(dst_i) ~sink:sink_t
-                      ~report_to:src_h ~report_port ~period:l.ctl_rtt
-                  in
-                  stop_rx := fun () -> Dctcp.Receiver.stop recv
-                | Aimd_t ->
-                  let recv =
-                    Aimd.Receiver.attach stacks.(dst_i) ~sink:sink_t
-                      ~report_to:src_h ~report_port ~period:l.ctl_rtt
-                  in
-                  stop_rx := fun () -> Aimd.Receiver.stop recv
+                | Dctcp_t -> report Flow.Sink.rx_pkts Flow.Sink.ce_marked
+                | Aimd_t -> report Flow.Sink.holes Flow.Sink.rx_payload_bytes
                 | _ -> ())
               | Tcp_t | Ndp_t -> ())
     in

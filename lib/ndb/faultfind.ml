@@ -13,7 +13,7 @@ type cable = (int * int) * (int * int)
 type circuit = {
   src : Stack.t;
   dst : Net.host;
-  seq_base : int;  (* the monitor's seq block on [src] *)
+  block : Probe.Block.t;  (* the monitor's seqs on [src] *)
   forward : link list;
   cables : cable list;  (* forward + echo-return exposure, deduped *)
   mutable last_probe : int;
@@ -43,10 +43,22 @@ type t = {
   window : int;
   loss_threshold : float;
   probe : Tpp_isa.Tpp.t;
-  mutable running : bool;
-  mutable epoch : int;
+  loop : Engine.Loop.t;
   mutable round : int;
 }
+
+(* Round r's probe on circuit i carries offset (r mod rounds) * n + i
+   of its source's block, with n circuits and [rounds] the number of
+   rounds whose offsets fit one block. An echo then names its circuit
+   exactly, and its round up to a multiple of [rounds]: it answers the
+   latest round sent that matches. *)
+let rounds ~circuits = Probe.seq_block / circuits
+
+let probe_offset ~circuits ~round i = ((round mod rounds ~circuits) * circuits) + i
+
+let echo_round ~circuits ~last_round offset =
+  let back = (last_round - (offset / circuits)) mod rounds ~circuits in
+  (last_round - back, offset mod circuits)
 
 let node_of_switch_id net swid =
   match List.find_opt (fun (_, sw) -> Switch.id sw = swid) (Net.switches net) with
@@ -83,11 +95,13 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
   let net = Stack.net (fst (List.hd circuits)) in
   (* Replies come back to each circuit's source stack, so each distinct
      source gives the monitor a block of its own seq space. *)
-  let bases =
+  if List.length circuits > Probe.seq_block then
+    invalid_arg "Faultfind.create: more circuits than probe seqs per block";
+  let blocks =
     List.fold_left
       (fun acc (src, _) ->
         if List.mem_assq src acc then acc
-        else (src, Probe.alloc_seq_block src) :: acc)
+        else (src, Probe.Block.take src) :: acc)
       [] circuits
   in
   let circuit_of (src, dst) =
@@ -107,7 +121,7 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
     {
       src;
       dst;
-      seq_base = List.assq src bases;
+      block = List.assq src blocks;
       forward;
       cables;
       last_probe = min_int;
@@ -129,74 +143,66 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
       window;
       loss_threshold;
       probe;
-      running = false;
-      epoch = 0;
+      loop = Engine.Loop.create (Net.engine net);
       round = 0;
     }
   in
   (* Replies are matched to circuits by sequence number. *)
   let n = Array.length circuits in
   List.iter
-    (fun (stack, base) ->
-      Probe.install_reply_handler stack (fun ~now ~seq _tpp ->
-          if seq >= base && seq < base + Probe.seq_block then begin
-            let idx = (seq - base) mod n in
-            let c = t.circuits.(idx) in
-            if c.src == stack then begin
-              c.last_reply <- now;
-              (* The sequence number encodes which round this echo
-                 answers; credit that round's history slot if it has
-                 not been recycled. *)
-              let round = (seq - base) / n in
-              let slot = round mod t.window in
-              if c.hist_round.(slot) = round then c.hist_ok.(slot) <- true
-            end
+    (fun (stack, block) ->
+      Probe.Block.on_echo block (fun ~now ~seq _tpp ->
+          (* The sequence number encodes which round this echo answers;
+             credit that round's history slot if it has not been
+             recycled. *)
+          let round, i =
+            echo_round ~circuits:n ~last_round:(t.round - 1)
+              (Probe.Block.offset block seq)
+          in
+          let c = t.circuits.(i) in
+          if c.src == stack then begin
+            c.last_reply <- now;
+            let slot = round mod t.window in
+            if c.hist_round.(slot) = round then c.hist_ok.(slot) <- true
           end))
-    bases;
+    blocks;
   t
 
 let engine t = Net.engine (Stack.net t.circuits.(0).src)
 
-let rec tick t epoch () =
-  if t.running && t.epoch = epoch then begin
-    let n = Array.length t.circuits in
-    let now = Engine.now (engine t) in
-    Array.iteri
-      (fun i c ->
-        c.last_probe <- now;
-        let slot = t.round mod t.window in
-        if c.hist_round.(slot) >= 0 && c.hist_sent.(slot) + t.timeout <= now
-        then begin
-          c.total_mature <- c.total_mature + 1;
-          if not c.hist_ok.(slot) then c.total_lost <- c.total_lost + 1
-        end;
-        c.hist_round.(slot) <- t.round;
-        c.hist_sent.(slot) <- now;
-        c.hist_ok.(slot) <- false;
-        Probe.send c.src ~dst:c.dst ~tpp:t.probe
-          ~seq:(c.seq_base + (t.round * n) + i))
-      t.circuits;
-    t.round <- t.round + 1;
-    Engine.after (engine t) t.period (tick t epoch)
-  end
+let tick t () =
+  let now = Engine.now (engine t) in
+  Array.iteri
+    (fun i c ->
+      c.last_probe <- now;
+      let slot = t.round mod t.window in
+      if c.hist_round.(slot) >= 0 && c.hist_sent.(slot) + t.timeout <= now
+      then begin
+        c.total_mature <- c.total_mature + 1;
+        if not c.hist_ok.(slot) then c.total_lost <- c.total_lost + 1
+      end;
+      c.hist_round.(slot) <- t.round;
+      c.hist_sent.(slot) <- now;
+      c.hist_ok.(slot) <- false;
+      Probe.send c.src ~dst:c.dst ~tpp:t.probe
+        ~seq:
+          (Probe.Block.seq c.block
+             (probe_offset ~circuits:(Array.length t.circuits) ~round:t.round i)))
+    t.circuits;
+  t.round <- t.round + 1;
+  t.period
 
 let start t ?at () =
-  if not t.running then begin
-    t.running <- true;
-    t.epoch <- t.epoch + 1;
-    let eng = engine t in
-    let begin_at =
-      match at with Some time -> max time (Engine.now eng) | None -> Engine.now eng
-    in
+  if not (Engine.Loop.running t.loop) then begin
+    let now = Engine.now (engine t) in
+    let begin_at = match at with Some time -> max time now | None -> now in
     (* Grant every circuit a grace reply at start so nothing counts as
        failing before it had a chance to answer. *)
     Array.iter (fun c -> c.last_reply <- max c.last_reply begin_at) t.circuits;
-    Engine.at eng begin_at (tick t t.epoch)
+    Engine.Loop.start t.loop ~at:begin_at (tick t)
   end
 
-let stop t =
-  t.running <- false;
-  t.epoch <- t.epoch + 1
+let stop t = Engine.Loop.stop t.loop
 
 let circuit_healthy t ~now c =
   (* Healthy unless probing started and no echo arrived within the

@@ -44,6 +44,16 @@ val create :
 val start : t -> ?at:int -> unit -> unit
 val stop : t -> unit
 
+val probe_offset : circuits:int -> round:int -> int -> int
+(** Offset in its source's probe block ({!Tpp_endhost.Probe.Block}) of
+    the probe that round [round] sends on circuit [i]: rounds wrap so
+    that every offset stays in the block. *)
+
+val echo_round : circuits:int -> last_round:int -> int -> int * int
+(** [(round, i)] of the echo carrying this block offset, with
+    [last_round] the latest round sent: the inverse of {!probe_offset}
+    for every echo less than [seq_block / circuits] rounds late. *)
+
 val healthy : t -> now:int -> bool list
 (** Per circuit, in creation order. Circuits that have not yet had a
     chance to answer (young or just started) count as healthy. *)

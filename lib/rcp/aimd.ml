@@ -1,6 +1,3 @@
-module Net = Tpp_sim.Net
-module Engine = Tpp_sim.Engine
-module Buf = Tpp_util.Buf
 module Stack = Tpp_endhost.Stack
 module Flow = Tpp_endhost.Flow
 
@@ -22,31 +19,6 @@ let default_config ~max_rate_bps =
     max_rate_bps;
     initial_rate_bps = max 50_000 (max_rate_bps / 10);
   }
-
-module Receiver = struct
-  type t = { mutable running : bool }
-
-  let attach stack ~sink ~report_to ~report_port ~period =
-    let t = { running = true } in
-    let eng = Net.engine (Stack.net stack) in
-    (* Self-rescheduling (same fire times as [Engine.every]: first at
-       now + period), so [stop] really cancels: a stopped receiver
-       leaves nothing on the event wheel. *)
-    let rec tick () =
-      if t.running then begin
-        let payload = Bytes.create 8 in
-        Buf.set_u32i payload 0 (Flow.Sink.holes sink);
-        Buf.set_u32i payload 4 (Flow.Sink.rx_payload_bytes sink land 0xFFFF_FFFF);
-        Stack.send_udp stack ~dst:report_to ~src_port:report_port
-          ~dst_port:report_port ~payload ();
-        Engine.after eng period tick
-      end
-    in
-    Engine.after eng period tick;
-    t
-
-  let stop t = t.running <- false
-end
 
 type t = {
   stack : Stack.t;

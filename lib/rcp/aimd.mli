@@ -9,7 +9,6 @@
     support is needed — which is exactly why it converges so much more
     slowly than RCP*, and why short flows suffer (experiment E9). *)
 
-module Net = Tpp_sim.Net
 module Stack = Tpp_endhost.Stack
 module Flow = Tpp_endhost.Flow
 
@@ -24,23 +23,8 @@ type config = {
 
 val default_config : max_rate_bps:int -> config
 
-(** Receiver side: watches a {!Flow.Sink} and reports its loss count to
-    the sender. *)
-module Receiver : sig
-  type t
-
-  val attach :
-    Stack.t ->
-    sink:Flow.Sink.t ->
-    report_to:Net.host ->
-    report_port:int ->
-    period:int ->
-    t
-
-  val stop : t -> unit
-  (** Cancels the periodic report: no further timer event is scheduled
-      once the current one fires. *)
-end
+(** The receiver side is {!Flow.Sink.report} with {!Flow.Sink.holes}
+    and {!Flow.Sink.rx_payload_bytes}. *)
 
 type t
 

@@ -1,6 +1,3 @@
-module Net = Tpp_sim.Net
-module Engine = Tpp_sim.Engine
-module Buf = Tpp_util.Buf
 module Stack = Tpp_endhost.Stack
 module Flow = Tpp_endhost.Flow
 
@@ -22,32 +19,6 @@ let default_config ~max_rate_bps =
     max_rate_bps;
     initial_rate_bps = max 50_000 (max_rate_bps / 10);
   }
-
-module Receiver = struct
-  type t = { mutable running : bool }
-
-  (* Self-rescheduling tick rather than [Engine.every ~until:max_int]:
-     once [stop] clears [running] no further event is scheduled, so a
-     finished flow leaves nothing ticking on the wheel for the rest of
-     the simulation. *)
-  let attach stack ~sink ~report_to ~report_port ~period =
-    let t = { running = true } in
-    let eng = Net.engine (Stack.net stack) in
-    let rec tick () =
-      if t.running then begin
-        let payload = Bytes.create 8 in
-        Buf.set_u32i payload 0 (Flow.Sink.rx_pkts sink);
-        Buf.set_u32i payload 4 (Flow.Sink.ce_marked sink);
-        Stack.send_udp stack ~dst:report_to ~src_port:report_port
-          ~dst_port:report_port ~payload ();
-        Engine.after eng period tick
-      end
-    in
-    Engine.after eng period tick;
-    t
-
-  let stop t = t.running <- false
-end
 
 (* Receiver counters ride the wire as u32, so a long-lived flow wraps
    them after 2^32 packets; deltas must be computed modulo 2^32 or the

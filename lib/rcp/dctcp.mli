@@ -15,7 +15,6 @@
 
 module Stack = Tpp_endhost.Stack
 module Flow = Tpp_endhost.Flow
-module Net = Tpp_sim.Net
 
 type config = {
   report_period_ns : int;
@@ -28,22 +27,8 @@ type config = {
 
 val default_config : max_rate_bps:int -> config
 
-module Receiver : sig
-  type t
-
-  val attach :
-    Stack.t ->
-    sink:Flow.Sink.t ->
-    report_to:Net.host ->
-    report_port:int ->
-    period:int ->
-    t
-
-  val stop : t -> unit
-  (** Cancels the periodic report: no further timer event is scheduled
-      once the current one fires, so stopped receivers leave nothing on
-      the event wheel. *)
-end
+(** The receiver side is {!Flow.Sink.report} with {!Flow.Sink.rx_pkts}
+    and {!Flow.Sink.ce_marked}. *)
 
 val u32_delta : last:int -> cur:int -> int
 (** Wrap-aware u32 subtraction: [(cur - last) mod 2^32]. Receiver

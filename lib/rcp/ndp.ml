@@ -295,8 +295,7 @@ let rec tx_timer t m () =
 let rx_key frame ~msg_id = (Ipv4.Addr.to_int (Frame.ip_src frame), msg_id)
 
 (* The stall timer: self-rescheduling and guarded by [r_complete], so a
-   finished message schedules nothing further (the same cancellation
-   discipline as [Dctcp.Receiver]). A message is stalled only when
+   finished message schedules nothing further. A message is stalled only when
    nothing has arrived for it AND our own pacer has not pulled for it
    within the timeout — a message whose pull is still queued behind
    other messages' pulls is waiting, not stalled. On a genuine stall it

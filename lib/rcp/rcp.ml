@@ -57,44 +57,21 @@ module Router = struct
 end
 
 module Controller = struct
-  type t = {
-    net : Net.t;
-    config : config;
-    flow : Flow.t;
-    path : Router.t list;
-    mutable running : bool;
-    mutable epoch : int;
-  }
+  type t = { config : config; flow : Flow.t; path : Router.t list; loop : Engine.Loop.t }
 
   let create net config ~flow ~path =
     if path = [] then invalid_arg "Rcp.Controller.create: empty path";
-    { net; config; flow; path; running = false; epoch = 0 }
+    { config; flow; path; loop = Engine.Loop.create (Net.engine net) }
 
-  let rec tick t epoch () =
-    if t.running && t.epoch = epoch then begin
-      let r =
-        List.fold_left (fun acc router -> Float.min acc (Router.rate_bps router))
-          infinity t.path
-      in
-      let rate = max t.config.min_rate_bps (int_of_float r) in
-      Flow.set_rate t.flow ~rate_bps:rate;
-      Engine.after (Net.engine t.net) t.config.period_ns (tick t epoch)
-    end
+  let tick t () =
+    let r =
+      List.fold_left (fun acc router -> Float.min acc (Router.rate_bps router))
+        infinity t.path
+    in
+    Flow.set_rate t.flow ~rate_bps:(max t.config.min_rate_bps (int_of_float r));
+    t.config.period_ns
 
-  let start t ?at () =
-    if not t.running then begin
-      t.running <- true;
-      t.epoch <- t.epoch + 1;
-      let eng = Net.engine t.net in
-      let begin_at =
-        match at with Some time -> max time (Engine.now eng) | None -> Engine.now eng
-      in
-      Engine.at eng begin_at (tick t t.epoch)
-    end
-
-  let stop t =
-    t.running <- false;
-    t.epoch <- t.epoch + 1
-
+  let start t ?at () = Engine.Loop.start t.loop ?at (tick t)
+  let stop t = Engine.Loop.stop t.loop
   let current_rate_bps t = Flow.rate_bps t.flow
 end

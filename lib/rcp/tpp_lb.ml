@@ -13,8 +13,8 @@
    on the flow port); replies come back on {!Probe.reply_port} and are
    matched to candidates through the pending-sequence table.
 
-   Everything is host-local state driven by packet arrivals and epoch-
-   guarded timers, so steering decisions are bit-deterministic and
+   Everything is host-local state driven by packet arrivals and one
+   {!Engine.Loop}, so steering decisions are bit-deterministic and
    shard-safe; [steer_fp] fingerprints the full decision sequence for
    the property tests. *)
 
@@ -22,8 +22,6 @@ module Net = Tpp_sim.Net
 module Engine = Tpp_sim.Engine
 module Tpp = Tpp_isa.Tpp
 module Asm = Tpp_isa.Asm
-module Frame = Tpp_isa.Frame
-module Udp = Tpp_packet.Udp
 module Buf = Tpp_util.Buf
 module Stack = Tpp_endhost.Stack
 module Flow = Tpp_endhost.Flow
@@ -78,12 +76,11 @@ type t = {
   samples : int array;
   flowlet : Flowlet.t;
   pending : (int, int) Hashtbl.t;  (* probe seq -> path id *)
-  seq_base : int;
+  block : Probe.Block.t;
+  loop : Engine.Loop.t;
   mutable seq : int;
   mutable rr : int;     (* next candidate to probe *)
   mutable current : int;
-  mutable running : bool;
-  mutable epoch : int;
   mutable probes_sent : int;
   mutable replies_seen : int;
   mutable decisions : int;  (* steering evaluations at a boundary *)
@@ -108,21 +105,23 @@ let maybe_steer t ~now =
     t.steer_fp <- mix (mix t.steer_fp now) t.current
   end
 
-let on_reply t ~now seq tpp =
-  if t.running then begin
+let sample t ~now path tpp =
+  t.replies_seen <- t.replies_seen + 1;
+  t.loads.(path) <- path_load tpp;
+  t.samples.(path) <- t.samples.(path) + 1;
+  maybe_steer t ~now
+
+let on_reply t ~now ~seq tpp =
+  if Engine.Loop.running t.loop then
     match Hashtbl.find_opt t.pending seq with
     | Some path ->
       Hashtbl.remove t.pending seq;
-      t.replies_seen <- t.replies_seen + 1;
-      t.loads.(path) <- path_load tpp;
-      t.samples.(path) <- t.samples.(path) + 1;
-      maybe_steer t ~now
+      sample t ~now path tpp
     | None -> ()
-  end
 
 let next_seq t =
   t.seq <- t.seq + 1;
-  t.seq_base + t.seq
+  Probe.Block.seq t.block t.seq
 
 let send_probe t path =
   let seq = next_seq t in
@@ -133,14 +132,10 @@ let send_probe t path =
   Stack.send_udp t.stack ~dst:t.dst ~src_port:t.ports.(path)
     ~dst_port:(Flow.port t.flow) ~tpp:(Tpp.copy t.collect_tpp) ~payload ()
 
-let engine t = Net.engine (Stack.net t.stack)
-
-let rec tick t epoch () =
-  if t.running && t.epoch = epoch then begin
-    send_probe t t.rr;
-    t.rr <- (t.rr + 1) mod t.config.num_paths;
-    Engine.after (engine t) t.config.probe_period_ns (tick t epoch)
-  end
+let tick t () =
+  send_probe t t.rr;
+  t.rr <- (t.rr + 1) mod t.config.num_paths;
+  t.config.probe_period_ns
 
 let create ?(config = default_config) stack ~flow ~dst =
   if config.num_paths <= 0 then invalid_arg "Tpp_lb.create: num_paths";
@@ -170,12 +165,11 @@ let create ?(config = default_config) stack ~flow ~dst =
       pending = Hashtbl.create 16;
       (* A disjoint echo-seq block: several controllers can share one
          host's reply stream. *)
-      seq_base = Probe.alloc_seq_block stack;
+      block = Probe.Block.take stack;
+      loop = Engine.Loop.create (Net.engine (Stack.net stack));
       seq = 0;
       rr = 0;
       current = 0;
-      running = false;
-      epoch = 0;
       probes_sent = 0;
       replies_seen = 0;
       decisions = 0;
@@ -183,9 +177,7 @@ let create ?(config = default_config) stack ~flow ~dst =
       steer_fp = 0;
     }
   in
-  Probe.install_reply_handler stack (fun ~now ~seq tpp ->
-      if seq > t.seq_base && seq <= t.seq_base + t.seq then
-        on_reply t ~now seq tpp);
+  Probe.Block.on_echo t.block (on_reply t);
   (* Piggyback: data packets occasionally carry the collect TPP; their
      echoes come back with the data sequence number (outside our
      block) and the flow's port as echo source — attribute them to the
@@ -194,38 +186,12 @@ let create ?(config = default_config) stack ~flow ~dst =
   | None -> ()
   | Some every ->
     Flow.carry_tpp flow ~every collect_tpp;
-    let flow_port = Flow.port flow in
-    Stack.on_udp_add stack ~port:Probe.reply_port (fun ~now frame ->
-        if t.running then
-          match Frame.udp frame with
-          | Some u when u.Udp.src_port = flow_port -> (
-            match Probe.decode_echo (Frame.payload frame) with
-            | Some (seq, tpp)
-              when seq < t.seq_base || seq > t.seq_base + Probe.seq_block ->
-              t.replies_seen <- t.replies_seen + 1;
-              t.loads.(t.current) <- path_load tpp;
-              t.samples.(t.current) <- t.samples.(t.current) + 1;
-              maybe_steer t ~now
-            | Some _ | None -> ())
-          | _ -> ()));
+    Probe.Block.on_flow_echo t.block ~port:(Flow.port flow) (fun ~now ~seq:_ tpp ->
+        if Engine.Loop.running t.loop then sample t ~now t.current tpp));
   t
 
-let start t ?at () =
-  if not t.running then begin
-    t.running <- true;
-    t.epoch <- t.epoch + 1;
-    let eng = engine t in
-    let begin_at =
-      match at with
-      | Some time -> max time (Engine.now eng)
-      | None -> Engine.now eng
-    in
-    Engine.at eng begin_at (tick t t.epoch)
-  end
-
-let stop t =
-  t.running <- false;
-  t.epoch <- t.epoch + 1
+let start t ?at () = Engine.Loop.start t.loop ?at (tick t)
+let stop t = Engine.Loop.stop t.loop
 
 let current_path t = t.current
 let current_src_port t = t.ports.(t.current)

@@ -8,8 +8,8 @@ module Frame = Tpp_isa.Frame
    ints, the handlers record and frame as two Obj.t cells), and the
    timing wheel orders bare slab indices. Scheduling and firing a
    delivery, port dequeue or fault restart therefore allocates zero
-   minor words; only the thunk kind (control-plane timers, [every]
-   ticks) still captures a closure. *)
+   minor words; only the thunk kind (control-plane timers and
+   {!Loop} firings) carries a closure. *)
 
 type handlers = {
   on_deliver : node:int -> port:int -> Frame.t -> unit;
@@ -122,6 +122,37 @@ let restart_at t time h ~node =
 
 let after t span callback = at t (Time_ns.add t.clock span) callback
 
+(* The one restartable timer. [start] allocates one closure, [fire],
+   which is the running loop's identity: the wheel cannot cancel, so a
+   firing still queued after [stop] (or after a stop and a later
+   [start]) must find that it is no longer [live] and do nothing.
+   Re-arming pushes the same closure again, so a warm firing allocates
+   nothing. *)
+module Loop = struct
+  type engine = t
+  type t = { eng : engine; mutable live : unit -> unit }
+
+  let idle () = ()
+  let create eng = { eng; live = idle }
+  let running l = l.live != idle
+  let stop l = l.live <- idle
+
+  let start l ?at:time body =
+    if l.live == idle then begin
+      let eng = l.eng in
+      let rec fire () =
+        if l.live == fire then begin
+          let delay = body () in
+          if l.live == fire then
+            if delay >= 0 then at eng (Time_ns.add eng.clock delay) fire
+            else l.live <- idle
+        end
+      in
+      l.live <- fire;
+      at eng (match time with Some s -> max s eng.clock | None -> eng.clock) fire
+    end
+end
+
 let every t ?start ~period ~until callback =
   if period <= 0 then invalid_arg "Engine.every: period";
   let start =
@@ -133,14 +164,10 @@ let every t ?start ~period ~until callback =
       s
     | None -> Time_ns.add t.clock period
   in
-  let rec tick time () =
-    if time <= until then begin
-      callback ();
-      let next = Time_ns.add time period in
-      if next <= until then at t next (tick next)
-    end
-  in
-  if start <= until then at t start (tick start)
+  if start <= until then
+    Loop.start (Loop.create t) ~at:start (fun () ->
+        callback ();
+        if Time_ns.add t.clock period <= until then period else -1)
 
 let next_event_time t = Wheel.peek_prio t.wheel
 let next_event_time_or t ~default = Wheel.peek_prio_or t.wheel ~default

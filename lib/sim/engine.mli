@@ -6,9 +6,11 @@
     cells), a hierarchical timing {!Tpp_util.Wheel} orders bare slot
     indices, and a single match dispatches them through a {!handlers}
     record that the network allocates once. Scheduling and firing one
-    of these events allocates zero minor words. Control-plane code (RCP
-    ticks, probe timeouts, {!every}) keeps the closure-based
-    {!at}/{!after} escape hatch.
+    of these events allocates zero minor words. Control-plane events
+    are closures: one-shot timers ({!at}/{!after}, e.g. probe
+    timeouts) and {!Loop}, the one periodic timer every end-host
+    controller and {!every} run on; a warm {!Loop} firing allocates
+    nothing either.
 
     Ordering contract: nondecreasing time; among equal timestamps, by
     emission stamp, then by a canonical (kind, node, port) key, then by
@@ -66,13 +68,38 @@ val at : t -> Time_ns.t -> (unit -> unit) -> unit
 
 val after : t -> Time_ns.span -> (unit -> unit) -> unit
 
+(** A restartable periodic callback: the control loop of every
+    end-host controller (flow pacing, probe rounds, receiver reports).
+    Each firing runs the loop's body, which returns the delay to the
+    next firing, or a negative value to end the loop. *)
+module Loop : sig
+  type engine := t
+  type t
+
+  val create : engine -> t
+  (** A stopped loop on this engine. *)
+
+  val start : t -> ?at:Time_ns.t -> (unit -> Time_ns.span) -> unit
+  (** Runs [body] at [at] (default now; a time in the past is clamped
+      to now), then again after each delay it returns. Does nothing
+      when the loop is already running. Allocates one closure; a
+      re-arm allocates nothing. *)
+
+  val stop : t -> unit
+  (** Ends the loop. A firing already in the wheel stays there and
+      does nothing when it comes due, also after a later {!start}. *)
+
+  val running : t -> bool
+  (** From {!start} until {!stop} or a negative delay. *)
+end
+
 val every :
   t -> ?start:Time_ns.t -> period:Time_ns.span -> until:Time_ns.t ->
   (unit -> unit) -> unit
 (** Periodic callback from [start] (default one period from now) to
-    [until] inclusive. An explicit [start] must lie strictly in the
-    future (raises [Invalid_argument] "Engine.every: start in the
-    past" when at or before the current clock). *)
+    [until] inclusive, on a {!Loop}. An explicit [start] must lie
+    strictly in the future (raises [Invalid_argument] "Engine.every:
+    start in the past" when at or before the current clock). *)
 
 val next_event_time : t -> Time_ns.t option
 (** Timestamp of the earliest queued event, [None] when the queue is

@@ -122,8 +122,8 @@ let test_dctcp_reacts_to_marks () =
   let config = Dctcp.default_config ~max_rate_bps:(mbps 50) in
   let ctl = Dctcp.create sa config ~flow ~report_port:9100 in
   let _rx =
-    Dctcp.Receiver.attach sb ~sink ~report_to:bell.Topology.senders.(0)
-      ~report_port:9100 ~period:config.Dctcp.report_period_ns
+    Flow.Sink.report sb sink ~report_to:bell.Topology.senders.(0) ~port:9100
+      ~period:config.Dctcp.report_period_ns Flow.Sink.rx_pkts Flow.Sink.ce_marked
   in
   Dctcp.start ctl;
   Flow.start flow ();
@@ -392,6 +392,33 @@ let test_faultfind_localises_chain_link () =
          { Faultfind.from_switch = 2; egress_port = 1 })
   | other -> Alcotest.failf "expected one suspect, got %d" (List.length other)
 
+(* A probe's seq offset names its (round, circuit) exactly, also once
+   the rounds have wrapped around the seq block many times over. *)
+let test_faultfind_seq_wraps () =
+  List.iter
+    (fun circuits ->
+      let rounds = Probe.seq_block / circuits in
+      List.iter
+        (fun round ->
+          List.iter
+            (fun i ->
+              let offset = Faultfind.probe_offset ~circuits ~round i in
+              check Alcotest.bool "offset in the block" true
+                (offset >= 0 && offset < Probe.seq_block);
+              List.iter
+                (fun late ->
+                  check
+                    Alcotest.(pair int int)
+                    (Printf.sprintf "%d circuits, round %d, circuit %d, %d late"
+                       circuits round i late)
+                    (round, i)
+                    (Faultfind.echo_round ~circuits ~last_round:(round + late)
+                       offset))
+                [ 0; 1; 7; rounds - 1 ])
+            [ 0; circuits - 1 ])
+        [ 0; 1; rounds - 1; rounds; rounds + 1; (3 * rounds) + 7; 1 lsl 22 ])
+    [ 1; 3; 1000; 4096 ]
+
 (* --- pcap -------------------------------------------------------------------- *)
 
 let test_pcap_roundtrip () =
@@ -508,6 +535,7 @@ let suite =
     Alcotest.test_case "EF latency under load" `Quick test_priority_latency_end_to_end;
     Alcotest.test_case "link down blackholes" `Quick test_link_down_blackholes;
     Alcotest.test_case "faultfind localises" `Quick test_faultfind_localises_chain_link;
+    Alcotest.test_case "faultfind seq wraps" `Quick test_faultfind_seq_wraps;
     Alcotest.test_case "pcap roundtrip" `Quick test_pcap_roundtrip;
     Alcotest.test_case "pcap streaming writer" `Quick
       test_pcap_streaming_matches_to_bytes;

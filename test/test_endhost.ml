@@ -145,17 +145,141 @@ let test_probe_seq_blocks_per_host () =
   let _eng, net, a, b = two_hosts () in
   let sa = Stack.create net a in
   let sb = Stack.create net b in
-  let bs = Probe.alloc_seq_block sb in
-  let blocks = List.init 4095 (fun _ -> Probe.alloc_seq_block sa) in
+  let base stack = Probe.Block.seq (Probe.Block.take stack) 0 in
+  let bs = base sb in
+  let blocks = List.init 4095 (fun _ -> base sa) in
   check Alcotest.int "first block" Probe.seq_block (List.hd blocks);
   check Alcotest.int "other hosts count their own" Probe.seq_block bs;
   check Alcotest.int "last block ends at 2^32" ((1 lsl 32) - Probe.seq_block)
     (List.nth blocks 4094);
   check Alcotest.int "all disjoint" 4095
     (List.length (List.sort_uniq compare blocks));
-  match Probe.alloc_seq_block sa with
-  | b -> Alcotest.failf "block %d past the u32 echo seq space" b
+  match Probe.Block.take sa with
+  | b -> Alcotest.failf "block %d past the u32 echo seq space" (Probe.Block.seq b 0)
   | exception Failure _ -> ()
+
+(* --- Echo demux ------------------------------------------------------------ *)
+
+(* An echo as it reaches the prober: [seq:u32] and the executed TPP, sent
+   to the reply port from [src_port]. *)
+let echo_frame ~from ~to_ ~src_port ~seq tpp =
+  let w = Buf.Writer.create () in
+  Buf.Writer.u32i w seq;
+  Prog.write w tpp;
+  Frame.udp_frame ~src_mac:from.Net.mac ~dst_mac:to_.Net.mac ~src_ip:from.Net.ip
+    ~dst_ip:to_.Net.ip ~src_port ~dst_port:Probe.reply_port
+    ~payload:(Buf.Writer.contents w) ()
+
+let switch_id_tpp () =
+  Result.get_ok (Asm.to_tpp ~mem_len:8 "PUSH [Switch:SwitchID]\n")
+
+(* Two block owners, a piggyback listener on block 1's flow port and a
+   catch-all share one host: each sees exactly its own echoes, and an
+   echo's listeners run in registration order. *)
+let test_echo_demux_routes_by_filter () =
+  let _eng, net, a, b = two_hosts () in
+  let sa = Stack.create net a in
+  let log = ref [] in
+  let note name ~now:_ ~seq _ = log := (name, seq) :: !log in
+  let b1 = Probe.Block.take sa in
+  let b2 = Probe.Block.take sa in
+  Probe.Block.on_echo b1 (note "block1");
+  Probe.Block.on_flow_echo b1 ~port:9000 (note "flow");
+  Probe.install_reply_handler sa (note "all");
+  Probe.Block.on_echo b2 (note "block2");
+  let tpp = switch_id_tpp () in
+  let echo ~src_port seq =
+    a.Net.receive ~now:0 (echo_frame ~from:b ~to_:a ~src_port ~seq tpp)
+  in
+  let s1 = Probe.Block.seq b1 3 and s2 = Probe.Block.seq b2 4 in
+  echo ~src_port:Probe.request_port s1;
+  echo ~src_port:Probe.request_port s2;
+  (* A TPP that rode data packet 17 of the flow on port 9000. *)
+  echo ~src_port:9000 17;
+  (* Block 1's own probe answered from the flow's port (as TPP-LB's
+     path probes are) is not piggybacked. *)
+  echo ~src_port:9000 s1;
+  echo ~src_port:Probe.request_port 17;
+  check
+    Alcotest.(list (pair string int))
+    "listeners per echo"
+    [ ("block1", s1); ("all", s1);
+      ("all", s2); ("block2", s2);
+      ("flow", 17); ("all", 17);
+      ("block1", s1); ("all", s1);
+      ("all", 17) ]
+    (List.rev !log)
+
+(* A controller counts its probes without bound; [Block.seq] wraps the
+   count into the block, so after 2^20 probes its echoes still reach it
+   and never another block's owner. *)
+let test_probe_block_seq_wraps () =
+  let _eng, net, a, b = two_hosts () in
+  let sa = Stack.create net a in
+  let b1 = Probe.Block.take sa in
+  let b2 = Probe.Block.take sa in
+  let n = Probe.seq_block in
+  List.iter
+    (fun k ->
+      let seq = Probe.Block.seq b1 k in
+      check Alcotest.bool (Printf.sprintf "probe %d stays in its block" k) true
+        (seq >= n && seq < 2 * n);
+      check Alcotest.int (Printf.sprintf "probe %d offset" k) (k mod n)
+        (Probe.Block.offset b1 seq))
+    [ 0; 1; n - 1; n; n + 1; (2 * n) + 5; (5 * n) - 1 ];
+  let heard = ref [] in
+  Probe.Block.on_echo b1 (fun ~now:_ ~seq _ -> heard := (1, seq) :: !heard);
+  Probe.Block.on_echo b2 (fun ~now:_ ~seq _ -> heard := (2, seq) :: !heard);
+  let tpp = switch_id_tpp () in
+  List.iter
+    (fun k ->
+      a.Net.receive ~now:0
+        (echo_frame ~from:b ~to_:a ~src_port:Probe.request_port
+           ~seq:(Probe.Block.seq b1 k) tpp))
+    [ n - 1; n; n + 2 ];
+  check
+    Alcotest.(list (pair int int))
+    "block 1 hears its wrapped probes"
+    [ (1, (2 * n) - 1); (1, n); (1, n + 2) ]
+    (List.rev !heard)
+
+(* Each echo is decoded once per host: beside one running RCP*
+   controller, 50 stopped ones on the same host cost an echo for the
+   running one not a single minor word more. *)
+let test_echo_words_independent_of_idle_controllers () =
+  let words ~idle =
+    let _eng, net, a, b = two_hosts () in
+    let sa = Stack.create net a in
+    let controller () =
+      let flow =
+        Flow.cbr ~src:sa ~dst:b ~dst_port:9000 ~payload_bytes:100
+          ~rate_bps:1_000_000
+      in
+      Rs.create sa (Rs.default_config ~slot:0) ~flow ~dst:b
+    in
+    let running = controller () in
+    Rs.start running ();
+    for _ = 1 to idle do
+      let c = controller () in
+      Rs.start c ();
+      Rs.stop c
+    done;
+    (* A collect echo (even seq in the running controller's block, the
+       host's first) whose TPP ran on no switch: the controller decodes
+       it and finds no hop to update. *)
+    let frame =
+      echo_frame ~from:b ~to_:a ~src_port:Probe.request_port
+        ~seq:(Probe.seq_block + 2) (switch_id_tpp ())
+    in
+    a.Net.receive ~now:0 frame;
+    let w0 = Gc.minor_words () in
+    a.Net.receive ~now:0 frame;
+    Gc.minor_words () -. w0
+  in
+  let alone = words ~idle:0 in
+  check Alcotest.bool "the echo is decoded" true (alone > 0.0);
+  check (Alcotest.float 0.0) "minor words with 50 stopped controllers" alone
+    (words ~idle:50)
 
 let test_probe_template_not_mutated () =
   let eng, net, a, b = two_hosts () in
@@ -340,6 +464,11 @@ let suite =
     Alcotest.test_case "probe template immutable" `Quick test_probe_template_not_mutated;
     Alcotest.test_case "probe seq blocks per host" `Quick
       test_probe_seq_blocks_per_host;
+    Alcotest.test_case "echo demux routes by filter" `Quick
+      test_echo_demux_routes_by_filter;
+    Alcotest.test_case "probe block seq wraps" `Quick test_probe_block_seq_wraps;
+    Alcotest.test_case "echo words independent of idle controllers" `Quick
+      test_echo_words_independent_of_idle_controllers;
     Alcotest.test_case "cbr flow rate" `Quick test_cbr_flow_rate;
     Alcotest.test_case "cbr set rate" `Quick test_cbr_set_rate_takes_effect;
     Alcotest.test_case "burst flow shape" `Quick test_burst_flow_shape;

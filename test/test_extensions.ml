@@ -312,13 +312,13 @@ let test_aimd_additive_increase () =
   let config = Aimd.default_config ~max_rate_bps:(mbps 100) in
   let ctl = Aimd.create sa config ~flow ~report_port:9100 in
   let receiver =
-    Aimd.Receiver.attach sb ~sink ~report_to:a ~report_port:9100
-      ~period:config.Aimd.report_period_ns
+    Flow.Sink.report sb sink ~report_to:a ~port:9100
+      ~period:config.Aimd.report_period_ns Flow.Sink.holes Flow.Sink.rx_payload_bytes
   in
   Aimd.start ctl;
   Flow.start flow ();
   Engine.run eng ~until:(Time_ns.sec 2);
-  Aimd.Receiver.stop receiver;
+  Engine.Loop.stop receiver;
   (* No losses on an uncongested path: rate must have climbed. *)
   check Alcotest.bool "rate grew" true
     (Aimd.current_rate_bps ctl > config.Aimd.initial_rate_bps);
@@ -345,8 +345,8 @@ let test_aimd_backs_off_on_loss () =
   let config = Aimd.default_config ~max_rate_bps:(mbps 100) in
   let ctl = Aimd.create sa config ~flow ~report_port:9100 in
   let _receiver =
-    Aimd.Receiver.attach sb ~sink ~report_to:bell.Topology.senders.(0)
-      ~report_port:9100 ~period:config.Aimd.report_period_ns
+    Flow.Sink.report sb sink ~report_to:bell.Topology.senders.(0) ~port:9100
+      ~period:config.Aimd.report_period_ns Flow.Sink.holes Flow.Sink.rx_payload_bytes
   in
   Aimd.start ctl;
   Flow.start flow ();

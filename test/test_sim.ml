@@ -65,6 +65,73 @@ let test_engine_every_past_start () =
   Engine.run eng ~until:100;
   check Alcotest.int "future start fires" 3 !fired
 
+(* --- Engine.Loop ----------------------------------------------------------- *)
+
+(* A loop firing every 10 ns from 0 that logs its firing times. *)
+let logging_loop eng log () =
+  log := Engine.now eng :: !log;
+  10
+
+let test_loop_restart_fires_once_per_period () =
+  let eng = Engine.create () in
+  let loop = Engine.Loop.create eng in
+  let log = ref [] in
+  Engine.Loop.start loop (logging_loop eng log);
+  (* At 15, stop and start again: the firing still queued for 20 must
+     stay a no-op, so the restarted loop alone fires, at 15, 25, 35. *)
+  Engine.at eng 15 (fun () ->
+      Engine.Loop.stop loop;
+      Engine.Loop.start loop (logging_loop eng log));
+  Engine.run eng ~until:40;
+  check (Alcotest.list Alcotest.int) "firing times" [ 0; 10; 15; 25; 35 ]
+    (List.rev !log);
+  check Alcotest.bool "running" true (Engine.Loop.running loop);
+  (* A start while running changes nothing. *)
+  Engine.Loop.start loop (logging_loop eng log);
+  Engine.run eng ~until:50;
+  check (Alcotest.list Alcotest.int) "no second loop" [ 0; 10; 15; 25; 35; 45 ]
+    (List.rev !log)
+
+let test_loop_past_start_clamps_to_now () =
+  let eng = Engine.create () in
+  Engine.run eng ~until:100;
+  let loop = Engine.Loop.create eng in
+  let log = ref [] in
+  Engine.Loop.start loop ~at:40 (logging_loop eng log);
+  Engine.run eng ~until:125;
+  check (Alcotest.list Alcotest.int) "from now" [ 100; 110; 120 ] (List.rev !log)
+
+let test_loop_negative_delay_ends () =
+  let eng = Engine.create () in
+  let loop = Engine.Loop.create eng in
+  let fired = ref 0 in
+  Engine.Loop.start loop ~at:5 (fun () ->
+      incr fired;
+      if !fired < 3 then 10 else -1);
+  check Alcotest.bool "running before the first firing" true
+    (Engine.Loop.running loop);
+  Engine.run eng ~until:1_000;
+  check Alcotest.int "three firings" 3 !fired;
+  check Alcotest.bool "ended" false (Engine.Loop.running loop);
+  check Alcotest.int "nothing left queued" 3 (Engine.events_processed eng);
+  Engine.Loop.start loop (fun () -> incr fired; -1);
+  Engine.run eng ~until:2_000;
+  check Alcotest.int "restartable" 4 !fired
+
+(* Re-arming pushes the loop's one closure again: once the slab and
+   wheel are warm, 10k firings allocate nothing. *)
+let test_loop_warm_rearm_allocates_nothing () =
+  let eng = Engine.create () in
+  let loop = Engine.Loop.create eng in
+  let fired = ref 0 in
+  Engine.Loop.start loop (fun () -> incr fired; 7);
+  Engine.run eng ~until:1_000;
+  let w0 = Gc.minor_words () in
+  Engine.run eng ~until:71_000;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "firings" 10_143 !fired;
+  check (Alcotest.float 0.0) "minor words of warm firings" 0.0 words
+
 let test_engine_next_event_time () =
   let eng = Engine.create () in
   check (Alcotest.option Alcotest.int) "empty" None (Engine.next_event_time eng);
@@ -761,6 +828,14 @@ let suite =
     Alcotest.test_case "engine every" `Quick test_engine_every;
     Alcotest.test_case "engine every rejects past start" `Quick
       test_engine_every_past_start;
+    Alcotest.test_case "loop restart fires once per period" `Quick
+      test_loop_restart_fires_once_per_period;
+    Alcotest.test_case "loop start in the past clamps to now" `Quick
+      test_loop_past_start_clamps_to_now;
+    Alcotest.test_case "loop negative delay ends it" `Quick
+      test_loop_negative_delay_ends;
+    Alcotest.test_case "loop warm re-arm allocates nothing" `Quick
+      test_loop_warm_rearm_allocates_nothing;
     Alcotest.test_case "engine next event time" `Quick test_engine_next_event_time;
     Alcotest.test_case "engine max_int event" `Quick test_engine_max_int_event;
     Alcotest.test_case "engine typed dispatch" `Quick test_engine_typed_dispatch;
