@@ -402,8 +402,8 @@ let compile_instr (instr : Instr.t) : uop =
       | Instr.Sub -> fun a b -> (a - b) land 0xFFFF_FFFF
       | Instr.And -> ( land )
       | Instr.Or -> ( lor )
-      | Instr.Min -> min
-      | Instr.Max -> max
+      | Instr.Min -> Int.min
+      | Instr.Max -> Int.max
     in
     (* A static packet destination needs a single bounds test covering
        both its read and its write (same word), and the read-modify-

@@ -213,7 +213,7 @@ let process_and_enqueue t ~now (frame : Frame.t) ~out_port =
      against the queue the packet will actually join. Higher queue index
      = higher priority; the classifier's value is scaled to the port. *)
   let nq = Array.length port.State.Port.queues in
-  let queue_id = max 0 (min (nq - 1) (t.classify_queue frame * nq / 64)) in
+  let queue_id = Int.max 0 (Int.min (nq - 1) (t.classify_queue frame * nq / 64)) in
   frame.Frame.meta.Meta.queue_id <- queue_id;
   let sub = port.State.Port.queues.(queue_id) in
   if t.tcpu_enabled then ignore (Tcpu.run t.tcpu st ~now ~frame : int);

@@ -96,8 +96,8 @@ let apply_binop op a b =
   | Instr.Sub -> mask32 (a - b)
   | Instr.And -> a land b
   | Instr.Or -> a lor b
-  | Instr.Min -> min a b
-  | Instr.Max -> max a b
+  | Instr.Min -> Int.min a b
+  | Instr.Max -> Int.max a b
 
 let ( let* ) = Result.bind
 

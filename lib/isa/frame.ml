@@ -345,7 +345,7 @@ let flow_hash t =
     h
   end
 
-let wire_size t = max 64 (t.len + 4)
+let wire_size t = Int.max 64 (t.len + 4)
 
 (* ---- Byte export ---- *)
 

@@ -3,13 +3,16 @@ module Wheel = Tpp_util.Wheel
 module Frame = Tpp_isa.Frame
 
 (* The dataplane's event vocabulary, dispatched by one match in [fire].
-   Steady-state events are not closures: their ingredients live in the
-   engine's own structure-of-arrays slab (kind / node / port as unboxed
-   ints, the handlers record and frame as two Obj.t cells), and the
-   timing wheel orders bare slab indices. Scheduling and firing a
-   delivery, port dequeue or fault restart therefore allocates zero
-   minor words; only the thunk kind (control-plane timers and
-   {!Loop} firings) carries a closure. *)
+   Steady-state events are not closures: each is one timing-wheel entry
+   whose tie key packs (kind, node, port) and whose payload packs what
+   the tie cannot hold, so nothing about an event lives in a second
+   per-event structure. A dataplane registers its {!handlers} record
+   once and its small id rides in the payload; a port dequeue or fault
+   restart is then two ints in the wheel, and only the two kinds that
+   carry an object — a delivery's frame, a thunk's closure — take a
+   pointer cell. Scheduling and firing any typed event allocates zero
+   minor words; only the thunk kind (control-plane timers and {!Loop}
+   firings) carries a closure. *)
 
 type handlers = {
   on_deliver : node:int -> port:int -> Frame.t -> unit;
@@ -17,36 +20,42 @@ type handlers = {
   on_restart : node:int -> unit;
 }
 
+type handle = int
+
 let kind_thunk = 0
 let kind_deliver = 1
 let kind_dequeue = 2
 let kind_restart = 3
 
+(* Node and port each take 20 bits of the tie key. *)
+let max_id_bits = 20
+let id_mask = (1 lsl max_id_bits) - 1
+
+(* A delivery's payload is [(cell lsl handle_bits) lor handle]. The
+   top handle is never registered, so an event scheduled with
+   [no_handle] fails the [registered] bounds check when it fires. *)
+let handle_bits = 16
+let handle_mask = (1 lsl handle_bits) - 1
+let no_handle = handle_mask
+
 type t = {
   wheel : Wheel.t;
-  (* Event slab, indexed by the slot ints the wheel carries.
-     (kind, node, port) are packed into one int per slot — the same
-     (kind << 40) | (node << 20) | port encoding as the canonical tie
-     key below, so the tie is read straight from the slab — and the two
-     pointer cells of a slot sit adjacent in [e_obj] (slot s -> indices
-     2s, 2s+1). Scheduling or firing an event therefore touches two
-     cache lines of slab instead of the five a parallel-arrays layout
-     costs once a large fabric's slab falls out of L2. [e_meta] doubles
-     as the free-list link. *)
-  mutable e_meta : int array;
-  mutable e_obj : Obj.t array;  (* 2s: handlers/thunk; 2s+1: Frame.t *)
+  mutable registered : handlers array;  (* index = handle *)
+  (* Pointer cells: a delivery's frame or a thunk's closure, indexed by
+     the cell number in the event's payload. A free cell holds the next
+     free cell's number as an immediate, so releasing a cell both
+     threads the free list and drops the fired frame or closure. *)
+  mutable cells : Obj.t array;
   mutable free : int;
   mutable clock : Time_ns.t;
   mutable processed : int;
 }
 
-let hole = Obj.repr ()
-
 let create () =
   {
     wheel = Wheel.create ();
-    e_meta = [||];
-    e_obj = [||];
+    registered = [||];
+    cells = [||];
     free = -1;
     clock = 0;
     processed = 0;
@@ -54,20 +63,36 @@ let create () =
 
 let now t = t.clock
 
+let register t h =
+  let n = Array.length t.registered in
+  if n >= no_handle then invalid_arg "Engine.register: too many handlers";
+  t.registered <- Array.append t.registered [| h |];
+  n
+
 let grow t =
-  let old = Array.length t.e_meta in
+  let old = Array.length t.cells in
   let cap = if old = 0 then 64 else 2 * old in
-  let meta = Array.make cap 0 in
-  Array.blit t.e_meta 0 meta 0 old;
-  let obj = Array.make (2 * cap) hole in
-  Array.blit t.e_obj 0 obj 0 (2 * old);
-  t.e_meta <- meta;
-  t.e_obj <- obj;
+  let cells = Array.make cap (Obj.repr 0) in
+  Array.blit t.cells 0 cells 0 old;
   for i = old to cap - 2 do
-    t.e_meta.(i) <- i + 1
+    cells.(i) <- Obj.repr (i + 1)
   done;
-  t.e_meta.(cap - 1) <- t.free;
+  cells.(cap - 1) <- Obj.repr t.free;
+  t.cells <- cells;
   t.free <- old
+
+let[@inline] take_cell t v =
+  if t.free < 0 then grow t;
+  let c = t.free in
+  t.free <- (Obj.obj (Array.unsafe_get t.cells c) : int);
+  Array.unsafe_set t.cells c v;
+  c
+
+let[@inline] release_cell t c =
+  let v = Array.unsafe_get t.cells c in
+  Array.unsafe_set t.cells c (Obj.repr t.free);
+  t.free <- c;
+  v
 
 (* Every push is stamped with an emission time: the engine clock,
    which is monotone in push order, except that a delivery's stamp is
@@ -89,36 +114,38 @@ let grow t =
    schedules at most one dequeue at a time, and the events left tied
    (thunk vs thunk, which all pack to 0) are scheduled shard-locally
    in identical relative order, so their seq fallback agrees with the
-   sequential run. *)
+   sequential run. A node or port beyond 20 bits would spill into the
+   next field and fire as the wrong kind, so [check] refuses it. *)
 let[@inline] tie_key ~kind ~node ~port =
-  (kind lsl 40) lor (node lsl 20) lor port
+  (kind lsl 40) lor (node lsl max_id_bits) lor port
 
-let[@inline] schedule_slot t time ~emitted ~kind ~node ~port h frame =
+let[@inline] check t time ~node ~port =
   if time < t.clock then invalid_arg "Engine.at: scheduling in the past";
-  if t.free < 0 then grow t;
-  let s = t.free in
-  t.free <- Array.unsafe_get t.e_meta s;
-  let meta = tie_key ~kind ~node ~port in
-  t.e_meta.(s) <- meta;
-  t.e_obj.(2 * s) <- h;
-  t.e_obj.((2 * s) + 1) <- frame;
-  Wheel.push_keyed t.wheel ~prio:time ~emitted ~tie:meta s
+  if (node lor port) lsr max_id_bits <> 0 then
+    invalid_arg "Engine: node or port id outside 0 .. 2^20-1"
+
+let[@inline] push t time ~emitted ~kind ~node ~port payload =
+  Wheel.push_keyed t.wheel ~prio:time ~emitted
+    ~tie:(tie_key ~kind ~node ~port) payload
 
 let at t time callback =
-  schedule_slot t time ~emitted:t.clock ~kind:kind_thunk ~node:0 ~port:0
-    (Obj.repr callback) hole
+  check t time ~node:0 ~port:0;
+  push t time ~emitted:t.clock ~kind:kind_thunk ~node:0 ~port:0
+    (take_cell t (Obj.repr callback))
 
-let deliver_at t time ~emitted h ~node ~port frame =
-  schedule_slot t time ~emitted ~kind:kind_deliver ~node ~port (Obj.repr h)
-    (Obj.repr frame)
+let deliver_at t time ~emitted h ~node ~port (frame : Frame.t) =
+  check t time ~node ~port;
+  let c = take_cell t (Obj.repr frame) in
+  push t time ~emitted ~kind:kind_deliver ~node ~port
+    ((c lsl handle_bits) lor h)
 
 let dequeue_at t time h ~node ~port =
-  schedule_slot t time ~emitted:t.clock ~kind:kind_dequeue ~node ~port
-    (Obj.repr h) hole
+  check t time ~node ~port;
+  push t time ~emitted:t.clock ~kind:kind_dequeue ~node ~port h
 
 let restart_at t time h ~node =
-  schedule_slot t time ~emitted:t.clock ~kind:kind_restart ~node ~port:0
-    (Obj.repr h) hole
+  check t time ~node ~port:0;
+  push t time ~emitted:t.clock ~kind:kind_restart ~node ~port:0 h
 
 let after t span callback = at t (Time_ns.add t.clock span) callback
 
@@ -172,28 +199,21 @@ let every t ?start ~period ~until callback =
 let next_event_time t = Wheel.peek_prio t.wheel
 let next_event_time_or t ~default = Wheel.peek_prio_or t.wheel ~default
 
-(* Decodes and dispatches one slab slot. The slot is freed before the
-   handler runs, so a handler can schedule (and reuse the slot)
-   immediately; the Obj cells are blanked first so fired frames and
-   thunks become garbage the moment they leave the queue. This is the
-   single dispatch match of the engine. *)
-let[@inline] fire t s =
-  let meta = Array.unsafe_get t.e_meta s in
-  let kind = meta lsr 40 in
-  let node = (meta lsr 20) land 0xFFFFF in
-  let port = meta land 0xFFFFF in
-  let h = Array.unsafe_get t.e_obj (2 * s) in
-  let fr = Array.unsafe_get t.e_obj ((2 * s) + 1) in
-  Array.unsafe_set t.e_obj (2 * s) hole;
-  Array.unsafe_set t.e_obj ((2 * s) + 1) hole;
-  t.e_meta.(s) <- t.free;
-  t.free <- s;
-  match kind with
-  | 0 (* kind_thunk *) -> (Obj.obj h : unit -> unit) ()
+(* Decodes and dispatches the event just popped: kind, node and port
+   from its tie key, the handle and cell from its payload. A cell is
+   released before the handler runs, so fired frames and thunks become
+   garbage the moment they leave the queue and a handler can reuse the
+   cell at once. This is the single dispatch match of the engine. *)
+let[@inline] fire t tie p =
+  let node = (tie lsr max_id_bits) land id_mask in
+  let port = tie land id_mask in
+  match tie lsr 40 with
+  | 0 (* kind_thunk *) -> (Obj.obj (release_cell t p) : unit -> unit) ()
   | 1 (* kind_deliver *) ->
-    (Obj.obj h : handlers).on_deliver ~node ~port (Obj.obj fr : Frame.t)
-  | 2 (* kind_dequeue *) -> (Obj.obj h : handlers).on_dequeue ~node ~port
-  | _ (* kind_restart *) -> (Obj.obj h : handlers).on_restart ~node
+    let fr = (Obj.obj (release_cell t (p lsr handle_bits)) : Frame.t) in
+    t.registered.(p land handle_mask).on_deliver ~node ~port fr
+  | 2 (* kind_dequeue *) -> t.registered.(p).on_dequeue ~node ~port
+  | _ (* kind_restart *) -> t.registered.(p).on_restart ~node
 
 let run t ~until =
   (* Emptiness is decided explicitly (is_empty), never by a sentinel
@@ -208,13 +228,15 @@ let run t ~until =
       let time = Wheel.peek_prio_or w ~default:0 in
       if time > until then continue := false
       else begin
-        let s = Wheel.pop_value w ~default:(-1) in
+        let p = Wheel.pop_value w ~default:(-1) in
         t.clock <- time;
         t.processed <- t.processed + 1;
-        fire t s
+        fire t (Wheel.popped_tie w) p
       end
     end
   done;
   if until > t.clock then t.clock <- until
+
+let wheel_placements t = Wheel.placements t.wheel
 
 let events_processed t = t.processed

@@ -1,22 +1,23 @@
 (** Discrete-event engine with a typed, allocation-free dataplane core.
 
     Steady-state dataplane events — frame deliveries, port dequeues,
-    fault restarts — are not closures. Their ingredients live in the
-    engine's structure-of-arrays event slab (ints plus two object
-    cells), a hierarchical timing {!Tpp_util.Wheel} orders bare slot
-    indices, and a single match dispatches them through a {!handlers}
-    record that the network allocates once. Scheduling and firing one
-    of these events allocates zero minor words. Control-plane events
-    are closures: one-shot timers ({!at}/{!after}, e.g. probe
-    timeouts) and {!Loop}, the one periodic timer every end-host
-    controller and {!every} run on; a warm {!Loop} firing allocates
-    nothing either.
+    fault restarts — are not closures. Each is one entry of a
+    hierarchical timing {!Tpp_util.Wheel}: its tie key packs the event
+    kind, node and port, and its payload the id of a {!handlers} record
+    the dataplane registered once, plus, for a delivery, the cell that
+    holds its frame. A single match dispatches them. Dequeues and
+    restarts hold no pointer at all; scheduling and firing any of these
+    events allocates zero minor words. Control-plane events are
+    closures: one-shot timers ({!at}/{!after}, e.g. probe timeouts) and
+    {!Loop}, the one periodic timer every end-host controller and
+    {!every} run on; a warm {!Loop} firing allocates nothing either.
 
     Ordering contract: nondecreasing time; among equal timestamps, by
     emission stamp, then by a canonical (kind, node, port) key, then by
     scheduling order. This is the wheel's contract; its overflow queue
     for far-future events and its test oracle are described in
-    {!Tpp_util.Wheel}.
+    {!Tpp_util.Wheel}. Node and port ids of typed events must fit in 20
+    bits each, as the key packs them.
 
     Every scheduled event is stamped with an emission time: the engine
     clock at scheduling time, except that {!deliver_at} takes its stamp
@@ -32,14 +33,31 @@ module Frame = Tpp_isa.Frame
 type t
 
 (** Callbacks for the typed event kinds. A dataplane allocates one of
-    these per network (not per event) and passes it to every
-    {!deliver_at}/{!dequeue_at}/{!restart_at}; the engine stores it
-    untyped in the slab and calls the matching field on dispatch. *)
+    these per network (not per event) and {!register}s it once; every
+    {!deliver_at}/{!dequeue_at}/{!restart_at} then names it by its
+    {!handle}, and the engine calls the matching field on dispatch. *)
 type handlers = {
   on_deliver : node:int -> port:int -> Frame.t -> unit;
   on_dequeue : node:int -> port:int -> unit;
   on_restart : node:int -> unit;
 }
+
+type handle
+(** A {!handlers} record registered on one engine: the small id its
+    typed events carry. *)
+
+val register : t -> handlers -> handle
+(** Registers a handlers record for the typed events of one network or
+    fault schedule. Raises [Invalid_argument] past 65535 records. *)
+
+val no_handle : handle
+(** Names no record: a placeholder for a structure that is built before
+    the handlers that close over it are registered. An event scheduled
+    with it raises [Invalid_argument] when it fires. *)
+
+val max_id_bits : int
+(** Bits available to a typed event's node id and to its port (20):
+    scheduling one outside [0 .. 2^20-1] raises [Invalid_argument]. *)
 
 val create : unit -> t
 (** Fresh engine at time 0. *)
@@ -47,7 +65,7 @@ val create : unit -> t
 val now : t -> Time_ns.t
 
 val deliver_at :
-  t -> Time_ns.t -> emitted:Time_ns.t -> handlers -> node:int -> port:int ->
+  t -> Time_ns.t -> emitted:Time_ns.t -> handle -> node:int -> port:int ->
   Frame.t -> unit
 (** Schedules the arrival of [frame] at ([node], [port]) at an absolute
     time, which must not be in the past (raises [Invalid_argument]).
@@ -55,11 +73,11 @@ val deliver_at :
     current clock for a local delivery, the emission time on the peer
     shard for an adopted one (see the module comment). *)
 
-val dequeue_at : t -> Time_ns.t -> handlers -> node:int -> port:int -> unit
+val dequeue_at : t -> Time_ns.t -> handle -> node:int -> port:int -> unit
 (** Schedules the end of ([node], [port])'s current transmission.
     Allocation-free. *)
 
-val restart_at : t -> Time_ns.t -> handlers -> node:int -> unit
+val restart_at : t -> Time_ns.t -> handle -> node:int -> unit
 (** Schedules the restart of frozen switch [node]. Allocation-free. *)
 
 val at : t -> Time_ns.t -> (unit -> unit) -> unit
@@ -118,3 +136,7 @@ val run : t -> until:Time_ns.t -> unit
     rather than being mistaken for an empty queue. *)
 
 val events_processed : t -> int
+
+val wheel_placements : t -> int
+(** {!Tpp_util.Wheel.placements} of the engine's wheel: over
+    {!events_processed}, the scheduler's filings per event. *)

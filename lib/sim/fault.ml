@@ -316,20 +316,21 @@ let attach t net =
   in
   let transitions : (link * link, (Time_ns.t * bool) list ref) Hashtbl.t = Hashtbl.create 16 in
   (* One handlers record serves every freeze rule of the schedule: the
-     restart event carries only the node id through the engine's typed
-     event slab (no per-rule closure). *)
+     restart event carries only its id and the node id (no per-rule
+     closure). *)
   let restart_h =
-    {
-      Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
-      on_dequeue = (fun ~node:_ ~port:_ -> ());
-      on_restart =
-        (fun ~node ->
-          let st = Switch.state (Net.switch net node) in
-          Array.fill st.State.sram 0 (Array.length st.State.sram) 0;
-          t.s_restarts <- t.s_restarts + 1;
-          notify t ~now:(Engine.now (Net.engine net)) ~cause:Restart ~node
-            ~port:no_port ~frame_id:0);
-    }
+    Engine.register (Net.engine net)
+      {
+        Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
+        on_dequeue = (fun ~node:_ ~port:_ -> ());
+        on_restart =
+          (fun ~node ->
+            let st = Switch.state (Net.switch net node) in
+            Array.fill st.State.sram 0 (Array.length st.State.sram) 0;
+            t.s_restarts <- t.s_restarts + 1;
+            notify t ~now:(Engine.now (Net.engine net)) ~cause:Restart ~node
+              ~port:no_port ~frame_id:0);
+      }
   in
   (* Rules were recorded in reverse; walk oldest-first so overlapping
      rules resolve in insertion order. *)

@@ -65,8 +65,9 @@ type fault_hooks = {
    ({!port_index}), so the hot fault hooks are array lookups too. *)
 type t = {
   eng : Engine.t;
-  handlers : Engine.handlers;
-      (* the net's one handlers record: every typed event carries it *)
+  mutable handle : Engine.handle;
+      (* the net's handlers record, registered once at [create]: every
+         typed event carries its id *)
   no_frame : Frame.t;  (* dummy parked in [in_flight] between txs *)
   mutable impls : node_impl array;  (* index = node id; first node_count live *)
   mutable pbase : int array;        (* node id -> first global port slot *)
@@ -74,8 +75,8 @@ type t = {
   mutable node_count : int;
   mutable port_count : int;         (* global port slots in use *)
   mutable lp_peer : int array;
-      (* packed peer endpoint per slot: [(node lsl 21) lor port], -1 =
-         unconnected. 21 bits of port leaves 41 bits of node id. *)
+      (* packed peer endpoint per slot: [(node lsl 20) lor port], -1 =
+         unconnected. *)
   mutable lp_bps : int array;
   mutable lp_delay : int array;     (* propagation delay, ns *)
   mutable lp_inflight : Frame.t array;
@@ -103,7 +104,9 @@ type t = {
 
 let engine t = t.eng
 
-let max_port_bits = 21
+(* A port must fit the engine's event key, and so must a node id
+   ([register] checks it). *)
+let max_port_bits = Engine.max_id_bits
 let port_mask = (1 lsl max_port_bits) - 1
 let[@inline] pack_peer node port = (node lsl max_port_bits) lor port
 let[@inline] peer_node packed = packed lsr max_port_bits
@@ -150,6 +153,8 @@ let num_ports t id =
 
 let register t i ~ports =
   let id = t.node_count in
+  if id lsr Engine.max_id_bits <> 0 then
+    invalid_arg "Net: more nodes than the engine's 20-bit node ids";
   if id >= Array.length t.impls then begin
     let cap = max t.node_hint (max 8 (2 * Array.length t.impls)) in
     let impls = Array.make cap i in
@@ -322,8 +327,8 @@ let next_frame t id port =
 
 (* The dataplane cycle — deliver, start transmissions, complete them —
    as mutually recursive functions over plain (node, port) ints. Each
-   step schedules the next through the engine's event slab (the net's
-   one [handlers] record dispatches back here), so a frame hop costs
+   step schedules the next as one engine event (the net's one
+   registered handlers record dispatches back here), so a frame hop costs
    zero minor allocations in the engine. *)
 let rec deliver t id port frame =
   let alive =
@@ -374,7 +379,7 @@ and maybe_start_tx t id port =
         | Some h -> h.f_rate ~node:id ~port ~now:(Engine.now t.eng) ~bps
       in
       let tx = tx_time_ns ~bps frame in
-      Engine.dequeue_at t.eng (Time_ns.add (Engine.now t.eng) tx) t.handlers
+      Engine.dequeue_at t.eng (Time_ns.add (Engine.now t.eng) tx) t.handle
         ~node:id ~port
     end
   end
@@ -442,25 +447,17 @@ and tx_complete t id port =
 
 and schedule_deliver t delay pn pp frame =
   let now = Engine.now t.eng in
-  Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handlers
+  Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handle
     ~node:pn ~port:pp frame
 
 let create ?(nodes = 0) ?(ports = 0) eng =
   let no_frame = Frame.placeholder () in
   let checked_shapes = Hashtbl.create 32 in
   let scratch = Buf.Writer.create ~capacity:256 () in
-  (* The handlers close over the net they dispatch into, so the record
-     and the net are built as one recursive value (allocated once per
-     net, not per event). *)
-  let rec t =
+  let t =
     {
       eng;
-      handlers =
-        {
-          Engine.on_deliver = (fun ~node ~port frame -> deliver t node port frame);
-          on_dequeue = (fun ~node ~port -> tx_complete t node port);
-          on_restart = (fun ~node:_ -> ());
-        };
+      handle = Engine.no_handle;
       no_frame;
       impls = [||];
       pbase = [||];
@@ -483,11 +480,20 @@ let create ?(nodes = 0) ?(ports = 0) eng =
       scratch;
     }
   in
+  (* The handlers close over the net they dispatch into: registered
+     once per net, not per event. *)
+  t.handle <-
+    Engine.register eng
+      {
+        Engine.on_deliver = (fun ~node ~port frame -> deliver t node port frame);
+        on_dequeue = (fun ~node ~port -> tx_complete t node port);
+        on_restart = (fun ~node:_ -> ());
+      };
   t
 
 let schedule_delivery t ~arrival ~emitted ~dst_node ~dst_port frame =
   ignore (gp t dst_node dst_port);
-  Engine.deliver_at t.eng arrival ~emitted t.handlers ~node:dst_node
+  Engine.deliver_at t.eng arrival ~emitted t.handle ~node:dst_node
     ~port:dst_port frame
 
 (* One key per header *layout*: two frames with the same key serialise

@@ -9,9 +9,11 @@
     limiters).
 
     Each hop is two typed {!Engine} events — the end of the sender's
-    transmission and the frame's arrival at the peer — both carrying
-    the net's one handlers record through the engine's slab and timing
-    wheel, so forwarding a frame allocates nothing in the event core.
+    transmission and the frame's arrival at the peer — each one timing
+    wheel entry naming the net's one registered handlers record, so
+    forwarding a frame allocates nothing in the event core. Node ids
+    and ports are bounded by the engine's 20-bit event key
+    ({!Engine.max_id_bits}).
 
     Link and port state is stored in structure-of-arrays form (flat int
     arrays over global port slots, DESIGN §15) so a fabric's footprint

@@ -150,6 +150,26 @@ let test_freeze_restart () =
     (Switch_state.sram_get st 0);
   check Alcotest.int "post-restart frame delivered" 1 (Net.frames_delivered net)
 
+(* The net and the fault schedule each register one handlers record on
+   the same engine, and every typed event must reach the record that
+   scheduled it: a frame misrouted to the schedule's no-op dequeue or
+   delivery would never arrive, a restart misrouted to the net's no-op
+   would wipe nothing. Each frame costs five events (its send thunk,
+   two dequeues, two deliveries); the second is sent at the restart's
+   nanosecond. *)
+let test_two_handler_records () =
+  let eng, net, sw_node, hosts = tiny () in
+  let h0 = hosts.(0) and h1 = hosts.(1) in
+  let f = Fault.create ~seed:3 in
+  Fault.freeze f ~from_:(ms 5) ~until_:(ms 10) sw_node;
+  Fault.attach f net;
+  send_at net h0 h1 (ms 1);
+  send_at net h0 h1 (ms 10);
+  Engine.run eng ~until:(ms 20);
+  check Alcotest.int "the net's frames arrive" 2 (Net.frames_delivered net);
+  check Alcotest.int "the schedule's restart runs" 1 (Fault.stats f).Fault.restarts;
+  check Alcotest.int "no other event" 11 (Engine.events_processed eng)
+
 let test_degrade_slows () =
   (* Same frame, with and without degradation: the degraded copy must
      arrive strictly later (slower serialisation + extra propagation),
@@ -372,6 +392,8 @@ let suite =
       test_corruption_never_delivered;
     Alcotest.test_case "drop probability" `Quick test_drop_probability;
     Alcotest.test_case "freeze wipes SRAM on restart" `Quick test_freeze_restart;
+    Alcotest.test_case "net and fault handlers on one engine" `Quick
+      test_two_handler_records;
     Alcotest.test_case "degrade only slows" `Quick test_degrade_slows;
     Alcotest.test_case "reliable probe retries through outage" `Quick
       test_reliable_retries_through_outage;

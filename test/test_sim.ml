@@ -167,21 +167,22 @@ let test_engine_max_int_event () =
   Engine.run eng ~until:max_int;
   check Alcotest.bool "fires at the end of time" true !fired
 
-(* Typed events round-trip through the slab: payload ints and the frame
-   come back through the handlers record. Same-timestamp events fire in
+(* Typed events round-trip through the wheel: node, port and the frame
+   come back through the registered handlers record. Same-timestamp events fire in
    the canonical (kind, node, port) tie order — thunks, then deliveries,
    then dequeues — not push order (DESIGN.md §11). *)
 let test_engine_typed_dispatch () =
   let eng = Engine.create () in
   let log = ref [] in
   let h =
-    {
-      Engine.on_deliver =
-        (fun ~node ~port frame ->
-          log := ("deliver", node, port, Frame.payload_len frame) :: !log);
-      on_dequeue = (fun ~node ~port -> log := ("dequeue", node, port, 0) :: !log);
-      on_restart = (fun ~node -> log := ("restart", node, 0, 0) :: !log);
-    }
+    Engine.register eng
+      {
+        Engine.on_deliver =
+          (fun ~node ~port frame ->
+            log := ("deliver", node, port, Frame.payload_len frame) :: !log);
+        on_dequeue = (fun ~node ~port -> log := ("dequeue", node, port, 0) :: !log);
+        on_restart = (fun ~node -> log := ("restart", node, 0, 0) :: !log);
+      }
   in
   let frame =
     Frame.udp_frame ~src_mac:(Tpp_packet.Mac.of_host_id 1)
@@ -212,6 +213,40 @@ let test_engine_typed_dispatch () =
     (List.rev_map (fun (k, a, b, c) -> ((k, a), (b, c))) !log);
   check Alcotest.int "all five processed" 5 (Engine.events_processed eng)
 
+(* Node and port take 20 bits each of the event's tie key. An id beyond
+   them would spill into the next field — a delivery to node 2^20 would
+   fire as a dequeue — so scheduling one fails loudly instead. *)
+let test_engine_id_range () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let h =
+    Engine.register eng
+      {
+        Engine.on_deliver = (fun ~node ~port _ -> log := ("deliver", node, port) :: !log);
+        on_dequeue = (fun ~node ~port -> log := ("dequeue", node, port) :: !log);
+        on_restart = (fun ~node -> log := ("restart", node, 0) :: !log);
+      }
+  in
+  let frame = Frame.placeholder () in
+  let top = (1 lsl Engine.max_id_bits) - 1 in
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Engine: node or port id outside 0 .. 2^20-1") f
+  in
+  refused "delivery to node 2^20" (fun () ->
+      Engine.deliver_at eng 10 ~emitted:0 h ~node:(top + 1) ~port:0 frame);
+  refused "dequeue on port 2^20" (fun () ->
+      Engine.dequeue_at eng 10 h ~node:0 ~port:(top + 1));
+  refused "restart of a negative node" (fun () -> Engine.restart_at eng 10 h ~node:(-1));
+  Engine.deliver_at eng 10 ~emitted:0 h ~node:top ~port:top frame;
+  Engine.restart_at eng 20 h ~node:top;
+  Engine.run eng ~until:100;
+  check
+    (Alcotest.list
+       (Alcotest.triple Alcotest.string Alcotest.int Alcotest.int))
+    "the largest ids keep their kind" [ ("deliver", top, top); ("restart", top, 0) ]
+    (List.rev !log)
+
 (* The typed event core allocates nothing: 64 self-rescheduling port
    dequeues, each on its own stride so the wheel always holds events at
    mixed horizons and cascades, fire 200k times inside one [Engine.run].
@@ -222,26 +257,60 @@ let test_engine_typed_core_allocates_nothing () =
   let events = 200_000 in
   let budget = ref events in
   let stride node = 1 + ((node * 7919) land 0xFFFF) in
-  let rec h =
-    {
-      Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
-      on_dequeue =
-        (fun ~node ~port ->
-          if !budget > 0 then begin
-            decr budget;
-            Engine.dequeue_at eng (Engine.now eng + stride node) h ~node ~port
-          end);
-      on_restart = (fun ~node:_ -> ());
-    }
-  in
+  let h = ref Engine.no_handle in
+  h :=
+    Engine.register eng
+      {
+        Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
+        on_dequeue =
+          (fun ~node ~port ->
+            if !budget > 0 then begin
+              decr budget;
+              Engine.dequeue_at eng (Engine.now eng + stride node) !h ~node ~port
+            end);
+        on_restart = (fun ~node:_ -> ());
+      };
   for node = 0 to 63 do
-    Engine.dequeue_at eng (stride node) h ~node ~port:0
+    Engine.dequeue_at eng (stride node) !h ~node ~port:0
   done;
   let w0 = Gc.minor_words () in
   Engine.run eng ~until:max_int;
   let words = Gc.minor_words () -. w0 in
   check Alcotest.int "events fired" (events + 64) (Engine.events_processed eng);
   check (Alcotest.float 0.0) "minor words across Engine.run" 0.0 words
+
+(* The wheel's work per event, as a count that repeats exactly: every
+   host of a k=4 fat-tree (10 Gb/s, 1 us links) sends 200 pooled 64-byte
+   UDP frames, one every 4 us, to a host in another pod. A dequeue is
+   filed once, straight into the wheel's 1024-ns near window, and a
+   1-us delivery twice: 1.57 filings per event. A level 0 only 32 ns
+   wide would file each event 2.54 times. *)
+let test_wheel_placements_per_event () =
+  let eng = Engine.create () in
+  let ft = Topology.fat_tree eng ~k:4 ~bps:10_000_000_000 ~delay:1_000 () in
+  let net = ft.Topology.f_net and hosts = ft.Topology.f_hosts in
+  let n = Array.length hosts and frames = 200 in
+  let payload = Bytes.create 64 in
+  Array.iteri
+    (fun i (s : Net.host) ->
+      let d = hosts.((i + (n / 2)) mod n) and pool = Frame.Pool.create () in
+      let rec tick j () =
+        Net.host_send net s
+          (Frame.Pool.udp_frame pool ~src_mac:s.Net.mac ~dst_mac:d.Net.mac
+             ~src_ip:s.Net.ip ~dst_ip:d.Net.ip ~src_port:(1000 + i) ~dst_port:7
+             ~payload ());
+        if j + 1 < frames then Engine.after eng 4_000 (tick (j + 1))
+      in
+      Engine.at eng (i * 397 mod 4_000) (tick 0))
+    hosts;
+  Engine.run eng ~until:(Time_ns.ms 2);
+  check Alcotest.int "every frame delivered" (n * frames) (Net.frames_delivered net);
+  let per_event =
+    float_of_int (Engine.wheel_placements eng)
+    /. float_of_int (Engine.events_processed eng)
+  in
+  if per_event > 1.8 then
+    Alcotest.failf "%.3f wheel placements per event (pin: <= 1.8)" per_event
 
 (* --- Net forwarding allocation ------------------------------------------- *)
 
@@ -839,6 +908,9 @@ let suite =
     Alcotest.test_case "engine next event time" `Quick test_engine_next_event_time;
     Alcotest.test_case "engine max_int event" `Quick test_engine_max_int_event;
     Alcotest.test_case "engine typed dispatch" `Quick test_engine_typed_dispatch;
+    Alcotest.test_case "engine refuses ids beyond 20 bits" `Quick test_engine_id_range;
+    Alcotest.test_case "wheel placements per event" `Quick
+      test_wheel_placements_per_event;
     Alcotest.test_case "engine typed core allocates nothing" `Quick
       test_engine_typed_core_allocates_nothing;
     Alcotest.test_case "event path goldens" `Quick test_event_path_goldens;
