@@ -360,7 +360,11 @@ let setup spec ~oracle ~owns net =
           ("pool_created", float_of_int (pools Frame.Pool.created));
           ("pool_reused", float_of_int (pools Frame.Pool.reused));
           ("switches", float_of_int (List.length owned));
-          ("fib_entries", float_of_int (switches Switch.l3_size)) ];
+          ("fib_entries", float_of_int (switches Switch.l3_size));
+          ("switch_hops", float_of_int (state (fun s -> s.SS.packets_seen)));
+          ("transmissions", float_of_int (Net.transmissions net));
+          ("completions_queued", float_of_int (Net.completions_queued net));
+          ("cut_through", float_of_int (Net.cut_through net)) ];
       tap =
         Option.map
           (fun (sink, col) ->
@@ -430,7 +434,13 @@ let run_fabric spec ~oracle ~shards =
     promoted_pe = per events (words snd);
     metrics =
       sums
-      @ [ ("fib_per_switch", List.assoc "fib_entries" sums /. List.assoc "switches" sums) ]
+      @ [ ("fib_per_switch", List.assoc "fib_entries" sums /. List.assoc "switches" sums);
+          (* 1.0 and 0 when every transmission queued its completion
+             and every frame its egress ring *)
+          ( "completions_per_tx",
+            List.assoc "completions_queued" sums /. List.assoc "transmissions" sums );
+          ("cut_through_share", List.assoc "cut_through" sums /. List.assoc "switch_hops" sums)
+        ]
       @ (if taps = [] then []
          else
            [ ("cards_dropped", f (List.fold_left (fun a (_, d) -> a + d) 0 taps));
@@ -1004,6 +1014,10 @@ let table ~smoke =
     spec "pooled" (Fat_tree k) Pooled ~packets ~shards ~oracle:Unpooled ~best_of_two:true
       ~asserts:
         [ at_most "pooled minor words/event" 1.0 (fun c -> c.seq.minor_pe);
+          (* Measured x 1.25, rounded up: a transmission queues its
+             completion only when a frame waits behind it. *)
+          at_most "completions queued/transmission" (pick 0.30 0.28) (fun c ->
+              metric "completions_per_tx" c.seq);
           drained; sharded_alloc;
           at_full_size (at_least ~under:Warn "events/sec" 2.4e6 (fun c -> eps c.seq)) ]
       ~why:

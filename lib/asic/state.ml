@@ -42,7 +42,6 @@ module Port = struct
     mutable queue_bytes : int;
     mutable queue_limit : int;
     mutable ecn_threshold : int option;
-    mutable queue_bytes_avg : float;
     mutable queues : Subqueue.t array;
   }
 
@@ -61,7 +60,6 @@ module Port = struct
       queue_bytes = 0;
       queue_limit;
       ecn_threshold = None;
-      queue_bytes_avg = 0.0;
       queues = [| Subqueue.create ~limit:queue_limit |];
     }
 
@@ -92,6 +90,9 @@ type t = {
   mutable tpp_compile_misses : int;
   mutable sram : int array;
   mutable ports : Port.t array;
+  mutable queue_avg : Float.Array.t;
+      (* per port, beside [ports]: a float field of a port record would
+         box every update *)
   mutable capacities : int array;
 }
 
@@ -115,6 +116,7 @@ let create ~switch_id ~num_ports ?(queue_limit = 150_000) () =
     tpp_compile_misses = 0;
     sram = [||];
     ports = [||];
+    queue_avg = Float.Array.create 0;
     capacities = Array.make num_ports default_capacity_bps;
   }
 
@@ -125,6 +127,7 @@ let[@inline never] materialize_ports t =
         p.Port.capacity_bps <- t.capacities.(i);
         p)
   in
+  t.queue_avg <- Float.Array.make t.num_ports 0.0;
   t.ports <- ports;
   ports
 
@@ -164,7 +167,7 @@ let port_stat t ~port:i stat =
   | Tx_bytes -> mask32 p.Port.tx_bytes
   | Rx_util -> p.Port.util_ppm
   | Drops -> mask32 p.Port.drops
-  | Queue_bytes_avg -> mask32 (int_of_float p.Port.queue_bytes_avg)
+  | Queue_bytes_avg -> mask32 (int_of_float (Float.Array.get t.queue_avg i))
   | Capacity_kbps -> mask32 (p.Port.capacity_bps / 1000)
   | Tx_pkts -> mask32 p.Port.tx_pkts
   | Rx_pkts -> mask32 p.Port.rx_pkts
@@ -239,17 +242,18 @@ let update_utilization t ~window_ns =
   if window_ns <= 0 then invalid_arg "State.update_utilization: window";
   (* An unmaterialized port array means no frame ever crossed this
      switch: every register the update would touch is still zero and the
-     EWMA of zero is zero, so skipping is observationally identical. *)
-  if Array.length t.ports > 0 then
-    Array.iter
-      (fun p ->
-        let bits = float_of_int p.Port.window_rx_bytes *. 8.0 in
-        let seconds = float_of_int window_ns /. 1e9 in
-        let cap = float_of_int p.Port.capacity_bps in
-        let util = if cap <= 0.0 then 0.0 else bits /. (seconds *. cap) in
-        p.Port.util_ppm <- int_of_float (util *. 1e6);
-        p.Port.window_rx_bytes <- 0;
-        p.Port.queue_bytes_avg <-
-          p.Port.queue_bytes_avg
-          +. (qavg_alpha *. (float_of_int p.Port.queue_bytes -. p.Port.queue_bytes_avg)))
-      t.ports
+     EWMA of zero is zero, so skipping is observationally identical. A
+     loop, not [Array.iter] with a closure over [window_ns], and an
+     unboxed average: a warm tick allocates nothing. *)
+  for i = 0 to Array.length t.ports - 1 do
+    let p = t.ports.(i) in
+    let bits = float_of_int p.Port.window_rx_bytes *. 8.0 in
+    let seconds = float_of_int window_ns /. 1e9 in
+    let cap = float_of_int p.Port.capacity_bps in
+    let util = if cap <= 0.0 then 0.0 else bits /. (seconds *. cap) in
+    p.Port.util_ppm <- int_of_float (util *. 1e6);
+    p.Port.window_rx_bytes <- 0;
+    let avg = Float.Array.get t.queue_avg i in
+    Float.Array.set t.queue_avg i
+      (avg +. (qavg_alpha *. (float_of_int p.Port.queue_bytes -. avg)))
+  done

@@ -45,7 +45,6 @@ module Port : sig
     mutable ecn_threshold : int option;
         (** when set, IPv4 frames enqueued while their queue's occupancy
             >= threshold get the CE mark (fixed-function ECN, paper §4) *)
-    mutable queue_bytes_avg : float; (** EWMA of aggregate occupancy *)
     mutable queues : Subqueue.t array;
   }
 
@@ -75,6 +74,9 @@ type t = {
   mutable ports : Port.t array;
       (** [[||]] until the first per-port register access; an empty
           array means every port is still in its initial state. *)
+  mutable queue_avg : Float.Array.t;
+      (** per port, the EWMA of its aggregate occupancy; materialized
+          with [ports] *)
   mutable capacities : int array;
       (** per-port link capacity in bps; the one per-port datum written
           during topology wiring, kept flat so [Net.connect] never

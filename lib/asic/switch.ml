@@ -56,7 +56,12 @@ type t = {
          the flows a switch received *because* they hashed to it then
          all agree on the next hash too, funnelling onto one uplink. A
          distinct per-switch salt decorrelates the per-hop picks. *)
+  mutable transmit : port:int -> Frame.t -> bool;
+      (* the egress transmitters' cut-through offer ({!forward}) *)
 }
+
+(* The transmitter of {!handle_ingress}: every frame queues. *)
+let never_idle ~port:_ _ = false
 
 (* Default classifier: DSCP selects the queue, scaled to however many
    queues the port has (higher DSCP -> higher-priority queue). *)
@@ -81,9 +86,11 @@ let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
     classify_queue = dscp_classifier;
     trim_keep = -1;
     ecmp_salt = 0;
+    transmit = never_idle;
   }
 
 let set_tap t tap = t.tap <- tap
+let set_transmitter t transmit = t.transmit <- transmit
 let set_bin_tap t tap = t.bin_tap <- tap
 
 let set_queue_classifier t f = t.classify_queue <- f
@@ -205,8 +212,21 @@ let fill_meta t ~now ~in_port ~out_port ~entry_id ~version ~table_hit (frame : F
     (match frame.Frame.tpp with Some tpp -> tpp.Tpp.hop | None -> 0);
   ignore t
 
-(* TCPU + enqueue on one output port. Returns true when queued. *)
-let process_and_enqueue t ~now (frame : Frame.t) ~out_port =
+(* A Strict port serves its queues in a fixed order, so a frame that
+   finds all of them empty is next out whatever else is offered; a WRR
+   port's round-robin state would move. *)
+let[@inline] strict t port =
+  Array.length t.sched = 0
+  ||
+  match (Array.unsafe_get t.sched port).discipline with
+  | Strict -> true
+  | Wrr _ -> false
+
+(* TCPU + enqueue on one output port. Returns true when queued or, when
+   the port is idle and [transmit] takes the frame, sent: cut-through
+   does the enqueue and the dequeue accounting at once and touches
+   neither the subqueue ring nor the scheduler record. *)
+let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
   let st = t.switch_state in
   let port = State.port st out_port in
   (* Queue selection happens before the TCPU so [Queue:*] reads resolve
@@ -289,10 +309,20 @@ let process_and_enqueue t ~now (frame : Frame.t) ~out_port =
       when Frame.has_ip frame && sub.State.Subqueue.q_bytes >= threshold ->
       Frame.set_ip_ecn frame Ipv4.Header.ecn_ce
     | _ -> ());
-    Ring.push sub.State.Subqueue.frames frame;
-    sub.State.Subqueue.q_bytes <- sub.State.Subqueue.q_bytes + wire;
-    sub.State.Subqueue.q_enqueued <- sub.State.Subqueue.q_enqueued + wire;
-    port.State.Port.queue_bytes <- port.State.Port.queue_bytes + wire;
+    if
+      port.State.Port.queue_bytes = 0 && strict t out_port
+      && transmit ~port:out_port frame
+    then begin
+      sub.State.Subqueue.q_enqueued <- sub.State.Subqueue.q_enqueued + wire;
+      port.State.Port.tx_bytes <- port.State.Port.tx_bytes + wire;
+      port.State.Port.tx_pkts <- port.State.Port.tx_pkts + 1
+    end
+    else begin
+      Ring.push sub.State.Subqueue.frames frame;
+      sub.State.Subqueue.q_bytes <- sub.State.Subqueue.q_bytes + wire;
+      sub.State.Subqueue.q_enqueued <- sub.State.Subqueue.q_enqueued + wire;
+      port.State.Port.queue_bytes <- port.State.Port.queue_bytes + wire
+    end;
     true
   end
 
@@ -300,7 +330,8 @@ let process_and_enqueue t ~now (frame : Frame.t) ~out_port =
    [handle_ingress]) so the per-hop fast path allocates only its
    verdict: the hit entry and the table stage arrive as separate
    arguments, never packed into a tuple. *)
-let route t ~now ~in_port frame ~out_port ~entry_id ~version ~table_hit =
+let route t ~now ~transmit ~in_port frame ~out_port ~entry_id ~version
+    ~table_hit =
   let st = t.switch_state in
   if out_port < 0 || out_port >= num_ports t then Dropped "route to invalid port"
   else begin
@@ -324,7 +355,7 @@ let route t ~now ~in_port frame ~out_port ~entry_id ~version ~table_hit =
     end
     else begin
       fill_meta t ~now ~in_port ~out_port ~entry_id ~version ~table_hit frame;
-      if process_and_enqueue t ~now frame ~out_port then begin
+      if process_and_enqueue t ~now ~transmit frame ~out_port then begin
         let queued_one =
           if Array.length t.queued_one = 0 then materialize_queued_one t
           else t.queued_one
@@ -335,14 +366,14 @@ let route t ~now ~in_port frame ~out_port ~entry_id ~version ~table_hit =
     end
   end
 
-let route_entry t ~now ~in_port frame (e : Tables.entry) ~table_hit =
+let route_entry t ~now ~transmit ~in_port frame (e : Tables.entry) ~table_hit =
   match e.Tables.action with
   | Tables.Drop -> Dropped "table drop rule"
   | Tables.Forward p ->
-    route t ~now ~in_port frame ~out_port:p ~entry_id:e.Tables.entry_id
+    route t ~now ~transmit ~in_port frame ~out_port:p ~entry_id:e.Tables.entry_id
       ~version:e.Tables.version ~table_hit
   | Tables.Multipath ports ->
-    route t ~now ~in_port frame
+    route t ~now ~transmit ~in_port frame
       ~out_port:
         (Tables.select_path ports ~key:(Frame.flow_hash frame lxor t.ecmp_salt))
       ~entry_id:e.Tables.entry_id ~version:e.Tables.version ~table_hit
@@ -352,27 +383,32 @@ let route_entry t ~now ~in_port frame (e : Tables.entry) ~table_hit =
       let p = Tables.connected_port_i c (Frame.ip_dst frame) in
       if p < 0 then Dropped "no connected host"
       else
-        route t ~now ~in_port frame ~out_port:p ~entry_id:e.Tables.entry_id
+        route t ~now ~transmit ~in_port frame ~out_port:p ~entry_id:e.Tables.entry_id
           ~version:e.Tables.version ~table_hit
 
-let handle_ingress t ~now ~in_port frame =
+(* The pipeline of {!handle_ingress} and {!forward}, which differ only
+   in the transmitter a frame that finds its port idle is offered to. A
+   stripped copy always queues. *)
+let ingress t ~transmit ~now ~in_port frame =
   let st = t.switch_state in
   if in_port < 0 || in_port >= num_ports t then Dropped "invalid ingress port"
   else begin
+    let stripped =
+      Array.length t.strip_tpp > 0
+      && t.strip_tpp.(in_port)
+      && Option.is_some frame.Frame.tpp
+    in
     let frame =
-      if
-        Array.length t.strip_tpp > 0
-        && t.strip_tpp.(in_port)
-        && Option.is_some frame.Frame.tpp
-      then begin
+      if stripped then begin
         (* The stripped copy travels on; the original goes back to its
            pool (a no-op if unpooled). *)
-        let stripped = Frame.with_tpp frame None in
+        let copy = Frame.with_tpp frame None in
         Frame.recycle frame;
-        stripped
+        copy
       end
       else frame
     in
+    let transmit = if stripped then never_idle else transmit in
     let wire = Frame.wire_size frame in
     let p_in = State.port st in_port in
     p_in.State.Port.rx_bytes <- p_in.State.Port.rx_bytes + wire;
@@ -382,16 +418,16 @@ let handle_ingress t ~now ~in_port frame =
     (* Lookup priority: TCAM overrides, then L3 for IP traffic, then
        exact L2, else flood. *)
     match tcam_lookup t ~in_port frame with
-    | Some e -> route_entry t ~now ~in_port frame e ~table_hit:3
+    | Some e -> route_entry t ~now ~transmit ~in_port frame e ~table_hit:3
     | None -> (
       match
         if Frame.has_ip frame then Tables.L3.lookup t.l3 (Frame.ip_dst frame)
         else None
       with
-      | Some e -> route_entry t ~now ~in_port frame e ~table_hit:2
+      | Some e -> route_entry t ~now ~transmit ~in_port frame e ~table_hit:2
       | None -> (
         match Tables.L2.lookup t.l2 (Frame.eth_dst frame) with
-        | Some e -> route_entry t ~now ~in_port frame e ~table_hit:1
+        | Some e -> route_entry t ~now ~transmit ~in_port frame e ~table_hit:1
         | None ->
           (* Unknown destination: flood out of every other port. *)
           let queued = ref [] in
@@ -400,13 +436,19 @@ let handle_ingress t ~now ~in_port frame =
               let copy = if !queued = [] then frame else Frame.clone frame in
               fill_meta t ~now ~in_port ~out_port ~entry_id:0 ~version:0
                 ~table_hit:0 copy;
-              if process_and_enqueue t ~now copy ~out_port then
+              if process_and_enqueue t ~now ~transmit:never_idle copy ~out_port
+              then
                 queued := out_port :: !queued
             end
           done;
           if !queued = [] then Dropped "flood found no open port"
           else Queued (List.rev !queued)))
   end
+
+let handle_ingress t ~now ~in_port frame =
+  ingress t ~transmit:never_idle ~now ~in_port frame
+
+let forward t ~now ~in_port frame = ingress t ~transmit:t.transmit ~now ~in_port frame
 
 let set_scheduler t ~port discipline =
   (match discipline with

@@ -134,7 +134,27 @@ val handle_ingress : t -> now:int -> in_port:int -> Frame.t -> verdict
 (** Runs the whole pipeline on one arriving frame. The TCPU executes the
     frame's TPP (if any) after the forwarding decision and before
     enqueueing, so [Link:QueueSize] reads the queue the packet is about
-    to join — exactly the Figure 1 semantics. *)
+    to join — exactly the Figure 1 semantics. Every frame that is not
+    dropped is queued: its egress port's transmitter is never idle
+    here, so {!dequeue} takes it out (see {!forward}). *)
+
+val set_transmitter : t -> (port:int -> Frame.t -> bool) -> unit
+(** Installs the egress transmitters {!forward} offers frames to. The
+    offer [transmit ~port frame] is made only when every queue of
+    [port] is empty; it returns [true] when the port's transmitter was
+    idle and took the frame onto the wire. The network installs one per
+    switch. Default: never idle. *)
+
+val forward : t -> now:int -> in_port:int -> Frame.t -> verdict
+(** {!handle_ingress} with cut-through: a frame that finds its egress
+    port idle — a {!Strict} port with every queue empty whose
+    transmitter ({!set_transmitter}) takes it — goes straight onto the
+    wire. The switch then does the enqueue and the dequeue accounting
+    at once ([q_enqueued], [tx_bytes], [tx_pkts]), so every register
+    reads as if the frame had queued, and it never touches the subqueue
+    ring or the scheduler record. The verdict is [Queued [ port ]]
+    either way. Frames that are TPP-stripped, trimmed or flooded always
+    queue. *)
 
 val dequeue : t -> port:int -> Frame.t option
 (** Strict-priority scheduling: removes the head-of-line frame of the

@@ -44,6 +44,7 @@ type t = {
          header rewrites (TTL, ECN) never touch the 5-tuple. *)
   mutable home : pool;         (* free-list this frame recycles into *)
   mutable in_free_list : bool;
+  mutable tx_end : int;        (* end of its latest transmission, ns *)
 }
 
 (* A per-flow free list of fixed-capacity frames. Frames allocated from
@@ -238,6 +239,7 @@ let make ?tpp ?ip ?udp ?(payload = Bytes.empty) ~eth () =
       pay_off = 0;
       meta = Meta.create ();
       flow_hash_cache = min_int;
+      tx_end = 0;
       home = no_pool;
       in_free_list = false;
     }
@@ -296,6 +298,7 @@ let udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?ttl ?dscp
       pay_off = 0;
       meta = Meta.create ();
       flow_hash_cache = min_int;
+      tx_end = 0;
       home = no_pool;
       in_free_list = false;
     }
@@ -439,6 +442,7 @@ let parse ?len b =
           pay_off;
           meta = Meta.create ();
           flow_hash_cache = min_int;
+          tx_end = 0;
           home = no_pool;
           in_free_list = false;
         }
@@ -583,6 +587,7 @@ module Pool = struct
         pay_off = 0;
         meta = Meta.create ();
         flow_hash_cache = min_int;
+        tx_end = 0;
         home = p;
         in_free_list = false;
       }

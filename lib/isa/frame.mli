@@ -38,6 +38,9 @@ type t = {
   mutable home : pool;
       (** free list this frame returns to on {!recycle} *)
   mutable in_free_list : bool;
+  mutable tx_end : int;
+      (** end of the frame's latest transmission onto a link, in ns:
+          the network's transmitter bookkeeping, meaningless elsewhere *)
 }
 
 and pool

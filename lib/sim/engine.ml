@@ -48,7 +48,9 @@ type t = {
   mutable cells : Obj.t array;
   mutable free : int;
   mutable clock : Time_ns.t;
-  mutable processed : int;
+  mutable processed : int;  (* events popped from the wheel *)
+  mutable running : bool;   (* inside [run]: an event is firing *)
+  mutable unqueued : (unit -> int) list;  (* see [count_unqueued] *)
 }
 
 let create () =
@@ -59,6 +61,8 @@ let create () =
     free = -1;
     clock = 0;
     processed = 0;
+    running = false;
+    unqueued = [];
   }
 
 let now t = t.clock
@@ -139,9 +143,20 @@ let deliver_at t time ~emitted h ~node ~port (frame : Frame.t) =
   push t time ~emitted ~kind:kind_deliver ~node ~port
     ((c lsl handle_bits) lor h)
 
-let dequeue_at t time h ~node ~port =
+let dequeue_at t time ~emitted h ~node ~port =
   check t time ~node ~port;
-  push t time ~emitted:t.clock ~kind:kind_dequeue ~node ~port h
+  push t time ~emitted ~kind:kind_dequeue ~node ~port h
+
+(* The key of the event now firing is (clock, popped stamp, popped
+   tie); outside [run] every event at or before the clock has fired. A
+   dequeue key equal to the firing one is that very event. *)
+let dequeue_fired t time ~emitted ~node ~port =
+  time < t.clock
+  || time = t.clock
+     && ((not t.running)
+        || emitted < Wheel.popped_stamp t.wheel
+        || emitted = Wheel.popped_stamp t.wheel
+           && tie_key ~kind:kind_dequeue ~node ~port <= Wheel.popped_tie t.wheel)
 
 let restart_at t time h ~node =
   check t time ~node ~port:0;
@@ -222,6 +237,7 @@ let run t ~until =
      reaches it. *)
   let w = t.wheel in
   let continue = ref true in
+  t.running <- true;
   while !continue do
     if Wheel.is_empty w then continue := false
     else begin
@@ -235,8 +251,12 @@ let run t ~until =
       end
     end
   done;
+  t.running <- false;
   if until > t.clock then t.clock <- until
 
 let wheel_placements t = Wheel.placements t.wheel
 
-let events_processed t = t.processed
+let count_unqueued t count = t.unqueued <- t.unqueued @ [ count ]
+
+let events_processed t =
+  List.fold_left (fun n count -> n + count ()) t.processed t.unqueued

@@ -20,12 +20,15 @@
     bits each, as the key packs them.
 
     Every scheduled event is stamped with an emission time: the engine
-    clock at scheduling time, except that {!deliver_at} takes its stamp
-    from the caller. The network passes the clock, so sequential runs
-    pop in plain (time, scheduling order). The sharded simulator passes
-    a delivery's original emission time on its peer shard: that
-    reproduces the sequential push order among same-timestamp events,
-    which inbox drain order alone cannot. *)
+    clock at scheduling time, except that {!deliver_at} and
+    {!dequeue_at} take their stamp from the caller. The network passes
+    the time the event would have been scheduled at had it queued every
+    transmission completion: the clock, the end of the transmission for
+    a delivery queued when it starts, the start for a completion queued
+    late. The sharded simulator passes a delivery's original emission
+    time on its peer shard: that reproduces the sequential push order
+    among same-timestamp events, which inbox drain order alone
+    cannot. *)
 
 module Time_ns = Tpp_util.Time_ns
 module Frame = Tpp_isa.Frame
@@ -73,9 +76,22 @@ val deliver_at :
     current clock for a local delivery, the emission time on the peer
     shard for an adopted one (see the module comment). *)
 
-val dequeue_at : t -> Time_ns.t -> handle -> node:int -> port:int -> unit
+val dequeue_at :
+  t -> Time_ns.t -> emitted:Time_ns.t -> handle -> node:int -> port:int -> unit
 (** Schedules the end of ([node], [port])'s current transmission.
-    Allocation-free. *)
+    Allocation-free. [emitted] is the event's tie-break stamp: the
+    transmission's start. The network queues a completion it first
+    elided (see {!Net}) after its start, and the stamp gives it the
+    place in the event order it would have had if queued then. *)
+
+val dequeue_fired :
+  t -> Time_ns.t -> emitted:Time_ns.t -> node:int -> port:int -> bool
+(** Whether a dequeue of ([node], [port]) keyed ([time], [emitted]) is,
+    in the ordering contract, at or before the event now firing: the
+    key is compared with the clock and the firing event's stamp and tie
+    key. Outside {!run}, every event at or before the clock has fired.
+    The network asks this of a transmission whose completion it never
+    queued, to tell whether it still serialises. *)
 
 val restart_at : t -> Time_ns.t -> handle -> node:int -> unit
 (** Schedules the restart of frozen switch [node]. Allocation-free. *)
@@ -136,6 +152,16 @@ val run : t -> until:Time_ns.t -> unit
     rather than being mistaken for an empty queue. *)
 
 val events_processed : t -> int
+(** The model's events that have fired: every event popped from the
+    wheel, plus each {!count_unqueued} source's figure. Exact at any
+    horizon. *)
+
+val count_unqueued : t -> (unit -> int) -> unit
+(** Registers a correction that {!events_processed} adds whenever it is
+    read: the number of the model's events that have fired without a
+    wheel entry, less the wheel entries that fired but were no model
+    event. The network registers one for the transmission completions
+    it elides. *)
 
 val wheel_placements : t -> int
 (** {!Tpp_util.Wheel.placements} of the engine's wheel: over

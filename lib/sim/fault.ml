@@ -401,6 +401,7 @@ let attach t net =
          f_delay =
            (fun ~node ~port ~now ~delay -> f_delay (wire_at node port) ~now ~delay);
          f_ingress = (fun ~node ~now -> f_ingress t ~node ~now);
+         f_clean = (fun ~node ~port -> Option.is_none (wire_at node port));
        })
 
 (* -- accounting ----------------------------------------------------- *)

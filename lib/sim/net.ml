@@ -53,6 +53,10 @@ type fault_hooks = {
          is computed from the undegraded delays. *)
   f_ingress : node:int -> now:Time_ns.t -> bool;
       (* [false] = the node is frozen; a frame arriving now vanishes. *)
+  f_clean : node:int -> port:int -> bool;
+      (* No fault ever touches the wire behind ([node], [port]): the
+         other three hooks are the identity on it, so its transmissions
+         may elide their completions. *)
 }
 
 (* Link/port state lives in structure-of-arrays form, indexed by a
@@ -80,17 +84,22 @@ type t = {
   mutable lp_bps : int array;
   mutable lp_delay : int array;     (* propagation delay, ns *)
   mutable lp_inflight : Frame.t array;
-      (* the frame occupying the link while the busy flag is set; the
-         per-net dummy otherwise, so a delivered frame is never pinned
-         by its old port. A plain slot, not an option: the
-         one-outstanding-tx-per-port invariant makes it unambiguous,
-         and a [Some] per transmission would put an allocation back on
-         the hot path. *)
+      (* the frame occupying the link while the busy flag is set (its
+         [tx_end] holds the transmission's end); the per-net dummy
+         otherwise, so a delivered frame is never pinned by its old
+         port. A plain slot, not an option: the one-outstanding-tx-per-
+         port invariant makes it unambiguous, and a [Some] per
+         transmission would put an allocation back on the hot path. *)
   mutable lp_flags : Bytes.t;
-      (* bit 0 = tx busy, bit 1 = link down ('\000' = idle and up,
-         so freshly grown slots need no initialisation) *)
+      (* [busy], [down], [unqueued], [early] bits ('\000' = idle and
+         up, so freshly grown slots need no initialisation) *)
   mutable host_counter : int;
   mutable delivered : int;
+  mutable transmissions : int;       (* transmissions started *)
+  mutable completions_queued : int;  (* completion events queued *)
+  mutable cut_through : int;         (* switch hops that skipped the ring *)
+  mutable lost_in_flight : int;
+      (* deliveries that fired for a frame lost before they came due *)
   mutable deliver_hooks : (host -> Frame.t -> unit) array;
       (* registration order; rebuilt on (rare) registration *)
   mutable sharding : sharding option;  (* None = ordinary sequential net *)
@@ -112,8 +121,18 @@ let[@inline] pack_peer node port = (node lsl max_port_bits) lor port
 let[@inline] peer_node packed = packed lsr max_port_bits
 let[@inline] peer_port packed = packed land port_mask
 
-let[@inline] flag_busy f = f land 1 <> 0
-let[@inline] flag_down f = f land 2 <> 0
+(* Port flags. A transmission is [busy] from its start to its
+   completion. [unqueued]: its completion was elided, so no event ends
+   it; it is over once the completion's key has passed ({!tx_over}).
+   [early]: its delivery was queued when it started. *)
+let busy = 1
+let down = 2
+let unqueued = 4
+let early = 8
+
+(* [tx_end] of a frame lost in flight after its delivery was queued:
+   the delivery drops it. *)
+let lost = -1
 
 let[@inline] flags t i = Char.code (Bytes.unsafe_get t.lp_flags i)
 let[@inline] set_flags t i f = Bytes.unsafe_set t.lp_flags i (Char.unsafe_chr f)
@@ -202,8 +221,6 @@ let register t i ~ports =
     done;
   t.port_count <- needed;
   id
-
-let add_switch t sw = register t (Switch_n sw) ~ports:(Switch.num_ports sw)
 
 (* One shared no-op so idle hosts don't each allocate a closure. *)
 let default_receive ~now:_ _ = ()
@@ -325,37 +342,100 @@ let next_frame t id port =
     | None -> t.no_frame
     | Some r -> Ring.take_or r ~default:t.no_frame)
 
+let egress_empty t id port =
+  match Array.unsafe_get t.impls id with
+  | Switch_n sw -> Switch.queue_bytes sw ~port = 0
+  | Host_n h -> ( match h.nic_q with None -> true | Some r -> Ring.is_empty r)
+
+let[@inline] same_shard t node =
+  match t.sharding with
+  | None -> true
+  | Some s -> Array.unsafe_get s.owner node = s.shard
+
+(* The transmission on slot [i] whose completion was elided: its start,
+   recomputed from the frame's end and the link's rate, which no fault
+   changed, so the window costs one field of the frame on the wire. *)
+let tx_start t i (frame : Frame.t) =
+  frame.Frame.tx_end - tx_time_ns ~bps:(Array.unsafe_get t.lp_bps i) frame
+
+(* Whether that transmission is over: whether its completion, had it
+   been queued, would have fired by now. Only the last nanosecond needs
+   the full key. *)
+let tx_over t id port i =
+  let frame = Array.unsafe_get t.lp_inflight i in
+  let fin = frame.Frame.tx_end and now = Engine.now t.eng in
+  fin < now
+  || fin = now
+     && Engine.dequeue_fired t.eng fin ~emitted:(tx_start t i frame) ~node:id ~port
+
+(* Ends an elided transmission that is over: what its completion would
+   have done to the port, with the egress empty. *)
+let retire t i =
+  set_flags t i (flags t i land down);
+  Array.unsafe_set t.lp_inflight i t.no_frame
+
+let queue_completion t id port ~fin ~start =
+  t.completions_queued <- t.completions_queued + 1;
+  Engine.dequeue_at t.eng fin ~emitted:start t.handle ~node:id ~port
+
+(* Something needs the completion of an elided transmission that still
+   serialises: it is queued with the key it would have had. *)
+let materialize t id port i =
+  let frame = Array.unsafe_get t.lp_inflight i in
+  set_flags t i (flags t i land lnot unqueued);
+  queue_completion t id port ~fin:frame.Frame.tx_end ~start:(tx_start t i frame)
+
+(* Whether the transmitter of connected slot [i] can start a frame now. *)
+let tx_idle t id port i =
+  let f = flags t i in
+  f land busy = 0 || (f land unqueued <> 0 && tx_over t id port i && (retire t i; true))
+
 (* The dataplane cycle — deliver, start transmissions, complete them —
    as mutually recursive functions over plain (node, port) ints. Each
    step schedules the next as one engine event (the net's one
    registered handlers record dispatches back here), so a frame hop costs
    zero minor allocations in the engine. *)
 let rec deliver t id port frame =
-  let alive =
-    match t.fault with
-    | None -> true
-    | Some h -> h.f_ingress ~node:id ~now:(Engine.now t.eng)
-  in
-  if alive then begin
-    match Array.unsafe_get t.impls id with
-    | Host_n h ->
-      t.delivered <- t.delivered + 1;
-      let hooks = t.deliver_hooks in
-      for i = 0 to Array.length hooks - 1 do
-        (Array.unsafe_get hooks i) h frame
-      done;
-      h.receive ~now:(Engine.now t.eng) frame;
-      (* The frame reached its destination and every handler has run:
-         if it came from a pool, its buffer is free for the next send.
-         (No-op for unpooled frames: a receiver that retains frames —
-         the tests do — must be sent unpooled ones.) *)
-      Frame.recycle frame
-    | Switch_n sw -> (
-      match Switch.handle_ingress sw ~now:(Engine.now t.eng) ~in_port:port frame with
-      | Switch.Dropped _ -> Frame.recycle frame
-      | Switch.Queued out_ports -> start_ports t id out_ports)
+  if frame.Frame.tx_end = lost then begin
+    (* Its link went dark before the end of its transmission. *)
+    frame.Frame.tx_end <- 0;
+    t.lost_in_flight <- t.lost_in_flight + 1;
+    Frame.recycle frame
   end
-  else Frame.recycle frame (* frozen node: the frame vanishes *)
+  else begin
+    (* A frame whose completion was elided still occupies its sender's
+       slot; the transmission is long over once the frame arrives. *)
+    let pk = Array.unsafe_get t.lp_peer (gp_trusted t id port) in
+    if pk >= 0 then begin
+      let s = gp_trusted t (peer_node pk) (peer_port pk) in
+      if Array.unsafe_get t.lp_inflight s == frame then retire t s
+    end;
+    let alive =
+      match t.fault with
+      | None -> true
+      | Some h -> h.f_ingress ~node:id ~now:(Engine.now t.eng)
+    in
+    if alive then begin
+      match Array.unsafe_get t.impls id with
+      | Host_n h ->
+        t.delivered <- t.delivered + 1;
+        let hooks = t.deliver_hooks in
+        for i = 0 to Array.length hooks - 1 do
+          (Array.unsafe_get hooks i) h frame
+        done;
+        h.receive ~now:(Engine.now t.eng) frame;
+        (* The frame reached its destination and every handler has run:
+           if it came from a pool, its buffer is free for the next send.
+           (No-op for unpooled frames: a receiver that retains frames —
+           the tests do — must be sent unpooled ones.) *)
+        Frame.recycle frame
+      | Switch_n sw -> (
+        match Switch.forward sw ~now:(Engine.now t.eng) ~in_port:port frame with
+        | Switch.Dropped _ -> Frame.recycle frame
+        | Switch.Queued out_ports -> start_ports t id out_ports)
+    end
+    else Frame.recycle frame (* frozen node: the frame vanishes *)
+  end
 
 (* A top-level walk rather than [List.iter] with a closure over [t] and
    [id], which would allocate on every switch hop. *)
@@ -365,90 +445,152 @@ and start_ports t id = function
     maybe_start_tx t id p;
     start_ports t id rest
 
+(* Called whenever the egress at ([id], [port]) may hold a frame the
+   transmitter should take. A frame that waits behind a transmission
+   whose completion was elided needs that completion after all. *)
 and maybe_start_tx t id port =
   let i = gp_trusted t id port in
-  if Array.unsafe_get t.lp_peer i >= 0 && not (flag_busy (flags t i)) then begin
-    let frame = next_frame t id port in
-    if frame != t.no_frame then begin
-      set_flags t i (flags t i lor 1);
-      Array.unsafe_set t.lp_inflight i frame;
-      let bps =
-        let bps = Array.unsafe_get t.lp_bps i in
-        match t.fault with
-        | None -> bps
-        | Some h -> h.f_rate ~node:id ~port ~now:(Engine.now t.eng) ~bps
-      in
-      let tx = tx_time_ns ~bps frame in
-      Engine.dequeue_at t.eng (Time_ns.add (Engine.now t.eng) tx) t.handle
-        ~node:id ~port
-    end
+  if Array.unsafe_get t.lp_peer i >= 0 then begin
+    let f = flags t i in
+    if f land busy = 0 then start_next t id port i
+    else if f land unqueued <> 0 && not (egress_empty t id port) then
+      if tx_over t id port i then begin
+        retire t i;
+        start_next t id port i
+      end
+      else materialize t id port i
   end
 
-(* A transmission finishes serialising onto the wire: the frame either
-   dies (dark link, fault) or is scheduled to arrive at the peer after
-   the propagation delay; then the port tries to start its next tx. *)
+and start_next t id port i =
+  let frame = next_frame t id port in
+  if frame != t.no_frame then start_tx t id port i frame
+
+(* Puts [frame] on the wire behind idle slot [i]. A transmission that
+   leaves its egress empty, on an up link no fault touches, to a peer
+   this shard runs, queues its delivery now, keyed exactly as its completion
+   would have queued it, and no completion at all: nothing can change
+   its fate unless a frame queues behind it or the link changes, and
+   those queue the completion then ({!materialize}). *)
+and start_tx t id port i frame =
+  t.transmissions <- t.transmissions + 1;
+  Array.unsafe_set t.lp_inflight i frame;
+  let now = Engine.now t.eng in
+  let f = flags t i and pk = Array.unsafe_get t.lp_peer i in
+  let clean = match t.fault with None -> true | Some h -> h.f_clean ~node:id ~port in
+  if clean && f land down = 0 && same_shard t (peer_node pk) && egress_empty t id port
+  then begin
+    let fin = Time_ns.add now (tx_time_ns ~bps:(Array.unsafe_get t.lp_bps i) frame) in
+    frame.Frame.tx_end <- fin;
+    set_flags t i (f lor busy lor unqueued lor early);
+    Engine.deliver_at t.eng
+      (Time_ns.add fin (Array.unsafe_get t.lp_delay i))
+      ~emitted:fin t.handle ~node:(peer_node pk) ~port:(peer_port pk) frame
+  end
+  else begin
+    set_flags t i (f lor busy);
+    let bps =
+      let bps = Array.unsafe_get t.lp_bps i in
+      match t.fault with
+      | None -> bps
+      | Some h -> h.f_rate ~node:id ~port ~now ~bps
+    in
+    queue_completion t id port ~fin:(Time_ns.add now (tx_time_ns ~bps frame)) ~start:now
+  end
+
+(* A queued completion: the frame finishes serialising onto the wire.
+   It either dies (dark link, fault) or is scheduled to arrive at the
+   peer after the propagation delay — unless its delivery was queued
+   when it started, when only a link that went dark can still lose it.
+   Then the port tries to start its next tx. *)
 and tx_complete t id port =
   let i = gp_trusted t id port in
   let frame = Array.unsafe_get t.lp_inflight i in
   Array.unsafe_set t.lp_inflight i t.no_frame;
   let f = flags t i in
-  set_flags t i (f land lnot 1);
-  (* A frame finishing serialisation onto a dark link is lost; the
-     fault schedule may also lose it (dark window, random drop,
-     corruption caught by the wire checks). *)
-  let survives =
-    (not (flag_down f))
-    && (match t.fault with
-       | None -> true
-       | Some h -> h.f_transit ~node:id ~port ~now:(Engine.now t.eng) frame)
-  in
-  if not survives then Frame.recycle frame;
-  (if survives then begin
-     let delay =
-       let delay = Array.unsafe_get t.lp_delay i in
-       match t.fault with
-       | None -> delay
-       | Some h -> h.f_delay ~node:id ~port ~now:(Engine.now t.eng) ~delay
-     in
-     let pk = Array.unsafe_get t.lp_peer i in
-     if pk >= 0 then begin
-       let pn = peer_node pk and pp = peer_port pk in
-       match t.sharding with
-       | None -> schedule_deliver t delay pn pp frame
-       | Some s ->
-         (* Shard-boundary link: the arrival belongs to the peer's
-            owning shard. Hand the frame (with its absolute arrival
-            time) to the inter-shard channel instead of the local
-            event queue; the owner schedules the delivery when it
-            drains its inbox. Same event count either way: one
-            delivery event, on exactly one shard. *)
-         if Array.unsafe_get s.owner pn = s.shard then
-           schedule_deliver t delay pn pp frame
-         else begin
-           (* The emission time rides along so the owning shard can
-              backdate the delivery's tie-break stamp: a local push at
-              the same arrival nanosecond must order against this frame
-              exactly as the sequential run would (by emission order),
-              not by when the owner happens to drain its inbox.
+  set_flags t i (f land down);
+  if f land early <> 0 then begin
+    if f land down <> 0 then frame.Frame.tx_end <- lost
+  end
+  else begin
+    (* A frame finishing serialisation onto a dark link is lost; the
+       fault schedule may also lose it (dark window, random drop,
+       corruption caught by the wire checks). *)
+    let survives =
+      f land down = 0
+      && (match t.fault with
+         | None -> true
+         | Some h -> h.f_transit ~node:id ~port ~now:(Engine.now t.eng) frame)
+    in
+    if not survives then Frame.recycle frame
+    else begin
+      let now = Engine.now t.eng in
+      let delay =
+        let delay = Array.unsafe_get t.lp_delay i in
+        match t.fault with
+        | None -> delay
+        | Some h -> h.f_delay ~node:id ~port ~now ~delay
+      in
+      let pk = Array.unsafe_get t.lp_peer i in
+      let pn = peer_node pk and pp = peer_port pk in
+      if same_shard t pn then
+        Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handle
+          ~node:pn ~port:pp frame
+      else begin
+        (* Shard-boundary link: the arrival belongs to the peer's
+           owning shard. Hand the frame (with its absolute arrival
+           time) to the inter-shard channel instead of the local event
+           queue; the owner schedules the delivery when it drains its
+           inbox. Same event count either way: one delivery event, on
+           exactly one shard.
 
-              [emit] consumes the frame: the hook must copy whatever it
-              needs (the boundary protocol blits the wire image into a
-              chunk) and never retain the frame itself, because it is
-              recycled into its local pool the moment the hook returns
-              — the emitter-side half of the cross-domain leak fix. *)
-           s.emit
-             ~arrival:(Time_ns.add (Engine.now t.eng) delay)
-             ~emitted:(Engine.now t.eng) ~dst_node:pn ~dst_port:pp frame;
-           Frame.recycle frame
-         end
-     end
-   end);
+           The emission time rides along so the owning shard can
+           backdate the delivery's tie-break stamp: a local push at the
+           same arrival nanosecond must order against this frame
+           exactly as the sequential run would (by emission order), not
+           by when the owner happens to drain its inbox.
+
+           [emit] consumes the frame: the hook must copy whatever it
+           needs (the boundary protocol blits the wire image into a
+           chunk) and never retain the frame itself, because it is
+           recycled into its local pool the moment the hook returns —
+           the emitter-side half of the cross-domain leak fix. *)
+        (Option.get t.sharding).emit ~arrival:(Time_ns.add now delay) ~emitted:now
+          ~dst_node:pn ~dst_port:pp frame;
+        Frame.recycle frame
+      end
+    end
+  end;
   maybe_start_tx t id port
 
-and schedule_deliver t delay pn pp frame =
-  let now = Engine.now t.eng in
-  Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handle
-    ~node:pn ~port:pp frame
+(* The transmitter {!Switch.forward} offers a frame that found its
+   egress port empty: a switch hop that skips the egress ring. *)
+let offer t id port frame =
+  let i = gp_trusted t id port in
+  Array.unsafe_get t.lp_peer i >= 0
+  && tx_idle t id port i
+  && begin
+    t.cut_through <- t.cut_through + 1;
+    start_tx t id port i frame;
+    true
+  end
+
+let add_switch t sw =
+  let id = register t (Switch_n sw) ~ports:(Switch.num_ports sw) in
+  Switch.set_transmitter sw (fun ~port frame -> offer t id port frame);
+  id
+
+(* Elided completions whose transmission still serialises: counted
+   when they started, not yet fired. *)
+let elided_ahead t =
+  let n = ref 0 in
+  for id = 0 to t.node_count - 1 do
+    let base = Array.unsafe_get t.pbase id in
+    for port = 0 to Array.unsafe_get t.np id - 1 do
+      let i = base + port in
+      if flags t i land unqueued <> 0 && not (tx_over t id port i) then incr n
+    done
+  done;
+  !n
 
 let create ?(nodes = 0) ?(ports = 0) eng =
   let no_frame = Frame.placeholder () in
@@ -471,6 +613,10 @@ let create ?(nodes = 0) ?(ports = 0) eng =
       lp_flags = Bytes.empty;
       host_counter = 0;
       delivered = 0;
+      transmissions = 0;
+      completions_queued = 0;
+      cut_through = 0;
+      lost_in_flight = 0;
       deliver_hooks = [||];
       sharding = None;
       fault = None;
@@ -489,6 +635,11 @@ let create ?(nodes = 0) ?(ports = 0) eng =
         on_dequeue = (fun ~node ~port -> tx_complete t node port);
         on_restart = (fun ~node:_ -> ());
       };
+  (* Each transmission has one completion in the model: queued, or
+     elided and counted once its key has passed. A delivery of a frame
+     lost in flight fires but is no event of the model. *)
+  Engine.count_unqueued eng (fun () ->
+      t.transmissions - t.completions_queued - t.lost_in_flight - elided_ahead t);
   t
 
 let schedule_delivery t ~arrival ~emitted ~dst_node ~dst_port frame =
@@ -540,16 +691,22 @@ let host_send t host frame =
     | Ok _ -> Hashtbl.replace t.checked_shapes key ()
     | Error e -> failwith ("Net.host_send: frame failed wire round-trip: " ^ e)
   end;
-  let q =
-    match host.nic_q with
-    | Some r -> r
-    | None ->
-      let r = Ring.create ~dummy:t.no_frame () in
-      host.nic_q <- Some r;
-      r
-  in
-  Ring.push q frame;
-  maybe_start_tx t host.node_id 0
+  let id = host.node_id in
+  let i = gp_trusted t id 0 in
+  if egress_empty t id 0 && Array.unsafe_get t.lp_peer i >= 0 && tx_idle t id 0 i
+  then start_tx t id 0 i frame (* an idle NIC: the frame skips the ring *)
+  else begin
+    let q =
+      match host.nic_q with
+      | Some r -> r
+      | None ->
+        let r = Ring.create ~dummy:t.no_frame () in
+        host.nic_q <- Some r;
+        r
+    in
+    Ring.push q frame;
+    maybe_start_tx t id 0
+  end
 
 let set_link_up t (id, port) up =
   let i = gp t id port in
@@ -558,19 +715,24 @@ let set_link_up t (id, port) up =
   else begin
     let pid = peer_node pk and pport = peer_port pk in
     let j = gp t pid pport in
-    let set k =
+    (* A link that goes dark under an elided transmission decides its
+       frame's fate at the end of the transmission: the completion must
+       run after all. (An elided transmission runs on an up link.) *)
+    let set node port k =
       let f = flags t k in
-      set_flags t k (if up then f land lnot 2 else f lor 2)
+      if (not up) && f land unqueued <> 0 then
+        if tx_over t node port k then retire t k else materialize t node port k;
+      set_flags t k (if up then flags t k land lnot down else flags t k lor down)
     in
-    set i;
-    set j;
+    set id port i;
+    set pid pport j;
     if up then begin
       maybe_start_tx t id port;
       maybe_start_tx t pid pport
     end
   end
 
-let link_up t (id, port) = not (flag_down (flags t (gp t id port)))
+let link_up t (id, port) = flags t (gp t id port) land down = 0
 
 let link_delay t (id, port) =
   let i = gp t id port in
@@ -581,11 +743,12 @@ let start_utilization_updates t ~period ~until =
   (* On a sharded net only the owned switches tick (each shard runs its
      own periodic event for its slice of the fabric). *)
   Engine.every t.eng ~period ~until (fun () ->
-      List.iter
-        (fun (id, sw) ->
-          if owns t id then
-            State.update_utilization (Switch.state sw) ~window_ns:period)
-        (switches t))
+      for id = 0 to t.node_count - 1 do
+        match Array.unsafe_get t.impls id with
+        | Switch_n sw when same_shard t id ->
+          State.update_utilization (Switch.state sw) ~window_ns:period
+        | Switch_n _ | Host_n _ -> ()
+      done)
 
 (* NDP fabric support: every switch port gets a strict-priority control
    queue above the data queue, with a small dedicated budget, and
@@ -605,8 +768,17 @@ let enable_trimming t ~keep ~data_limit ~ctrl_limit =
     (switches t)
 
 let frames_delivered t = t.delivered
+let transmissions t = t.transmissions
+let completions_queued t = t.completions_queued
+let cut_through t = t.cut_through
 
-let set_fault_hooks t hooks = t.fault <- hooks
+(* An elided completion never consults the hooks, so they must be in
+   place before any transmission whose fate they would decide. *)
+let set_fault_hooks t hooks =
+  if Option.is_some hooks && elided_ahead t > 0 then
+    invalid_arg "Net.set_fault_hooks: transmissions in flight";
+  t.fault <- hooks
+
 let fault_hooks_installed t = Option.is_some t.fault
 
 let on_host_deliver t hook =

@@ -8,12 +8,32 @@
     queues are unbounded (hosts self-pace via {!Tpp_endhost} rate
     limiters).
 
-    Each hop is two typed {!Engine} events — the end of the sender's
-    transmission and the frame's arrival at the peer — each one timing
-    wheel entry naming the net's one registered handlers record, so
-    forwarding a frame allocates nothing in the event core. Node ids
-    and ports are bounded by the engine's 20-bit event key
-    ({!Engine.max_id_bits}).
+    Transmitter model. Each port has one transmitter. A frame that
+    finds it idle, with every queue of its egress empty, goes straight
+    onto the wire: a host skips its NIC ring, a switch its subqueue
+    ring and scheduler ({!Switch.forward}). A transmission is busy from
+    its start to its completion, when the next queued frame starts.
+
+    Each hop is two typed {!Engine} events in the model — the end of
+    the sender's transmission (its completion) and the frame's arrival
+    at the peer — each a timing-wheel entry naming the net's one
+    registered handlers record, so forwarding a frame allocates nothing
+    in the event core. A transmission that leaves its egress empty, on
+    an up link that no fault touches ([f_clean] below), to a peer its
+    shard runs, queues its
+    delivery when it starts, keyed exactly as its completion would
+    have (time = tx end + delay, stamp = tx end), and queues its
+    completion only when something needs it: a frame queues behind it,
+    or {!set_link_up} takes the link down while it serialises. That
+    completion then carries the key it would have had (time = tx end,
+    stamp = tx start, tie = (dequeue, node, port)). A frame whose link
+    went dark before the end of its transmission is dropped when its
+    delivery fires. Elided completions still count in
+    {!Engine.events_processed}, so event counts, registers and arrival
+    times are those of a model that queued every frame and every
+    completion. {!transmissions}, {!completions_queued} and
+    {!cut_through} count what happened. Node ids and ports are bounded
+    by the engine's 20-bit event key ({!Engine.max_id_bits}).
 
     Link and port state is stored in structure-of-arrays form (flat int
     arrays over global port slots, DESIGN §15) so a fabric's footprint
@@ -98,7 +118,9 @@ val set_link_up : t -> int * int -> bool -> unit
 (** Fails or restores the (full-duplex) link attached at this endpoint.
     Frames whose transmission completes while the link is down are lost
     in flight; queued frames keep draining into the void, as on a real
-    dark fiber. Restoring the link kicks both transmitters. *)
+    dark fiber. Restoring the link kicks both transmitters. Taking it
+    down queues the completion of a transmission on it whose completion
+    was elided. *)
 
 val link_up : t -> int * int -> bool
 
@@ -149,6 +171,21 @@ val enable_trimming : t -> keep:int -> data_limit:int -> ctrl_limit:int -> unit
 
 val frames_delivered : t -> int
 (** Frames handed to host receive callbacks so far. *)
+
+(** {2 Transmitter counters}
+
+    Exact and allocation-free; no register fingerprint reads them. *)
+
+val transmissions : t -> int
+(** Transmissions started, at switches and NICs. *)
+
+val completions_queued : t -> int
+(** Completion events queued: at most one per transmission, and none
+    for one that leaves its egress empty and that nothing disturbs. *)
+
+val cut_through : t -> int
+(** Switch hops whose frame found its port idle and skipped the egress
+    ring ({!Switch.forward}). *)
 
 (** {2 Sharding hooks}
 
@@ -226,9 +263,16 @@ type fault_hooks = {
           [>= delay] (the parallel lookahead assumes it). *)
   f_ingress : node:int -> now:Time_ns.t -> bool;
       (** [false] = the node is frozen and the arriving frame vanishes. *)
+  f_clean : node:int -> port:int -> bool;
+      (** [true] when no fault ever touches the wire behind ([node],
+          [port]): [f_transit], [f_rate] and [f_delay] are the identity
+          on it. Its transmissions may then elide their completions. *)
 }
 
 val set_fault_hooks : t -> fault_hooks option -> unit
+(** Install hooks before traffic: a transmission whose completion was
+    elided never consults them, so installing hooks while one still
+    serialises raises [Invalid_argument]. *)
 
 val fault_hooks_installed : t -> bool
 

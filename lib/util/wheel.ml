@@ -95,7 +95,8 @@ type t = {
   overflow : int Heap.t; (* slab indices of beyond-horizon entries *)
   mutable next_seq : int;
   mutable placements : int;
-  (* tie key of the entry the last pop removed *)
+  (* stamp and tie key of the entry the last pop removed *)
+  mutable popped_stamp : int;
   mutable popped_tie : int;
 }
 
@@ -116,6 +117,7 @@ let create () =
     overflow = Heap.create ();
     next_seq = 0;
     placements = 0;
+    popped_stamp = 0;
     popped_tie = 0;
   }
 
@@ -123,6 +125,7 @@ let length t = t.wlen + Heap.length t.overflow
 let is_empty t = t.wlen = 0 && Heap.is_empty t.overflow
 let cursor t = t.cursor
 let placements t = t.placements
+let popped_stamp t = t.popped_stamp
 let popped_tie t = t.popped_tie
 
 (* Lowest-set-bit index of a nonzero 32-bit mask, de Bruijn multiply. *)
@@ -372,6 +375,7 @@ let pop_slab t =
     end
     else Heap.pop_value t.overflow ~default:(-1)
   in
+  t.popped_stamp <- t.slab.(s + f_emit);
   t.popped_tie <- t.slab.(s + f_tie);
   s
 

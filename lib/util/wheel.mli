@@ -65,6 +65,10 @@ val popped_tie : t -> int
     (0 before the first). The engine decodes an event's kind, node and
     port from it, so it stores them nowhere else. *)
 
+val popped_stamp : t -> int
+(** The emission stamp of the entry the last {!pop} or {!pop_value}
+    removed (0 before the first). *)
+
 val peek_prio : t -> int option
 
 val peek_prio_or : t -> default:int -> int

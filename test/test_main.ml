@@ -12,6 +12,7 @@ let () =
       ("compile", Test_compile.suite);
       ("switch", Test_switch.suite);
       ("sim", Test_sim.suite);
+      ("transmit", Test_transmit.suite);
       ("parsim", Test_parsim.suite);
       ("fault", Test_fault.suite);
       ("endhost", Test_endhost.suite);
