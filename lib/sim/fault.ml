@@ -301,7 +301,7 @@ let canonical a b = if a <= b then (a, b) else (b, a)
 
 let attach t net =
   if t.attached then invalid_arg "Fault.attach: schedule already attached";
-  if Net.fault_hooks_installed net then
+  if Option.is_some (Net.fault_hooks net) then
     invalid_arg "Fault.attach: net already has fault hooks";
   let cables : (link * link, cable) Hashtbl.t = Hashtbl.create 16 in
   let cable_of ends =

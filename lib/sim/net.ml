@@ -84,15 +84,14 @@ type t = {
   mutable lp_bps : int array;
   mutable lp_delay : int array;     (* propagation delay, ns *)
   mutable lp_inflight : Frame.t array;
-      (* the frame occupying the link while the busy flag is set (its
-         [tx_end] holds the transmission's end); the per-net dummy
-         otherwise, so a delivered frame is never pinned by its old
-         port. A plain slot, not an option: the one-outstanding-tx-per-
-         port invariant makes it unambiguous, and a [Some] per
-         transmission would put an allocation back on the hot path. *)
+      (* the frame occupying the link from its transmission's start to
+         its completion ([tx_end] holds the end), else the per-net dummy,
+         so a delivered frame is never pinned by its old port. A plain
+         slot, not an option: one outstanding tx per port makes it
+         unambiguous, and a [Some] per transmission would allocate. *)
   mutable lp_flags : Bytes.t;
-      (* [busy], [down], [unqueued], [early] bits ('\000' = idle and
-         up, so freshly grown slots need no initialisation) *)
+      (* [down], [unqueued], [early] bits ('\000' = up, with no elided
+         transmission) *)
   mutable host_counter : int;
   mutable delivered : int;
   mutable transmissions : int;       (* transmissions started *)
@@ -121,14 +120,13 @@ let[@inline] pack_peer node port = (node lsl max_port_bits) lor port
 let[@inline] peer_node packed = packed lsr max_port_bits
 let[@inline] peer_port packed = packed land port_mask
 
-(* Port flags. A transmission is [busy] from its start to its
-   completion. [unqueued]: its completion was elided, so no event ends
-   it; it is over once the completion's key has passed ({!tx_over}).
-   [early]: its delivery was queued when it started. *)
-let busy = 1
-let down = 2
-let unqueued = 4
-let early = 8
+(* Port flags. [unqueued]: the completion of the port's transmission
+   was elided, so no event ends it; it is over once the completion's
+   key has passed ({!tx_over}). [early]: its delivery was queued when
+   it started. *)
+let down = 1
+let unqueued = 2
+let early = 4
 
 (* [tx_end] of a frame lost in flight after its delivery was queued:
    the delivery drops it. *)
@@ -170,55 +168,40 @@ let num_ports t id =
   if id < 0 || id >= t.node_count then invalid_arg "Net: unknown node id";
   Array.unsafe_get t.np id
 
+(* [a]'s first [len] elements in a fresh array of [cap], the rest
+   [fill]: slots are only ever written below the count in use, so a
+   grown array's fresh tail needs no other initialisation. *)
+let grow a ~len ~cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 len;
+  b
+
 let register t i ~ports =
   let id = t.node_count in
   if id lsr Engine.max_id_bits <> 0 then
     invalid_arg "Net: more nodes than the engine's 20-bit node ids";
   if id >= Array.length t.impls then begin
     let cap = max t.node_hint (max 8 (2 * Array.length t.impls)) in
-    let impls = Array.make cap i in
-    Array.blit t.impls 0 impls 0 id;
-    t.impls <- impls;
-    let pbase = Array.make cap 0 in
-    Array.blit t.pbase 0 pbase 0 id;
-    t.pbase <- pbase;
-    let np = Array.make cap 0 in
-    Array.blit t.np 0 np 0 id;
-    t.np <- np
+    t.impls <- grow t.impls ~len:id ~cap i;
+    t.pbase <- grow t.pbase ~len:id ~cap 0;
+    t.np <- grow t.np ~len:id ~cap 0
   end;
   t.impls.(id) <- i;
   t.pbase.(id) <- t.port_count;
   t.np.(id) <- ports;
   t.node_count <- id + 1;
-  let needed = t.port_count + ports in
+  let len = t.port_count in
+  let needed = len + ports in
   if needed > Array.length t.lp_peer then begin
-    let cap =
-      max t.port_hint (max 16 (max needed (2 * Array.length t.lp_peer)))
-    in
-    let peer = Array.make cap (-1) in
-    Array.blit t.lp_peer 0 peer 0 t.port_count;
-    t.lp_peer <- peer;
-    let bps = Array.make cap 0 in
-    Array.blit t.lp_bps 0 bps 0 t.port_count;
-    t.lp_bps <- bps;
-    let delay = Array.make cap 0 in
-    Array.blit t.lp_delay 0 delay 0 t.port_count;
-    t.lp_delay <- delay;
-    let inflight = Array.make cap t.no_frame in
-    Array.blit t.lp_inflight 0 inflight 0 t.port_count;
-    t.lp_inflight <- inflight;
+    let cap = max t.port_hint (max 16 (max needed (2 * Array.length t.lp_peer))) in
+    t.lp_peer <- grow t.lp_peer ~len ~cap (-1);
+    t.lp_bps <- grow t.lp_bps ~len ~cap 0;
+    t.lp_delay <- grow t.lp_delay ~len ~cap 0;
+    t.lp_inflight <- grow t.lp_inflight ~len ~cap t.no_frame;
     let fl = Bytes.make cap '\000' in
-    Bytes.blit t.lp_flags 0 fl 0 t.port_count;
+    Bytes.blit t.lp_flags 0 fl 0 len;
     t.lp_flags <- fl
-  end
-  else
-    for s = t.port_count to needed - 1 do
-      t.lp_peer.(s) <- -1;
-      t.lp_bps.(s) <- 0;
-      t.lp_delay.(s) <- 0;
-      t.lp_inflight.(s) <- t.no_frame;
-      Bytes.set t.lp_flags s '\000'
-    done;
+  end;
   t.port_count <- needed;
   id
 
@@ -378,17 +361,27 @@ let queue_completion t id port ~fin ~start =
   t.completions_queued <- t.completions_queued + 1;
   Engine.dequeue_at t.eng fin ~emitted:start t.handle ~node:id ~port
 
-(* Something needs the completion of an elided transmission that still
-   serialises: it is queued with the key it would have had. *)
-let materialize t id port i =
-  let frame = Array.unsafe_get t.lp_inflight i in
-  set_flags t i (flags t i land lnot unqueued);
-  queue_completion t id port ~fin:frame.Frame.tx_end ~start:(tx_start t i frame)
+(* Something needs the completion of the elided transmission on slot
+   [i]: a frame that waits behind it, or its link going down. Ends the
+   transmission if it is over ([true]); else queues the completion with
+   the key it would have had ([false]). *)
+let settle t id port i =
+  if tx_over t id port i then begin
+    retire t i;
+    true
+  end
+  else begin
+    let frame = Array.unsafe_get t.lp_inflight i in
+    set_flags t i (flags t i land lnot unqueued);
+    queue_completion t id port ~fin:frame.Frame.tx_end ~start:(tx_start t i frame);
+    false
+  end
 
-(* Whether the transmitter of connected slot [i] can start a frame now. *)
+(* Whether the transmitter of connected slot [i] can take a frame now;
+   a frame it refuses queues behind its transmission. *)
 let tx_idle t id port i =
-  let f = flags t i in
-  f land busy = 0 || (f land unqueued <> 0 && tx_over t id port i && (retire t i; true))
+  Array.unsafe_get t.lp_inflight i == t.no_frame
+  || (flags t i land unqueued <> 0 && settle t id port i)
 
 (* The dataplane cycle — deliver, start transmissions, complete them —
    as mutually recursive functions over plain (node, port) ints. Each
@@ -450,16 +443,13 @@ and start_ports t id = function
    whose completion was elided needs that completion after all. *)
 and maybe_start_tx t id port =
   let i = gp_trusted t id port in
-  if Array.unsafe_get t.lp_peer i >= 0 then begin
-    let f = flags t i in
-    if f land busy = 0 then start_next t id port i
-    else if f land unqueued <> 0 && not (egress_empty t id port) then
-      if tx_over t id port i then begin
-        retire t i;
-        start_next t id port i
-      end
-      else materialize t id port i
-  end
+  if
+    Array.unsafe_get t.lp_peer i >= 0
+    && (Array.unsafe_get t.lp_inflight i == t.no_frame
+       || flags t i land unqueued <> 0
+          && (not (egress_empty t id port))
+          && settle t id port i)
+  then start_next t id port i
 
 and start_next t id port i =
   let frame = next_frame t id port in
@@ -470,7 +460,7 @@ and start_next t id port i =
    this shard runs, queues its delivery now, keyed exactly as its completion
    would have queued it, and no completion at all: nothing can change
    its fate unless a frame queues behind it or the link changes, and
-   those queue the completion then ({!materialize}). *)
+   those queue the completion then ({!settle}). *)
 and start_tx t id port i frame =
   t.transmissions <- t.transmissions + 1;
   Array.unsafe_set t.lp_inflight i frame;
@@ -481,13 +471,12 @@ and start_tx t id port i frame =
   then begin
     let fin = Time_ns.add now (tx_time_ns ~bps:(Array.unsafe_get t.lp_bps i) frame) in
     frame.Frame.tx_end <- fin;
-    set_flags t i (f lor busy lor unqueued lor early);
+    set_flags t i (f lor unqueued lor early);
     Engine.deliver_at t.eng
       (Time_ns.add fin (Array.unsafe_get t.lp_delay i))
       ~emitted:fin t.handle ~node:(peer_node pk) ~port:(peer_port pk) frame
   end
   else begin
-    set_flags t i (f lor busy);
     let bps =
       let bps = Array.unsafe_get t.lp_bps i in
       match t.fault with
@@ -562,32 +551,33 @@ and tx_complete t id port =
   end;
   maybe_start_tx t id port
 
-(* The transmitter {!Switch.forward} offers a frame that found its
-   egress port empty: a switch hop that skips the egress ring. *)
+(* Offers a frame that found the egress at ([id], [port]) empty to its
+   transmitter, which takes it straight onto the wire if idle. *)
 let offer t id port frame =
   let i = gp_trusted t id port in
   Array.unsafe_get t.lp_peer i >= 0
   && tx_idle t id port i
-  && begin
-    t.cut_through <- t.cut_through + 1;
-    start_tx t id port i frame;
-    true
-  end
+  && (start_tx t id port i frame; true)
 
+(* [cut_through] counts the switch hops whose frame the transmitter takes
+   past the egress ring ({!Switch.forward}). *)
 let add_switch t sw =
   let id = register t (Switch_n sw) ~ports:(Switch.num_ports sw) in
-  Switch.set_transmitter sw (fun ~port frame -> offer t id port frame);
+  Switch.set_transmitter sw (fun ~port frame ->
+      offer t id port frame && (t.cut_through <- t.cut_through + 1; true));
   id
 
-(* Elided completions whose transmission still serialises: counted
-   when they started, not yet fired. *)
-let elided_ahead t =
+(* Ports with flag [bit] whose transmission still serialises: an elided
+   completion is over once its key has passed, a queued one clears the
+   flags when it fires. *)
+let ahead t bit =
   let n = ref 0 in
   for id = 0 to t.node_count - 1 do
     let base = Array.unsafe_get t.pbase id in
     for port = 0 to Array.unsafe_get t.np id - 1 do
       let i = base + port in
-      if flags t i land unqueued <> 0 && not (tx_over t id port i) then incr n
+      let f = flags t i in
+      if f land bit <> 0 && not (f land unqueued <> 0 && tx_over t id port i) then incr n
     done
   done;
   !n
@@ -639,7 +629,7 @@ let create ?(nodes = 0) ?(ports = 0) eng =
      elided and counted once its key has passed. A delivery of a frame
      lost in flight fires but is no event of the model. *)
   Engine.count_unqueued eng (fun () ->
-      t.transmissions - t.completions_queued - t.lost_in_flight - elided_ahead t);
+      t.transmissions - t.completions_queued - t.lost_in_flight - ahead t unqueued);
   t
 
 let schedule_delivery t ~arrival ~emitted ~dst_node ~dst_port frame =
@@ -692,10 +682,8 @@ let host_send t host frame =
     | Error e -> failwith ("Net.host_send: frame failed wire round-trip: " ^ e)
   end;
   let id = host.node_id in
-  let i = gp_trusted t id 0 in
-  if egress_empty t id 0 && Array.unsafe_get t.lp_peer i >= 0 && tx_idle t id 0 i
-  then start_tx t id 0 i frame (* an idle NIC: the frame skips the ring *)
-  else begin
+  (* An idle NIC: the frame skips the ring. *)
+  if not (egress_empty t id 0 && offer t id 0 frame) then begin
     let q =
       match host.nic_q with
       | Some r -> r
@@ -719,9 +707,7 @@ let set_link_up t (id, port) up =
        frame's fate at the end of the transmission: the completion must
        run after all. (An elided transmission runs on an up link.) *)
     let set node port k =
-      let f = flags t k in
-      if (not up) && f land unqueued <> 0 then
-        if tx_over t node port k then retire t k else materialize t node port k;
+      if (not up) && flags t k land unqueued <> 0 then ignore (settle t node port k);
       set_flags t k (if up then flags t k land lnot down else flags t k lor down)
     in
     set id port i;
@@ -772,14 +758,15 @@ let transmissions t = t.transmissions
 let completions_queued t = t.completions_queued
 let cut_through t = t.cut_through
 
-(* An elided completion never consults the hooks, so they must be in
+(* A transmission that queued its delivery at its start never consults
+   the hooks, even once its completion is queued, so they must be in
    place before any transmission whose fate they would decide. *)
 let set_fault_hooks t hooks =
-  if Option.is_some hooks && elided_ahead t > 0 then
+  if Option.is_some hooks && ahead t early > 0 then
     invalid_arg "Net.set_fault_hooks: transmissions in flight";
   t.fault <- hooks
 
-let fault_hooks_installed t = Option.is_some t.fault
+let fault_hooks t = t.fault
 
 let on_host_deliver t hook =
   (* Registration is rare and the hook array is read on every delivery:

@@ -8,11 +8,11 @@
     queues are unbounded (hosts self-pace via {!Tpp_endhost} rate
     limiters).
 
-    Transmitter model. Each port has one transmitter. A frame that
-    finds it idle, with every queue of its egress empty, goes straight
-    onto the wire: a host skips its NIC ring, a switch its subqueue
-    ring and scheduler ({!Switch.forward}). A transmission is busy from
-    its start to its completion, when the next queued frame starts.
+    Transmitter model. Each port has one transmitter, which holds one
+    transmission from its start to its completion, when the next queued
+    frame starts. A frame that finds it idle, with every queue of its
+    egress empty, goes straight onto the wire: a host skips its NIC
+    ring, a switch its subqueue ring and scheduler ({!Switch.forward}).
 
     Each hop is two typed {!Engine} events in the model — the end of
     the sender's transmission (its completion) and the frame's arrival
@@ -34,6 +34,12 @@
     completion. {!transmissions}, {!completions_queued} and
     {!cut_through} count what happened. Node ids and ports are bounded
     by the engine's 20-bit event key ({!Engine.max_id_bits}).
+
+    That model is still the queued path: a wire whose [f_clean] is
+    false queues every completion, and a switch whose transmitter
+    ({!Switch.set_transmitter}) refuses every frame queues every frame
+    on its egress ring. A net put wholly on it is the reference the
+    elided path is tested against.
 
     Link and port state is stored in structure-of-arrays form (flat int
     arrays over global port slots, DESIGN §15) so a fabric's footprint
@@ -270,11 +276,14 @@ type fault_hooks = {
 }
 
 val set_fault_hooks : t -> fault_hooks option -> unit
-(** Install hooks before traffic: a transmission whose completion was
-    elided never consults them, so installing hooks while one still
-    serialises raises [Invalid_argument]. *)
+(** Install hooks before traffic: a transmission that queued its
+    delivery at its start never consults them, even once its completion
+    is queued, so installing hooks while one still serialises raises
+    [Invalid_argument]. *)
 
-val fault_hooks_installed : t -> bool
+val fault_hooks : t -> fault_hooks option
+(** The hooks installed, if any: reinstalled with [f_clean] false, they
+    put every wire on the queued path. *)
 
 val tx_time_of_bits : bps:int -> int -> Time_ns.span
 (** [tx_time_of_bits ~bps bits] = ceil([bits] * 1e9 / [bps]) ns, exact

@@ -1,8 +1,10 @@
 (* The transmitter model's exactness: cut-through and elided completion
    events must reproduce the always-queue, always-complete model event
-   for event. Every golden below was recorded by running the same
-   scenario on the model that queued every frame on its egress ring and
-   queued one completion event per transmission. *)
+   for event. That model is Net's own queued path, which queues every
+   frame on its egress ring and one completion event per transmission
+   ({!queue_everything} puts a whole net on it). Every golden below was
+   recorded on that model and must hold on both paths; a differential
+   fuzz then compares the two paths on random scenarios. *)
 
 open Tpp
 
@@ -11,9 +13,30 @@ let ints = Alcotest.(list int)
 
 module SS = Switch_state
 
-(* One switch, one host per port; every link 1 Gb/s, port [p]'s with
-   propagation delay [delays.(p)]. *)
-let star delays =
+(* Hooks that change nothing. *)
+let no_faults =
+  {
+    Net.f_transit = (fun ~node:_ ~port:_ ~now:_ _ -> true);
+    f_rate = (fun ~node:_ ~port:_ ~now:_ ~bps -> bps);
+    f_delay = (fun ~node:_ ~port:_ ~now:_ ~delay -> delay);
+    f_ingress = (fun ~node:_ ~now:_ -> true);
+    f_clean = (fun ~node:_ ~port:_ -> true);
+  }
+
+(* Puts [net] on the reference path: a wire that is not clean never
+   elides a completion, and a switch whose transmitter refuses every
+   frame queues it. The net's own fault hooks are kept. *)
+let queue_everything net =
+  let h = Option.value (Net.fault_hooks net) ~default:no_faults in
+  Net.set_fault_hooks net (Some { h with Net.f_clean = (fun ~node:_ ~port:_ -> false) });
+  List.iter
+    (fun (_, sw) -> Switch.set_transmitter sw (fun ~port:_ _ -> false))
+    (Net.switches net)
+
+(* One switch (node 0), one host per port; every link 1 Gb/s, port
+   [p]'s with propagation delay [delays.(p)]; [fault] attached, then on
+   the reference path if [reference]. *)
+let star ?fault ~reference delays =
   let eng = Engine.create () in
   let net = Net.create eng in
   let sw = Switch.create ~id:1 ~num_ports:(Array.length delays) () in
@@ -27,6 +50,8 @@ let star delays =
       delays
   in
   Topology.install_routes net;
+  Option.iter (fun f -> Fault.attach f net) fault;
+  if reference then queue_everything net;
   (eng, net, sw, sid, hosts)
 
 (* 54 payload bytes: 100 bytes on the wire, 800 ns at 1 Gb/s. *)
@@ -53,6 +78,17 @@ let log_arrivals hosts =
     hosts;
   log
 
+(* The switch logs (time, in port, out port, depth of the queue joined)
+   of every frame it bins. *)
+let tap_queues sw =
+  let taps = ref [] in
+  Switch.set_bin_tap sw
+    (Some
+       (fun ~now ~in_port ~out_port ~queue_bytes ~version:_ ~frame_id:_
+            ~flow_hash:_ ~wire_bytes:_ ~entry:_ ->
+         taps := queue_bytes :: out_port :: in_port :: now :: !taps));
+  taps
+
 let registers sw =
   let st = Switch.state sw in
   Array.to_list st.SS.ports
@@ -73,14 +109,9 @@ let registers sw =
    (6600, stamp 5800) when the delay exceeds 800 ns, after it when it
    is shorter, and tied on the stamp at 800 (a delivery's tie key sorts
    before a dequeue's). The tap records the queue each frame joins. *)
-let same_nanosecond ~dc ~dd =
-  let eng, net, sw, _, hosts = star [| 5000; dc; dd; 1000 |] in
-  let taps = ref [] in
-  Switch.set_bin_tap sw
-    (Some
-       (fun ~now ~in_port ~out_port ~queue_bytes ~version:_ ~frame_id:_
-            ~flow_hash:_ ~wire_bytes:_ ~entry:_ ->
-         taps := queue_bytes :: out_port :: in_port :: now :: !taps));
+let same_nanosecond ~dc ~dd ~reference =
+  let eng, net, sw, _, hosts = star ~reference [| 5000; dc; dd; 1000 |] in
+  let taps = tap_queues sw in
   let arrivals = log_arrivals hosts in
   let a = hosts.(0) and c = hosts.(1) and d = hosts.(2) and b = hosts.(3) in
   send_at eng net 0 a b;
@@ -91,9 +122,10 @@ let same_nanosecond ~dc ~dd =
   Engine.run eng ~until:6600;
   let e2 = Engine.events_processed eng in
   Engine.run eng ~until:(Time_ns.ms 1);
-  (List.rev !taps @ List.rev !arrivals)
-  @ [ e1; e2; Engine.events_processed eng ]
-  @ registers sw
+  ( net,
+    (List.rev !taps @ List.rev !arrivals)
+    @ [ e1; e2; Engine.events_processed eng ]
+    @ registers sw )
 
 let same_nanosecond_cases = [ (900, 850); (900, 700); (700, 650); (800, 800) ]
 
@@ -112,10 +144,24 @@ let same_nanosecond_golden =
       15; 100; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 100; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 100; 1;
       0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 300; 3; 0; 0; 300; 0; 0; 300; 0 ] ]
 
+(* Each scenario equals its golden on both paths, and cuts [cut] switch
+   hops through on the elided path, none on the reference path. *)
+let on_both_paths ?cut name golden scenario =
+  List.iter
+    (fun reference ->
+      let net, got = scenario ~reference in
+      let name = if reference then name ^ " (reference path)" else name in
+      check ints name golden got;
+      Option.iter
+        (fun cut ->
+          check Alcotest.int (name ^ ": switch hops cut through") cut (Net.cut_through net))
+        (if reference then Some 0 else cut))
+    [ false; true ]
+
 let test_same_nanosecond () =
   List.iter2
     (fun (dc, dd) golden ->
-      check ints (Printf.sprintf "dC=%d dD=%d" dc dd) golden (same_nanosecond ~dc ~dd))
+      on_both_paths (Printf.sprintf "dC=%d dD=%d" dc dd) golden (same_nanosecond ~dc ~dd))
     same_nanosecond_cases same_nanosecond_golden
 
 (* --- a link that changes while a frame serialises -------------------- *)
@@ -125,8 +171,8 @@ let test_same_nanosecond () =
    endpoint, up) link flips, scheduled at time 0 unless [late] (then
    from a thunk at 6000, so a flip at 6600 fires after the completion
    key). Reads events at several horizons, deliveries and the pool. *)
-let link_flips ?(late = false) changes =
-  let eng, net, _, sid, hosts = star [| 5000; 1000 |] in
+let link_flips ?(late = false) changes ~reference =
+  let eng, net, _, sid, hosts = star ~reference [| 5000; 1000 |] in
   let a = hosts.(0) and b = hosts.(1) in
   let pool = Frame.Pool.create () in
   let arrivals = log_arrivals hosts in
@@ -146,8 +192,7 @@ let link_flips ?(late = false) changes =
         Engine.events_processed eng)
       [ 5999; 6600; 7000; 7599; 7600; Time_ns.ms 1 ]
   in
-  List.rev !arrivals @ events
-  @ [ Net.frames_delivered net; Frame.Pool.outstanding pool ]
+  (net, List.rev !arrivals @ events @ [ Net.frames_delivered net; Frame.Pool.outstanding pool ])
 
 let link_flips_cases =
   [ ("down and up within the transmission", false,
@@ -171,18 +216,20 @@ let link_flips_golden =
 
 let test_link_flips () =
   List.iter2
-    (fun (name, late, changes) golden -> check ints name golden (link_flips ~late changes))
+    (fun (name, late, changes) golden -> on_both_paths name golden (link_flips ~late changes))
     link_flips_cases link_flips_golden
 
 (* --- horizons that cut transmissions --------------------------------- *)
 
-(* Every host of a k=4 fat-tree (1 Gb/s, 1 us links) sends 40 pooled
-   frames, one every 1000 ns, to rotating peers: 880-ns transmissions
-   that sometimes queue behind each other. *)
-let fabric eng =
-  (Topology.fat_tree eng ~k:4 ~bps:1_000_000_000 ~delay:1_000 ()).Topology.f_net
+(* Every host of a k=4 fat-tree (1 Gb/s links) sends [frames] pooled
+   frames, one every [gap] ns, to rotating peers: 880-ns transmissions
+   that sometimes queue behind each other. The goldens use 1-us links,
+   40 frames and a 1000-ns gap. *)
+let fabric ?(delay = 1_000) eng =
+  (Topology.fat_tree eng ~k:4 ~bps:1_000_000_000 ~delay ()).Topology.f_net
 
-let traffic ~owns net =
+let traffic ?(frames = 40) ?(gap = 1000) ~reference ~owns net =
+  if reference then queue_everything net;
   let eng = Net.engine net in
   let hosts = Array.of_list (Net.hosts net) in
   let n = Array.length hosts in
@@ -190,19 +237,19 @@ let traffic ~owns net =
     (fun i (s : Net.host) ->
       if owns s.Net.node_id then begin
         let pool = Frame.Pool.create () in
-        for j = 0 to 39 do
+        for j = 0 to frames - 1 do
           let d = hosts.((i + 1 + (j mod (n - 1))) mod n) in
-          send_at eng net ((i * 397 mod 1000) + (j * 1000)) ~pool s d
+          send_at eng net ((i * 397 mod 1000) + (j * gap)) ~pool s d
         done
       end)
     hosts
 
 (* [events_processed] read after every nanosecond of [lo, hi], folded
    into one hash, and at a few horizons. *)
-let horizon_hash ~lo ~hi =
+let horizon_hash ~reference ~lo ~hi =
   let eng = Engine.create () in
   let net = fabric eng in
-  traffic ~owns:(fun _ -> true) net;
+  traffic ~reference ~owns:(fun _ -> true) net;
   let h = ref 0 in
   for until = lo to hi do
     Engine.run eng ~until;
@@ -212,18 +259,18 @@ let horizon_hash ~lo ~hi =
 
 let horizons = [ 3_000; 7_001; 12_345; 20_000; 44_444 ]
 
-let events_at ~shards until =
+let events_at ~reference ~shards until =
   if shards = 0 then begin
     let eng = Engine.create () in
     let net = fabric eng in
-    traffic ~owns:(fun _ -> true) net;
+    traffic ~reference ~owns:(fun _ -> true) net;
     Engine.run eng ~until;
     Engine.events_processed eng
   end
   else
     (fst
        (Parsim.run ~shards ~until ~build:fabric
-          ~setup:(fun ~shard:_ ~owns net -> traffic ~owns net)
+          ~setup:(fun ~shard:_ ~owns net -> traffic ~reference ~owns net)
           ~collect:(fun ~shard:_ ~owns:_ _ -> ())
           ()))
       .Parsim.events
@@ -232,25 +279,32 @@ let horizon_events_golden = [ 112; 464; 1174; 2498; 6615 ]
 let horizon_hash_golden = 4502235402245191570
 
 let test_horizon_cuts () =
-  check ints "sequential" horizon_events_golden (List.map (events_at ~shards:0) horizons);
-  check ints "2 shards" horizon_events_golden (List.map (events_at ~shards:2) horizons);
-  check Alcotest.int "every nanosecond of [9000, 12000]" horizon_hash_golden
-    (horizon_hash ~lo:9_000 ~hi:12_000)
+  List.iter
+    (fun reference ->
+      let path = if reference then " (reference path)" else "" in
+      check ints ("sequential" ^ path) horizon_events_golden
+        (List.map (events_at ~reference ~shards:0) horizons);
+      check ints ("2 shards" ^ path) horizon_events_golden
+        (List.map (events_at ~reference ~shards:2) horizons);
+      check Alcotest.int ("every nanosecond of [9000, 12000]" ^ path) horizon_hash_golden
+        (horizon_hash ~reference ~lo:9_000 ~hi:12_000))
+    [ false; true ]
 
 (* --- ports and frames that always queue ------------------------------ *)
+
+let prog = lazy (Result.get_ok (Asm.to_tpp ~mem_len:8 "PUSH [Switch:SwitchID]\n"))
 
 (* A's frames to B and C's TPP frames to D, all 1 us apart so every
    port is idle when they come, plus one flood; [config] sets up the
    switch. *)
-let always_queue config =
-  let eng, net, sw, _, hosts = star [| 1000; 1000; 1000; 1000 |] in
+let always_queue config ~reference =
+  let eng, net, sw, _, hosts = star ~reference [| 1000; 1000; 1000; 1000 |] in
   config sw;
   let arrivals = log_arrivals hosts in
   let a = hosts.(0) and c = hosts.(1) and b = hosts.(2) and d = hosts.(3) in
-  let tpp = Result.get_ok (Asm.to_tpp ~mem_len:8 "PUSH [Switch:SwitchID]\n") in
   for j = 0 to 3 do
     send_at eng net (j * 5000) a b;
-    send_at eng net ((j * 5000) + 100) ~tpp:(Prog.copy tpp) c d
+    send_at eng net ((j * 5000) + 100) ~tpp:(Prog.copy (Lazy.force prog)) c d
   done;
   let nowhere = Net.add_host net in
   Engine.at eng 30_000 (fun () -> Net.host_send net a (frame_to a nowhere));
@@ -259,8 +313,8 @@ let always_queue config =
 
 (* A burst of 12 frames from A and C to D into a 2-queue port whose data
    queue holds 2 frames: the rest are trimmed into the top queue. *)
-let trim_burst () =
-  let eng, net, sw, _, hosts = star [| 1000; 1000; 1000; 1000 |] in
+let trim_burst ~reference =
+  let eng, net, sw, _, hosts = star ~reference [| 1000; 1000; 1000; 1000 |] in
   Switch.configure_queues sw ~port:3 ~count:2;
   Switch.set_subqueue_limit sw ~port:3 ~queue:0 ~bytes:200;
   Switch.set_trim_keep sw ~keep:0;
@@ -271,7 +325,7 @@ let trim_burst () =
     send_at eng net ((j * 10) + 5) c d
   done;
   Engine.run eng ~until:(Time_ns.ms 1);
-  List.rev !arrivals @ [ Engine.events_processed eng; Switch.trims sw ] @ registers sw
+  (net, List.rev !arrivals @ [ Engine.events_processed eng; Switch.trims sw ] @ registers sw)
 
 let wrr sw =
   Switch.configure_queues sw ~port:2 ~count:2;
@@ -312,11 +366,245 @@ let trim_golden =
 let test_always_queue () =
   List.iter2
     (fun (name, config, cut) golden ->
-      let net, got = always_queue config in
-      check ints name golden got;
-      check Alcotest.int (name ^ ": switch hops cut through") cut (Net.cut_through net))
+      on_both_paths ~cut name golden (always_queue config))
     always_queue_cases always_queue_golden;
-  check ints "trimmed frames" trim_golden (trim_burst ())
+  on_both_paths "trimmed frames" trim_golden trim_burst
+
+(* --- fault hooks behind a completion queued late ---------------------- *)
+
+(* A's frame leaves the switch for B over [900, 1700) with its delivery
+   queued at its start; C's frame queues behind it at 1300, which queues
+   its completion. Hooks installed at 1400 would decide its fate on the
+   reference path but not here, so they are refused until it is over. *)
+let test_hooks_behind_queued_completion () =
+  let eng, net, _, _, hosts = star ~reference:false [| 100; 100; 100 |] in
+  let a = hosts.(0) and c = hosts.(1) and b = hosts.(2) in
+  send_at eng net 0 a b;
+  send_at eng net 400 c b;
+  let drop_all =
+    Some
+      { no_faults with
+        Net.f_transit = (fun ~node:_ ~port:_ ~now:_ _ -> false);
+        f_clean = (fun ~node:_ ~port:_ -> false) }
+  in
+  Engine.run eng ~until:1400;
+  Alcotest.check_raises "installed at 1400"
+    (Invalid_argument "Net.set_fault_hooks: transmissions in flight")
+    (fun () -> Net.set_fault_hooks net drop_all);
+  Engine.run eng ~until:(Time_ns.ms 1);
+  Net.set_fault_hooks net drop_all;
+  check Alcotest.int "both frames delivered" 2 (Net.frames_delivered net)
+
+(* --- a differential fuzz of the elided path against the reference ---- *)
+
+(* A star scenario. Ports and hosts share indices; a send to the port
+   count goes to an unknown host and floods. *)
+type send = { at : int; src : int; dst : int; tpp : bool }
+type flip = { flip_at : int; port : int; on_host : bool; up : bool }
+
+type rule =
+  | Lossy of { wire : int; from_ : int; until_ : int; drop : float; corrupt : float }
+  | Degrade of { wire : int; from_ : int; until_ : int; rate_factor : float; extra_delay : int }
+
+type star_case = {
+  delays : int array;
+  sends : send list;
+  flips : flip list;
+  wrr : int list;  (* ports with two WRR queues *)
+  strip : int list;  (* ingress ports that strip TPPs *)
+  trim : int list;  (* ports that trim into a second queue past 200 bytes *)
+  rules : rule list;  (* on the wire behind each named switch port *)
+  horizons : int list;  (* events read at each, then after a drain *)
+}
+
+let show_star c =
+  let list f l = "[" ^ String.concat "; " (List.map f l) ^ "]" in
+  let nums = list string_of_int in
+  Printf.sprintf
+    "{ delays = %s;\n  sends = %s;\n  flips = %s;\n  wrr = %s; strip = %s; trim = %s;\n\
+    \  rules = %s;\n  horizons = %s }"
+    (nums (Array.to_list c.delays))
+    (list
+       (fun s -> Printf.sprintf "%d: %d->%d%s" s.at s.src s.dst (if s.tpp then " tpp" else ""))
+       c.sends)
+    (list
+       (fun f ->
+         Printf.sprintf "%d: port %d %s end %s" f.flip_at f.port
+           (if f.on_host then "host" else "switch") (if f.up then "up" else "down"))
+       c.flips)
+    (nums c.wrr) (nums c.strip) (nums c.trim)
+    (list
+       (function
+         | Lossy r ->
+           Printf.sprintf "lossy %d [%d, %d) drop %g corrupt %g" r.wire r.from_ r.until_ r.drop
+             r.corrupt
+         | Degrade r ->
+           Printf.sprintf "degrade %d [%d, %d) x%g +%d" r.wire r.from_ r.until_ r.rate_factor
+             r.extra_delay)
+       c.rules)
+    (nums c.horizons)
+
+(* Times on a 100-ns grid land in the last nanosecond of 800-ns
+   transmissions over 700-, 800- and 900-ns links; off the grid they
+   land anywhere. *)
+let gen_time =
+  QCheck2.Gen.(oneof [ map (fun t -> 100 * t) (int_range 0 100); int_range 0 10_000 ])
+
+let gen_star =
+  let open QCheck2.Gen in
+  let* n = int_range 2 5 in
+  let port = int_range 0 (n - 1) and ports = list_size (int_range 0 2) (int_range 0 (n - 1)) in
+  let window = pair gen_time (int_range 1 5_000) in
+  let rule =
+    oneof
+      [ (let+ wire = port and+ from_, len = window
+         and+ drop, corrupt = oneofl [ (0.5, 0.); (0., 0.5); (1., 0.); (0.3, 0.3) ] in
+         Lossy { wire; from_; until_ = from_ + len; drop; corrupt });
+        (let+ wire = port and+ from_, len = window
+         and+ rate_factor = oneofl [ 0.5; 0.8; 1. ] and+ extra_delay = oneofl [ 0; 50; 300 ] in
+         Degrade { wire; from_; until_ = from_ + len; rate_factor; extra_delay }) ]
+  in
+  let+ delays = array_repeat n (oneofl [ 700; 800; 900 ])
+  and+ sends =
+    list_size (int_range 1 12)
+      (let+ at = gen_time and+ src = port and+ dst = int_range 0 n and+ tpp = bool in
+       { at; src; dst; tpp })
+  and+ flips =
+    list_size (int_range 0 3)
+      (let+ flip_at = gen_time and+ port = port and+ on_host = bool and+ up = bool in
+       { flip_at; port; on_host; up })
+  and+ wrr = ports and+ strip = ports and+ trim = ports
+  and+ rules = list_size (int_range 0 2) rule
+  and+ horizons = list_size (int_range 0 3) gen_time in
+  { delays; sends; flips; wrr; strip; trim; rules; horizons = List.sort compare horizons }
+
+(* Bin-tap queue depths, arrivals, events at every horizon, registers,
+   deliveries, pool outstanding and fault counters of one run. *)
+let run_star c ~reference =
+  let fault =
+    if c.rules = [] then None
+    else begin
+      let f = Fault.create ~seed:5 in
+      List.iter
+        (function
+          | Lossy r ->
+            Fault.lossy f ~from_:r.from_ ~until_:r.until_ ~drop:r.drop ~corrupt:r.corrupt
+              (0, r.wire)
+          | Degrade r ->
+            Fault.degrade f ~from_:r.from_ ~until_:r.until_ ~rate_factor:r.rate_factor
+              ~extra_delay:r.extra_delay (0, r.wire))
+        c.rules;
+      Some f
+    end
+  in
+  let eng, net, sw, sid, hosts = star ?fault ~reference c.delays in
+  let n = Array.length hosts in
+  Array.iteri
+    (fun port _ ->
+      let wrr = List.mem port c.wrr and trim = List.mem port c.trim in
+      if wrr || trim then Switch.configure_queues sw ~port ~count:2;
+      if wrr then Switch.set_scheduler sw ~port (Switch.Wrr [| 1; 1 |]);
+      if trim then Switch.set_subqueue_limit sw ~port ~queue:0 ~bytes:200;
+      if List.mem port c.strip then Switch.set_strip_tpp sw ~port true)
+    hosts;
+  if c.trim <> [] then Switch.set_trim_keep sw ~keep:0;
+  let taps = tap_queues sw and arrivals = log_arrivals hosts in
+  let nowhere = Net.add_host net and pool = Frame.Pool.create () in
+  List.iter
+    (fun s ->
+      let tpp = if s.tpp then Some (Prog.copy (Lazy.force prog)) else None in
+      send_at eng net s.at ~pool ?tpp hosts.(s.src) (if s.dst = n then nowhere else hosts.(s.dst)))
+    c.sends;
+  List.iter
+    (fun f ->
+      let endpoint = if f.on_host then (hosts.(f.port).Net.node_id, 0) else (sid, f.port) in
+      Engine.at eng f.flip_at (fun () -> Net.set_link_up net endpoint f.up))
+    c.flips;
+  let events =
+    List.map
+      (fun until ->
+        Engine.run eng ~until;
+        Engine.events_processed eng)
+      (c.horizons @ [ Time_ns.ms 1 ])
+  in
+  let faults =
+    match fault with
+    | None -> []
+    | Some f ->
+      let s = Fault.stats f in
+      [ s.Fault.lost_down; s.dropped; s.corrupt_header; s.corrupt_fcs ]
+  in
+  List.rev !taps @ List.rev !arrivals @ events @ registers sw
+  @ [ Net.frames_delivered net; Frame.Pool.outstanding pool ]
+  @ faults
+
+(* A k=4 fat-tree scenario, run sequentially (0 shards) or on 2. *)
+type fabric_case = {
+  shards : int;
+  delay : int;
+  frames : int;
+  gap : int;
+  f_horizons : int list;
+}
+
+let show_fabric c =
+  Printf.sprintf "{ shards = %d; delay = %d; frames = %d; gap = %d; horizons = [%s] }"
+    c.shards c.delay c.frames c.gap
+    (String.concat "; " (List.map string_of_int c.f_horizons))
+
+let gen_fabric =
+  let open QCheck2.Gen in
+  let+ shards = oneofl [ 0; 2 ]
+  and+ delay = oneofl [ 700; 800; 900 ]
+  and+ frames = int_range 1 8
+  and+ gap = oneofl [ 700; 800; 880; 1000 ]
+  and+ horizons = list_size (int_range 0 2) (int_range 0 12_000) in
+  { shards; delay; frames; gap; f_horizons = List.sort compare horizons }
+
+(* Events at every horizon and deliveries: arrivals too when sequential,
+   where one engine runs through every horizon; one sharded run per
+   horizon otherwise. *)
+let run_fabric c ~reference =
+  let traffic = traffic ~frames:c.frames ~gap:c.gap ~reference in
+  let horizons = c.f_horizons @ [ 40_000 ] in
+  if c.shards = 0 then begin
+    let eng = Engine.create () in
+    let net = fabric ~delay:c.delay eng in
+    let arrivals = log_arrivals (Array.of_list (Net.hosts net)) in
+    traffic ~owns:(fun _ -> true) net;
+    let events =
+      List.map
+        (fun until ->
+          Engine.run eng ~until;
+          Engine.events_processed eng)
+        horizons
+    in
+    events @ (Net.frames_delivered net :: List.rev !arrivals)
+  end
+  else
+    List.concat_map
+      (fun until ->
+        let stats, delivered =
+          Parsim.run ~shards:c.shards ~until ~build:(fabric ~delay:c.delay)
+            ~setup:(fun ~shard:_ ~owns net -> traffic ~owns net)
+            ~collect:(fun ~shard:_ ~owns:_ net -> Net.frames_delivered net)
+            ()
+        in
+        [ stats.Parsim.events; Array.fold_left ( + ) 0 delivered ])
+      horizons
+
+let same_on_both_paths run c =
+  let elided = run c ~reference:false and reference = run c ~reference:true in
+  elided = reference
+  || QCheck2.Test.fail_reportf "elided:    %a@.reference: %a" Fmt.(Dump.list int) elided
+       Fmt.(Dump.list int) reference
+
+let fuzz =
+  List.map QCheck_alcotest.to_alcotest
+    [ QCheck2.Test.make ~name:"random stars: elided path == reference path" ~count:2000
+        ~print:show_star gen_star (same_on_both_paths run_star);
+      QCheck2.Test.make ~name:"random fat-tree runs: elided path == reference path" ~count:20
+        ~print:show_fabric gen_fabric (same_on_both_paths run_fabric) ]
 
 let suite =
   [ Alcotest.test_case "frames in an elided transmission's last nanosecond" `Quick
@@ -324,4 +612,7 @@ let suite =
     Alcotest.test_case "link flips while a frame serialises" `Quick test_link_flips;
     Alcotest.test_case "horizons that cut transmissions" `Quick test_horizon_cuts;
     Alcotest.test_case "WRR, stripped, trimmed and flooded frames queue" `Quick
-      test_always_queue ]
+      test_always_queue;
+    Alcotest.test_case "fault hooks wait for a completion queued late" `Quick
+      test_hooks_behind_queued_completion ]
+  @ fuzz
