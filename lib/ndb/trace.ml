@@ -43,7 +43,7 @@ let parse tpp =
     let usable = Tpp.mem_len tpp - tpp.Tpp.base in
     if tpp.Tpp.perhop_len <= 0 then 0 else usable / tpp.Tpp.perhop_len
   in
-  let hops = min tpp.Tpp.hop capacity in
+  let hops = Int.min tpp.Tpp.hop capacity in
   let rec collect i acc =
     if i >= hops then List.rev acc
     else begin

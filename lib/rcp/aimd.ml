@@ -54,7 +54,7 @@ let create stack config ~flow ~report_port =
         in
         t.last_holes <- holes;
         let clamped =
-          max t.config.min_rate_bps (min t.config.max_rate_bps new_rate)
+          Int.max t.config.min_rate_bps (Int.min t.config.max_rate_bps new_rate)
         in
         Flow.set_rate t.flow ~rate_bps:clamped
       end);

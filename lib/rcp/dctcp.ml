@@ -62,7 +62,7 @@ let create stack config ~flow ~report_port =
               rate + (Flow.wire_pkt_bytes t.flow * 8 * 1_000_000_000 / t.config.rtt_ns)
           in
           Flow.set_rate t.flow
-            ~rate_bps:(max t.config.min_rate_bps (min t.config.max_rate_bps new_rate))
+            ~rate_bps:(Int.max t.config.min_rate_bps (Int.min t.config.max_rate_bps new_rate))
         end
       end);
   t

@@ -278,7 +278,7 @@ let on_ack t m =
 let rec tx_timer t m () =
   if not m.m_acked then begin
     let quiet =
-      Stack.now t.stack - max m.m_start m.m_last_fb
+      Stack.now t.stack - Int.max m.m_start m.m_last_fb
       >= t.config.rtx_timeout_ns
     in
     let never_heard = m.m_pulls_rx = 0 && m.m_nacks_rx = 0 in
@@ -307,7 +307,7 @@ let rx_key frame ~msg_id = (Ipv4.Addr.to_int (Frame.ip_src frame), msg_id)
 let rec rx_timer t ~msg_id r () =
   if not r.r_complete then begin
     let now = Stack.now t.stack in
-    let quiet = now - max r.r_last_rx r.r_last_pull_tx in
+    let quiet = now - Int.max r.r_last_rx r.r_last_pull_tx in
     if quiet >= t.config.rtx_timeout_ns then begin
       let sent = ref 0 in
       let o = ref 0 in
@@ -525,7 +525,7 @@ let send t ~dst ~bytes =
   Hashtbl.replace t.send_msgs m.m_id m;
   (* Unsolicited spray: the first window goes out immediately (the NIC
      serialises it at line rate); everything after is pull-clocked. *)
-  let w = min t.config.window_pkts total in
+  let w = Int.min t.config.window_pkts total in
   m.m_sprayed <- w;
   for offset = 0 to w - 1 do
     send_data t m offset

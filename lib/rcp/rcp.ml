@@ -68,7 +68,7 @@ module Controller = struct
       List.fold_left (fun acc router -> Float.min acc (Router.rate_bps router))
         infinity t.path
     in
-    Flow.set_rate t.flow ~rate_bps:(max t.config.min_rate_bps (int_of_float r));
+    Flow.set_rate t.flow ~rate_bps:(Int.max t.config.min_rate_bps (int_of_float r));
     t.config.period_ns
 
   let start t ?at () = Engine.Loop.start t.loop ?at (tick t)

@@ -29,7 +29,7 @@ let kind_data = 0
 let kind_ack = 1
 
 let encode ~kind ~seq ~len =
-  let payload = Bytes.make (max 12 len) '\000' in
+  let payload = Bytes.make (Int.max 12 len) '\000' in
   Buf.set_u32i payload 0 kind;
   Buf.set_u32i payload 4 seq;
   payload
@@ -117,7 +117,7 @@ module Transfer = struct
   let seg_len t seq =
     if seq = t.total_segments - 1 then
       let rem = t.total_bytes mod t.config.mss in
-      if rem = 0 then t.config.mss else max 12 rem
+      if rem = 0 then t.config.mss else Int.max 12 rem
     else t.config.mss
 
   let send_segment t seq ~retransmission =
@@ -138,7 +138,7 @@ module Transfer = struct
       t.srtt <- ((7 * t.srtt) + sample) / 8
     end;
     t.rto <-
-      min t.config.max_rto_ns (max t.config.min_rto_ns (t.srtt + (4 * t.rttvar)))
+      Int.min t.config.max_rto_ns (Int.max t.config.min_rto_ns (t.srtt + (4 * t.rttvar)))
 
   (* Sends whatever the window newly allows. *)
   let rec pump t =
@@ -167,7 +167,7 @@ module Transfer = struct
               t.cwnd <- 1.0;
               t.dup_acks <- 0;
               t.recover <- t.snd_nxt;
-              t.rto <- min t.config.max_rto_ns (t.rto * 2);
+              t.rto <- Int.min t.config.max_rto_ns (t.rto * 2);
               send_segment t t.snd_una ~retransmission:true
             end;
             arm_timer t
@@ -262,7 +262,7 @@ module Transfer = struct
 
   let is_done t = t.done_
   let completed_at t = t.completed_at
-  let bytes_acked t = min t.total_bytes (t.snd_una * t.config.mss)
+  let bytes_acked t = Int.min t.total_bytes (t.snd_una * t.config.mss)
   let retransmits t = t.retransmits
   let timeouts t = t.timeouts
   let cwnd_segments t = t.cwnd

@@ -60,7 +60,7 @@ let words_per_hop = 2
    back. *)
 let path_load tpp =
   let rec go acc = function
-    | _sw :: q :: rest -> go (max acc q) rest
+    | _sw :: q :: rest -> go (Int.max acc q) rest
     | _ -> acc
   in
   go 0 (Tpp.stack_values tpp)

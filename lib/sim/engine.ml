@@ -191,7 +191,7 @@ module Loop = struct
         end
       in
       l.live <- fire;
-      at eng (match time with Some s -> max s eng.clock | None -> eng.clock) fire
+      at eng (match time with Some s -> Int.max s eng.clock | None -> eng.clock) fire
     end
 end
 

@@ -12,8 +12,12 @@
     - per-node probe retry/failure counts from end-host cards.
 
     Everything a query returns is derived from bounded state: the
-    sketches are fixed-size and the per-link tables are bounded by the
-    number of physical links. {!fingerprint} hashes only
+    sketches are fixed-size, and the per-switch and per-link tables
+    are dense arrays indexed by node id and out port, so their size
+    is set by the largest node id and port seen, not by the number of
+    physical links. Node ids are Net node ids, below 2^20
+    ({!Tpp_sim.Engine.max_id_bits}); a hop or fault card naming a
+    larger one raises [Invalid_argument]. {!fingerprint} hashes only
     order-independent state (counters and the CMS), so a sequential
     run and a sharded run over the same traffic agree bit-exactly. *)
 
@@ -32,7 +36,9 @@ val absorb : t -> Sink.t -> unit
 (** Drains the sink, decoding every pending card in place. *)
 
 val absorb_card : t -> bytes -> off:int -> unit
-(** Folds in one card directly (the [Sink.drain] callback). *)
+(** Folds in one card directly (the [Sink.drain] callback).
+    @raise Invalid_argument naming the id if a hop or fault card's
+    node is 2^20 or more; nothing is counted then. *)
 
 (** {2 Counters} *)
 

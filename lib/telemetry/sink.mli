@@ -1,10 +1,10 @@
 (** The postcard ingest buffer between the dataplane and the collector.
 
     Producers (switch taps, end-host emitters) append fixed-size
-    {!Wire} cards into the current chunk with plain byte stores; full
-    chunks rotate onto a {!Tpp_util.Ring} of pending chunks, and the
-    collector drains them in place, recycling each chunk back to a free
-    list. Steady state allocates nothing: the same [max_chunks] byte
+    {!Wire} cards into the current chunk, one word-wide store per
+    field; full chunks rotate onto a {!Tpp_util.Ring} of pending
+    chunks, and the collector drains them in place, recycling each
+    chunk back to a free list. Steady state allocates nothing: the same [max_chunks] byte
     buffers circulate forever.
 
     Memory is bounded by construction: at most [max_chunks] chunks ever

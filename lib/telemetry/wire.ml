@@ -1,8 +1,8 @@
 (* Fixed 40-byte big-endian postcard records, written and read in place.
-   See wire.mli for the layout. Every store is a plain byte store of an
-   immediate int — no Int32/Int64 boxing — so encoding a card from the
-   switch hot path allocates nothing, and neither does decoding one in
-   the collector. *)
+   See wire.mli for the layout. Each field is one word-wide big-endian
+   load or store; the Int32/Int64 conversions around them are unboxed
+   by the compiler, so encoding a card from the switch hot path
+   allocates nothing, and neither does decoding one in the collector. *)
 
 let bytes_per_card = 40
 
@@ -24,40 +24,36 @@ let kind_of_code = function
 let u16 = 0xFFFF
 let u32 = 0xFFFF_FFFF
 
-let set_u8 buf off v = Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xFF))
+(* Int64.of_int sign-extends; clearing bit 63 stores the 63-bit int as
+   the byte-at-a-time codec did, so a negative int reads back as itself
+   and the top byte never exceeds 0x7F. *)
+let u63 = Int64.max_int
 
-let set_u16 buf off v =
-  set_u8 buf off (v lsr 8);
-  set_u8 buf (off + 1) v
+let set_u8 buf off v = Bytes.set_uint8 buf off (v land 0xFF)
+let set_u16 buf off v = Bytes.set_uint16_be buf off (v land u16)
+let set_u32 buf off v = Bytes.set_int32_be buf off (Int32.of_int v)
+let set_u64 buf off v = Bytes.set_int64_be buf off (Int64.logand (Int64.of_int v) u63)
+let get_u8 buf off = Bytes.get_uint8 buf off
+let get_u16 buf off = Bytes.get_uint16_be buf off
+let get_u32 buf off = Int32.to_int (Bytes.get_int32_be buf off) land u32
 
-let set_u32 buf off v =
-  set_u16 buf off (v lsr 16);
-  set_u16 buf (off + 2) v
-
-(* The top byte carries bits 56..62 of the (63-bit) int; values round-
-   trip exactly for every non-negative OCaml int. *)
-let set_u64 buf off v =
-  set_u32 buf off (v lsr 32);
-  set_u32 buf (off + 4) v
-
-let get_u8 buf off = Char.code (Bytes.unsafe_get buf off)
-let get_u16 buf off = (get_u8 buf off lsl 8) lor get_u8 buf (off + 1)
-let get_u32 buf off = (get_u16 buf off lsl 16) lor get_u16 buf (off + 2)
-let get_u64 buf off = (get_u32 buf off lsl 32) lor get_u32 buf (off + 4)
+(* Int64.to_int keeps the low 63 bits: bit 63 is dropped, bit 62 is
+   the sign. *)
+let get_u64 buf off = Int64.to_int (Bytes.get_int64_be buf off)
 
 let write buf ~off ~kind ~in_port ~out_port ~node ~value ~version ~subject
     ~time_ns ~flow_hash ~wire_bytes ~entry =
   set_u8 buf off kind;
   set_u8 buf (off + 1) in_port;
-  set_u16 buf (off + 2) (out_port land u16);
-  set_u32 buf (off + 4) (node land u32);
-  set_u32 buf (off + 8) (value land u32);
-  set_u32 buf (off + 12) (version land u32);
+  set_u16 buf (off + 2) out_port;
+  set_u32 buf (off + 4) node;
+  set_u32 buf (off + 8) value;
+  set_u32 buf (off + 12) version;
   set_u64 buf (off + 16) subject;
   set_u64 buf (off + 24) time_ns;
-  set_u32 buf (off + 32) (flow_hash land u32);
-  set_u16 buf (off + 36) (min wire_bytes u16);
-  set_u16 buf (off + 38) (min entry u16)
+  set_u32 buf (off + 32) flow_hash;
+  set_u16 buf (off + 36) (Int.min wire_bytes u16);
+  set_u16 buf (off + 38) (Int.min entry u16)
 
 let kind buf ~off = get_u8 buf off
 let in_port buf ~off = get_u8 buf (off + 1)

@@ -3,8 +3,12 @@
     One postcard is a fixed {!bytes_per_card}-byte big-endian record —
     the compact replacement for {!Tpp_ndb.Postcard}'s boxed record list
     (which remains the differential-testing oracle). Every field is an
-    immediate int, so a postcard is written into a preallocated chunk
-    with plain byte stores: the hot path allocates nothing.
+    immediate int, written into a preallocated chunk with one
+    word-wide big-endian store per field (read back likewise): the hot
+    path allocates nothing. A u64 field holds the 63-bit int with bit
+    63 clear, so any int, negative ones included, reads back as
+    itself; narrower fields keep their low bits, except [wire_bytes]
+    and [entry], which saturate.
 
     Layout (offsets in bytes):
 

@@ -16,7 +16,7 @@ type 'a t = {
 }
 
 let create ?(capacity = 16) ~dummy () =
-  { buf = [||]; head = 0; len = 0; capacity = max capacity 1; dummy }
+  { buf = [||]; head = 0; len = 0; capacity = Int.max capacity 1; dummy }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -24,7 +24,7 @@ let is_empty t = t.len = 0
 let grow t =
   let cap = Array.length t.buf in
   let buf = Array.make (if cap = 0 then t.capacity else 2 * cap) t.dummy in
-  let tail_run = min t.len (cap - t.head) in
+  let tail_run = Int.min t.len (cap - t.head) in
   Array.blit t.buf t.head buf 0 tail_run;
   Array.blit t.buf 0 buf tail_run (t.len - tail_run);
   t.buf <- buf;

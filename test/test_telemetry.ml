@@ -44,6 +44,115 @@ let wire_roundtrip =
       && Telemetry_wire.wire_bytes buf ~off:0 = min wire_bytes 0xFFFF
       && Telemetry_wire.entry buf ~off:0 = min entry 0xFFFF)
 
+(* A byte-at-a-time reference codec: the layout of wire.mli spelled out
+   one byte store and load per byte, each field masked or saturated as
+   the layout says. [Telemetry_wire] must write the same bytes and read
+   the same values at any offset. A u64 field stores the 63-bit int, so
+   its top byte is the int's bits 56..62 and a load drops bit 63. *)
+module Ref_wire = struct
+  let set buf off ~bytes v =
+    for i = 0 to bytes - 1 do
+      Bytes.set buf (off + i) (Char.chr ((v lsr (8 * (bytes - 1 - i))) land 0xFF))
+    done
+
+  let get buf off ~bytes =
+    let v = ref 0 in
+    for i = 0 to bytes - 1 do
+      v := (!v lsl 8) lor Char.code (Bytes.get buf (off + i))
+    done;
+    !v
+
+  (* (offset, width) of each field, in [fields] order *)
+  let layout = [ (0, 1); (1, 1); (2, 2); (4, 4); (8, 4); (12, 4); (16, 8); (24, 8); (32, 4); (36, 2); (38, 2) ]
+
+  (* [fields]: kind, in_port, out_port, node, value, version, subject,
+     time_ns, flow_hash, wire_bytes, entry *)
+  let write buf ~off fields =
+    List.iteri
+      (fun i (at, bytes) ->
+        let v = fields.(i) in
+        let v = if i >= 9 then min v 0xFFFF else v in
+        set buf (off + at) ~bytes v)
+      layout
+
+  let read buf ~off = List.map (fun (at, bytes) -> get buf (off + at) ~bytes) layout
+end
+
+let wire_write buf ~off f =
+  Telemetry_wire.write buf ~off ~kind:f.(0) ~in_port:f.(1) ~out_port:f.(2) ~node:f.(3)
+    ~value:f.(4) ~version:f.(5) ~subject:f.(6) ~time_ns:f.(7) ~flow_hash:f.(8)
+    ~wire_bytes:f.(9) ~entry:f.(10)
+
+let wire_read buf ~off =
+  Telemetry_wire.
+    [ kind buf ~off; in_port buf ~off; out_port buf ~off; node buf ~off; value buf ~off;
+      version buf ~off; subject buf ~off; time_ns buf ~off; flow_hash buf ~off;
+      wire_bytes buf ~off; entry buf ~off ]
+
+let chunk_cards = 16
+
+(* Field values across every width: negatives, values at and past 2^16
+   and 2^32, the int extremes. *)
+let field_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, int);
+        (2, int_range (-70_000) 70_000);
+        (2, map (fun x -> x + (1 lsl 32)) (int_bound 0xFFFF_FFFF));
+        (1, map (fun x -> -x) (int_bound max_int));
+        (1, oneofl [ 0; -1; max_int; min_int; 0xFFFF; 0x1_0000; 0xFFFF_FFFF; 1 lsl 32; 1 lsl 62 ]) ])
+
+(* A chunk of random bytes, a card offset anywhere in it (aligned to a
+   card slot or not), and the eleven fields. *)
+let codec_case =
+  let chunk = chunk_cards * Telemetry_wire.bytes_per_card in
+  QCheck.make
+    ~print:(fun (seed, off, f) ->
+      Printf.sprintf "seed=%d off=%d fields=[%s]" seed off
+        (String.concat "; " (Array.to_list (Array.map string_of_int f))))
+    QCheck.Gen.(
+      triple int
+        (oneof
+           [ map (fun i -> i * Telemetry_wire.bytes_per_card) (int_bound (chunk_cards - 1));
+             int_bound (chunk - Telemetry_wire.bytes_per_card) ])
+        (array_repeat 11 field_gen))
+
+let wire_matches_reference =
+  QCheck.Test.make ~name:"wire: write and getters equal the byte-at-a-time codec"
+    ~count:1000 codec_case (fun (seed, off, fields) ->
+      let rng = Rng.create ~seed in
+      let chunk = Bytes.init (chunk_cards * Telemetry_wire.bytes_per_card) (fun _ ->
+          Char.chr (Rng.int rng 256)) in
+      (* getters over arbitrary bytes, bit 63 of a u64 field included *)
+      let same_reads = wire_read chunk ~off = Ref_wire.read chunk ~off in
+      let expected = Bytes.copy chunk in
+      Ref_wire.write expected ~off fields;
+      wire_write chunk ~off fields;
+      same_reads && Bytes.equal chunk expected
+      && wire_read chunk ~off = Ref_wire.read expected ~off)
+
+(* One card's bytes, recorded from the byte-at-a-time codec: fields
+   past their widths (kind 0x103, in_port 0x1A5, out_port 0x12345,
+   value 0x123456789, flow_hash 0x789ABCDEF, wire_bytes 70000),
+   negatives (node -7, subject -2, entry -5) and time max_int. *)
+let golden_card_hex =
+  "03a52345fffffff923456789deadbeef7ffffffffffffffe3fffffffffffffff89abcdeffffffffb"
+
+let test_wire_golden_card () =
+  let buf = Bytes.make Telemetry_wire.bytes_per_card '\xAA' in
+  wire_write buf ~off:0
+    [| 0x103; 0x1A5; 0x1_2345; -7; 0x1_2345_6789; 0xDEAD_BEEF; -2; max_int; 0x7_89AB_CDEF;
+       70_000; -5 |];
+  let hex =
+    String.concat ""
+      (List.init (Bytes.length buf) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get buf i))))
+  in
+  Alcotest.(check string) "card bytes" golden_card_hex hex;
+  Alcotest.(check (list int)) "fields read back"
+    [ 3; 0xA5; 0x2345; 0xFFFF_FFF9; 0x2345_6789; 0xDEAD_BEEF; -2; max_int; 0x89AB_CDEF;
+      0xFFFF; 0xFFFB ]
+    (wire_read buf ~off:0)
+
 (* ---- sink accounting -------------------------------------------- *)
 
 (* Each op: 0 drains, n > 0 emits n cards into a deliberately tiny
@@ -490,6 +599,209 @@ let collector_merge =
       && Collector.fault_events merged = Collector.fault_events single
       && Collector.links merged = Collector.links single)
 
+(* ---- collector vs an assoc-list model ---------------------------- *)
+
+(* The model keeps what the collector answers in association lists and
+   recomputes the fingerprint from them: per node its hop cards, per
+   (node, port) link its hops, bytes and faults, plus the scalar
+   counters and a CMS fed the same (flow hash, bytes) pairs. *)
+type model = {
+  mutable m_cards : int;
+  mutable m_hops : int;
+  mutable m_retries : int;
+  mutable m_failures : int;
+  mutable m_faults : int;
+  mutable m_switch : (int * int) list;
+  mutable m_links : ((int * int) * (int * int * int)) list;
+  m_cms : Sketch.Cms.t;
+}
+
+type card = { c_kind : int; c_node : int; c_port : int; c_bytes : int; c_flow : int }
+
+let model_create () =
+  { m_cards = 0; m_hops = 0; m_retries = 0; m_failures = 0; m_faults = 0; m_switch = [];
+    m_links = []; m_cms = Sketch.Cms.create () }
+
+let bump key f zero l =
+  (key, f (Option.value ~default:zero (List.assoc_opt key l))) :: List.remove_assoc key l
+
+let model_absorb m c =
+  m.m_cards <- m.m_cards + 1;
+  let link = (c.c_node, c.c_port) in
+  match c.c_kind with
+  | 0 ->
+    m.m_hops <- m.m_hops + 1;
+    m.m_switch <- bump c.c_node succ 0 m.m_switch;
+    Sketch.Cms.add m.m_cms ~key:c.c_flow c.c_bytes;
+    m.m_links <- bump link (fun (h, b, f) -> (h + 1, b + c.c_bytes, f)) (0, 0, 0) m.m_links
+  | 1 -> m.m_retries <- m.m_retries + 1
+  | 2 -> m.m_failures <- m.m_failures + 1
+  | _ ->
+    m.m_faults <- m.m_faults + 1;
+    m.m_links <- bump link (fun (h, b, f) -> (h, b, f + 1)) (0, 0, 0) m.m_links
+
+let model_links m = List.sort compare (List.map fst m.m_links)
+
+let model_hottest m ~exclude =
+  List.filter (fun (l, _) -> not (List.mem l exclude)) m.m_links
+  |> List.map (fun ((sw, port), (_, b, _)) -> (-b, sw, port))
+  |> List.sort compare
+  |> function
+  | [] -> None
+  | (nb, sw, port) :: _ -> Some (sw, port, -nb)
+
+let model_fingerprint m =
+  let mix = Sketch.mix in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let sw = sum (fun (id, n) -> mix ((id * 0x1000003) lxor n)) m.m_switch in
+  let li =
+    sum
+      (fun ((node, port), (h, b, f)) ->
+        mix (((node * 65536) + port) lxor mix (h lxor mix (b lxor f))))
+      m.m_links
+  in
+  let h = mix (m.m_cards lxor mix (m.m_hops lxor mix sw)) in
+  let h = mix (h lxor mix li) in
+  let h = mix (h lxor mix (m.m_retries lxor mix (m.m_failures lxor m.m_faults))) in
+  mix (h lxor Sketch.Cms.fingerprint m.m_cms)
+
+let card_write buf c =
+  Telemetry_wire.write buf ~off:0 ~kind:c.c_kind ~in_port:0 ~out_port:c.c_port ~node:c.c_node
+    ~value:(c.c_bytes * 3) ~version:1 ~subject:0 ~time_ns:0 ~flow_hash:c.c_flow
+    ~wire_bytes:c.c_bytes ~entry:0
+
+(* Every answer the collector gives, next to the model's. [probe]
+   picks the exclusion set for [hottest_link] (by bit over the model's
+   links, plus an unseen link) and adds unseen nodes and links to ask
+   about. *)
+let agrees col m ~probe =
+  let links = model_links m in
+  let exclude =
+    (1 lsl 20, 0) :: List.filteri (fun i _ -> (probe lsr (i land 31)) land 1 = 1) links
+  in
+  let unseen_nodes = [ probe land 0xFFFFF; 1 lsl 20; -1 ] in
+  let unseen_links = List.map (fun n -> (n, probe land 0xFFFF)) unseen_nodes @ [ (0, 65_536) ] in
+  let per_link (sw, port) =
+    let h, b, f =
+      Option.value ~default:(0, 0, 0) (List.assoc_opt (sw, port) m.m_links)
+    in
+    Collector.link_hops col ~switch:sw ~port = h
+    && Collector.link_bytes col ~switch:sw ~port = b
+    && Collector.link_faults col ~switch:sw ~port = f
+  in
+  let switch_hops id =
+    Collector.switch_hops col ~switch:id
+    = Option.value ~default:0 (List.assoc_opt id m.m_switch)
+  in
+  Collector.links col = links
+  && List.for_all per_link (links @ unseen_links)
+  && List.for_all switch_hops (List.map fst m.m_switch @ unseen_nodes)
+  && Collector.hottest_link col () = model_hottest m ~exclude:[]
+  && Collector.hottest_link col ~exclude () = model_hottest m ~exclude
+  && Collector.cards col = m.m_cards
+  && Collector.hops col = m.m_hops
+  && Collector.probe_retries col = m.m_retries
+  && Collector.probe_failures col = m.m_failures
+  && Collector.fault_events col = m.m_faults
+  && Collector.fingerprint col = model_fingerprint m
+
+(* Ops: [`Card (side, card)] absorbs a card into the whole-stream
+   collector and into shard [side]; [`Query probe] compares the
+   whole-stream collector with the model so far. At the end shard 1 is
+   merged into shard 0, which must then agree with the model too. Few
+   nodes and ports per stream (drawn across the whole id ranges) and
+   three frame sizes make shared links and byte ties common. A node id
+   near 2^20 makes each collector's tables about 2^21 words, so the
+   case count is kept small. *)
+let collector_case =
+  let open QCheck.Gen in
+  let stream =
+    let* nodes = array_size (int_range 1 5) (oneof [ int_bound ((1 lsl 20) - 1); oneofl [ 0; (1 lsl 20) - 1 ] ]) in
+    let* ports = array_size (int_range 1 4) (oneof [ int_bound 65_535; oneofl [ 0; 65_535 ] ]) in
+    let card =
+      map
+        (fun (((kind, ni), (pi, bytes)), flow) ->
+          { c_kind = kind; c_node = nodes.(ni mod Array.length nodes);
+            c_port = ports.(pi mod Array.length ports); c_bytes = bytes; c_flow = flow })
+        (pair
+           (pair
+              (pair (frequency [ (6, return 0); (1, return 1); (1, return 2); (2, return 3) ]) nat)
+              (pair nat (oneofl [ 64; 128; 1500 ])))
+           (int_bound 4095))
+    in
+    list_size (int_range 1 300)
+      (frequency [ (20, map2 (fun side c -> `Card (side, c)) (int_bound 1) card);
+                   (1, map (fun p -> `Query p) int) ])
+  in
+  QCheck.make stream
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | `Card (side, c) ->
+               Printf.sprintf "%d:k%d n%d p%d b%d f%d" side c.c_kind c.c_node c.c_port c.c_bytes
+                 c.c_flow
+             | `Query p -> Printf.sprintf "?%d" p)
+           ops))
+
+let collector_model =
+  QCheck.Test.make ~name:"collector: answers equal an assoc-list model, merged split too"
+    ~count:40 collector_case (fun ops ->
+      let buf = Bytes.create Telemetry_wire.bytes_per_card in
+      let whole = Collector.create () and m = model_create () in
+      let shards = [| Collector.create (); Collector.create () |] in
+      let ok =
+        List.for_all
+          (function
+            | `Card (side, c) ->
+              card_write buf c;
+              Collector.absorb_card whole buf ~off:0;
+              Collector.absorb_card shards.(side) buf ~off:0;
+              model_absorb m c;
+              true
+            | `Query probe -> agrees whole m ~probe)
+          ops
+      in
+      Collector.merge ~into:shards.(0) shards.(1);
+      ok && agrees whole m ~probe:0x5A5A && agrees shards.(0) m ~probe:0x5A5A)
+
+(* A hop or fault card naming node 2^20 is refused, naming the id,
+   before anything is counted. *)
+let test_collector_node_bound () =
+  let col = Collector.create () and buf = Bytes.create Telemetry_wire.bytes_per_card in
+  List.iter
+    (fun kind ->
+      card_write buf { c_kind = kind; c_node = 1 lsl 20; c_port = 1; c_bytes = 64; c_flow = 0 };
+      match Collector.absorb_card col buf ~off:0 with
+      | () -> Alcotest.failf "kind %d: node 2^20 was absorbed" kind
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names the id" msg)
+          true
+          (Test_asm.contains msg "1048576"))
+    [ 0; 3 ];
+  Alcotest.(check int) "nothing counted" 0 (Collector.cards col);
+  Alcotest.(check (list (pair int int))) "no link" [] (Collector.links col)
+
+(* One fixed stream's fingerprint, recorded from the hash-table
+   collector: hop, probe and fault cards over six nodes up to 2^20 - 1
+   and five ports up to 65535. *)
+let test_collector_golden_fingerprint () =
+  let rng = Rng.create ~seed:2027 in
+  let nodes = [| 0; 1; 17; 1023; 65_537; (1 lsl 20) - 1 |] in
+  let ports = [| 0; 1; 15; 255; 65_535 |] in
+  let col = Collector.create () and buf = Bytes.create Telemetry_wire.bytes_per_card in
+  for i = 0 to 2_999 do
+    let kind = match Rng.int rng 8 with 0 -> 1 | 1 -> 2 | 2 -> 3 | _ -> 0 in
+    let node = nodes.(Rng.int rng (Array.length nodes)) in
+    Telemetry_wire.write buf ~off:0 ~kind ~in_port:(i land 7)
+      ~out_port:ports.(Rng.int rng (Array.length ports)) ~node ~value:(Rng.int rng 200_000)
+      ~version:1 ~subject:i ~time_ns:(i * 1000) ~flow_hash:(Rng.int rng 5_000)
+      ~wire_bytes:(64 + Rng.int rng 1_437) ~entry:0;
+    Collector.absorb_card col buf ~off:0
+  done;
+  Alcotest.(check int) "fingerprint" 0x336a318387d715dd (Collector.fingerprint col)
+
 let suite =
   [
     qtest wire_roundtrip;
@@ -510,4 +822,10 @@ let suite =
     qtest collector_merge;
     qtest collector_links_standalone;
     qtest tdigest_mixed_delta;
+    qtest wire_matches_reference;
+    Alcotest.test_case "wire: golden card bytes" `Quick test_wire_golden_card;
+    qtest collector_model;
+    Alcotest.test_case "collector: node id 2^20 raises" `Quick test_collector_node_bound;
+    Alcotest.test_case "collector: golden stream fingerprint" `Quick
+      test_collector_golden_fingerprint;
   ]
