@@ -23,9 +23,17 @@ let fault_message = function
 
 (* Execution context. Everything that varies between executions of the
    same program — the switch, the packet, its memory layout — flows
-   through here, which is what lets one compiled program serve every TPP
-   with the same instruction bytes. The context is owned by its caller
-   and refilled by every {!run}, so an execution allocates nothing.
+   through here or through the micro-ops' arguments, which is what lets
+   one compiled program serve every TPP with the same instruction
+   bytes. The context is owned by its caller and refilled by every
+   {!run}, so an execution allocates nothing.
+
+   It binds no per-packet pointer: the TPP (whose record holds the
+   packet memory) and its metadata are the micro-ops' arguments. A
+   pointer stored into a long-lived context on every run is a write
+   barrier per run, and during marking it darkens the previous packet's
+   block; the ints here cost a plain store, and [state] is stored only
+   when it changes (never, on a switch's own context).
 
    Faults are signalled without allocating: a micro-op that faults
    records the fault as two ints ([f_kind]/[f_detail]) and the [fault]
@@ -35,10 +43,6 @@ let fault_message = function
    is the status code that ended the last run. *)
 type ctx = {
   mutable state : State.t;
-  mutable meta : Meta.t;
-  mutable tpp : Tpp.t;
-  mutable memory : bytes;  (* backing buffer of packet memory *)
-  mutable mem_off : int;   (* window start: flat frames alias the wire image *)
   mutable now : int;
   mutable mem_len : int;
   mutable hop_base : int;  (* base + hop * perhop_len, fixed for the whole run *)
@@ -94,7 +98,7 @@ let encode_fault c f =
   c.f_kind <- kind;
   c.f_detail <- detail
 
-type uop = ctx -> int
+type uop = ctx -> Tpp.t -> Meta.t -> int
 
 type t = { uops : uop array }
 
@@ -106,15 +110,15 @@ let length t = Array.length t.uops
 let get32 m off = Int32.to_int (Bytes.get_int32_be m off) land 0xFFFF_FFFF
 let set32 m off v = Bytes.set_int32_be m off (Int32.of_int v)
 
-(* Packet-memory word access relative to the context's window. When the
+(* Packet-memory word access relative to the TPP's window. When the
    TPP is embedded in a flat frame this writes the wire image in place. *)
-let[@inline] mget c off = get32 c.memory (c.mem_off + off)
-let[@inline] mset c off v = set32 c.memory (c.mem_off + off) v
+let[@inline] mget (tpp : Tpp.t) off = get32 tpp.Tpp.memory (tpp.Tpp.mem_off + off)
+let[@inline] mset (tpp : Tpp.t) off v = set32 tpp.Tpp.memory (tpp.Tpp.mem_off + off) v
 
 (* Runtime-checked packet-memory word read: bounds before alignment,
    exactly like the interpreter's [check_pkt]. Negative offsets fall to
    the bounds check, so [land 3] and [mod 4] agree on the rest. *)
-let read_mem c off =
+let read_mem c tpp off =
   if off < 0 || off + 4 > c.mem_len then begin
     c.f_kind <- k_packet_oob;
     c.f_detail <- off;
@@ -125,9 +129,9 @@ let read_mem c off =
     c.f_detail <- off;
     0
   end
-  else mget c off
+  else mget tpp off
 
-let write_mem c off v =
+let write_mem c tpp off v =
   if off < 0 || off + 4 > c.mem_len then begin
     c.f_kind <- k_packet_oob;
     c.f_detail <- off;
@@ -139,7 +143,7 @@ let write_mem c off v =
     false
   end
   else begin
-    mset c off v;
+    mset tpp off v;
     true
   end
 
@@ -149,35 +153,36 @@ let write_mem c off v =
    the value and leave [f_kind] untouched, or record a fault; callers
    test [c.f_kind >= 0] after each read. *)
 
-let bad_address a : uop =
- fun c ->
+let bad_addr c a =
   c.f_kind <- k_bad_address;
   c.f_detail <- a;
   0
 
-let compile_read (op : Instr.operand) : ctx -> int =
+let bad_address a : uop = fun c _ _ -> bad_addr c a
+
+let compile_read (op : Instr.operand) : uop =
   match op with
-  | Instr.Imm v -> fun _ -> v
+  | Instr.Imm v -> fun _ _ _ -> v
   | Instr.Pkt off ->
-    if off >= 0 && off land 3 = 0 then fun c ->
+    if off >= 0 && off land 3 = 0 then fun c tpp _ ->
       (* only the bounds depend on the packet; alignment is static *)
       if off + 4 > c.mem_len then begin
         c.f_kind <- k_packet_oob;
         c.f_detail <- off;
         0
       end
-      else mget c off
-    else fun c ->
+      else mget tpp off
+    else fun c tpp _ ->
       (* statically a fault, but which fault depends on [mem_len] *)
-      read_mem c off
-  | Instr.Hop idx -> fun c -> read_mem c (c.hop_base + (4 * idx))
+      read_mem c tpp off
+  | Instr.Hop idx -> fun c tpp _ -> read_mem c tpp (c.hop_base + (4 * idx))
   | Instr.Sw a -> (
     match Vaddr.classify a with
     | Error _ -> bad_address a
-    | Ok (Vaddr.Switch s) -> fun c -> State.switch_stat c.state ~now:c.now s
+    | Ok (Vaddr.Switch s) -> fun c _ _ -> State.switch_stat c.state ~now:c.now s
     | Ok (Vaddr.Link s) ->
-      fun c ->
-        let port = c.meta.Meta.out_port in
+      fun c _ meta ->
+        let port = meta.Meta.out_port in
         if port < 0 || port >= c.state.State.num_ports then begin
           c.f_kind <- k_port_oor;
           c.f_detail <- port;
@@ -185,65 +190,65 @@ let compile_read (op : Instr.operand) : ctx -> int =
         end
         else State.port_stat c.state ~port s
     | Ok (Vaddr.Queue s) ->
-      fun c ->
-        let port = c.meta.Meta.out_port in
+      fun c _ meta ->
+        let port = meta.Meta.out_port in
         if port < 0 || port >= c.state.State.num_ports then begin
           c.f_kind <- k_port_oor;
           c.f_detail <- port;
           0
         end
         else begin
-          match State.queue_stat c.state ~port ~queue:c.meta.Meta.queue_id s with
-          | -1 -> bad_address a c
+          match State.queue_stat c.state ~port ~queue:meta.Meta.queue_id s with
+          | -1 -> bad_addr c a
           | v -> v
         end
     | Ok (Vaddr.Link_sram slot) ->
-      fun c -> (
-        match State.link_sram_index c.state ~slot ~port:c.meta.Meta.out_port with
-        | -1 -> bad_address a c
+      fun c _ meta -> (
+        match State.link_sram_index c.state ~slot ~port:meta.Meta.out_port with
+        | -1 -> bad_addr c a
         | idx -> (State.sram_array c.state).(idx))
     | Ok (Vaddr.Port (port, s)) ->
-      fun c ->
+      fun c _ _ ->
         if port >= c.state.State.num_ports then begin
           c.f_kind <- k_port_oor;
           c.f_detail <- port;
           0
         end
         else State.port_stat c.state ~port s
-    | Ok (Vaddr.Meta m) -> fun c -> Meta.get c.meta m
+    | Ok (Vaddr.Meta m) -> fun _ _ meta -> Meta.get meta m
     | Ok (Vaddr.Sram w) ->
-      fun c -> (
-        match State.sram_get c.state w with -1 -> bad_address a c | v -> v))
+      fun c _ _ -> (
+        match State.sram_get c.state w with -1 -> bad_addr c a | v -> v))
 
-let compile_write (op : Instr.operand) : ctx -> int -> bool =
+let compile_write (op : Instr.operand) : ctx -> Tpp.t -> Meta.t -> int -> bool =
   match op with
   | Instr.Imm _ ->
-    fun c _ ->
+    fun c _ _ _ ->
       c.f_kind <- k_immediate_write;
       false
   | Instr.Pkt off ->
-    if off >= 0 && off land 3 = 0 then fun c v ->
+    if off >= 0 && off land 3 = 0 then fun c tpp _ v ->
       if off + 4 > c.mem_len then begin
         c.f_kind <- k_packet_oob;
         c.f_detail <- off;
         false
       end
       else begin
-        mset c off v;
+        mset tpp off v;
         true
       end
-    else fun c v -> write_mem c off v
-  | Instr.Hop idx -> fun c v -> write_mem c (c.hop_base + (4 * idx)) v
+    else fun c tpp _ v -> write_mem c tpp off v
+  | Instr.Hop idx -> fun c tpp _ v -> write_mem c tpp (c.hop_base + (4 * idx)) v
   | Instr.Sw a -> (
     match Vaddr.classify a with
     | Error _ ->
-      fun c _ ->
+      fun c _ _ _ ->
         c.f_kind <- k_bad_address;
         c.f_detail <- a;
         false
     | Ok (Vaddr.Link_sram slot) ->
-      fun c v -> (
-        match State.link_sram_index c.state ~slot ~port:c.meta.Meta.out_port with
+      fun c _ meta v -> (
+        match State.link_sram_index c.state ~slot ~port:meta.Meta.out_port with
         | -1 ->
           c.f_kind <- k_bad_address;
           c.f_detail <- a;
@@ -252,7 +257,7 @@ let compile_write (op : Instr.operand) : ctx -> int -> bool =
           (State.sram_array c.state).(idx) <- v land 0xFFFF_FFFF;
           true)
     | Ok (Vaddr.Sram w) ->
-      fun c v ->
+      fun c _ _ v ->
         if State.sram_set c.state w v then true
         else begin
           c.f_kind <- k_bad_address;
@@ -261,7 +266,7 @@ let compile_write (op : Instr.operand) : ctx -> int -> bool =
         end
     | Ok (Vaddr.Switch _ | Vaddr.Link _ | Vaddr.Queue _ | Vaddr.Port _ | Vaddr.Meta _)
       ->
-      fun c _ ->
+      fun c _ _ _ ->
         c.f_kind <- k_read_only;
         c.f_detail <- a;
         false)
@@ -300,44 +305,44 @@ let compile_pool_offset (op : Instr.operand) : (ctx -> int) option =
   | Instr.Sw _ | Instr.Imm _ -> None
 
 let bad_pool : uop =
- fun c ->
+ fun c _ _ ->
   c.f_kind <- k_bad_operand;
   st_fault
 
 let compile_instr (instr : Instr.t) : uop =
   match instr with
-  | Instr.Nop -> fun _ -> st_continue
-  | Instr.Halt -> fun _ -> st_halt
+  | Instr.Nop -> fun _ _ _ -> st_continue
+  | Instr.Halt -> fun _ _ _ -> st_halt
   | Instr.Push src ->
     let read = compile_read src in
-    fun c ->
-      let v = read c in
+    fun c tpp meta ->
+      let v = read c tpp meta in
       if c.f_kind >= 0 then st_fault
       else begin
-        let sp = c.tpp.Tpp.sp in
+        let sp = tpp.Tpp.sp in
         if sp + 4 > c.mem_len then begin
           c.f_kind <- k_stack_overflow;
           st_fault
         end
-        else if write_mem c sp v then begin
-          c.tpp.Tpp.sp <- sp + 4;
+        else if write_mem c tpp sp v then begin
+          tpp.Tpp.sp <- sp + 4;
           st_continue
         end
         else st_fault
       end
   | Instr.Pop dst ->
     let write = compile_write dst in
-    fun c ->
-      let sp = c.tpp.Tpp.sp - 4 in
-      if sp < c.tpp.Tpp.base then begin
+    fun c tpp meta ->
+      let sp = tpp.Tpp.sp - 4 in
+      if sp < tpp.Tpp.base then begin
         c.f_kind <- k_stack_underflow;
         st_fault
       end
       else begin
-        let v = read_mem c sp in
+        let v = read_mem c tpp sp in
         if c.f_kind >= 0 then st_fault
-        else if write c v then begin
-          c.tpp.Tpp.sp <- sp;
+        else if write c tpp meta v then begin
+          tpp.Tpp.sp <- sp;
           st_continue
         end
         else st_fault
@@ -352,48 +357,48 @@ let compile_instr (instr : Instr.t) : uop =
     | Some doff -> (
       match src with
       | Instr.Imm v ->
-        fun c ->
+        fun c tpp _ ->
           if doff + 4 > c.mem_len then oob c doff
           else begin
-            mset c doff v;
+            mset tpp doff v;
             st_continue
           end
       | _ -> (
         match static_pkt src with
         | Some soff ->
-          fun c ->
+          fun c tpp _ ->
             if soff + 4 > c.mem_len then oob c soff
             else if doff + 4 > c.mem_len then oob c doff
             else begin
-              mset c doff (mget c soff);
+              mset tpp doff (mget tpp soff);
               st_continue
             end
         | None ->
           let read = compile_read src in
-          if read_never_faults src then fun c ->
-            let v = read c in
+          if read_never_faults src then fun c tpp meta ->
+            let v = read c tpp meta in
             if doff + 4 > c.mem_len then oob c doff
             else begin
-              mset c doff v;
+              mset tpp doff v;
               st_continue
             end
-          else fun c ->
-            let v = read c in
+          else fun c tpp meta ->
+            let v = read c tpp meta in
             if c.f_kind >= 0 then st_fault
             else if doff + 4 > c.mem_len then oob c doff
             else begin
-              mset c doff v;
+              mset tpp doff v;
               st_continue
             end))
     | None ->
       let read = compile_read src in
       let write = compile_write dst in
-      if read_never_faults src then fun c ->
-        if write c (read c) then st_continue else st_fault
-      else fun c ->
-        let v = read c in
+      if read_never_faults src then fun c tpp meta ->
+        if write c tpp meta (read c tpp meta) then st_continue else st_fault
+      else fun c tpp meta ->
+        let v = read c tpp meta in
         if c.f_kind >= 0 then st_fault
-        else if write c v then st_continue
+        else if write c tpp meta v then st_continue
         else st_fault)
   | Instr.Binop (op, dst, src) -> (
     let apply =
@@ -413,39 +418,39 @@ let compile_instr (instr : Instr.t) : uop =
     | Some doff -> (
       match src with
       | Instr.Imm b ->
-        fun c ->
+        fun c tpp _ ->
           if doff + 4 > c.mem_len then oob c doff
           else begin
-            mset c doff (apply (mget c doff) b);
+            mset tpp doff (apply (mget tpp doff) b);
             st_continue
           end
       | _ -> (
         match static_pkt src with
         | Some soff ->
-          fun c ->
+          fun c tpp _ ->
             if doff + 4 > c.mem_len then oob c doff
             else if soff + 4 > c.mem_len then oob c soff
             else begin
-              mset c doff (apply (mget c doff) (mget c soff));
+              mset tpp doff (apply (mget tpp doff) (mget tpp soff));
               st_continue
             end
         | None ->
           let read_b = compile_read src in
-          if read_never_faults src then fun c ->
+          if read_never_faults src then fun c tpp meta ->
             if doff + 4 > c.mem_len then oob c doff
             else begin
-              let a = mget c doff in
-              mset c doff (apply a (read_b c));
+              let a = mget tpp doff in
+              mset tpp doff (apply a (read_b c tpp meta));
               st_continue
             end
-          else fun c ->
+          else fun c tpp meta ->
             if doff + 4 > c.mem_len then oob c doff
             else begin
-              let a = mget c doff in
-              let b = read_b c in
+              let a = mget tpp doff in
+              let b = read_b c tpp meta in
               if c.f_kind >= 0 then st_fault
               else begin
-                mset c doff (apply a b);
+                mset tpp doff (apply a b);
                 st_continue
               end
             end))
@@ -453,13 +458,13 @@ let compile_instr (instr : Instr.t) : uop =
       let read_a = compile_read dst in
       let read_b = compile_read src in
       let write = compile_write dst in
-      fun c ->
-        let a = read_a c in
+      fun c tpp meta ->
+        let a = read_a c tpp meta in
         if c.f_kind >= 0 then st_fault
         else begin
-          let b = read_b c in
+          let b = read_b c tpp meta in
           if c.f_kind >= 0 then st_fault
-          else if write c (apply a b) then st_continue
+          else if write c tpp meta (apply a b) then st_continue
           else st_fault
         end)
   | Instr.Cstore (dst, pool) -> (
@@ -468,21 +473,21 @@ let compile_instr (instr : Instr.t) : uop =
     | Some pool_off ->
       let read_dst = compile_read dst in
       let write_dst = compile_write dst in
-      fun c ->
+      fun c tpp meta ->
         let p = pool_off c in
-        let cond = read_mem c p in
+        let cond = read_mem c tpp p in
         if c.f_kind >= 0 then st_fault
         else begin
-          let replacement = read_mem c (p + 4) in
+          let replacement = read_mem c tpp (p + 4) in
           if c.f_kind >= 0 then st_fault
           else begin
-            let old = read_dst c in
+            let old = read_dst c tpp meta in
             if c.f_kind >= 0 then st_fault
-            else if old = cond && not (write_dst c replacement) then st_fault
+            else if old = cond && not (write_dst c tpp meta replacement) then st_fault
             else begin
               (* [p] was validated by the [cond] read, so the pool
                  write-back cannot fault. *)
-              mset c p old;
+              mset tpp p old;
               st_continue
             end
           end
@@ -497,24 +502,24 @@ let compile_instr (instr : Instr.t) : uop =
         (* The assembler's sugar always produces this shape: a static
            aligned pool and a register guard. Both pool words check with
            two compares (alignment of [p + 4] follows from [p]'s). *)
-        fun c ->
+        fun c tpp meta ->
           if p + 4 > c.mem_len then oob c p
           else if p + 8 > c.mem_len then oob c (p + 4)
           else begin
-            let mask = mget c p in
-            let expected = mget c (p + 4) in
-            if read_reg c land mask = expected then st_continue else st_cexec
+            let mask = mget tpp p in
+            let expected = mget tpp (p + 4) in
+            if read_reg c tpp meta land mask = expected then st_continue else st_cexec
           end
       | _ ->
-        fun c ->
+        fun c tpp meta ->
           let p = pool_off c in
-          let mask = read_mem c p in
+          let mask = read_mem c tpp p in
           if c.f_kind >= 0 then st_fault
           else begin
-            let expected = read_mem c (p + 4) in
+            let expected = read_mem c tpp (p + 4) in
             if c.f_kind >= 0 then st_fault
             else begin
-              let v = read_reg c in
+              let v = read_reg c tpp meta in
               if c.f_kind >= 0 then st_fault
               else if v land mask = expected then st_continue
               else st_cexec
@@ -524,19 +529,13 @@ let compile_instr (instr : Instr.t) : uop =
 let compile (program : Instr.t array) : t =
   { uops = Array.map compile_instr program }
 
-(* Placeholders a fresh context points at until its first [run]; no
-   micro-op ever runs against them, so domains may share them. *)
+(* The placeholder a fresh context points at until its first [run]; no
+   micro-op ever runs against it, so domains may share it. *)
 let idle_state = State.create ~switch_id:0 ~num_ports:1 ()
-let idle_meta = Meta.create ()
-let idle_tpp = Tpp.make ~program:[] ~mem_len:0 ()
 
 let context () =
   {
     state = idle_state;
-    meta = idle_meta;
-    tpp = idle_tpp;
-    memory = Bytes.empty;
-    mem_off = 0;
     now = 0;
     mem_len = 0;
     hop_base = 0;
@@ -547,14 +546,14 @@ let context () =
 
 (* Top level, not a closure inside [run]: the loop is one of the
    per-hop costs that must not allocate. *)
-let rec exec_from uops len c i =
+let rec exec_from uops len c tpp meta i =
   if i >= len then begin
     c.stop <- st_continue;
     i
   end
   else begin
-    let st = (Array.unsafe_get uops i) c in
-    if st = st_continue then exec_from uops len c (i + 1)
+    let st = (Array.unsafe_get uops i) c tpp meta in
+    if st = st_continue then exec_from uops len c tpp meta (i + 1)
     else begin
       c.stop <- st;
       i + 1
@@ -562,21 +561,17 @@ let rec exec_from uops len c i =
   end
 
 let run t c state ~now ~(tpp : Tpp.t) ~(meta : Meta.t) =
-  c.state <- state;
-  c.meta <- meta;
-  c.tpp <- tpp;
-  (* Micro-ops store into the bound buffer directly, past [Tpp.mem_set]'s
-     copy on write, so a copy still sharing its template's memory takes
-     its private copy first. *)
+  if c.state != state then c.state <- state;
+  (* Micro-ops store into the TPP's buffer directly, past
+     [Tpp.mem_set]'s copy on write, so a copy still sharing its
+     template's memory takes its private copy first. *)
   Tpp.unshare tpp;
-  c.memory <- tpp.Tpp.memory;
-  c.mem_off <- tpp.Tpp.mem_off;
   c.now <- now;
   c.mem_len <- tpp.Tpp.mem_len;
   c.hop_base <- tpp.Tpp.base + (tpp.Tpp.hop * tpp.Tpp.perhop_len);
   c.f_kind <- -1;
   c.f_detail <- 0;
-  exec_from t.uops (Array.length t.uops) c 0
+  exec_from t.uops (Array.length t.uops) c tpp meta 0
 
 let record_stop c ~cexec ~fault =
   c.f_kind <- -1;

@@ -21,9 +21,13 @@
     the two backends equal on random programs and states.
 
     Everything that varies per execution — switch state, packet
-    metadata, packet memory and its length, the hop base — flows
-    through the execution context, so TPPs that share instruction bytes
-    share compiled code even when their memory layouts differ. *)
+    metadata, packet memory and its length, the hop base — reaches the
+    micro-ops at run time, never at compile time, so TPPs that share
+    instruction bytes share compiled code even when their memory
+    layouts differ. The TPP (whose record holds the packet memory) and
+    its metadata are the micro-ops' arguments; the execution context
+    holds only ints and the switch state, so a run stores no pointer
+    to the packet into a long-lived block (no write barrier per hop). *)
 
 (** Execution faults (also re-exported as {!Tcpu.fault}). *)
 type fault =
@@ -51,7 +55,8 @@ type ctx
 (** A mutable execution context. Its owner reuses it for every
     execution, so running a program allocates nothing; a context must
     not be shared by two executions at once (one per switch, or one per
-    domain). *)
+    domain). It keeps the last switch state it ran against and stores
+    a new one only when it changes. *)
 
 val context : unit -> ctx
 

@@ -28,39 +28,42 @@ module Subqueue = struct
 end
 
 module Port = struct
+  (* Field order is layout: the seven registers an egress hop touches
+     come first, so with the header they fill one 64-byte line; the
+     ingress counters and the rarely written rest share the second. *)
   type t = {
-    mutable rx_bytes : int;
-    mutable rx_pkts : int;
+    mutable window_rx_bytes : int;
+    mutable offered_bytes : int;
+    mutable queue_bytes : int;
+    mutable ecn_threshold : int option;
+    mutable queues : Subqueue.t array;
     mutable tx_bytes : int;
     mutable tx_pkts : int;
+    mutable rx_bytes : int;
+    mutable rx_pkts : int;
     mutable drops : int;
     mutable trims : int;  (* frames trimmed to header instead of dropped *)
     mutable capacity_bps : int;
-    mutable window_rx_bytes : int;
-    mutable offered_bytes : int;
     mutable util_ppm : int;
-    mutable queue_bytes : int;
     mutable queue_limit : int;
-    mutable ecn_threshold : int option;
-    mutable queues : Subqueue.t array;
   }
 
   let create ~queue_limit =
     {
-      rx_bytes = 0;
-      rx_pkts = 0;
+      window_rx_bytes = 0;
+      offered_bytes = 0;
+      queue_bytes = 0;
+      ecn_threshold = None;
+      queues = [| Subqueue.create ~limit:queue_limit |];
       tx_bytes = 0;
       tx_pkts = 0;
+      rx_bytes = 0;
+      rx_pkts = 0;
       drops = 0;
       trims = 0;
       capacity_bps = 1_000_000_000;
-      window_rx_bytes = 0;
-      offered_bytes = 0;
       util_ppm = 0;
-      queue_bytes = 0;
       queue_limit;
-      ecn_threshold = None;
-      queues = [| Subqueue.create ~limit:queue_limit |];
     }
 
   let total_packets t =

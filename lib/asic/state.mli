@@ -21,31 +21,40 @@ module Subqueue : sig
 end
 
 (** One egress port: statistics registers and its egress queues.
-    Higher queue index = higher scheduling priority (strict). *)
+    Higher queue index = higher scheduling priority (strict).
+
+    The field order is a layout decision, not an accident: the seven
+    registers every egress hop reads or writes ([window_rx_bytes]
+    through [tx_pkts]) come first, so that with the block header they
+    fill one 64-byte cache line and a cut-through hop touches no other.
+    The ingress counters ([rx_bytes], [rx_pkts]) and the registers
+    written only on drops, trims, utilisation ticks or configuration
+    share the second line. Keep new egress-hop registers in the first
+    line; code names fields, never positions. *)
 module Port : sig
   type t = {
-    mutable rx_bytes : int;
-    mutable rx_pkts : int;
-    mutable tx_bytes : int;
-    mutable tx_pkts : int;
-    mutable drops : int;
-    mutable trims : int;
-        (** frames whose payload was cut to header-only and enqueued in
-            the top-priority queue instead of tail-dropped (NDP) *)
-    mutable capacity_bps : int;
     mutable window_rx_bytes : int;
         (** bytes offered to this egress link since the last utilisation
             update (drops included — RCP's y(t) measures offered load) *)
     mutable offered_bytes : int;
         (** cumulative offered bytes, never reset; in-network RCP
             routers diff it across control periods *)
-    mutable util_ppm : int;         (** last window's utilisation, ppm *)
     mutable queue_bytes : int;      (** aggregate over all queues *)
-    mutable queue_limit : int;      (** per-queue tail-drop threshold *)
     mutable ecn_threshold : int option;
         (** when set, IPv4 frames enqueued while their queue's occupancy
             >= threshold get the CE mark (fixed-function ECN, paper §4) *)
     mutable queues : Subqueue.t array;
+    mutable tx_bytes : int;
+    mutable tx_pkts : int;
+    mutable rx_bytes : int;
+    mutable rx_pkts : int;
+    mutable drops : int;
+    mutable trims : int;
+        (** frames whose payload was cut to header-only and enqueued in
+            the top-priority queue instead of tail-dropped (NDP) *)
+    mutable capacity_bps : int;
+    mutable util_ppm : int;         (** last window's utilisation, ppm *)
+    mutable queue_limit : int;      (** per-queue tail-drop threshold *)
   }
 
   val total_packets : t -> int

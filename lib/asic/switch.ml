@@ -17,6 +17,11 @@ type sched_state = {
 
 type verdict = Queued of int list | Dropped of string
 
+(* What {!forward} returns besides an egress port number. *)
+let cut_through = -1
+let flooded = -2
+let dropped = -3
+
 type t = {
   switch_state : State.t;
   allocator : Alloc.t;
@@ -32,8 +37,11 @@ type t = {
          strips, checked with one length test on the ingress path. *)
   mutable queued_one : verdict array;
       (* [Queued [ p ]] per port, preallocated (lazily, on the first
-         routed frame): the unicast fast path returns these instead of
-         consing a fresh list each hop. *)
+         frame {!handle_ingress} queues): its unicast verdicts are these
+         instead of a fresh list each hop. {!forward} never reads it. *)
+  mutable flooded_ports : int list;
+      (* the ports the last flooded frame queued on *)
+  mutable drop_reason : string;  (* why the last dropped frame was *)
   mutable tcpu_enabled : bool;
   tcpu : Compile.ctx;
       (* the TCPU's execution context, refilled every hop; a switch
@@ -79,6 +87,8 @@ let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
     sched = [||];
     strip_tpp = [||];
     queued_one = [||];
+    flooded_ports = [];
+    drop_reason = "";
     tcpu_enabled;
     tcpu = Compile.context ();
     tap = None;
@@ -222,13 +232,24 @@ let[@inline] strict t port =
   | Strict -> true
   | Wrr _ -> false
 
-(* TCPU + enqueue on one output port. Returns true when queued or, when
-   the port is idle and [transmit] takes the frame, sent: cut-through
-   does the enqueue and the dequeue accounting at once and touches
-   neither the subqueue ring nor the scheduler record. *)
+(* [State.port] without the call, for a port number the pipeline has
+   already range-checked. *)
+let[@inline] live_port st i =
+  let ports = st.State.ports in
+  if Array.length ports = 0 then State.port st i else Array.unsafe_get ports i
+
+let[@inline never] drop t reason =
+  t.drop_reason <- reason;
+  dropped
+
+(* TCPU + enqueue on one output port. Returns [out_port] when the frame
+   queued and {!dropped} when it did not; when the port is idle and
+   [transmit] takes the frame, {!cut_through}: cut-through does the
+   enqueue and the dequeue accounting at once and touches neither the
+   subqueue ring nor the scheduler record. *)
 let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
   let st = t.switch_state in
-  let port = State.port st out_port in
+  let port = live_port st out_port in
   (* Queue selection happens before the TCPU so [Queue:*] reads resolve
      against the queue the packet will actually join. Higher queue index
      = higher priority; the classifier's value is scaled to the port. *)
@@ -236,7 +257,9 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
   let queue_id = Int.max 0 (Int.min (nq - 1) (t.classify_queue frame * nq / 64)) in
   frame.Frame.meta.Meta.queue_id <- queue_id;
   let sub = port.State.Port.queues.(queue_id) in
-  if t.tcpu_enabled then ignore (Tcpu.run t.tcpu st ~now ~frame : int);
+  (match frame.Frame.tpp with
+  | Some _ when t.tcpu_enabled -> ignore (Tcpu.run t.tcpu st ~now ~frame : int)
+  | Some _ | None -> ());
   let wire = Frame.wire_size frame in
   (* Offered load on this link, drops included: what RCP's y(t) measures. *)
   port.State.Port.window_rx_bytes <- port.State.Port.window_rx_bytes + wire;
@@ -281,7 +304,7 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
         top.State.Subqueue.q_dropped <- top.State.Subqueue.q_dropped + twire;
         port.State.Port.drops <- port.State.Port.drops + 1;
         st.State.drops <- st.State.drops + 1;
-        false
+        drop t "queue full"
       end
       else begin
         port.State.Port.trims <- port.State.Port.trims + 1;
@@ -290,14 +313,14 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
         top.State.Subqueue.q_bytes <- top.State.Subqueue.q_bytes + twire;
         top.State.Subqueue.q_enqueued <- top.State.Subqueue.q_enqueued + twire;
         port.State.Port.queue_bytes <- port.State.Port.queue_bytes + twire;
-        true
+        out_port
       end
     end
     else begin
       sub.State.Subqueue.q_dropped <- sub.State.Subqueue.q_dropped + wire;
       port.State.Port.drops <- port.State.Port.drops + 1;
       st.State.drops <- st.State.drops + 1;
-      false
+      drop t "queue full"
     end
   end
   else begin
@@ -315,25 +338,26 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
     then begin
       sub.State.Subqueue.q_enqueued <- sub.State.Subqueue.q_enqueued + wire;
       port.State.Port.tx_bytes <- port.State.Port.tx_bytes + wire;
-      port.State.Port.tx_pkts <- port.State.Port.tx_pkts + 1
+      port.State.Port.tx_pkts <- port.State.Port.tx_pkts + 1;
+      cut_through
     end
     else begin
       Ring.push sub.State.Subqueue.frames frame;
       sub.State.Subqueue.q_bytes <- sub.State.Subqueue.q_bytes + wire;
       sub.State.Subqueue.q_enqueued <- sub.State.Subqueue.q_enqueued + wire;
-      port.State.Port.queue_bytes <- port.State.Port.queue_bytes + wire
-    end;
-    true
+      port.State.Port.queue_bytes <- port.State.Port.queue_bytes + wire;
+      out_port
+    end
   end
 
 (* Forward along a table hit. A plain function (not a closure inside
-   [handle_ingress]) so the per-hop fast path allocates only its
-   verdict: the hit entry and the table stage arrive as separate
-   arguments, never packed into a tuple. *)
+   [ingress]) so the per-hop fast path allocates nothing: the hit entry
+   and the table stage arrive as separate arguments, never packed into
+   a tuple. *)
 let route t ~now ~transmit ~in_port frame ~out_port ~entry_id ~version
     ~table_hit =
   let st = t.switch_state in
-  if out_port < 0 || out_port >= num_ports t then Dropped "route to invalid port"
+  if out_port < 0 || out_port >= num_ports t then drop t "route to invalid port"
   else begin
     (* Routed (non-L2) hops decrement the TTL; expiry protects the
        network from forwarding loops. The decrement patches the
@@ -351,24 +375,17 @@ let route t ~now ~transmit ~in_port frame ~out_port ~entry_id ~version
     in
     if expired then begin
       st.State.drops <- st.State.drops + 1;
-      Dropped "TTL expired"
+      drop t "TTL expired"
     end
     else begin
       fill_meta t ~now ~in_port ~out_port ~entry_id ~version ~table_hit frame;
-      if process_and_enqueue t ~now ~transmit frame ~out_port then begin
-        let queued_one =
-          if Array.length t.queued_one = 0 then materialize_queued_one t
-          else t.queued_one
-        in
-        Array.unsafe_get queued_one out_port
-      end
-      else Dropped "queue full"
+      process_and_enqueue t ~now ~transmit frame ~out_port
     end
   end
 
 let route_entry t ~now ~transmit ~in_port frame (e : Tables.entry) ~table_hit =
   match e.Tables.action with
-  | Tables.Drop -> Dropped "table drop rule"
+  | Tables.Drop -> drop t "table drop rule"
   | Tables.Forward p ->
     route t ~now ~transmit ~in_port frame ~out_port:p ~entry_id:e.Tables.entry_id
       ~version:e.Tables.version ~table_hit
@@ -378,20 +395,52 @@ let route_entry t ~now ~transmit ~in_port frame (e : Tables.entry) ~table_hit =
         (Tables.select_path ports ~key:(Frame.flow_hash frame lxor t.ecmp_salt))
       ~entry_id:e.Tables.entry_id ~version:e.Tables.version ~table_hit
   | Tables.Connected c ->
-    if not (Frame.has_ip frame) then Dropped "connected route on non-IP frame"
+    if not (Frame.has_ip frame) then drop t "connected route on non-IP frame"
     else
       let p = Tables.connected_port_i c (Frame.ip_dst frame) in
-      if p < 0 then Dropped "no connected host"
+      if p < 0 then drop t "no connected host"
       else
         route t ~now ~transmit ~in_port frame ~out_port:p ~entry_id:e.Tables.entry_id
           ~version:e.Tables.version ~table_hit
+
+(* Unknown destination: a copy out of every other port. Each copy is
+   cloned from the frame as it arrived, before the TCPU, a trim or a
+   mark touched any of them; the frame itself travels on the first
+   port. Flood copies always queue. *)
+let flood t ~now ~in_port frame =
+  let n = num_ports t in
+  let first = if in_port = 0 then 1 else 0 in
+  let copies =
+    Array.init n (fun p ->
+        if p = first || p = in_port then frame else Frame.clone frame)
+  in
+  let queued = ref [] and kept = ref false in
+  for out_port = 0 to n - 1 do
+    if out_port <> in_port then begin
+      let copy = copies.(out_port) in
+      fill_meta t ~now ~in_port ~out_port ~entry_id:0 ~version:0 ~table_hit:0 copy;
+      if process_and_enqueue t ~now ~transmit:never_idle copy ~out_port >= 0
+      then begin
+        queued := out_port :: !queued;
+        if copy == frame then kept := true
+      end
+    end
+  done;
+  if !queued = [] then drop t "flood found no open port"
+  else begin
+    (* Clones are unpooled; the frame itself goes back to its pool if
+       its own port dropped it. *)
+    if not !kept then Frame.recycle frame;
+    t.flooded_ports <- List.rev !queued;
+    flooded
+  end
 
 (* The pipeline of {!handle_ingress} and {!forward}, which differ only
    in the transmitter a frame that finds its port idle is offered to. A
    stripped copy always queues. *)
 let ingress t ~transmit ~now ~in_port frame =
   let st = t.switch_state in
-  if in_port < 0 || in_port >= num_ports t then Dropped "invalid ingress port"
+  if in_port < 0 || in_port >= num_ports t then drop t "invalid ingress port"
   else begin
     let stripped =
       Array.length t.strip_tpp > 0
@@ -410,7 +459,7 @@ let ingress t ~transmit ~now ~in_port frame =
     in
     let transmit = if stripped then never_idle else transmit in
     let wire = Frame.wire_size frame in
-    let p_in = State.port st in_port in
+    let p_in = live_port st in_port in
     p_in.State.Port.rx_bytes <- p_in.State.Port.rx_bytes + wire;
     p_in.State.Port.rx_pkts <- p_in.State.Port.rx_pkts + 1;
     st.State.packets_seen <- st.State.packets_seen + 1;
@@ -428,27 +477,24 @@ let ingress t ~transmit ~now ~in_port frame =
       | None -> (
         match Tables.L2.lookup t.l2 (Frame.eth_dst frame) with
         | Some e -> route_entry t ~now ~transmit ~in_port frame e ~table_hit:1
-        | None ->
-          (* Unknown destination: flood out of every other port. *)
-          let queued = ref [] in
-          for out_port = 0 to num_ports t - 1 do
-            if out_port <> in_port then begin
-              let copy = if !queued = [] then frame else Frame.clone frame in
-              fill_meta t ~now ~in_port ~out_port ~entry_id:0 ~version:0
-                ~table_hit:0 copy;
-              if process_and_enqueue t ~now ~transmit:never_idle copy ~out_port
-              then
-                queued := out_port :: !queued
-            end
-          done;
-          if !queued = [] then Dropped "flood found no open port"
-          else Queued (List.rev !queued)))
+        | None -> flood t ~now ~in_port frame))
   end
 
 let handle_ingress t ~now ~in_port frame =
-  ingress t ~transmit:never_idle ~now ~in_port frame
+  let r = ingress t ~transmit:never_idle ~now ~in_port frame in
+  if r >= 0 then begin
+    let queued_one =
+      if Array.length t.queued_one = 0 then materialize_queued_one t
+      else t.queued_one
+    in
+    Array.unsafe_get queued_one r
+  end
+  else if r = flooded then Queued t.flooded_ports
+  else Dropped t.drop_reason
 
 let forward t ~now ~in_port frame = ingress t ~transmit:t.transmit ~now ~in_port frame
+let flooded_ports t = t.flooded_ports
+let drop_reason t = t.drop_reason
 
 let set_scheduler t ~port discipline =
   (match discipline with

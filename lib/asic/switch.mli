@@ -136,7 +136,10 @@ val handle_ingress : t -> now:int -> in_port:int -> Frame.t -> verdict
     enqueueing, so [Link:QueueSize] reads the queue the packet is about
     to join — exactly the Figure 1 semantics. Every frame that is not
     dropped is queued: its egress port's transmitter is never idle
-    here, so {!dequeue} takes it out (see {!forward}). *)
+    here, so {!dequeue} takes it out (see {!forward}). Its verdict is
+    built from the same result code {!forward} returns; [Queued [ p ]]
+    for one port is preallocated per port, so a unicast verdict costs
+    no allocation. *)
 
 val set_transmitter : t -> (port:int -> Frame.t -> bool) -> unit
 (** Installs the egress transmitters {!forward} offers frames to. The
@@ -145,16 +148,43 @@ val set_transmitter : t -> (port:int -> Frame.t -> bool) -> unit
     idle and took the frame onto the wire. The network installs one per
     switch. Default: never idle. *)
 
-val forward : t -> now:int -> in_port:int -> Frame.t -> verdict
-(** {!handle_ingress} with cut-through: a frame that finds its egress
-    port idle — a {!Strict} port with every queue empty whose
-    transmitter ({!set_transmitter}) takes it — goes straight onto the
-    wire. The switch then does the enqueue and the dequeue accounting
-    at once ([q_enqueued], [tx_bytes], [tx_pkts]), so every register
-    reads as if the frame had queued, and it never touches the subqueue
-    ring or the scheduler record. The verdict is [Queued [ port ]]
-    either way. Frames that are TPP-stripped, trimmed or flooded always
-    queue. *)
+val forward : t -> now:int -> in_port:int -> Frame.t -> int
+(** {!handle_ingress} with cut-through, returning a bare int so that
+    the simulator's per-hop path loads no verdict block:
+
+    - [p >= 0]: the frame queued on egress port [p], whose transmitter
+      must be started if idle;
+    - {!cut_through}: the frame found its egress port idle — a
+      {!Strict} port with every queue empty whose transmitter
+      ({!set_transmitter}) took it — and is already on the wire. The
+      switch did the enqueue and the dequeue accounting at once
+      ([q_enqueued], [tx_bytes], [tx_pkts]), so every register reads as
+      if the frame had queued, and it never touched the subqueue ring
+      or the scheduler record;
+    - {!flooded}: copies queued on the ports {!flooded_ports} lists;
+    - {!dropped}: nothing queued ({!drop_reason} says why); the frame is
+      the caller's to recycle.
+
+    Frames that are TPP-stripped, trimmed or flooded always queue. With
+    a transmitter that refuses every frame, the result maps one to one
+    onto {!handle_ingress}'s verdict: [p] to [Queued [ p ]], {!flooded}
+    to [Queued (flooded_ports t)], {!dropped} to
+    [Dropped (drop_reason t)]. *)
+
+val cut_through : int
+val flooded : int
+val dropped : int
+(** {!forward}'s results other than a port: three distinct negative
+    constants. *)
+
+val flooded_ports : t -> int list
+(** The ports, ascending, the last flooded frame's copies queued on.
+    Each copy is cloned from the frame as it arrived, so every port's
+    copy runs the TCPU once, at this switch's hop. *)
+
+val drop_reason : t -> string
+(** Why the last frame {!forward} or {!handle_ingress} dropped was
+    dropped. *)
 
 val dequeue : t -> port:int -> Frame.t option
 (** Strict-priority scheduling: removes the head-of-line frame of the

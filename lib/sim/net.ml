@@ -422,10 +422,13 @@ let rec deliver t id port frame =
            (No-op for unpooled frames: a receiver that retains frames —
            the tests do — must be sent unpooled ones.) *)
         Frame.recycle frame
-      | Switch_n sw -> (
-        match Switch.forward sw ~now:(Engine.now t.eng) ~in_port:port frame with
-        | Switch.Dropped _ -> Frame.recycle frame
-        | Switch.Queued out_ports -> start_ports t id out_ports)
+      | Switch_n sw ->
+        (* A frame that cut through is already on the wire. *)
+        let r = Switch.forward sw ~now:(Engine.now t.eng) ~in_port:port frame in
+        if r <> Switch.cut_through then
+          if r >= 0 then maybe_start_tx t id r
+          else if r = Switch.dropped then Frame.recycle frame
+          else start_ports t id (Switch.flooded_ports sw)
     end
     else Frame.recycle frame (* frozen node: the frame vanishes *)
   end
@@ -453,22 +456,23 @@ and maybe_start_tx t id port =
 
 and start_next t id port i =
   let frame = next_frame t id port in
-  if frame != t.no_frame then start_tx t id port i frame
+  if frame != t.no_frame then
+    start_tx t id port i frame ~empty:(egress_empty t id port)
 
-(* Puts [frame] on the wire behind idle slot [i]. A transmission that
-   leaves its egress empty, on an up link no fault touches, to a peer
-   this shard runs, queues its delivery now, keyed exactly as its completion
-   would have queued it, and no completion at all: nothing can change
-   its fate unless a frame queues behind it or the link changes, and
-   those queue the completion then ({!settle}). *)
-and start_tx t id port i frame =
+(* Puts [frame] on the wire behind idle slot [i]; [empty] says whether
+   the egress behind it is empty. A transmission that leaves its egress
+   empty, on an up link no fault touches, to a peer this shard runs,
+   queues its delivery now, keyed exactly as its completion would have
+   queued it, and no completion at all: nothing can change its fate
+   unless a frame queues behind it or the link changes, and those queue
+   the completion then ({!settle}). *)
+and start_tx t id port i frame ~empty =
   t.transmissions <- t.transmissions + 1;
   Array.unsafe_set t.lp_inflight i frame;
   let now = Engine.now t.eng in
   let f = flags t i and pk = Array.unsafe_get t.lp_peer i in
   let clean = match t.fault with None -> true | Some h -> h.f_clean ~node:id ~port in
-  if clean && f land down = 0 && same_shard t (peer_node pk) && egress_empty t id port
-  then begin
+  if clean && f land down = 0 && same_shard t (peer_node pk) && empty then begin
     let fin = Time_ns.add now (tx_time_ns ~bps:(Array.unsafe_get t.lp_bps i) frame) in
     frame.Frame.tx_end <- fin;
     set_flags t i (f lor unqueued lor early);
@@ -552,12 +556,13 @@ and tx_complete t id port =
   maybe_start_tx t id port
 
 (* Offers a frame that found the egress at ([id], [port]) empty to its
-   transmitter, which takes it straight onto the wire if idle. *)
+   transmitter, which takes it straight onto the wire if idle. Both
+   callers have just checked the egress, so it is still empty. *)
 let offer t id port frame =
   let i = gp_trusted t id port in
   Array.unsafe_get t.lp_peer i >= 0
   && tx_idle t id port i
-  && (start_tx t id port i frame; true)
+  && (start_tx t id port i frame ~empty:true; true)
 
 (* [cut_through] counts the switch hops whose frame the transmitter takes
    past the egress ring ({!Switch.forward}). *)

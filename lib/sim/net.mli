@@ -13,6 +13,14 @@
     frame starts. A frame that finds it idle, with every queue of its
     egress empty, goes straight onto the wire: a host skips its NIC
     ring, a switch its subqueue ring and scheduler ({!Switch.forward}).
+    The switch hands back a bare int: after a cut-through hop the frame
+    is already on the wire and the net does nothing more; a port the
+    frame queued on has its transmitter started if idle, a drop
+    recycles the frame, and a flood starts every port
+    {!Switch.flooded_ports} names. No verdict block is built or read
+    per hop. Both paths that offer a frame to a transmitter have just
+    found its egress empty, so the transmission starts without looking
+    again.
 
     Each hop is two typed {!Engine} events in the model — the end of
     the sender's transmission (its completion) and the frame's arrival

@@ -70,6 +70,39 @@ let test_flood_on_miss () =
   check Alcotest.int "copies queued" 1 (Switch.queue_packets sw ~port:0);
   check Alcotest.int "copies queued" 1 (Switch.queue_packets sw ~port:3)
 
+(* Every flood copy is cloned from the frame as it arrived, so each runs
+   this switch's hop once: one TCPU run, on its own port. A port that
+   drops its copy, the first included, leaves the others untouched, and
+   a pooled original dropped there goes back to its pool. *)
+let test_flood_copies_run_one_hop () =
+  let tpp () = Result.get_ok (Programs.build ~max_hops:4 Programs.record_route) in
+  let hops sw ports =
+    List.map
+      (fun port ->
+        let f = Option.get (Switch.dequeue sw ~port) in
+        let t = Option.get f.Frame.tpp in
+        (port, t.Prog.hop, Prog.stack_values t))
+      ports
+  in
+  let show = Alcotest.(list (triple int int (list int))) in
+  let sw = Switch.create ~id:9 ~num_ports:4 () in
+  let frame = host_frame ~tpp:(tpp ()) ~to_ip:dst_ip () in
+  let ports = queued_ports (Switch.handle_ingress sw ~now:0 ~in_port:0 frame) in
+  check (Alcotest.list Alcotest.int) "all but ingress" [ 1; 2; 3 ] ports;
+  check show "one hop each"
+    [ (1, 1, [ 9; 1 ]); (2, 1, [ 9; 2 ]); (3, 1, [ 9; 3 ]) ]
+    (hops sw ports);
+  let sw = Switch.create ~id:9 ~num_ports:4 () in
+  Switch.set_queue_limit sw ~port:1 ~bytes:0;
+  let pool = Frame.Pool.create () in
+  let frame = host_frame_in pool ~tpp:(tpp ()) ~to_ip:dst_ip () in
+  let ports = queued_ports (Switch.handle_ingress sw ~now:0 ~in_port:0 frame) in
+  check (Alcotest.list Alcotest.int) "first port dropped" [ 2; 3 ] ports;
+  check show "one hop each after a drop" [ (2, 1, [ 9; 2 ]); (3, 1, [ 9; 3 ]) ]
+    (hops sw ports);
+  check Alcotest.int "dropped original back in its pool" 0
+    (Frame.Pool.outstanding pool)
+
 let test_drop_rule () =
   let sw = make_switch () in
   Switch.install_tcam sw
@@ -321,6 +354,8 @@ let suite =
     Alcotest.test_case "tcam overrides l3" `Quick test_tcam_overrides_l3;
     Alcotest.test_case "l2 fallback" `Quick test_l2_fallback;
     Alcotest.test_case "flood on miss" `Quick test_flood_on_miss;
+    Alcotest.test_case "flood copies run one hop each" `Quick
+      test_flood_copies_run_one_hop;
     Alcotest.test_case "drop rule" `Quick test_drop_rule;
     Alcotest.test_case "queue accounting and tail drop" `Quick
       test_queue_accounting_and_tail_drop;

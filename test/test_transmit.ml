@@ -593,6 +593,140 @@ let run_fabric c ~reference =
         [ stats.Parsim.events; Array.fold_left ( + ) 0 delivered ])
       horizons
 
+(* --- forward's result code against handle_ingress's verdict ---------- *)
+
+(* Twin switches with the same routes, queues and ports see the same
+   random frames: one through [Switch.forward], the other through
+   [Switch.handle_ingress], which always queues. A frame to host [d] in
+   [1, n] is routed out of port [d - 1] (TTL 1 expires there), [n + 1]
+   is unknown and floods, and [n + 2] hits a TCAM drop rule. *)
+type twin_op =
+  | Arrive of { in_port : int; dst : int; tpp : bool; ttl : int; top : bool; len : int }
+  | Drain of int
+
+type twin_case = {
+  t_ports : int;
+  t_wrr : int list;    (* two queues, round-robin *)
+  t_strip : int list;  (* strip TPPs arriving here *)
+  t_trim : int list;   (* two queues, a 200-byte data queue, trimming *)
+  t_tiny : int list;   (* a 300-byte queue limit: tail drops *)
+  t_ops : twin_op list;
+}
+
+let show_twins c =
+  let nums l = "[" ^ String.concat "; " (List.map string_of_int l) ^ "]" in
+  Printf.sprintf "{ ports = %d; wrr = %s; strip = %s; trim = %s; tiny = %s;\n  ops = [%s] }"
+    c.t_ports (nums c.t_wrr) (nums c.t_strip) (nums c.t_trim) (nums c.t_tiny)
+    (String.concat "; "
+       (List.map
+          (function
+            | Arrive a ->
+              Printf.sprintf "%d->%d%s ttl %d%s len %d" a.in_port a.dst
+                (if a.tpp then " tpp" else "") a.ttl (if a.top then " top" else "") a.len
+            | Drain p -> Printf.sprintf "drain %d" p)
+          c.t_ops))
+
+let gen_twins =
+  let open QCheck2.Gen in
+  let* n = int_range 2 5 in
+  let port = int_range 0 (n - 1) and ports = list_size (int_range 0 2) (int_range 0 (n - 1)) in
+  let arrive =
+    let+ in_port = port and+ dst = int_range 1 (n + 2) and+ tpp = bool
+    and+ ttl = oneofl [ 1; 64; 64; 64 ] and+ top = bool and+ len = oneofl [ 10; 54; 300 ] in
+    Arrive { in_port; dst; tpp; ttl; top; len }
+  in
+  let+ t_wrr = ports and+ t_strip = ports and+ t_trim = ports and+ t_tiny = ports
+  and+ t_ops = list_size (int_range 1 40) (frequency [ (3, arrive); (1, map (fun p -> Drain p) port) ]) in
+  { t_ports = n; t_wrr; t_strip; t_trim; t_tiny; t_ops }
+
+let twin c =
+  let sw = Switch.create ~id:3 ~num_ports:c.t_ports () in
+  for d = 1 to c.t_ports do
+    Switch.install_route sw (Ipv4.Prefix.host (Ipv4.Addr.of_host_id d)) ~port:(d - 1)
+      ~entry_id:d ~version:1
+  done;
+  Switch.install_tcam sw
+    { Tables.Tcam.any with
+      Tables.Tcam.priority = 1;
+      dst_ip = Some (Ipv4.Addr.of_host_id (c.t_ports + 2), 0xFFFFFFFF) }
+    { Tables.action = Tables.Drop; entry_id = 99; version = 1 };
+  for port = 0 to c.t_ports - 1 do
+    let wrr = List.mem port c.t_wrr and trim = List.mem port c.t_trim in
+    if List.mem port c.t_tiny then Switch.set_queue_limit sw ~port ~bytes:300;
+    if wrr || trim then Switch.configure_queues sw ~port ~count:2;
+    if wrr then Switch.set_scheduler sw ~port (Switch.Wrr [| 1; 1 |]);
+    if trim then Switch.set_subqueue_limit sw ~port ~queue:0 ~bytes:200;
+    if List.mem port c.t_strip then Switch.set_strip_tpp sw ~port true
+  done;
+  if c.t_trim <> [] then Switch.set_trim_keep sw ~keep:0;
+  sw
+
+let twin_frame ~in_port ~dst ~tpp ~ttl ~top ~len =
+  let tpp = if tpp then Some (Prog.copy (Lazy.force prog)) else None in
+  Frame.udp_frame ~src_mac:(Mac.of_host_id 100) ~dst_mac:(Mac.of_host_id dst)
+    ~src_ip:(Ipv4.Addr.of_host_id (100 + in_port)) ~dst_ip:(Ipv4.Addr.of_host_id dst)
+    ~src_port:1 ~dst_port:2 ~ttl ~dscp:(if top then 63 else 0) ?tpp
+    ~payload:(Bytes.create len) ()
+
+(* [forward]'s result read as the verdict it stands for. *)
+let verdict_of sw r =
+  if r >= 0 then Some (Switch.Queued [ r ])
+  else if r = Switch.flooded then Some (Switch.Queued (Switch.flooded_ports sw))
+  else if r = Switch.dropped then Some (Switch.Dropped (Switch.drop_reason sw))
+  else None
+
+let show_verdict = function
+  | Some (Switch.Queued ps) -> "Queued [" ^ String.concat "; " (List.map string_of_int ps) ^ "]"
+  | Some (Switch.Dropped r) -> "Dropped " ^ r
+  | None -> "cut through"
+
+(* With a refusing transmitter ([idle] false) each result must read as
+   the twin's verdict. With an idle one, [forward] must cut through
+   exactly where the twin queued a routed, unstripped, untrimmed frame
+   on a Strict port that held nothing; the twin then sends that frame,
+   so both keep the same queues. Every register agrees at the end. *)
+let twins_agree ~idle c =
+  let a = twin c and b = twin c in
+  Switch.set_transmitter a (fun ~port:_ _ -> idle);
+  List.iteri
+    (fun i op ->
+      match op with
+      | Drain port ->
+        let fa = Switch.dequeue a ~port and fb = Switch.dequeue b ~port in
+        if Option.is_some fa <> Option.is_some fb then
+          QCheck2.Test.fail_reportf "op %d: drain %d differs" i port
+      | Arrive { in_port; dst; tpp; ttl; top; len } ->
+        let frame () = twin_frame ~in_port ~dst ~tpp ~ttl ~top ~len in
+        let depth = Array.init c.t_ports (fun port -> Switch.queue_bytes b ~port) in
+        let trims = Switch.trims b in
+        let r = Switch.forward a ~now:i ~in_port (frame ()) in
+        let vb = Switch.handle_ingress b ~now:i ~in_port (frame ()) in
+        let cut =
+          match vb with
+          | Switch.Queued [ p ] ->
+            idle && dst <= c.t_ports
+            && not (tpp && List.mem in_port c.t_strip)
+            && Switch.trims b = trims && depth.(p) = 0
+            && not (List.mem p c.t_wrr)
+          | Switch.Queued _ | Switch.Dropped _ -> false
+        in
+        let va = verdict_of a r in
+        if cut then begin
+          if va <> None then
+            QCheck2.Test.fail_reportf "op %d: forward %s where the twin's port was idle" i
+              (show_verdict va);
+          match vb with
+          | Switch.Queued [ p ] -> ignore (Switch.dequeue b ~port:p)
+          | _ -> ()
+        end
+        else if va <> Some vb then
+          QCheck2.Test.fail_reportf "op %d: forward %s, handle_ingress %s" i (show_verdict va)
+            (show_verdict (Some vb)))
+    c.t_ops;
+  registers a = registers b
+  || QCheck2.Test.fail_reportf "registers: %a@.twin:      %a" Fmt.(Dump.list int)
+       (registers a) Fmt.(Dump.list int) (registers b)
+
 let same_on_both_paths run c =
   let elided = run c ~reference:false and reference = run c ~reference:true in
   elided = reference
@@ -604,7 +738,10 @@ let fuzz =
     [ QCheck2.Test.make ~name:"random stars: elided path == reference path" ~count:2000
         ~print:show_star gen_star (same_on_both_paths run_star);
       QCheck2.Test.make ~name:"random fat-tree runs: elided path == reference path" ~count:20
-        ~print:show_fabric gen_fabric (same_on_both_paths run_fabric) ]
+        ~print:show_fabric gen_fabric (same_on_both_paths run_fabric);
+      QCheck2.Test.make ~name:"twin switches: forward's code == handle_ingress's verdict"
+        ~count:1000 ~print:show_twins gen_twins (fun c ->
+          twins_agree ~idle:false c && twins_agree ~idle:true c) ]
 
 let suite =
   [ Alcotest.test_case "frames in an elided transmission's last nanosecond" `Quick
