@@ -1,458 +1,16 @@
 (* The simulator's gates as one scenario table.
 
-   A row names a topology, a traffic kind, a chaos setting, the shard
-   counts to repeat it at, an oracle and the assertions that judge it.
+   Each row is a [Scenario.spec]. Fabric rows run through the scenario
+   runner (bench/scenario.ml), which the tests share; this module adds
+   the flow-set and microbench rows, the assertions and the table.
    [run] executes any row at any shard count and returns one [row]
-   record. [check_identity] compares the sequential run with the
-   oracle's and every sharded run with the sequential one, and names
-   the first field that differs. [run_table] runs rows in order and
-   renders each as one line of BENCH.json (Report.write_benches writes
-   the file); bench/perf.ml is the command line.
+   record. [run_table] runs rows in order, judges each
+   ([Scenario.judgements]: identity, frame conservation, assertions)
+   and renders it as one line of BENCH.json (Report.write_benches
+   writes the file); bench/perf.ml is the command line. *)
 
-   Every allocation figure is exact: domain-local [Gc.minor_words],
-   sampled in the running domain and summed across shards. *)
-
+include Scenario
 open Tpp
-
-type topo =
-  | Fat_tree of int                 (* k; per-host /32 routes, ECMP *)
-  | Pods of int                     (* k; pod addressing, aggregated FIBs *)
-  | Leaf_spine of int * int * int   (* leaves, spines, hosts per leaf *)
-  | Fct_fabric                      (* the fat-tree inside Fct.fabric_run *)
-  | No_fabric                       (* a microbench *)
-
-type traffic =
-  | Collect    (* pooled UDP, each frame carrying a 5-instruction TPP *)
-  | Heavy      (* pooled UDP, a 99-instruction TPP, 1 in 16 faulting *)
-  | Pooled     (* plain UDP from one frame pool per sending host *)
-  | Postcard   (* Pooled, with a binary tap on every switch *)
-  | Flows of Fct.transport * Fct.fabric_params   (* a transport flow set *)
-  | Build      (* build the topology only *)
-  | Ingest of int    (* synthetic postcards through one sink *)
-  | Overload         (* a small sink fed 10x its capacity, never drained *)
-  | Sketch of int    (* samples into CMS and t-digest *)
-  | Trim of int      (* frames into a full data queue, trim vs drop *)
-
-type chaos = No_chaos | Empty | Chaotic
-
-type oracle =
-  | Sequential   (* nothing beyond the sequential run itself *)
-  | Interpreter  (* the TCPU interpreter backend *)
-  | Unpooled     (* a fresh frame per send *)
-  | Host32       (* per-host /32 FIBs *)
-  | Round_trip   (* every frame sent as its parsed wire image *)
-  | Bare         (* no fault schedule attached *)
-
-(* One run of one row. Non-fabric rows fill what they measure: a
-   microbench's [events] are its iterations. *)
-type row = {
-  events : int;
-  delivered : int;
-  registers : int;  (* digest of every switch register; of Fct.fingerprint for flow sets *)
-  tpp_execs : int;
-  tpp_faults : int;
-  tpp_cycles : int;
-  faults : int list;  (* Fault.stats in declaration order; zeros without a schedule *)
-  cards : int;  (* postcards collected *)
-  collector : int;  (* the collector's order-independent fingerprint *)
-  pool_outstanding : int;
-  boundary_outstanding : int;
-  wall : float;  (* build + setup + run *)
-  minor_pe : float;  (* minor words per event, exact *)
-  promoted_pe : float;
-  metrics : (string * float) list;  (* row-specific measurements *)
-}
-
-type verdict = Pass | Warn | Skip | Fail
-
-type ctx = {
-  smoke : bool;
-  seq : row;
-  oracle_run : row option;
-  sharded : (int * row) list;
-  prior : string -> row option;  (* an earlier row of the same invocation *)
-}
-
-type assertion = { what : string; eval : ctx -> verdict * string }
-
-type spec = {
-  name : string;
-  why : string;  (* the gate this row carries *)
-  topo : topo;
-  traffic : traffic;
-  chaos : chaos;
-  packets : int;  (* per host, for per-host traffic *)
-  shards : int list;
-  oracle : oracle;
-  best_of_two : bool;  (* for the sequential and oracle runs *)
-  asserts : assertion list;
-}
-
-let zero_faults = [ 0; 0; 0; 0; 0; 0 ]
-
-let blank =
-  { events = 0; delivered = 0; registers = 0; tpp_execs = 0; tpp_faults = 0;
-    tpp_cycles = 0; faults = zero_faults; cards = 0; collector = 0;
-    pool_outstanding = 0; boundary_outstanding = 0; wall = 0.0;
-    minor_pe = 0.0; promoted_pe = 0.0; metrics = [] }
-
-let per n x = if n = 0 then 0.0 else x /. float_of_int n
-let eps r = float_of_int r.events /. r.wall
-let metric key r = Option.value (List.assoc_opt key r.metrics) ~default:nan
-
-let promoted_words () =
-  let _, promoted, _ = Gc.counters () in
-  promoted
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-(* ---- fabrics and their traffic -------------------------------------- *)
-
-let horizon = Time_ns.sec 10
-let gap_ns = 6_000
-let payload_bytes = 1000
-let link_bps = 10_000_000_000
-let link_delay = Time_ns.us 1
-
-let collect_program =
-  "PUSH [Switch:SwitchID]\n\
-   PUSH [Link:QueueSize]\n\
-   PUSH [Link:RxUtilization]\n\
-   PUSH [Link:CapacityKbps]\n\
-   PUSH [Link:Drops]\n"
-
-let heavy_block =
-  "LOAD [Switch:PacketsSeen], [Packet:0]\n\
-   LOAD [Link:QueueSize], [Packet:4]\n\
-   ADD [Packet:0], [Packet:4]\n\
-   LOAD [Link:TxBytes], [Packet:8]\n\
-   MAX [Packet:8], [Packet:0]\n\
-   AND [Packet:0], 0xFFF\n\
-   OR [Packet:4], 7\n\
-   SUB [Packet:8], [Packet:4]\n\
-   ADD [Packet:12], 1\n\
-   MIN [Packet:12], 0xFFF\n\
-   MOV [Packet:16], [Packet:8]\n\
-   ADD [Packet:16], [Packet:0]\n"
-
-(* Long per-hop programs make the TCPU the dominant per-event cost. The
-   CEXEC's mask 0 always passes: it keeps the pool machinery on the hot
-   path. 8 blocks = 99 instructions, inside the 300-cycle budget. *)
-let heavy_program =
-  "CEXEC [Switch:Version], 0, 0\n"
-  ^ String.concat "" (List.init 8 (fun _ -> heavy_block))
-  ^ "ADD [Sram:7], 1\n\
-     MAX [Sram:8], [Link:QueueSize]\n"
-
-(* Every 16th heavy packet stores to a read-only register and faults at
-   the first hop, exercising the inert faulted-TPP path. *)
-let heavy_fault_program =
-  "ADD [Sram:9], 1\n\
-   STORE [Switch:SwitchID], 1\n\
-   ADD [Sram:9], 1\n"
-
-let assemble ~mem_len src = Result.get_ok (Asm.to_tpp ~mem_len src)
-let mix h x = (h * 1_000_003) + x
-let digest = List.fold_left mix 0
-
-(* [oracle] selects the row's oracle run; true when that oracle is [o]. *)
-let oracle_is spec ~oracle o = oracle && spec.oracle = o
-
-let build spec ~oracle eng =
-  let flip = oracle_is spec ~oracle in
-  let bps = link_bps and delay = link_delay in
-  match spec.topo with
-  | Fat_tree k ->
-    (Topology.fat_tree eng ~ecmp:true ~k ~bps ~delay ())
-      .Topology.f_net
-  | Pods k ->
-    let fib = if flip Host32 then `Host32 else `Aggregated in
-    (Topology.fat_tree eng ~ecmp:true ~addressing:`Pods ~fib ~k
-       ~bps ~delay ())
-      .Topology.f_net
-  | Leaf_spine (leaves, spines, hosts_per_leaf) ->
-    (Topology.leaf_spine eng ~ecmp:true ~leaves ~spines
-       ~hosts_per_leaf ~bps ~delay ())
-      .Topology.ls_net
-  | Fct_fabric | No_fabric -> invalid_arg "Gates.build: not a fabric row"
-
-(* Each host streams [packets] frames [gap_ns] apart to its partner in
-   the opposite half, so flows cross every layer and exercise ECMP;
-   hosts are offset 7 ns apart so departures never coincide. Sends
-   schedule their successor, so the wheel holds one pending send per
-   host instead of hosts x packets closures. Which frames carry the
-   faulting program depends only on (src, j), so the set is the same
-   under any shard layout. With [round_trip], each frame is serialised
-   and re-parsed before it is sent, and the parsed copy travels in its
-   place (the original goes back to its pool): the reference for the
-   net's forwarding of the sender's own frame. Returns the per-host
-   pools. *)
-let start_traffic spec ~pooled ~round_trip ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let payload = Bytes.create payload_bytes in
-  let tpp =
-    match spec.traffic with
-    | Collect ->
-      let p = assemble ~mem_len:64 collect_program in
-      fun _ -> Some (Prog.copy p)
-    | Heavy ->
-      let p = assemble ~mem_len:32 heavy_program in
-      let f = assemble ~mem_len:32 heavy_fault_program in
-      fun j -> Some (Prog.copy (if j mod 16 = 0 then f else p))
-    | _ -> fun _ -> None
-  in
-  (* Created in the calling domain: under Parsim that is the shard's
-     own, so recycling at delivery stays a same-domain operation. *)
-  let pools =
-    if pooled then
-      Array.map (fun _ -> Frame.Pool.create ~frame_bytes:2048 ()) hosts
-    else [||]
-  in
-  let send src j =
-    let s = hosts.(src) and d = hosts.((src + (n / 2)) mod n) in
-    let src_mac = s.Net.mac and dst_mac = d.Net.mac in
-    let src_ip = s.Net.ip and dst_ip = d.Net.ip and src_port = 1000 + src in
-    let tpp = tpp j in
-    let f =
-      if pooled then
-        Frame.Pool.udp_frame pools.(src) ~src_mac ~dst_mac ~src_ip ~dst_ip
-          ~src_port ~dst_port:7 ?tpp ~payload ()
-      else
-        Frame.udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port:7
-          ?tpp ~payload ()
-    in
-    if not round_trip then Net.host_send net s f
-    else
-      match Frame.parse (Frame.serialize f) with
-      | Ok wire ->
-        Frame.recycle f;
-        Net.host_send net s wire
-      | Error e ->
-        failwith ("Gates.start_traffic: frame failed its wire round trip: " ^ e)
-  in
-  let at j src = (j * gap_ns) + (src * 7) + 1 in
-  let rec tick src j () =
-    send src j;
-    if j + 1 < spec.packets then Engine.at eng (at (j + 1) src) (tick src (j + 1))
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id && spec.packets > 0 then
-      Engine.at eng (at 0 src) (tick src 0)
-  done;
-  pools
-
-(* Flap, loss with corruption, freeze-restart and degradation at once,
-   on host access links and the edge switch above host 1 (cables that
-   carry traffic by construction). Windows scale with the send span so
-   every rule fires at any size. *)
-let chaos_schedule spec net =
-  let span = spec.packets * gap_ns in
-  let f = Fault.create ~seed:4242 in
-  let hosts = Array.of_list (Net.hosts net) in
-  let access i = (hosts.(i).Net.node_id, 0) in
-  let edge_above i =
-    match Net.neighbors net hosts.(i).Net.node_id with
-    | (_, peer, _) :: _ -> peer
-    | [] -> invalid_arg "chaos_schedule: host has no uplink"
-  in
-  let period = max 2 (span / 25) in
-  Fault.flap f ~from_:(span / 10) ~until_:(span * 4 / 5) ~period
-    ~down_for:(max 1 (period * 2 / 5)) (access 0);
-  Fault.lossy f ~from_:0 ~until_:span ~drop:0.2 ~corrupt:0.05 (access 5);
-  Fault.freeze f ~from_:(span / 5) ~until_:(span * 2 / 5) (edge_above 1);
-  Fault.degrade f ~from_:(span / 3) ~until_:(span * 9 / 10) ~rate_factor:0.5
-    ~extra_delay:(Time_ns.us 2) (access 9);
-  Fault.attach f net;
-  f
-
-let fault_list (s : Fault.stats) =
-  [ s.Fault.lost_down; s.Fault.dropped; s.Fault.corrupt_header;
-    s.Fault.corrupt_fcs; s.Fault.frozen_arrivals; s.Fault.restarts ]
-
-let fault_names =
-  [ "lost_down"; "dropped"; "corrupt_header"; "corrupt_fcs";
-    "frozen_arrivals"; "restarts" ]
-
-(* Per-switch architectural registers. Compile hit/miss counters are
-   left out: each shard links its own template family, so their split
-   legitimately varies with the shard count. *)
-module SS = Switch_state
-
-let switch_fp st =
-  let port (p : SS.Port.t) =
-    [ p.SS.Port.rx_bytes; p.rx_pkts; p.tx_bytes; p.tx_pkts; p.drops;
-      p.offered_bytes; p.queue_bytes ]
-  in
-  [ st.SS.packets_seen; st.SS.bytes_seen; st.SS.drops; st.SS.tpp_execs;
-    st.SS.tpp_faults; st.SS.tpp_cycles;
-    Array.fold_left mix 0 st.SS.sram ]
-  @ List.concat_map port (Array.to_list st.SS.ports)
-
-let absorb_period = Time_ns.us 50
-
-(* What one shard (or the whole sequential fabric) contributes. *)
-type part = {
-  fp : (int * int list) list;
-  tpp : int list;  (* execs, faults, cycles *)
-  p_faults : int list;
-  outstanding : int;
-  words : float * float;  (* minor, promoted *)
-  sums : (string * float) list;  (* additive metrics *)
-  tap : (Collector.t * int) option;  (* collector, cards dropped *)
-}
-
-(* Attaches the row's faults, tap and traffic to [net]; the returned
-   closure, called after the run, reads back what the owned switches
-   and pools hold. Allocation is counted from the end of setup. *)
-let setup spec ~oracle ~owns net =
-  let flip = oracle_is spec ~oracle in
-  let fault =
-    match spec.chaos with
-    | Chaotic -> Some (chaos_schedule spec net)
-    | Empty when not (flip Bare) ->
-      let f = Fault.create ~seed:1 in
-      Fault.attach f net;
-      Some f
-    | _ -> None
-  in
-  let tap =
-    if spec.traffic <> Postcard then None
-    else begin
-      let sink = Telemetry_sink.create () and col = Collector.create () in
-      Telemetry_emit.tap_switches sink net;
-      Some (sink, col)
-    end
-  in
-  let pooled = not (flip Unpooled) in
-  let pools = start_traffic spec ~pooled ~round_trip:(flip Round_trip) ~owns net in
-  (* Absorbing every 50 us keeps the default sink from ever dropping;
-     the ticks stop 10 ms after the last send. *)
-  Option.iter
-    (fun (sink, col) ->
-      Engine.every (Net.engine net) ~period:absorb_period
-        ~until:((spec.packets * gap_ns) + Time_ns.ms 10)
-        (fun () -> Collector.absorb col sink))
-    tap;
-  let m0 = Gc.minor_words () and p0 = promoted_words () in
-  fun () ->
-    let words = (Gc.minor_words () -. m0, promoted_words () -. p0) in
-    let owned = List.filter (fun (id, _) -> owns id) (Net.switches net) in
-    let switches f = List.fold_left (fun a (_, sw) -> a + f sw) 0 owned in
-    let state f = switches (fun sw -> f (Switch.state sw)) in
-    let pools f = Array.fold_left (fun a p -> a + f p) 0 pools in
-    {
-      fp = List.map (fun (id, sw) -> (id, switch_fp (Switch.state sw))) owned;
-      tpp =
-        [ state (fun s -> s.SS.tpp_execs); state (fun s -> s.SS.tpp_faults);
-          state (fun s -> s.SS.tpp_cycles) ];
-      p_faults =
-        Option.fold ~none:zero_faults ~some:(fun f -> fault_list (Fault.stats f)) fault;
-      outstanding = pools Frame.Pool.outstanding;
-      words;
-      sums =
-        [ ("compile_hits", float_of_int (state (fun s -> s.SS.tpp_compile_hits)));
-          ("compile_misses", float_of_int (state (fun s -> s.SS.tpp_compile_misses)));
-          ("pool_created", float_of_int (pools Frame.Pool.created));
-          ("pool_reused", float_of_int (pools Frame.Pool.reused));
-          ("switches", float_of_int (List.length owned));
-          ("fib_entries", float_of_int (switches Switch.l3_size));
-          ("switch_hops", float_of_int (state (fun s -> s.SS.packets_seen)));
-          ("transmissions", float_of_int (Net.transmissions net));
-          ("completions_queued", float_of_int (Net.completions_queued net));
-          ("cut_through", float_of_int (Net.cut_through net)) ];
-      tap =
-        Option.map
-          (fun (sink, col) ->
-            Collector.absorb col sink;
-            (col, Telemetry_sink.dropped sink))
-          tap;
-    }
-
-let add_up = List.fold_left (List.map2 ( + ))
-
-let run_fabric spec ~oracle ~shards =
-  let build = build spec ~oracle in
-  let (events, delivered, stats, parts), wall =
-    timed (fun () ->
-        if shards = 0 then begin
-          let eng = Engine.create () in
-          let net = build eng in
-          let finish = setup spec ~oracle ~owns:(fun _ -> true) net in
-          Engine.run eng ~until:horizon;
-          (Engine.events_processed eng, Net.frames_delivered net, None, [ finish () ])
-        end
-        else begin
-          let finish = Array.make shards (fun () -> assert false) in
-          let stats, parts =
-            Parsim.run ~shards ~until:horizon ~build
-              ~setup:(fun ~shard ~owns net -> finish.(shard) <- setup spec ~oracle ~owns net)
-              ~collect:(fun ~shard ~owns:_ _ -> finish.(shard) ())
-              ()
-          in
-          (stats.Parsim.events, stats.Parsim.delivered, Some stats, Array.to_list parts)
-        end)
-  in
-  let words f = List.fold_left (fun a p -> a +. f p.words) 0.0 parts in
-  let fp =
-    List.concat_map (fun p -> p.fp) parts |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let sums =
-    List.fold_left
-      (fun a p -> List.map2 (fun (k, x) (_, y) -> (k, x +. y)) a p.sums)
-      (List.map (fun (k, _) -> (k, 0.0)) (List.hd parts).sums)
-      parts
-  in
-  let taps = List.filter_map (fun p -> p.tap) parts in
-  (* Read before the merge below, which flushes every digest. *)
-  let tap_sum f = List.fold_left (fun a (col, _) -> a + f col) 0 taps in
-  let tap_words = tap_sum (fun col -> Obj.reachable_words (Obj.repr col))
-  and tap_links = tap_sum (fun col -> List.length (Collector.links col)) in
-  let merged = Collector.create () in
-  List.iter (fun (col, _) -> Collector.merge ~into:merged col) taps;
-  let f = float_of_int in
-  let tpp = add_up [ 0; 0; 0 ] (List.map (fun p -> p.tpp) parts) in
-  {
-    events;
-    delivered;
-    registers = List.fold_left (fun h (id, regs) -> List.fold_left mix (mix h id) regs) 0 fp;
-    tpp_execs = List.nth tpp 0;
-    tpp_faults = List.nth tpp 1;
-    tpp_cycles = List.nth tpp 2;
-    faults = add_up zero_faults (List.map (fun p -> p.p_faults) parts);
-    cards = (if taps = [] then 0 else Collector.cards merged);
-    collector = (if taps = [] then 0 else Collector.fingerprint merged);
-    pool_outstanding = List.fold_left (fun a p -> a + p.outstanding) 0 parts;
-    boundary_outstanding =
-      Option.fold ~none:0 ~some:(fun s -> s.Parsim.boundary_outstanding) stats;
-    wall;
-    minor_pe = per events (words fst);
-    promoted_pe = per events (words snd);
-    metrics =
-      sums
-      @ [ ("fib_per_switch", List.assoc "fib_entries" sums /. List.assoc "switches" sums);
-          (* 1.0 and 0 when every transmission queued its completion
-             and every frame its egress ring *)
-          ( "completions_per_tx",
-            List.assoc "completions_queued" sums /. List.assoc "transmissions" sums );
-          ("cut_through_share", List.assoc "cut_through" sums /. List.assoc "switch_hops" sums)
-        ]
-      @ (if taps = [] then []
-         else
-           [ ("cards_dropped", f (List.fold_left (fun a (_, d) -> a + d) 0 taps));
-             ("collector_words_per_link", per tap_links (f tap_words)) ])
-      @
-      match stats with
-      | None -> []
-      | Some s ->
-        [ ("rounds", f s.Parsim.rounds); ("boundary_messages", f s.Parsim.messages);
-          ("boundary_chunks", f s.Parsim.chunks); ("cut_links", f s.Parsim.cut_links);
-          ("lookahead_ns", f s.Parsim.lookahead) ];
-  }
 
 (* ---- transport flow sets -------------------------------------------- *)
 
@@ -746,49 +304,13 @@ let run_trim iters =
 (* The row run at [shards] (0 = the sequential engine), or its oracle. *)
 let run ?(oracle = false) spec ~shards =
   match spec.traffic with
-  | Collect | Heavy | Pooled | Postcard ->
-    if oracle_is spec ~oracle Interpreter then begin
-      Tcpu.set_default_backend Tcpu.Interpreter;
-      Fun.protect
-        ~finally:(fun () -> Tcpu.set_default_backend Tcpu.Compiled)
-        (fun () -> run_fabric spec ~oracle ~shards)
-    end
-    else run_fabric spec ~oracle ~shards
+  | Collect | Heavy | Pooled | Postcard -> fabric ~oracle spec ~shards
   | Flows (t, p) -> run_flows spec t p ~shards
   | Build -> run_build spec
   | Ingest cards -> run_ingest cards
   | Overload -> run_overload ()
   | Sketch samples -> run_sketch samples
   | Trim iters -> run_trim iters
-
-(* Fields an oracle or a sharded run must reproduce exactly. Event
-   counts of a flow set, and of a tapped fabric whose every shard ticks
-   its own collector, depend on the shard layout. *)
-let identity spec r =
-  (match spec.traffic with Flows _ | Postcard -> [] | _ -> [ ("events", r.events) ])
-  @ [ ("delivered", r.delivered); ("registers", r.registers);
-      ("tpp_execs", r.tpp_execs); ("tpp_faults", r.tpp_faults);
-      ("tpp_cycles", r.tpp_cycles); ("cards", r.cards); ("collector", r.collector) ]
-  @ List.combine fault_names r.faults
-
-(* The first identity field in which [got] differs from [expected]. *)
-let check_identity spec expected got =
-  match
-    List.find_opt
-      (fun ((_, want), (_, have)) -> want <> have)
-      (List.combine (identity spec expected) (identity spec got))
-  with
-  | None -> (Pass, "identical")
-  | Some ((field, want), (_, have)) ->
-    (Fail, Printf.sprintf "%s differs (%d vs %d)" field have want)
-
-let oracle_name = function
-  | Sequential -> "sequential run"
-  | Interpreter -> "interpreter backend"
-  | Unpooled -> "unpooled frames"
-  | Host32 -> "per-host /32 FIBs"
-  | Round_trip -> "per-send wire round trip"
-  | Bare -> "no fault schedule"
 
 let workload spec =
   let topo =
@@ -797,6 +319,9 @@ let workload spec =
     | Pods k ->
       Printf.sprintf "fat-tree k=%d (ECMP, %d hosts, aggregated FIBs)" k (k * k * k / 4)
     | Leaf_spine (l, s, h) -> Printf.sprintf "leaf-spine %dx%d (%d hosts)" l s (l * h)
+    | Dumbbell pairs -> Printf.sprintf "dumbbell (%d hosts)" (2 * pairs)
+    | Random (sw, h, x, seed) ->
+      Printf.sprintf "random, %d switches + %d extra links, %d hosts, seed %d" sw x h seed
     | Fct_fabric -> (
       match Fct.fabric_default.Fct.f_topo with
       | Fct.Fat_tree k -> Printf.sprintf "fat-tree k=%d" k
@@ -830,9 +355,6 @@ let workload spec =
 (* ---- assertions ----------------------------------------------------- *)
 
 let runs c = (c.seq :: Option.to_list c.oracle_run) @ List.map snd c.sharded
-let ok b = if b then Pass else Fail
-
-let holds what test detail = { what; eval = (fun c -> (ok (test c), detail c)) }
 
 let at_most ?(over = Fail) what limit get =
   { what;
@@ -856,15 +378,6 @@ let at_full_size a =
     eval = (fun c ->
       let v, d = a.eval c in
       if c.smoke && v <> Pass then (Skip, d ^ "; not judged at smoke size") else (v, d)) }
-
-let drained =
-  holds "every traffic-pool and boundary frame back in its pool"
-    (fun c ->
-      List.for_all (fun r -> r.pool_outstanding = 0 && r.boundary_outstanding = 0) (runs c))
-    (fun c ->
-      let sum f = List.fold_left (fun a r -> a + f r) 0 (runs c) in
-      Printf.sprintf "%d traffic-pool, %d boundary frames outstanding"
-        (sum (fun r -> r.pool_outstanding)) (sum (fun r -> r.boundary_outstanding)))
 
 let sharded_alloc =
   at_full_size @@ holds "sharded minor words/event <= 2x sequential"
@@ -897,17 +410,6 @@ let speedup_gate =
    their own budgets ([flow_alloc_budget]). *)
 let alloc_budget limit = at_most "minor words/event" limit (fun c -> c.seq.minor_pe)
 
-let faults_fire =
-  holds "every fault class fires"
-    (fun c ->
-      match c.seq.faults with
-      | [ lost; dropped; hdr; fcs; frozen; restarts ] ->
-        lost > 0 && dropped > 0 && hdr + fcs > 0 && frozen > 0 && restarts = 1
-      | _ -> false)
-    (fun c ->
-      String.concat " "
-        (List.map2 (Printf.sprintf "%s=%d") fault_names c.seq.faults))
-
 let no_cards_dropped =
   holds "no postcard dropped"
     (fun c -> List.for_all (fun r -> metric "cards_dropped" r = 0.0) (runs c))
@@ -937,10 +439,6 @@ let beats_p99 row =
         (ok (a > 0.0 && a < b), Printf.sprintf "%.0f us vs %.0f us" (a /. 1e3) (b /. 1e3))) }
 
 (* ---- the table ------------------------------------------------------ *)
-
-let spec ?(chaos = No_chaos) ?(packets = 0) ?(shards = []) ?(oracle = Sequential)
-    ?(best_of_two = false) ?(asserts = []) name ~why topo traffic =
-  { name; why; topo; traffic; chaos; packets; shards; oracle; best_of_two; asserts }
 
 let flow_load = 0.6
 
@@ -986,7 +484,7 @@ let table ~smoke =
   let pick s full = if smoke then s else full in
   let k = pick 4 8 and packets = pick 200 1500 and shards = pick [ 2 ] [ 4 ] in
   [ spec "collect" (Fat_tree k) Collect ~packets ~shards:(pick [ 2; 4 ] [ 4 ])
-      ~oracle:Round_trip ~asserts:[ alloc_budget 1.5; drained ]
+      ~oracle:Round_trip ~asserts:[ alloc_budget 1.5 ]
       ~why:
         "determinism: sharded runs reproduce the sequential engine's counts \
          and every switch register, boundary pools drain, and forwarding \
@@ -1018,19 +516,18 @@ let table ~smoke =
              completion only when a frame waits behind it. *)
           at_most "completions queued/transmission" (pick 0.30 0.28) (fun c ->
               metric "completions_per_tx" c.seq);
-          drained; sharded_alloc;
+          sharded_alloc;
           at_full_size (at_least ~under:Warn "events/sec" 2.4e6 (fun c -> eps c.seq)) ]
       ~why:
         "pooled flat frames stay inside the allocation budget and are \
          bit-identical to the allocate-per-send lifecycle, sequential and sharded";
     spec "pooled-chaos" (Fat_tree k) Pooled ~packets ~chaos:Chaotic ~oracle:Unpooled
-      ~asserts:[ drained ]
       ~why:
         "pooled frames match the unpooled lifecycle under the full fault \
          schedule, fault counts included";
     spec "shards-speedup" (Fat_tree k) Pooled ~packets:(pick 200 400) ~shards:[ 4 ]
       ~best_of_two:true
-      ~asserts:[ drained; sharded_alloc; speedup_gate ]
+      ~asserts:[ sharded_alloc; speedup_gate ]
       ~why:
         "the flat boundary at 4 shards: identity and drained pools on any \
          machine, the 2x speedup only where >= 4 cores can show it";
@@ -1101,15 +598,13 @@ let table ~smoke =
     spec "scale" (Pods (pick 8 16)) Pooled ~packets:(pick 100 400) ~shards
       ~oracle:Host32 ~best_of_two:(not smoke)
       ~asserts:
-        [ drained;
-          at_least "FIB reduction vs the /32 oracle" 2.0 (fun c ->
+        [ at_least "FIB reduction vs the /32 oracle" 2.0 (fun c ->
               metric "fib_per_switch" (oracle_of c) /. metric "fib_per_switch" c.seq);
           as_fast_as "pooled" ]
       ~why:
         "aggregated FIBs forward bit-identically to per-host /32 routes, \
          sequential and sharded";
     spec "scale-wide" (Pods (pick 16 32)) Pooled ~packets:(pick 2 80) ~shards
-      ~asserts:[ drained ]
       ~why:
         "the widest aggregated fabric (8192 hosts; 1024 at smoke size) stays \
          bit-identical and leak-free under sharding";
@@ -1122,8 +617,7 @@ let table ~smoke =
          closed form: one entry per host)";
     spec "leaf-spine" (Leaf_spine (8, 4, 10)) Pooled ~packets:200 ~shards
       ~asserts:
-        [ drained;
-          holds "delivers every frame"
+        [ holds "delivers every frame"
             (fun c -> c.seq.delivered = 8 * 10 * 200)
             (fun c -> Printf.sprintf "%d of %d" c.seq.delivered (8 * 10 * 200)) ]
       ~why:"the memory-lean leaf-spine still forwards, identically under sharding";
@@ -1211,10 +705,11 @@ let verdict_name = function
   | Fail -> "FAIL"
 
 (* Runs one row: sequential, then its oracle, then each shard count,
-   then every assertion. Identity checks are verdicts like the
-   assertions: a failure is printed, recorded and counted, and the
-   table carries on so one run still records every row. Returns the
-   sequential run, the row's JSON line and whether anything failed. *)
+   then judges them ([judgements]). Identity and conservation checks
+   are verdicts like the assertions: a failure is printed, recorded and
+   counted, and the table carries on so one run still records every
+   row. Returns the sequential run, the row's JSON line and whether
+   anything failed. *)
 let run_row ~smoke ~prior spec =
   let tag = Printf.sprintf "perf(%s)" spec.name in
   Printf.printf "%s: %s\n%!" tag (workload spec);
@@ -1235,7 +730,6 @@ let run_row ~smoke ~prior spec =
     else begin
       let o = best (fun () -> run ~oracle:true spec ~shards:0) in
       Printf.printf "%s: oracle (%s) %s\n%!" tag (oracle_name spec.oracle) (summary o);
-      judge ("sequential run == " ^ oracle_name spec.oracle) (check_identity spec o seq);
       Some o
     end
   in
@@ -1244,7 +738,6 @@ let run_row ~smoke ~prior spec =
       (fun s ->
         let r = run spec ~shards:s in
         Printf.printf "%s: %d-shard %s\n%!" tag s (summary r);
-        judge (Printf.sprintf "%d-shard run == sequential run" s) (check_identity spec seq r);
         (s, r))
       spec.shards
   in
@@ -1252,8 +745,9 @@ let run_row ~smoke ~prior spec =
     Printf.printf "%s: %s\n%!" tag
       (String.concat ", "
          (List.map (fun (k, v) -> Printf.sprintf "%s %.4g" k v) seq.metrics));
-  let ctx = { smoke; seq; oracle_run = oracle; sharded; prior } in
-  List.iter (fun a -> judge a.what (a.eval ctx)) spec.asserts;
+  List.iter
+    (fun (what, v) -> judge what v)
+    (judgements spec { smoke; seq; oracle_run = oracle; sharded; prior });
   let verdicts = List.rev !verdicts in
   let run_json label r =
     Printf.sprintf "{\"run\": %s, %s}" (json_string label) (record_json r)

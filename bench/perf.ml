@@ -9,9 +9,10 @@
      dune exec bench/perf.exe -- --out FILE    write FILE (with any of
                                                the above)
 
-   Exits 1 if any identity check or assertion failed (each failure is
-   printed as it happens, naming the row, the run and the first field
-   that differs; the record is still written); 2 on a bad argument. *)
+   Exits 1 if any identity, frame-conservation or assertion check
+   failed (each failure is printed, naming the row, the run and the
+   first field that differs or the invariant that broke; the record is
+   still written); 2 on a bad argument. *)
 
 let () =
   let smoke = ref false and rows = ref [] and out = ref None in

@@ -76,7 +76,7 @@ let never_idle ~port:_ _ = false
 let dscp_classifier (frame : Frame.t) =
   if Frame.has_ip frame then Frame.ip_dscp frame else 0
 
-let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
+let create ~id ~num_ports ?queue_limit () =
   let switch_state = State.create ~switch_id:id ~num_ports ?queue_limit () in
   {
     switch_state;
@@ -89,7 +89,7 @@ let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
     queued_one = [||];
     flooded_ports = [];
     drop_reason = "";
-    tcpu_enabled;
+    tcpu_enabled = true;
     tcpu = Compile.context ();
     tap = None;
     bin_tap = None;

@@ -20,10 +20,8 @@ type verdict =
       (** Ports the frame (or its flood copies) was enqueued on. *)
   | Dropped of string
 
-val create :
-  id:int -> num_ports:int -> ?queue_limit:int -> ?tcpu_enabled:bool -> unit -> t
-(** [tcpu_enabled] defaults to [true]; a disabled TCPU forwards TPPs
-    without executing them (a legacy, non-TPP switch). *)
+val create : id:int -> num_ports:int -> ?queue_limit:int -> unit -> t
+(** A switch with its TCPU enabled ({!set_tcpu_enabled}). *)
 
 val id : t -> int
 val num_ports : t -> int
@@ -94,6 +92,8 @@ val trims : t -> int
 val port_trims : t -> port:int -> int
 
 val set_tcpu_enabled : t -> bool -> unit
+(** A disabled TCPU forwards TPPs without executing them (a legacy,
+    non-TPP switch). *)
 
 val set_strip_tpp : t -> port:int -> bool -> unit
 (** Edge security (paper §4): when set, TPP sections are stripped from

@@ -40,8 +40,6 @@ type t = {
   circuits : circuit array;
   period : int;
   timeout : int;
-  window : int;
-  loss_threshold : float;
   probe : Tpp_isa.Tpp.t;
   loop : Engine.Loop.t;
   mutable round : int;
@@ -80,13 +78,15 @@ let route_links net ~src ~dst ~src_port ~dst_port =
   Verify.control_route ~src_port ~dst_port net ~src ~dst
   |> List.map (fun (from_switch, egress_port) -> { from_switch; egress_port })
 
-let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () =
+(* Each circuit keeps its last [window] probe rounds; losing
+   [loss_threshold] of the matured ones degrades it. *)
+let window = 8
+let loss_threshold = 0.25
+
+let create ~circuits ~period ~timeout () =
   if circuits = [] then invalid_arg "Faultfind.create: no circuits";
   if period <= 0 || timeout <= period then
     invalid_arg "Faultfind.create: need timeout > period > 0";
-  if window < 1 then invalid_arg "Faultfind.create: window must be >= 1";
-  if not (loss_threshold > 0.0 && loss_threshold <= 1.0) then
-    invalid_arg "Faultfind.create: loss_threshold must be in (0, 1]";
   let probe =
     match Programs.build ~max_hops:10 Programs.record_route with
     | Ok tpp -> tpp
@@ -140,8 +140,6 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
       circuits;
       period;
       timeout;
-      window;
-      loss_threshold;
       probe;
       loop = Engine.Loop.create (Net.engine net);
       round = 0;
@@ -162,7 +160,7 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
           let c = t.circuits.(i) in
           if c.src == stack then begin
             c.last_reply <- now;
-            let slot = round mod t.window in
+            let slot = round mod window in
             if c.hist_round.(slot) = round then c.hist_ok.(slot) <- true
           end))
     blocks;
@@ -175,7 +173,7 @@ let tick t () =
   Array.iteri
     (fun i c ->
       c.last_probe <- now;
-      let slot = t.round mod t.window in
+      let slot = t.round mod window in
       if c.hist_round.(slot) >= 0 && c.hist_sent.(slot) + t.timeout <= now
       then begin
         c.total_mature <- c.total_mature + 1;
@@ -218,7 +216,7 @@ let healthy t ~now =
    can ever be mature — newer rounds are still awaiting their echo. *)
 let window_counts t ~now c =
   let mature = ref 0 and lost = ref 0 in
-  for slot = 0 to t.window - 1 do
+  for slot = 0 to window - 1 do
     if c.hist_round.(slot) >= 0 && c.hist_sent.(slot) + t.timeout <= now then begin
       incr mature;
       if not c.hist_ok.(slot) then incr lost
@@ -239,8 +237,8 @@ let circuit_degraded t ~now c =
      it: with timeout ~ several periods, most slots in the window are
      still in flight and can never mature. *)
   let mature, lost = window_counts t ~now c in
-  mature >= min 3 t.window
-  && float_of_int lost /. float_of_int mature >= t.loss_threshold
+  mature >= min 3 window
+  && float_of_int lost /. float_of_int mature >= loss_threshold
 
 (* A circuit vouches for its cables only when it has real evidence and
    has never lost a probe: under a probabilistic fault a circuit

@@ -22,8 +22,6 @@ type link = { from_switch : int; egress_port : int }
 type t
 
 val create :
-  ?window:int ->
-  ?loss_threshold:float ->
   circuits:(Stack.t * Net.host) list ->
   period:int ->
   timeout:int ->
@@ -35,11 +33,10 @@ val create :
     predicted per circuit with the respective packets' own 5-tuples
     (hash-exact under ECMP).
 
-    Each circuit also keeps the outcome of its last [window] (default
-    8) probe rounds; a circuit losing at least [loss_threshold]
-    (default 0.25) of its matured rounds counts as {e degraded} even
-    while occasional echoes keep it nominally alive — this is what
-    catches flapping and lossy links. *)
+    Each circuit also keeps the outcome of its last 8 probe rounds; a
+    circuit losing at least a quarter of its matured rounds counts as
+    {e degraded} even while occasional echoes keep it nominally alive —
+    this is what catches flapping and lossy links. *)
 
 val start : t -> ?at:int -> unit -> unit
 val stop : t -> unit

@@ -97,6 +97,8 @@ type t = {
   mutable transmissions : int;       (* transmissions started *)
   mutable completions_queued : int;  (* completion events queued *)
   mutable cut_through : int;         (* switch hops that skipped the ring *)
+  mutable lost_dark : int;
+      (* frames that finished serialising onto a dark link *)
   mutable lost_in_flight : int;
       (* deliveries that fired for a frame lost before they came due *)
   mutable deliver_hooks : (host -> Frame.t -> unit) array;
@@ -507,14 +509,17 @@ and tx_complete t id port =
   else begin
     (* A frame finishing serialisation onto a dark link is lost; the
        fault schedule may also lose it (dark window, random drop,
-       corruption caught by the wire checks). *)
-    let survives =
-      f land down = 0
-      && (match t.fault with
-         | None -> true
-         | Some h -> h.f_transit ~node:id ~port ~now:(Engine.now t.eng) frame)
-    in
-    if not survives then Frame.recycle frame
+       corruption caught by the wire checks), and counts it itself. *)
+    if f land down <> 0 then begin
+      t.lost_dark <- t.lost_dark + 1;
+      Frame.recycle frame
+    end
+    else if
+      not
+        (match t.fault with
+        | None -> true
+        | Some h -> h.f_transit ~node:id ~port ~now:(Engine.now t.eng) frame)
+    then Frame.recycle frame
     else begin
       let now = Engine.now t.eng in
       let delay =
@@ -611,6 +616,7 @@ let create ?(nodes = 0) ?(ports = 0) eng =
       transmissions = 0;
       completions_queued = 0;
       cut_through = 0;
+      lost_dark = 0;
       lost_in_flight = 0;
       deliver_hooks = [||];
       sharding = None;
@@ -762,6 +768,7 @@ let frames_delivered t = t.delivered
 let transmissions t = t.transmissions
 let completions_queued t = t.completions_queued
 let cut_through t = t.cut_through
+let frames_lost t = t.lost_dark + t.lost_in_flight
 
 (* A transmission that queued its delivery at its start never consults
    the hooks, even once its completion is queued, so they must be in

@@ -186,6 +186,11 @@ val enable_trimming : t -> keep:int -> data_limit:int -> ctrl_limit:int -> unit
 val frames_delivered : t -> int
 (** Frames handed to host receive callbacks so far. *)
 
+val frames_lost : t -> int
+(** Frames lost because their link was down ({!set_link_up}) when they
+    finished serialising, counted once each when the frame is freed.
+    A fault schedule's losses are its own ({!Fault.stats}). *)
+
 (** {2 Transmitter counters}
 
     Exact and allocation-free; no register fingerprint reads them. *)

@@ -17,6 +17,12 @@ let mix = Sketch.mix
 let node_bound = 1 lsl Tpp_sim.Engine.max_id_bits
 let port_bound = 65536
 
+(* The flow CMS's shape and the per-link EWMAs' smoothing. *)
+let cms_width = 2048
+let cms_depth = 4
+let depth_alpha = 0.2
+let fault_alpha = 0.1
+
 let absent =
   {
     l_hops = 0;
@@ -29,8 +35,6 @@ let absent =
 
 type t = {
   digest_delta : float;
-  depth_alpha : float;
-  fault_alpha : float;
   mutable cards : int;
   mutable hops : int;
   mutable probe_retries : int;
@@ -71,9 +75,9 @@ let add_link t ~node ~port =
       l_hops = 0;
       l_bytes = 0;
       l_faults = 0;
-      depth_ewma = Sketch.Ewma.create ~alpha:t.depth_alpha ();
+      depth_ewma = Sketch.Ewma.create ~alpha:depth_alpha ();
       depth_digest = Sketch.Tdigest.create ~delta:t.digest_delta ();
-      fault_ewma = Sketch.Ewma.create ~alpha:t.fault_alpha ();
+      fault_ewma = Sketch.Ewma.create ~alpha:fault_alpha ();
     }
   in
   row.(port) <- ls;
@@ -118,13 +122,10 @@ let absorb_card t buf ~off =
   end;
   t.cards <- t.cards + 1
 
-let create ?(cms_width = 2048) ?(cms_depth = 4) ?(digest_delta = 100.0)
-    ?(depth_alpha = 0.2) ?(fault_alpha = 0.1) () =
+let create ?(digest_delta = 100.0) () =
   let rec t =
     {
       digest_delta;
-      depth_alpha;
-      fault_alpha;
       cards = 0;
       hops = 0;
       probe_retries = 0;

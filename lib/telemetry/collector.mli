@@ -23,14 +23,10 @@
 
 type t
 
-val create :
-  ?cms_width:int ->
-  ?cms_depth:int ->
-  ?digest_delta:float ->
-  ?depth_alpha:float ->
-  ?fault_alpha:float ->
-  unit ->
-  t
+val create : ?digest_delta:float -> unit -> t
+(** A 2048 x 4 flow CMS, per-link depth and fault EWMAs with alpha 0.2
+    and 0.1, and per-link depth t-digests of compression
+    [digest_delta] (default 100). *)
 
 val absorb : t -> Sink.t -> unit
 (** Drains the sink, decoding every pending card in place. *)

@@ -8,11 +8,15 @@ type action =
   | Drained of { switch : int; port : int }
   | Reweighted of { switch : int; port : int }
 
+(* Drain a link once its fault EWMA reaches [fault_threshold] over at
+   least [min_fault_events] fault cards; reweight the hottest link once
+   it carries [hot_ratio] x the mean per-link bytes. *)
+let fault_threshold = 0.25
+let min_fault_events = 3
+let hot_ratio = 4.0
+
 type t = {
   net : Net.t;
-  fault_threshold : float;
-  min_fault_events : int;
-  hot_ratio : float;
   mutable version : int;
   mutable entry_id : int;  (* fresh ids, disjoint from install_routes' *)
   mutable drained_links : (int * int) list;
@@ -22,8 +26,7 @@ type t = {
   drain_flag : (int, int) Hashtbl.t;  (* switch id -> SRAM word address *)
 }
 
-let create ?(fault_threshold = 0.25) ?(min_fault_events = 3)
-    ?(hot_ratio = 4.0) ?(version = 1) net =
+let create ?(version = 1) net =
   let drain_flag = Hashtbl.create 16 in
   List.iter
     (fun (sid, sw) ->
@@ -35,9 +38,6 @@ let create ?(fault_threshold = 0.25) ?(min_fault_events = 3)
     (Net.switches net);
   {
     net;
-    fault_threshold;
-    min_fault_events;
-    hot_ratio;
     version;
     entry_id = 0x4000_0000;
     drained_links = [];
@@ -124,8 +124,8 @@ let step ?(suspects = []) t col =
   List.iter
     (fun (sw, port) ->
       if
-        Collector.link_fault_ewma col ~switch:sw ~port >= t.fault_threshold
-        && Collector.link_faults col ~switch:sw ~port >= t.min_fault_events
+        Collector.link_fault_ewma col ~switch:sw ~port >= fault_threshold
+        && Collector.link_faults col ~switch:sw ~port >= min_fault_events
       then drain t ~switch:sw ~port)
     (Collector.links col);
   (* Reweight: at most one per round, hottest link first. *)
@@ -145,7 +145,7 @@ let step ?(suspects = []) t col =
           0 links
       in
       let mean = float_of_int total /. float_of_int n in
-      if float_of_int bytes >= t.hot_ratio *. mean then
+      if float_of_int bytes >= hot_ratio *. mean then
         reweight_away t ~switch:sw ~port
     end);
   (* Actions taken this round, oldest first. *)

@@ -27,21 +27,13 @@ type action =
 
 type t
 
-val create :
-  ?fault_threshold:float ->
-  ?min_fault_events:int ->
-  ?hot_ratio:float ->
-  ?version:int ->
-  Net.t ->
-  t
-(** [fault_threshold] (default 0.25): drain when a link's
-    {!Collector.link_fault_ewma} reaches it; [min_fault_events]
-    (default 3) fault cards before the EWMA is trusted; [hot_ratio]
-    (default 4.0): reweight when the hottest link carries at least
-    that multiple of the mean per-link bytes. [version] (default 1)
-    is the table version the routes were installed at; rewrites bump
-    from there. Allocates one SRAM word per switch (task ["react"])
-    as the drain flag a TPP would write. *)
+val create : ?version:int -> Net.t -> t
+(** Drains a link once its {!Collector.link_fault_ewma} reaches 0.25,
+    trusting the EWMA after 3 fault cards; reweights when the hottest
+    link carries at least 4x the mean per-link bytes. [version]
+    (default 1) is the table version the routes were installed at;
+    rewrites bump from there. Allocates one SRAM word per switch
+    (task ["react"]) as the drain flag a TPP would write. *)
 
 val step : ?suspects:(int * int) list -> t -> Collector.t -> action list
 (** One control round against the collector's current view: drains

@@ -254,117 +254,14 @@ let test_reliable_gives_up () =
 
 (* --- determinism under sharding ------------------------------------- *)
 
-let zero_stats =
-  {
-    Fault.lost_down = 0;
-    dropped = 0;
-    corrupt_header = 0;
-    corrupt_fcs = 0;
-    frozen_arrivals = 0;
-    restarts = 0;
-  }
-
-let sum_stats (a : Fault.stats) (b : Fault.stats) =
-  {
-    Fault.lost_down = a.Fault.lost_down + b.Fault.lost_down;
-    dropped = a.Fault.dropped + b.Fault.dropped;
-    corrupt_header = a.Fault.corrupt_header + b.Fault.corrupt_header;
-    corrupt_fcs = a.Fault.corrupt_fcs + b.Fault.corrupt_fcs;
-    frozen_arrivals = a.Fault.frozen_arrivals + b.Fault.frozen_arrivals;
-    restarts = a.Fault.restarts + b.Fault.restarts;
-  }
-
-let stats_fp (s : Fault.stats) =
-  [
-    s.Fault.lost_down; s.Fault.dropped; s.Fault.corrupt_header;
-    s.Fault.corrupt_fcs; s.Fault.frozen_arrivals; s.Fault.restarts;
-  ]
-
-let build_fat_tree eng =
-  let ft =
-    Topology.fat_tree eng ~ecmp:true ~k:4 ~bps:1_000_000_000
-      ~delay:(Time_ns.us 1) ()
-  in
-  ft.Topology.f_net
-
-(* Every fault class at once. Rebuilt per replica from the same seed:
-   the schedule is a pure description. The faulted cables are host
-   access links (and the edge switch above host 0), which carry every
-   frame those hosts send or receive — ECMP hashing can starve an
-   arbitrary core uplink, but never an access link. *)
-let chaos_schedule net =
-  let f = Fault.create ~seed:99 in
-  let hosts = Array.of_list (Net.hosts net) in
-  let access i = (hosts.(i).Net.node_id, 0) in
-  let edge_above i =
-    match Net.neighbors net hosts.(i).Net.node_id with
-    | (_, peer, _) :: _ -> peer
-    | [] -> invalid_arg "chaos_schedule: host has no uplink"
-  in
-  Fault.flap f ~from_:(ms 1) ~until_:(ms 8) ~period:(us 500) ~down_for:(us 200)
-    (access 0);
-  Fault.lossy f ~from_:0 ~until_:(ms 10) ~drop:0.3 ~corrupt:0.2 (access 5);
-  Fault.freeze f ~from_:(ms 2) ~until_:(ms 4) (edge_above 1);
-  Fault.degrade f ~from_:(ms 3) ~until_:(ms 9) ~rate_factor:0.5
-    ~extra_delay:(us 5) (access 9);
-  Fault.attach f net;
-  f
-
-let test_chaos_matches_sequential () =
-  (* Sends stretch over ~7.6 ms so every fault window sees traffic. *)
-  let traffic =
-    Test_parsim.blast ~packets:20 ~gap_ns:400_000 ~payload_bytes:400
-  in
-  let until = ms 10 in
-  (* Sequential reference. *)
-  let eng = Engine.create () in
-  let net = build_fat_tree eng in
-  let fault = chaos_schedule net in
-  traffic ~owns:(fun _ -> true) net;
-  Engine.run eng ~until;
-  let seq_events = Engine.events_processed eng in
-  let seq_delivered = Net.frames_delivered net in
-  let seq_drops = Test_parsim.total_drops ~owns:(fun _ -> true) net in
-  let seq_fp = Test_parsim.net_fp ~owns:(fun _ -> true) net in
-  let seq_faults = Fault.stats fault in
-  check Alcotest.bool "chaos actually lost frames" true
-    (seq_faults.Fault.lost_down > 0
-    && seq_faults.Fault.dropped > 0
-    && seq_faults.Fault.corrupt_header + seq_faults.Fault.corrupt_fcs > 0
-    && seq_faults.Fault.frozen_arrivals > 0);
-  check Alcotest.int "switch restarted" 1 seq_faults.Fault.restarts;
-  List.iter
-    (fun shards ->
-      let faults = Array.make shards None in
-      let stats, per_shard =
-        Parsim.run ~shards ~until ~build:build_fat_tree
-          ~setup:(fun ~shard ~owns net ->
-            faults.(shard) <- Some (chaos_schedule net);
-            traffic ~owns net)
-          ~collect:(fun ~shard ~owns net ->
-            ( Test_parsim.total_drops ~owns net,
-              Test_parsim.net_fp ~owns net,
-              Fault.stats (Option.get faults.(shard)) ))
-          ()
-      in
-      let drops = Array.fold_left (fun a (d, _, _) -> a + d) 0 per_shard in
-      let fp =
-        Array.to_list per_shard
-        |> List.concat_map (fun (_, fp, _) -> fp)
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let fstats =
-        Array.fold_left (fun a (_, _, s) -> sum_stats a s) zero_stats per_shard
-      in
-      let lbl s = Printf.sprintf "%s (%d shards)" s shards in
-      check Alcotest.int (lbl "events") seq_events stats.Parsim.events;
-      check Alcotest.int (lbl "delivered") seq_delivered stats.Parsim.delivered;
-      check Alcotest.int (lbl "drops") seq_drops drops;
-      check Test_parsim.fp_t (lbl "switch registers") seq_fp fp;
-      check
-        Alcotest.(list int)
-        (lbl "fault counters") (stats_fp seq_faults) (stats_fp fstats))
-    [ 2; 4; 8 ]
+(* Flaps, loss with corruption, freeze-restart and degradation at once
+   ({!Scenario.chaos_schedule}): every fault class must fire, and the
+   sharded runs must reproduce the sequential one, fault counters
+   included. *)
+let chaos =
+  Scenario.spec "chaos-k4" (Fat_tree 4) Collect ~packets:60 ~chaos:Chaotic
+    ~shards:[ 2; 4; 8 ] ~asserts:[ Scenario.faults_fire ]
+    ~why:"every fault class at once stays bit-identical sequential vs sharded"
 
 (* --- localisation scenario matrix ------------------------------------ *)
 
@@ -400,7 +297,7 @@ let suite =
     Alcotest.test_case "reliable probe gives up cleanly" `Quick
       test_reliable_gives_up;
     Alcotest.test_case "chaos matches sequential (2/4/8 shards)" `Quick
-      test_chaos_matches_sequential;
+      (Test_scenario.case chaos);
     Alcotest.test_case "localise: permanent failure" `Quick
       (scenario_case Faults.Permanent ~max_detection_ms:100.0);
     Alcotest.test_case "localise: flapping link" `Quick

@@ -15,6 +15,7 @@ let () =
       ("transmit", Test_transmit.suite);
       ("parsim", Test_parsim.suite);
       ("fault", Test_fault.suite);
+      ("scenario", Test_scenario.suite);
       ("endhost", Test_endhost.suite);
       ("rcp", Test_rcp.suite);
       ("ndb", Test_ndb.suite);

@@ -8,9 +8,9 @@ open Tpp
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-(* --- workload: every host streams TPP-tagged UDP to rotating peers --- *)
-
 let collect_src = "PUSH [Switch:SwitchID]\nPUSH [Link:QueueSize]\n"
+
+(* --- workload: every host streams TPP-tagged UDP to rotating peers --- *)
 
 (* Uniform frame sizes keep same-instant events commutative (the
    determinism precondition, DESIGN.md §8). *)
@@ -168,56 +168,30 @@ let test_sharding_hooks () =
 
 (* --- sequential equivalence ----------------------------------------- *)
 
-(* Congested dumbbell: a 20x overcommitted core link, so the left switch
-   tail-drops — drop accounting must survive sharding exactly. *)
-let test_dumbbell_matches_sequential () =
-  let build eng =
-    let d =
-      Topology.dumbbell eng ~pairs:5 ~core_bps:100_000_000
-        ~edge_bps:1_000_000_000 ~delay:(Time_ns.us 2) ()
-    in
-    (* Shallow buffers: the overcommitted core port must tail-drop. *)
-    List.iter
-      (fun (_, sw) ->
-        for p = 0 to Switch.num_ports sw - 1 do
-          Switch.set_queue_limit sw ~port:p ~bytes:8_000
-        done)
-      (Net.switches d.Topology.d_net);
-    d.Topology.d_net
-  in
-  let traffic = blast ~packets:60 ~gap_ns:2_000 ~payload_bytes:600 in
-  let _, drops =
-    check_matches_sequential ~build ~traffic ~until:(Time_ns.ms 20) [ 1; 2; 4 ]
-  in
-  check Alcotest.bool "congestion actually dropped frames" true (drops > 0)
+(* Each spec's sharded runs must reproduce its sequential run: event,
+   delivery and fault counts, every switch register and every host's
+   arrival times ({!Test_scenario.case}). *)
 
-let test_fat_tree_matches_sequential () =
-  let build eng =
-    let ft =
-      Topology.fat_tree eng ~ecmp:true ~k:4 ~bps:1_000_000_000
-        ~delay:(Time_ns.us 1) ()
-    in
-    ft.Topology.f_net
-  in
-  let traffic = blast ~packets:20 ~gap_ns:4_000 ~payload_bytes:400 in
-  let delivered, _ =
-    check_matches_sequential ~build ~traffic ~until:(Time_ns.ms 10) [ 2; 4; 8 ]
-  in
-  check Alcotest.bool "traffic flowed" true (delivered > 0)
+let dumbbell_drops =
+  Scenario.spec "dumbbell-drops" (Dumbbell 5) Collect ~packets:60 ~queue_limit:3_000
+    ~shards:[ 1; 2; 4 ]
+    ~why:"bursts onto a dumbbell's shallow core queue tail-drop, identically sharded"
+    ~asserts:
+      [ Scenario.holds "congestion dropped frames"
+          (fun c -> (Test_scenario.drained c.seq).switch_drops > 0)
+          (fun c -> string_of_int (Test_scenario.drained c.seq).switch_drops) ]
 
-(* More shards than switches: the extra shards idle at the barriers but
-   the run must still complete and agree with the sequential engine. *)
-let test_more_shards_than_switches () =
-  let build eng =
-    let d =
-      Topology.dumbbell eng ~pairs:2 ~core_bps:1_000_000_000
-        ~edge_bps:1_000_000_000 ~delay:(Time_ns.us 3) ()
-    in
-    d.Topology.d_net
-  in
-  let traffic = blast ~packets:8 ~gap_ns:5_000 ~payload_bytes:200 in
-  ignore
-    (check_matches_sequential ~build ~traffic ~until:(Time_ns.ms 5) [ 5 ])
+let fat_tree =
+  Scenario.spec "fat-tree" (Fat_tree 4) Collect ~packets:20 ~shards:[ 2; 4; 8 ]
+    ~why:"a k=4 fat-tree forwards identically on 2, 4 and 8 shards"
+    ~asserts:
+      [ Scenario.holds "every frame delivered"
+          (fun c -> c.seq.delivered = 16 * 20)
+          (fun c -> Printf.sprintf "%d of %d" c.seq.delivered (16 * 20)) ]
+
+let more_shards =
+  Scenario.spec "more-shards" (Dumbbell 2) Pooled ~packets:8 ~shards:[ 5 ]
+    ~why:"more shards than switches: the idle ones wait at the barriers, the run agrees"
 
 (* --- barrier -------------------------------------------------------- *)
 
@@ -466,10 +440,10 @@ let suite =
       test_boundary_crossing_allocates_nothing;
     qtest prop_inbox_sorts_like_compare_msg;
     Alcotest.test_case "dumbbell w/ drops matches sequential" `Quick
-      test_dumbbell_matches_sequential;
+      (Test_scenario.case dumbbell_drops);
     Alcotest.test_case "fat-tree matches sequential" `Quick
-      test_fat_tree_matches_sequential;
+      (Test_scenario.case fat_tree);
     Alcotest.test_case "more shards than switches" `Quick
-      test_more_shards_than_switches;
+      (Test_scenario.case more_shards);
     qtest prop_random_topology_deterministic;
   ]

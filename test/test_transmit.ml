@@ -2,9 +2,9 @@
    events must reproduce the always-queue, always-complete model event
    for event. That model is Net's own queued path, which queues every
    frame on its egress ring and one completion event per transmission
-   ({!queue_everything} puts a whole net on it). Every golden below was
-   recorded on that model and must hold on both paths; a differential
-   fuzz then compares the two paths on random scenarios. *)
+   ({!Scenario.queue_everything} puts a whole net on it). Every golden
+   below was recorded on that model and must hold on both paths; a
+   differential fuzz then compares the two paths on random scenarios. *)
 
 open Tpp
 
@@ -12,26 +12,6 @@ let check = Alcotest.check
 let ints = Alcotest.(list int)
 
 module SS = Switch_state
-
-(* Hooks that change nothing. *)
-let no_faults =
-  {
-    Net.f_transit = (fun ~node:_ ~port:_ ~now:_ _ -> true);
-    f_rate = (fun ~node:_ ~port:_ ~now:_ ~bps -> bps);
-    f_delay = (fun ~node:_ ~port:_ ~now:_ ~delay -> delay);
-    f_ingress = (fun ~node:_ ~now:_ -> true);
-    f_clean = (fun ~node:_ ~port:_ -> true);
-  }
-
-(* Puts [net] on the reference path: a wire that is not clean never
-   elides a completion, and a switch whose transmitter refuses every
-   frame queues it. The net's own fault hooks are kept. *)
-let queue_everything net =
-  let h = Option.value (Net.fault_hooks net) ~default:no_faults in
-  Net.set_fault_hooks net (Some { h with Net.f_clean = (fun ~node:_ ~port:_ -> false) });
-  List.iter
-    (fun (_, sw) -> Switch.set_transmitter sw (fun ~port:_ _ -> false))
-    (Net.switches net)
 
 (* One switch (node 0), one host per port; every link 1 Gb/s, port
    [p]'s with propagation delay [delays.(p)]; [fault] attached, then on
@@ -51,7 +31,7 @@ let star ?fault ~reference delays =
   in
   Topology.install_routes net;
   Option.iter (fun f -> Fault.attach f net) fault;
-  if reference then queue_everything net;
+  if reference then Scenario.queue_everything net;
   (eng, net, sw, sid, hosts)
 
 (* 54 payload bytes: 100 bytes on the wire, 800 ns at 1 Gb/s. *)
@@ -229,7 +209,7 @@ let fabric ?(delay = 1_000) eng =
   (Topology.fat_tree eng ~k:4 ~bps:1_000_000_000 ~delay ()).Topology.f_net
 
 let traffic ?(frames = 40) ?(gap = 1000) ~reference ~owns net =
-  if reference then queue_everything net;
+  if reference then Scenario.queue_everything net;
   let eng = Net.engine net in
   let hosts = Array.of_list (Net.hosts net) in
   let n = Array.length hosts in
@@ -383,7 +363,7 @@ let test_hooks_behind_queued_completion () =
   send_at eng net 400 c b;
   let drop_all =
     Some
-      { no_faults with
+      { Scenario.no_faults with
         Net.f_transit = (fun ~node:_ ~port:_ ~now:_ _ -> false);
         f_clean = (fun ~node:_ ~port:_ -> false) }
   in
@@ -394,6 +374,27 @@ let test_hooks_behind_queued_completion () =
   Engine.run eng ~until:(Time_ns.ms 1);
   Net.set_fault_hooks net drop_all;
   check Alcotest.int "both frames delivered" 2 (Net.frames_delivered net)
+
+(* --- frames lost on a dark link ---------------------------------------- *)
+
+(* A sends ten frames through the switch to B, 1 us apart; B's link is
+   down over [3000, 7000), when four of them end their transmissions
+   (the first of those elided, and serialising when the link goes).
+   Each of the ten is delivered or counted lost. *)
+let test_dark_link_losses () =
+  List.iter
+    (fun reference ->
+      let eng, net, _, sid, hosts = star ~reference [| 1000; 1000 |] in
+      for j = 0 to 9 do
+        send_at eng net (j * 1000) hosts.(0) hosts.(1)
+      done;
+      Engine.at eng 3000 (fun () -> Net.set_link_up net (sid, 1) false);
+      Engine.at eng 7000 (fun () -> Net.set_link_up net (sid, 1) true);
+      Engine.run eng ~until:(Time_ns.ms 1);
+      let path = if reference then " (reference path)" else "" in
+      check ints ("delivered, lost" ^ path) [ 6; 4 ]
+        [ Net.frames_delivered net; Net.frames_lost net ])
+    [ false; true ]
 
 (* --- a differential fuzz of the elided path against the reference ---- *)
 
@@ -751,5 +752,7 @@ let suite =
     Alcotest.test_case "WRR, stripped, trimmed and flooded frames queue" `Quick
       test_always_queue;
     Alcotest.test_case "fault hooks wait for a completion queued late" `Quick
-      test_hooks_behind_queued_completion ]
+      test_hooks_behind_queued_completion;
+    Alcotest.test_case "frames lost on a dark link are counted" `Quick
+      test_dark_link_losses ]
   @ fuzz
