@@ -432,28 +432,29 @@ let e13 () =
     "end-host fault localisation: a link dies, probes find it";
   Report.kv "setup"
     "k=4 ECMP fat-tree; 16 probe circuits at 10 ms; one agg->core link fails at t=1s";
-  let r = Faults.run () in
-  Report.kvi "probe circuits" r.Faults.circuits;
+  let r = Faults.run_scenario Faults.Permanent in
+  let failed_link = List.hd r.Faults.sc_true_links in
+  Report.kvi "probe circuits" r.Faults.sc_circuits;
   Report.kv "failed link (ground truth)"
-    (Format.asprintf "%a" Faultfind.pp_link r.Faults.failed_link);
-  Report.kvi "circuits that lost their echoes" r.Faults.failing_circuits;
-  Report.kvf "detection latency (ms)" r.Faults.detection_ms;
+    (Format.asprintf "%a" Faultfind.pp_link failed_link);
+  Report.kvi "circuits that lost their echoes" r.Faults.sc_degraded_circuits;
+  Report.kvf "detection latency (ms)" r.Faults.sc_detection_ms;
   Report.kv "suspect links"
     (String.concat ", "
-       (List.map (Format.asprintf "%a" Faultfind.pp_link) r.Faults.suspects));
+       (List.map (Format.asprintf "%a" Faultfind.pp_link) r.Faults.sc_suspects));
   Report.sub "expectations";
   Report.expect ~what:"failure detected within a few probe periods"
     ~paper:"low-latency fault diagnosis"
-    ~measured:(Printf.sprintf "%.0f ms (probe period 10 ms)" r.Faults.detection_ms)
-    (r.Faults.detection_ms < 100.0);
+    ~measured:(Printf.sprintf "%.0f ms (probe period 10 ms)" r.Faults.sc_detection_ms)
+    (r.Faults.sc_detection_ms < 100.0);
   Report.expect ~what:"true link among suspects"
     ~paper:"localisation from end-hosts"
-    ~measured:(Format.asprintf "%a" Faultfind.pp_link r.Faults.failed_link)
-    r.Faults.true_link_in_suspects;
+    ~measured:(Format.asprintf "%a" Faultfind.pp_link failed_link)
+    r.Faults.sc_localised;
   Report.expect ~what:"suspect set is small"
     ~paper:"(intersection of failing paths)"
-    ~measured:(Printf.sprintf "%d links" (List.length r.Faults.suspects))
-    (List.length r.Faults.suspects <= 3 && r.Faults.suspects <> [])
+    ~measured:(Printf.sprintf "%d links" (List.length r.Faults.sc_suspects))
+    (List.length r.Faults.sc_suspects <= 3 && r.Faults.sc_suspects <> [])
 
 (* --- E14: streaming telemetry (extension) ------------------------------------- *)
 

@@ -54,7 +54,6 @@ type tally = {
   t_delivered : int;
   switch_drops : int;
   fault_losses : int;  (* Fault.stats' five loss counters *)
-  net_losses : int;  (* Net.frames_lost: links taken down *)
   in_flight : int;  (* traffic-pool and boundary frames outstanding *)
   pooled : bool;  (* every frame in flight is one of those *)
 }
@@ -376,11 +375,11 @@ type part = {
 }
 
 (* Attaches the row's faults, tap and traffic to [net]. Returns [counts]
-   (frames sent, dropped by the owned switches, lost to faults and on
-   dark links, and traffic-pool frames outstanding), readable at any
-   horizon, and the closure that, called after the run, reads back what
-   the owned switches, hosts and pools hold. Allocation is counted from
-   the end of setup. *)
+   (frames sent, dropped by the owned switches, lost to faults, and
+   traffic-pool frames outstanding), readable at any horizon, and the
+   closure that, called after the run, reads back what the owned
+   switches, hosts and pools hold. Allocation is counted from the end
+   of setup. *)
 let setup spec ~oracle ~owns net =
   let flip = oracle_is spec ~oracle in
   let fault =
@@ -426,7 +425,6 @@ let setup spec ~oracle ~owns net =
     in
     [ !sent; List.fold_left (fun a (_, sw) -> a + (Switch.state sw).SS.drops) 0 owned;
       Option.fold ~none:0 ~some:(fun f -> losses (Fault.stats f)) fault;
-      Net.frames_lost net;
       Array.fold_left (fun a p -> a + Frame.Pool.outstanding p) 0 pools ]
   in
   let m0 = Gc.minor_words () and p0 = promoted_words () in
@@ -478,10 +476,10 @@ let run_fabric spec ~oracle ~shards =
     not (oracle_is spec ~oracle Unpooled || oracle_is spec ~oracle Round_trip)
   in
   let tally ~at ~events ~delivered ~boundary counts =
-    match add_up [ 0; 0; 0; 0; 0 ] counts with
-    | [ sent; switch_drops; fault_losses; net_losses; pool ] ->
+    match add_up [ 0; 0; 0; 0 ] counts with
+    | [ sent; switch_drops; fault_losses; pool ] ->
       { at; t_events = events; sent; t_delivered = delivered; switch_drops; fault_losses;
-        net_losses; in_flight = pool + boundary; pooled }
+        in_flight = pool + boundary; pooled }
     | _ -> assert false
   in
   let sharded until =
@@ -641,7 +639,7 @@ let check_identity spec expected got =
    all come from the traffic pools; once the run drains, every frame is
    back in its pool whatever the traffic. *)
 let unconserved t =
-  let lost = t.switch_drops + t.fault_losses + t.net_losses and drained = t.at >= horizon in
+  let lost = t.switch_drops + t.fault_losses and drained = t.at >= horizon in
   if drained && t.in_flight <> 0 then
     Some
       (Printf.sprintf "frame: every traffic-pool and boundary frame back in its pool once \
@@ -650,8 +648,8 @@ let unconserved t =
     Some
       (Printf.sprintf
          "net: frames sent = delivered + lost + in flight at %d ns (%d sent, %d delivered, \
-          %d switch drops, %d fault losses, %d dark-link losses, %d in flight)"
-         t.at t.sent t.t_delivered t.switch_drops t.fault_losses t.net_losses t.in_flight)
+          %d switch drops, %d fault losses, %d in flight)"
+         t.at t.sent t.t_delivered t.switch_drops t.fault_losses t.in_flight)
   else None
 
 (* The first horizon of a labelled run that does not conserve frames. *)

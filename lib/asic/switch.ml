@@ -154,7 +154,6 @@ let set_subqueue_limit t ~port ~queue ~bytes =
   p.State.Port.queues.(queue).State.Subqueue.q_limit <- bytes
 
 let trims t = t.switch_state.State.trims
-let port_trims t ~port = (State.port t.switch_state port).State.Port.trims
 
 let set_strip_tpp t ~port strip =
   if port < 0 || port >= num_ports t then invalid_arg "Switch.set_strip_tpp: port";
@@ -238,8 +237,12 @@ let[@inline] live_port st i =
   let ports = st.State.ports in
   if Array.length ports = 0 then State.port st i else Array.unsafe_get ports i
 
+(* Every frame the switch drops passes through here, and is counted
+   once in [State.drops]. *)
 let[@inline never] drop t reason =
   t.drop_reason <- reason;
+  let st = t.switch_state in
+  st.State.drops <- st.State.drops + 1;
   dropped
 
 (* TCPU + enqueue on one output port. Returns [out_port] when the frame
@@ -303,7 +306,6 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
       then begin
         top.State.Subqueue.q_dropped <- top.State.Subqueue.q_dropped + twire;
         port.State.Port.drops <- port.State.Port.drops + 1;
-        st.State.drops <- st.State.drops + 1;
         drop t "queue full"
       end
       else begin
@@ -319,7 +321,6 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
     else begin
       sub.State.Subqueue.q_dropped <- sub.State.Subqueue.q_dropped + wire;
       port.State.Port.drops <- port.State.Port.drops + 1;
-      st.State.drops <- st.State.drops + 1;
       drop t "queue full"
     end
   end
@@ -356,7 +357,6 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
    a tuple. *)
 let route t ~now ~transmit ~in_port frame ~out_port ~entry_id ~version
     ~table_hit =
-  let st = t.switch_state in
   if out_port < 0 || out_port >= num_ports t then drop t "route to invalid port"
   else begin
     (* Routed (non-L2) hops decrement the TTL; expiry protects the
@@ -373,10 +373,7 @@ let route t ~now ~transmit ~in_port frame ~out_port ~entry_id ~version
       end
       else false
     in
-    if expired then begin
-      st.State.drops <- st.State.drops + 1;
-      drop t "TTL expired"
-    end
+    if expired then drop t "TTL expired"
     else begin
       fill_meta t ~now ~in_port ~out_port ~entry_id ~version ~table_hit frame;
       process_and_enqueue t ~now ~transmit frame ~out_port
@@ -426,7 +423,13 @@ let flood t ~now ~in_port frame =
       end
     end
   done;
-  if !queued = [] then drop t "flood found no open port"
+  if !queued = [] then
+    (* Each copy tried was counted as it dropped. *)
+    if n > 1 then begin
+      t.drop_reason <- "flood found no open port";
+      dropped
+    end
+    else drop t "flood found no open port"
   else begin
     (* Clones are unpooled; the frame itself goes back to its pool if
        its own port dropped it. *)

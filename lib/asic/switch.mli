@@ -89,8 +89,6 @@ val set_subqueue_limit : t -> port:int -> queue:int -> bytes:int -> unit
 val trims : t -> int
 (** Frames trimmed (not dropped) by this switch so far. *)
 
-val port_trims : t -> port:int -> int
-
 val set_tcpu_enabled : t -> bool -> unit
 (** A disabled TCPU forwards TPPs without executing them (a legacy,
     non-TPP switch). *)

@@ -8,77 +8,10 @@ module Stack = Tpp_endhost.Stack
 module Probe = Tpp_endhost.Probe
 module Faultfind = Tpp_ndb.Faultfind
 
-type result = {
-  circuits : int;
-  failed_link : Faultfind.link;
-  failing_circuits : int;
-  detection_ms : float;
-  suspects : Faultfind.link list;
-  true_link_in_suspects : bool;
-}
-
 let fail_at = Time_ns.sec 1
 let probe_period = Time_ns.ms 10
 let timeout = Time_ns.ms 50
 let duration = Time_ns.sec 2
-
-let run () =
-  let eng = Engine.create () in
-  let ft = Topology.fat_tree eng ~k:4 ~bps:100_000_000 ~delay:(Time_ns.us 20) () in
-  let net = ft.Topology.f_net in
-  let hosts = ft.Topology.f_hosts in
-  let n = Array.length hosts in
-  let stacks = Array.map (Stack.create net) hosts in
-  Array.iter Probe.install_echo stacks;
-  let circuits =
-    List.init n (fun i -> (stacks.(i), hosts.((i + 4) mod n)))
-  in
-  let finder = Faultfind.create ~circuits ~period:probe_period ~timeout () in
-  Faultfind.start finder ~at:(Time_ns.ms 10) ();
-  (* Ground truth: kill the aggregation->core hop of circuit 0's route.
-     Map its switch id back to the node that owns the egress port. *)
-  let failed_link =
-    match Faultfind.links_of_circuit finder 0 with
-    | _ :: (agg_to_core : Faultfind.link) :: _ -> agg_to_core
-    | _ -> invalid_arg "Faults.run: circuit 0 shorter than expected"
-  in
-  let node_of_switch_id swid =
-    match
-      List.find_opt (fun (_, sw) -> Switch.id sw = swid) (Net.switches net)
-    with
-    | Some (node, _) -> node
-    | None -> invalid_arg "Faults.run: unknown switch id"
-  in
-  Engine.at eng fail_at (fun () ->
-      Net.set_link_up net
-        (node_of_switch_id failed_link.Faultfind.from_switch,
-         failed_link.Faultfind.egress_port)
-        false);
-  (* Sample for the detection latency. *)
-  let detected_at = ref None in
-  Engine.every eng ~period:(Time_ns.ms 5) ~until:duration (fun () ->
-      let now = Engine.now eng in
-      if now > fail_at && !detected_at = None then
-        if List.exists not (Faultfind.healthy finder ~now) then
-          detected_at := Some now);
-  Engine.run eng ~until:duration;
-  let now = Engine.now eng in
-  let failing = List.filter not (Faultfind.healthy finder ~now) in
-  let suspects = Faultfind.suspects finder ~now in
-  {
-    circuits = n;
-    failed_link;
-    failing_circuits = List.length failing;
-    detection_ms =
-      (match !detected_at with
-      | Some t -> Time_ns.to_ms_f (t - fail_at)
-      | None -> Float.infinity);
-    suspects;
-    true_link_in_suspects =
-      List.exists (Faultfind.same_cable finder failed_link) suspects;
-  }
-
-(* -- scenario matrix ------------------------------------------------ *)
 
 type scenario = Permanent | Flap | Dual_failure | Lossy_link
 

@@ -3,30 +3,17 @@
 
     The paper's first sentence promises "low-latency visibility" for
     "fault diagnosis". Here a fleet of 16 probe circuits covers a k=4
-    ECMP fat-tree; at t = 1 s one aggregation-to-core link goes dark.
+    ECMP fat-tree; at t = 1 s a {!Tpp_sim.Fault} schedule breaks it.
     Within a couple of probe periods some circuits stop echoing, and
     intersecting their predicted link sets (minus every healthy
     circuit's links) pins down the failed link — no switch support
-    beyond the TPP echo, no control-plane liveness protocol. *)
+    beyond the TPP echo, no control-plane liveness protocol.
 
-type result = {
-  circuits : int;
-  failed_link : Tpp_ndb.Faultfind.link;   (** ground truth *)
-  failing_circuits : int;                 (** circuits that lost echoes *)
-  detection_ms : float;                   (** failure -> first circuit flagged *)
-  suspects : Tpp_ndb.Faultfind.link list;
-  true_link_in_suspects : bool;
-}
-
-val run : unit -> result
-
-(** {2 Scenario matrix}
-
-    The same detector against the deterministic fault injector
-    ({!Tpp_sim.Fault}): a permanent kill, a flapping link (15 ms dark
-    every 30 ms), two simultaneous failures on distinct cables, and a
-    40%-lossy link. Localisation must place every true cable in the
-    suspect set in all four. *)
+    Four scenarios: a permanent kill of one aggregation-to-core link
+    (E13 itself), a flapping link (15 ms dark every 30 ms), two
+    simultaneous failures on distinct cables, and a 40%-lossy link.
+    Localisation must place every true cable in the suspect set in all
+    four. *)
 
 type scenario = Permanent | Flap | Dual_failure | Lossy_link
 

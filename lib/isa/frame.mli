@@ -39,10 +39,9 @@ type t = {
       (** free list this frame returns to on {!recycle} *)
   mutable in_free_list : bool;
   mutable tx_end : int;
-      (** end of the frame's latest transmission onto a link, in ns, or
-          [-1] once the network has marked it lost in flight (its link
-          went dark before the end), so that its delivery drops it: the
-          network's transmitter bookkeeping, meaningless elsewhere *)
+      (** end of the frame's latest transmission onto a link, in ns,
+          never negative: the network's transmitter bookkeeping,
+          meaningless elsewhere *)
 }
 
 and pool

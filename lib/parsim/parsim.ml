@@ -243,7 +243,6 @@ module Boundary = struct
     { cbuf = Bytes.create (max 64 capacity); clen = 0; count = 0 }
 
   let count c = c.count
-  let byte_size c = c.clen
 
   let reset c =
     c.clen <- 0;

@@ -115,7 +115,6 @@ module Boundary : sig
   (** A fresh empty chunk; the buffer doubles as needed. *)
 
   val count : chunk -> int
-  val byte_size : chunk -> int
 
   val reset : chunk -> unit
   (** Forget the contents (the buffer is retained for reuse). *)

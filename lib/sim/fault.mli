@@ -1,7 +1,8 @@
 (** Deterministic, seeded fault injection for a simulated network.
 
     A [Fault.t] is a {e schedule}: a set of timed rules recorded up
-    front and attached to a {!Net.t} before the run starts. It can
+    front and attached to a {!Net.t} before the run starts. It is the
+    only way a link fails: {!Net} has no link state of its own. It can
 
     - take a cable dark and bring it back ({!link_down}/{!link_up}),
       including periodic {!flap}s;
@@ -58,10 +59,12 @@ val create : seed:int -> t
 
 val link_down : t -> at:Time_ns.t -> link -> unit
 (** The cable goes dark at [at]: frames finishing serialisation onto it
-    from then on are lost, as on a real dark fiber. *)
+    from then on, [at] itself included, are lost, as on a real dark
+    fiber; frames queued behind it keep draining into the void. *)
 
 val link_up : t -> at:Time_ns.t -> link -> unit
-(** Restores a cable downed by {!link_down}. *)
+(** Restores a cable downed by {!link_down}, from [at] on. Transitions
+    at one instant apply in the order they were recorded. *)
 
 val flap :
   t ->

@@ -90,17 +90,12 @@ type t = {
          slot, not an option: one outstanding tx per port makes it
          unambiguous, and a [Some] per transmission would allocate. *)
   mutable lp_flags : Bytes.t;
-      (* [down], [unqueued], [early] bits ('\000' = up, with no elided
-         transmission) *)
+      (* [unqueued], [early] bits ('\000' = no elided transmission) *)
   mutable host_counter : int;
   mutable delivered : int;
   mutable transmissions : int;       (* transmissions started *)
   mutable completions_queued : int;  (* completion events queued *)
   mutable cut_through : int;         (* switch hops that skipped the ring *)
-  mutable lost_dark : int;
-      (* frames that finished serialising onto a dark link *)
-  mutable lost_in_flight : int;
-      (* deliveries that fired for a frame lost before they came due *)
   mutable deliver_hooks : (host -> Frame.t -> unit) array;
       (* registration order; rebuilt on (rare) registration *)
   mutable sharding : sharding option;  (* None = ordinary sequential net *)
@@ -126,13 +121,8 @@ let[@inline] peer_port packed = packed land port_mask
    was elided, so no event ends it; it is over once the completion's
    key has passed ({!tx_over}). [early]: its delivery was queued when
    it started. *)
-let down = 1
-let unqueued = 2
-let early = 4
-
-(* [tx_end] of a frame lost in flight after its delivery was queued:
-   the delivery drops it. *)
-let lost = -1
+let unqueued = 1
+let early = 2
 
 let[@inline] flags t i = Char.code (Bytes.unsafe_get t.lp_flags i)
 let[@inline] set_flags t i f = Bytes.unsafe_set t.lp_flags i (Char.unsafe_chr f)
@@ -356,15 +346,15 @@ let tx_over t id port i =
 (* Ends an elided transmission that is over: what its completion would
    have done to the port, with the egress empty. *)
 let retire t i =
-  set_flags t i (flags t i land down);
+  set_flags t i 0;
   Array.unsafe_set t.lp_inflight i t.no_frame
 
 let queue_completion t id port ~fin ~start =
   t.completions_queued <- t.completions_queued + 1;
   Engine.dequeue_at t.eng fin ~emitted:start t.handle ~node:id ~port
 
-(* Something needs the completion of the elided transmission on slot
-   [i]: a frame that waits behind it, or its link going down. Ends the
+(* A frame waits behind the elided transmission on slot [i], so it
+   needs that transmission's completion after all. Ends the
    transmission if it is over ([true]); else queues the completion with
    the key it would have had ([false]). *)
 let settle t id port i =
@@ -391,49 +381,41 @@ let tx_idle t id port i =
    registered handlers record dispatches back here), so a frame hop costs
    zero minor allocations in the engine. *)
 let rec deliver t id port frame =
-  if frame.Frame.tx_end = lost then begin
-    (* Its link went dark before the end of its transmission. *)
-    frame.Frame.tx_end <- 0;
-    t.lost_in_flight <- t.lost_in_flight + 1;
-    Frame.recycle frame
+  (* A frame whose completion was elided still occupies its sender's
+     slot; the transmission is long over once the frame arrives. *)
+  let pk = Array.unsafe_get t.lp_peer (gp_trusted t id port) in
+  if pk >= 0 then begin
+    let s = gp_trusted t (peer_node pk) (peer_port pk) in
+    if Array.unsafe_get t.lp_inflight s == frame then retire t s
+  end;
+  let alive =
+    match t.fault with
+    | None -> true
+    | Some h -> h.f_ingress ~node:id ~now:(Engine.now t.eng)
+  in
+  if alive then begin
+    match Array.unsafe_get t.impls id with
+    | Host_n h ->
+      t.delivered <- t.delivered + 1;
+      let hooks = t.deliver_hooks in
+      for i = 0 to Array.length hooks - 1 do
+        (Array.unsafe_get hooks i) h frame
+      done;
+      h.receive ~now:(Engine.now t.eng) frame;
+      (* The frame reached its destination and every handler has run:
+         if it came from a pool, its buffer is free for the next send.
+         (No-op for unpooled frames: a receiver that retains frames —
+         the tests do — must be sent unpooled ones.) *)
+      Frame.recycle frame
+    | Switch_n sw ->
+      (* A frame that cut through is already on the wire. *)
+      let r = Switch.forward sw ~now:(Engine.now t.eng) ~in_port:port frame in
+      if r <> Switch.cut_through then
+        if r >= 0 then maybe_start_tx t id r
+        else if r = Switch.dropped then Frame.recycle frame
+        else start_ports t id (Switch.flooded_ports sw)
   end
-  else begin
-    (* A frame whose completion was elided still occupies its sender's
-       slot; the transmission is long over once the frame arrives. *)
-    let pk = Array.unsafe_get t.lp_peer (gp_trusted t id port) in
-    if pk >= 0 then begin
-      let s = gp_trusted t (peer_node pk) (peer_port pk) in
-      if Array.unsafe_get t.lp_inflight s == frame then retire t s
-    end;
-    let alive =
-      match t.fault with
-      | None -> true
-      | Some h -> h.f_ingress ~node:id ~now:(Engine.now t.eng)
-    in
-    if alive then begin
-      match Array.unsafe_get t.impls id with
-      | Host_n h ->
-        t.delivered <- t.delivered + 1;
-        let hooks = t.deliver_hooks in
-        for i = 0 to Array.length hooks - 1 do
-          (Array.unsafe_get hooks i) h frame
-        done;
-        h.receive ~now:(Engine.now t.eng) frame;
-        (* The frame reached its destination and every handler has run:
-           if it came from a pool, its buffer is free for the next send.
-           (No-op for unpooled frames: a receiver that retains frames —
-           the tests do — must be sent unpooled ones.) *)
-        Frame.recycle frame
-      | Switch_n sw ->
-        (* A frame that cut through is already on the wire. *)
-        let r = Switch.forward sw ~now:(Engine.now t.eng) ~in_port:port frame in
-        if r <> Switch.cut_through then
-          if r >= 0 then maybe_start_tx t id r
-          else if r = Switch.dropped then Frame.recycle frame
-          else start_ports t id (Switch.flooded_ports sw)
-    end
-    else Frame.recycle frame (* frozen node: the frame vanishes *)
-  end
+  else Frame.recycle frame (* frozen node: the frame vanishes *)
 
 (* A top-level walk rather than [List.iter] with a closure over [t] and
    [id], which would allocate on every switch hop. *)
@@ -463,21 +445,20 @@ and start_next t id port i =
 
 (* Puts [frame] on the wire behind idle slot [i]; [empty] says whether
    the egress behind it is empty. A transmission that leaves its egress
-   empty, on an up link no fault touches, to a peer this shard runs,
-   queues its delivery now, keyed exactly as its completion would have
-   queued it, and no completion at all: nothing can change its fate
-   unless a frame queues behind it or the link changes, and those queue
-   the completion then ({!settle}). *)
+   empty, on a link no fault touches, to a peer this shard runs, queues
+   its delivery now, keyed exactly as its completion would have queued
+   it, and no completion at all: nothing can change its fate, and a
+   frame that queues behind it queues the completion then ({!settle}). *)
 and start_tx t id port i frame ~empty =
   t.transmissions <- t.transmissions + 1;
   Array.unsafe_set t.lp_inflight i frame;
   let now = Engine.now t.eng in
-  let f = flags t i and pk = Array.unsafe_get t.lp_peer i in
+  let pk = Array.unsafe_get t.lp_peer i in
   let clean = match t.fault with None -> true | Some h -> h.f_clean ~node:id ~port in
-  if clean && f land down = 0 && same_shard t (peer_node pk) && empty then begin
+  if clean && same_shard t (peer_node pk) && empty then begin
     let fin = Time_ns.add now (tx_time_ns ~bps:(Array.unsafe_get t.lp_bps i) frame) in
     frame.Frame.tx_end <- fin;
-    set_flags t i (f lor unqueued lor early);
+    set_flags t i (unqueued lor early);
     Engine.deliver_at t.eng
       (Time_ns.add fin (Array.unsafe_get t.lp_delay i))
       ~emitted:fin t.handle ~node:(peer_node pk) ~port:(peer_port pk) frame
@@ -493,69 +474,59 @@ and start_tx t id port i frame ~empty =
   end
 
 (* A queued completion: the frame finishes serialising onto the wire.
-   It either dies (dark link, fault) or is scheduled to arrive at the
-   peer after the propagation delay — unless its delivery was queued
-   when it started, when only a link that went dark can still lose it.
-   Then the port tries to start its next tx. *)
+   Unless its delivery was queued when it started, its wire's fault
+   schedule decides its fate (dark link, random drop, corruption caught
+   by the wire checks; the schedule counts its losses), and a frame
+   that lives is scheduled to arrive at the peer after the propagation
+   delay. Then the port tries to start its next tx. *)
 and tx_complete t id port =
   let i = gp_trusted t id port in
   let frame = Array.unsafe_get t.lp_inflight i in
   Array.unsafe_set t.lp_inflight i t.no_frame;
   let f = flags t i in
-  set_flags t i (f land down);
-  if f land early <> 0 then begin
-    if f land down <> 0 then frame.Frame.tx_end <- lost
-  end
+  set_flags t i 0;
+  if f land early <> 0 then () (* its delivery is already queued *)
+  else if
+    not
+      (match t.fault with
+      | None -> true
+      | Some h -> h.f_transit ~node:id ~port ~now:(Engine.now t.eng) frame)
+  then Frame.recycle frame
   else begin
-    (* A frame finishing serialisation onto a dark link is lost; the
-       fault schedule may also lose it (dark window, random drop,
-       corruption caught by the wire checks), and counts it itself. *)
-    if f land down <> 0 then begin
-      t.lost_dark <- t.lost_dark + 1;
-      Frame.recycle frame
-    end
-    else if
-      not
-        (match t.fault with
-        | None -> true
-        | Some h -> h.f_transit ~node:id ~port ~now:(Engine.now t.eng) frame)
-    then Frame.recycle frame
+    let now = Engine.now t.eng in
+    let delay =
+      let delay = Array.unsafe_get t.lp_delay i in
+      match t.fault with
+      | None -> delay
+      | Some h -> h.f_delay ~node:id ~port ~now ~delay
+    in
+    let pk = Array.unsafe_get t.lp_peer i in
+    let pn = peer_node pk and pp = peer_port pk in
+    if same_shard t pn then
+      Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handle
+        ~node:pn ~port:pp frame
     else begin
-      let now = Engine.now t.eng in
-      let delay =
-        let delay = Array.unsafe_get t.lp_delay i in
-        match t.fault with
-        | None -> delay
-        | Some h -> h.f_delay ~node:id ~port ~now ~delay
-      in
-      let pk = Array.unsafe_get t.lp_peer i in
-      let pn = peer_node pk and pp = peer_port pk in
-      if same_shard t pn then
-        Engine.deliver_at t.eng (Time_ns.add now delay) ~emitted:now t.handle
-          ~node:pn ~port:pp frame
-      else begin
-        (* Shard-boundary link: the arrival belongs to the peer's
-           owning shard. Hand the frame (with its absolute arrival
-           time) to the inter-shard channel instead of the local event
-           queue; the owner schedules the delivery when it drains its
-           inbox. Same event count either way: one delivery event, on
-           exactly one shard.
+      (* Shard-boundary link: the arrival belongs to the peer's
+         owning shard. Hand the frame (with its absolute arrival
+         time) to the inter-shard channel instead of the local event
+         queue; the owner schedules the delivery when it drains its
+         inbox. Same event count either way: one delivery event, on
+         exactly one shard.
 
-           The emission time rides along so the owning shard can
-           backdate the delivery's tie-break stamp: a local push at the
-           same arrival nanosecond must order against this frame
-           exactly as the sequential run would (by emission order), not
-           by when the owner happens to drain its inbox.
+         The emission time rides along so the owning shard can
+         backdate the delivery's tie-break stamp: a local push at the
+         same arrival nanosecond must order against this frame
+         exactly as the sequential run would (by emission order), not
+         by when the owner happens to drain its inbox.
 
-           [emit] consumes the frame: the hook must copy whatever it
-           needs (the boundary protocol blits the wire image into a
-           chunk) and never retain the frame itself, because it is
-           recycled into its local pool the moment the hook returns —
-           the emitter-side half of the cross-domain leak fix. *)
-        (Option.get t.sharding).emit ~arrival:(Time_ns.add now delay) ~emitted:now
-          ~dst_node:pn ~dst_port:pp frame;
-        Frame.recycle frame
-      end
+         [emit] consumes the frame: the hook must copy whatever it
+         needs (the boundary protocol blits the wire image into a
+         chunk) and never retain the frame itself, because it is
+         recycled into its local pool the moment the hook returns —
+         the emitter-side half of the cross-domain leak fix. *)
+      (Option.get t.sharding).emit ~arrival:(Time_ns.add now delay) ~emitted:now
+        ~dst_node:pn ~dst_port:pp frame;
+      Frame.recycle frame
     end
   end;
   maybe_start_tx t id port
@@ -616,8 +587,6 @@ let create ?(nodes = 0) ?(ports = 0) eng =
       transmissions = 0;
       completions_queued = 0;
       cut_through = 0;
-      lost_dark = 0;
-      lost_in_flight = 0;
       deliver_hooks = [||];
       sharding = None;
       fault = None;
@@ -637,10 +606,9 @@ let create ?(nodes = 0) ?(ports = 0) eng =
         on_restart = (fun ~node:_ -> ());
       };
   (* Each transmission has one completion in the model: queued, or
-     elided and counted once its key has passed. A delivery of a frame
-     lost in flight fires but is no event of the model. *)
+     elided and counted once its key has passed. *)
   Engine.count_unqueued eng (fun () ->
-      t.transmissions - t.completions_queued - t.lost_in_flight - ahead t unqueued);
+      t.transmissions - t.completions_queued - ahead t unqueued);
   t
 
 let schedule_delivery t ~arrival ~emitted ~dst_node ~dst_port frame =
@@ -707,30 +675,6 @@ let host_send t host frame =
     maybe_start_tx t id 0
   end
 
-let set_link_up t (id, port) up =
-  let i = gp t id port in
-  let pk = t.lp_peer.(i) in
-  if pk < 0 then invalid_arg "Net.set_link_up: port has no link"
-  else begin
-    let pid = peer_node pk and pport = peer_port pk in
-    let j = gp t pid pport in
-    (* A link that goes dark under an elided transmission decides its
-       frame's fate at the end of the transmission: the completion must
-       run after all. (An elided transmission runs on an up link.) *)
-    let set node port k =
-      if (not up) && flags t k land unqueued <> 0 then ignore (settle t node port k);
-      set_flags t k (if up then flags t k land lnot down else flags t k lor down)
-    in
-    set id port i;
-    set pid pport j;
-    if up then begin
-      maybe_start_tx t id port;
-      maybe_start_tx t pid pport
-    end
-  end
-
-let link_up t (id, port) = flags t (gp t id port) land down = 0
-
 let link_delay t (id, port) =
   let i = gp t id port in
   if t.lp_peer.(i) < 0 then invalid_arg "Net.link_delay: port has no link";
@@ -768,7 +712,6 @@ let frames_delivered t = t.delivered
 let transmissions t = t.transmissions
 let completions_queued t = t.completions_queued
 let cut_through t = t.cut_through
-let frames_lost t = t.lost_dark + t.lost_in_flight
 
 (* A transmission that queued its delivery at its start never consults
    the hooks, even once its completion is queued, so they must be in

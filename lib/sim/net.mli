@@ -27,16 +27,15 @@
     at the peer — each a timing-wheel entry naming the net's one
     registered handlers record, so forwarding a frame allocates nothing
     in the event core. A transmission that leaves its egress empty, on
-    an up link that no fault touches ([f_clean] below), to a peer its
-    shard runs, queues its
-    delivery when it starts, keyed exactly as its completion would
-    have (time = tx end + delay, stamp = tx end), and queues its
-    completion only when something needs it: a frame queues behind it,
-    or {!set_link_up} takes the link down while it serialises. That
+    a link that no fault touches ([f_clean] below), to a peer its shard
+    runs, queues its delivery when it starts, keyed exactly as its
+    completion would have (time = tx end + delay, stamp = tx end), and
+    queues its completion only when a frame queues behind it. That
     completion then carries the key it would have had (time = tx end,
-    stamp = tx start, tie = (dequeue, node, port)). A frame whose link
-    went dark before the end of its transmission is dropped when its
-    delivery fires. Elided completions still count in
+    stamp = tx start, tie = (dequeue, node, port)). Links fail only
+    through a {!Fault} schedule, and a wire one touches never elides a
+    completion: its frames' fate is decided when their transmissions
+    complete. Elided completions still count in
     {!Engine.events_processed}, so event counts, registers and arrival
     times are those of a model that queued every frame and every
     completion. {!transmissions}, {!completions_queued} and
@@ -128,16 +127,6 @@ val host_send : t -> host -> Frame.t -> unit
     delivered or dropped, so the caller must not touch it after the
     call, nor the receiver after its [receive] callback returns. *)
 
-val set_link_up : t -> int * int -> bool -> unit
-(** Fails or restores the (full-duplex) link attached at this endpoint.
-    Frames whose transmission completes while the link is down are lost
-    in flight; queued frames keep draining into the void, as on a real
-    dark fiber. Restoring the link kicks both transmitters. Taking it
-    down queues the completion of a transmission on it whose completion
-    was elided. *)
-
-val link_up : t -> int * int -> bool
-
 val neighbors : t -> int -> (int * int * int) list
 (** [(port, peer_node, peer_port)] for every connected port of a node. *)
 
@@ -185,11 +174,6 @@ val enable_trimming : t -> keep:int -> data_limit:int -> ctrl_limit:int -> unit
 
 val frames_delivered : t -> int
 (** Frames handed to host receive callbacks so far. *)
-
-val frames_lost : t -> int
-(** Frames lost because their link was down ({!set_link_up}) when they
-    finished serialising, counted once each when the frame is freed.
-    A fault schedule's losses are its own ({!Fault.stats}). *)
 
 (** {2 Transmitter counters}
 

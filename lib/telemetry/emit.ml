@@ -17,9 +17,6 @@ let tap_switches sink net =
                ~queue_bytes ~version ~frame_id ~flow_hash ~wire_bytes ~entry)))
     (Net.switches net)
 
-let untap_switches net =
-  List.iter (fun (_, sw) -> Switch.set_bin_tap sw None) (Net.switches net)
-
 let probe_events sink ~node reliable =
   Reliable.set_observer reliable
     (Some

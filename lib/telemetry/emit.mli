@@ -15,8 +15,6 @@ val tap_switches : Sink.t -> Net.t -> unit
     per frame reaching an egress queue. Replaces any previous binary
     tap (the ndb [Frame.t] tap is untouched). *)
 
-val untap_switches : Net.t -> unit
-
 val probe_events : Sink.t -> node:int -> Tpp_endhost.Probe.Reliable.t -> unit
 (** [Probe_retry] / [Probe_failure] cards from this prober, stamped
     with the probing host's [node] id; [subject] is the probe seq,

@@ -167,16 +167,7 @@ let pop_value t ~default =
 
 let peek_prio t = if t.len = 0 then None else Some t.prios.(0)
 
-let peek_value_or t ~default =
-  if t.len = 0 then default
-  else begin
-    let value : 'a = Obj.obj t.values.(0) in
-    value
-  end
-
 let peek_prio_or t ~default = if t.len = 0 then default else t.prios.(0)
-
-let peek_emit_or t ~default = if t.len = 0 then default else t.emits.(0)
 
 let clear t =
   (* Drop the backing arrays entirely: a cleared heap must not keep the

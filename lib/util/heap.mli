@@ -60,16 +60,8 @@ val pop_value : 'a t -> default:'a -> 'a
 
 val peek_prio : 'a t -> int option
 
-val peek_value_or : 'a t -> default:'a -> 'a
-(** Value of the minimum entry without removing it, or [default] when
-    the heap is empty. Allocation-free for immediate values ({!Wheel}
-    uses it to tie-break its overflow against the wheel levels). *)
-
 val peek_prio_or : 'a t -> default:int -> int
 (** Allocation-free {!peek_prio}: [default] when the heap is empty. *)
-
-val peek_emit_or : 'a t -> default:int -> int
-(** Emission stamp of the minimum entry, or [default] when empty. *)
 
 val clear : 'a t -> unit
 (** Empties the heap and releases the backing storage, so previously

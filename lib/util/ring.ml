@@ -58,8 +58,6 @@ let take_or t ~default =
     x
   end
 
-let peek_opt t = if t.len = 0 then None else Some (Array.unsafe_get t.buf t.head)
-
 let clear t =
   Array.fill t.buf 0 (Array.length t.buf) t.dummy;
   t.head <- 0;

@@ -24,8 +24,6 @@ val take_or : 'a t -> default:'a -> 'a
     Callers on per-frame hot paths pass a sentinel they compare
     physically, so a steady-state dequeue allocates nothing. *)
 
-val peek_opt : 'a t -> 'a option
-
 val clear : 'a t -> unit
 (** Empties the ring and overwrites every slot with [dummy]. *)
 

@@ -332,6 +332,11 @@ let test_link_down_blackholes () =
   in
   let net = chain.Topology.net in
   let a = chain.Topology.hosts.(0).(0) and b = chain.Topology.hosts.(1).(0) in
+  let spine = (chain.Topology.switch_ids.(0), 1) in
+  let fault = Fault.create ~seed:1 in
+  Fault.link_down fault ~at:(Time_ns.ms 10) spine;
+  Fault.link_up fault ~at:(Time_ns.ms 20) spine;
+  Fault.attach fault net;
   let got = ref 0 in
   b.Net.receive <- (fun ~now:_ _ -> incr got);
   let send () =
@@ -342,16 +347,16 @@ let test_link_down_blackholes () =
   send ();
   Engine.run eng ~until:(Time_ns.ms 10);
   check Alcotest.int "delivered while up" 1 !got;
-  let spine = (chain.Topology.switch_ids.(0), 1) in
-  check Alcotest.bool "was up" true (Net.link_up net spine);
-  Net.set_link_up net spine false;
+  check Alcotest.bool "was up" true (Fault.up fault spine ~now:(Time_ns.ms 10 - 1));
+  check Alcotest.bool "down from 10 ms" false (Fault.up fault spine ~now:(Engine.now eng));
   send ();
   Engine.run eng ~until:(Time_ns.ms 20);
   check Alcotest.int "blackholed while down" 1 !got;
-  Net.set_link_up net spine true;
+  check Alcotest.bool "up again from 20 ms" true (Fault.up fault spine ~now:(Engine.now eng));
   send ();
   Engine.run eng ~until:(Time_ns.ms 30);
-  check Alcotest.int "flows again after restore" 2 !got
+  check Alcotest.int "flows again after restore" 2 !got;
+  check Alcotest.int "counted lost" 1 (Fault.stats fault).Fault.lost_down
 
 let test_faultfind_localises_chain_link () =
   let eng = Engine.create () in
@@ -360,6 +365,10 @@ let test_faultfind_localises_chain_link () =
       ~delay:(Time_ns.us 10) ()
   in
   let net = chain.Topology.net in
+  (* The second spine link (sw2 -> sw3) dies at 200 ms. *)
+  let fault = Fault.create ~seed:1 in
+  Fault.link_down fault ~at:(Time_ns.ms 200) (chain.Topology.switch_ids.(1), 1);
+  Fault.attach fault net;
   let h i j = chain.Topology.hosts.(i).(j) in
   let stacks = Array.init 3 (fun i -> Array.init 2 (fun j -> Stack.create net (h i j))) in
   Array.iter (Array.iter Probe.install_echo) stacks;
@@ -378,8 +387,6 @@ let test_faultfind_localises_chain_link () =
     (Faultfind.healthy finder ~now:(Engine.now eng));
   check (Alcotest.list Alcotest.bool) "no suspects before" []
     (List.map (fun _ -> true) (Faultfind.suspects finder ~now:(Engine.now eng)));
-  (* Kill the second spine link (sw2 -> sw3). *)
-  Net.set_link_up net (chain.Topology.switch_ids.(1), 1) false;
   Engine.run eng ~until:(Time_ns.ms 400);
   let now = Engine.now eng in
   check (Alcotest.list Alcotest.bool) "only the crossing circuit fails"

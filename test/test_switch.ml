@@ -68,7 +68,15 @@ let test_flood_on_miss () =
   let ports = queued_ports (Switch.handle_ingress sw ~now:0 ~in_port:1 frame) in
   check (Alcotest.list Alcotest.int) "all but ingress" [ 0; 2; 3 ] ports;
   check Alcotest.int "copies queued" 1 (Switch.queue_packets sw ~port:0);
-  check Alcotest.int "copies queued" 1 (Switch.queue_packets sw ~port:3)
+  check Alcotest.int "copies queued" 1 (Switch.queue_packets sw ~port:3);
+  (* A flood whose only copy meets a full queue is one drop, not a
+     second one for finding no open port. *)
+  let sw = Switch.create ~id:1 ~num_ports:2 () in
+  Switch.set_queue_limit sw ~port:1 ~bytes:0;
+  (match Switch.handle_ingress sw ~now:0 ~in_port:0 (host_frame ~to_ip:dst_ip ()) with
+  | Switch.Dropped reason -> check Alcotest.string "reason" "flood found no open port" reason
+  | Switch.Queued _ -> Alcotest.fail "flooded into a full queue");
+  check Alcotest.int "one drop" 1 (Switch.state sw).State.drops
 
 (* Every flood copy is cloned from the frame as it arrived, so each runs
    this switch's hop once: one TCPU run, on its own port. A port that
@@ -108,9 +116,12 @@ let test_drop_rule () =
   Switch.install_tcam sw
     { Tables.Tcam.any with Tables.Tcam.priority = 9 }
     { Tables.action = Tables.Drop; entry_id = 1; version = 1 };
-  match Switch.handle_ingress sw ~now:0 ~in_port:0 (host_frame ~to_ip:dst_ip ()) with
-  | Switch.Dropped _ -> ()
-  | Switch.Queued _ -> Alcotest.fail "drop rule ignored"
+  for _ = 1 to 5 do
+    match Switch.handle_ingress sw ~now:0 ~in_port:0 (host_frame ~to_ip:dst_ip ()) with
+    | Switch.Dropped reason -> check Alcotest.string "reason" "table drop rule" reason
+    | Switch.Queued _ -> Alcotest.fail "drop rule ignored"
+  done;
+  check Alcotest.int "switch drop counter" 5 (Switch.state sw).State.drops
 
 let test_queue_accounting_and_tail_drop () =
   let sw = make_switch () in
@@ -344,9 +355,10 @@ let test_tap () =
 
 let test_invalid_ingress_port () =
   let sw = make_switch () in
-  match Switch.handle_ingress sw ~now:0 ~in_port:9 (host_frame ~to_ip:dst_ip ()) with
+  (match Switch.handle_ingress sw ~now:0 ~in_port:9 (host_frame ~to_ip:dst_ip ()) with
   | Switch.Dropped _ -> ()
-  | Switch.Queued _ -> Alcotest.fail "invalid port accepted"
+  | Switch.Queued _ -> Alcotest.fail "invalid port accepted");
+  check Alcotest.int "switch drop counter" 1 (Switch.state sw).State.drops
 
 let suite =
   [

@@ -83,14 +83,16 @@ let test_rto_recovers_from_blackout () =
   (* Kill the path mid-transfer, restore it: the RTO must resume and
      finish the transfer. *)
   let eng, net, bell, sa, sb = two_hosts () in
+  let core = (bell.Topology.left_switch, 0) in
+  let fault = Fault.create ~seed:1 in
+  Fault.link_down fault ~at:(Time_ns.ms 20) core;
+  Fault.link_up fault ~at:(Time_ns.ms 600) core;
+  Fault.attach fault net;
   let rx = Tcp.Receiver.attach sb ~port:5001 in
   let tx =
     Tcp.Transfer.start ~src:sa ~dst:bell.Topology.receivers.(0) ~port:5001
       ~total_bytes:2_000_000 ()
   in
-  let core = (bell.Topology.left_switch, 0) in
-  Engine.at eng (Time_ns.ms 20) (fun () -> Net.set_link_up net core false);
-  Engine.at eng (Time_ns.ms 600) (fun () -> Net.set_link_up net core true);
   Engine.run eng ~until:(Time_ns.sec 30);
   check Alcotest.bool "finished after blackout" true (Tcp.Transfer.is_done tx);
   check Alcotest.int "exact delivery" 2_000_000 (Tcp.Receiver.bytes_delivered rx);

@@ -13,9 +13,9 @@ let ints = Alcotest.(list int)
 
 module SS = Switch_state
 
-(* One switch (node 0), one host per port; every link 1 Gb/s, port
-   [p]'s with propagation delay [delays.(p)]; [fault] attached, then on
-   the reference path if [reference]. *)
+(* One switch (node 0), one host per port (port [p]'s is node [p + 1]);
+   every link 1 Gb/s, port [p]'s with propagation delay [delays.(p)];
+   [fault] attached, then on the reference path if [reference]. *)
 let star ?fault ~reference delays =
   let eng = Engine.create () in
   let net = Net.create eng in
@@ -148,23 +148,23 @@ let test_same_nanosecond () =
 
 (* A's pooled frame leaves the switch for B over [5800, 6600), then a
    second at 8000 after every link change. [changes] are (time,
-   endpoint, up) link flips, scheduled at time 0 unless [late] (then
-   from a thunk at 6000, so a flip at 6600 fires after the completion
-   key). Reads events at several horizons, deliveries and the pool. *)
-let link_flips ?(late = false) changes ~reference =
-  let eng, net, _, sid, hosts = star ~reference [| 5000; 1000 |] in
+   endpoint, up) link flips, the rules of a fault schedule: a flip at
+   time T holds from T on, its own nanosecond included. Reads events at
+   several horizons, deliveries and the pool. *)
+let link_flips changes ~reference =
+  let fault = Fault.create ~seed:1 in
+  List.iter
+    (fun (at, on_host, up) ->
+      (* B is node 2, on the switch's port 1. *)
+      let endpoint = if on_host then (2, 0) else (0, 1) in
+      (if up then Fault.link_up else Fault.link_down) fault ~at endpoint)
+    changes;
+  let eng, net, _, _, hosts = star ~fault ~reference [| 5000; 1000 |] in
   let a = hosts.(0) and b = hosts.(1) in
   let pool = Frame.Pool.create () in
   let arrivals = log_arrivals hosts in
   send_at eng net 0 ~pool a b;
   send_at eng net 8000 ~pool a b;
-  List.iter
-    (fun (time, on_host, up) ->
-      let endpoint = if on_host then (b.Net.node_id, 0) else (sid, 1) in
-      let flip () = Net.set_link_up net endpoint up in
-      if late then Engine.at eng 6000 (fun () -> Engine.at eng time flip)
-      else Engine.at eng time flip)
-    changes;
   let events =
     List.map
       (fun h ->
@@ -175,28 +175,23 @@ let link_flips ?(late = false) changes ~reference =
   (net, List.rev !arrivals @ events @ [ Net.frames_delivered net; Frame.Pool.outstanding pool ])
 
 let link_flips_cases =
-  [ ("down and up within the transmission", false,
-     [ (6000, false, false); (6200, false, true) ]);
-    ("the same at the host's end", false, [ (6000, true, false); (6200, true, true) ]);
-    ("down across the end", false, [ (6000, false, false); (7000, false, true) ]);
-    ("down at the end, before its completion", false,
-     [ (6600, false, false); (7000, false, true) ]);
-    ("down at the end, after its completion", true,
-     [ (6600, false, false); (7000, false, true) ]);
-    ("down before it starts", false, [ (5000, false, false); (7000, false, true) ]) ]
+  [ ("down and up within the transmission", [ (6000, false, false); (6200, false, true) ]);
+    ("the same at the host's end", [ (6000, true, false); (6200, true, true) ]);
+    ("down across the end", [ (6000, false, false); (7000, false, true) ]);
+    ("down in the nanosecond it ends", [ (6600, false, false); (7000, false, true) ]);
+    ("down before it starts", [ (5000, false, false); (7000, false, true) ]) ]
 
 let link_flips_golden =
   [
-    [ 2; 7600; 2; 15600; 3; 6; 6; 6; 7; 12; 2; 0 ];
-    [ 2; 7600; 2; 15600; 3; 6; 6; 6; 7; 12; 2; 0 ];
-    [ 2; 15600; 3; 5; 6; 6; 6; 11; 1; 0 ];
-    [ 2; 15600; 3; 5; 6; 6; 6; 11; 1; 0 ];
-    [ 2; 7600; 2; 15600; 3; 7; 8; 8; 9; 14; 2; 0 ];
-    [ 2; 15600; 4; 5; 6; 6; 6; 11; 1; 0 ] ]
+    [ 2; 7600; 2; 15600; 3; 4; 4; 4; 5; 10; 2; 0 ];
+    [ 2; 7600; 2; 15600; 3; 4; 4; 4; 5; 10; 2; 0 ];
+    [ 2; 15600; 3; 4; 4; 4; 4; 9; 1; 0 ];
+    [ 2; 15600; 3; 4; 4; 4; 4; 9; 1; 0 ];
+    [ 2; 15600; 3; 4; 4; 4; 4; 9; 1; 0 ] ]
 
 let test_link_flips () =
   List.iter2
-    (fun (name, late, changes) golden -> on_both_paths name golden (link_flips ~late changes))
+    (fun (name, changes) golden -> on_both_paths name golden (link_flips changes))
     link_flips_cases link_flips_golden
 
 (* --- horizons that cut transmissions --------------------------------- *)
@@ -377,29 +372,32 @@ let test_hooks_behind_queued_completion () =
 
 (* --- frames lost on a dark link ---------------------------------------- *)
 
-(* A sends ten frames through the switch to B, 1 us apart; B's link is
-   down over [3000, 7000), when four of them end their transmissions
-   (the first of those elided, and serialising when the link goes).
-   Each of the ten is delivered or counted lost. *)
+(* A sends ten frames through the switch to B, 1 us apart; a fault
+   schedule takes B's link down over [3000, 7000), when four of them
+   end their transmissions (the first while it serialises). Each of the
+   ten is delivered or counted lost. *)
 let test_dark_link_losses () =
   List.iter
     (fun reference ->
-      let eng, net, _, sid, hosts = star ~reference [| 1000; 1000 |] in
+      let fault = Fault.create ~seed:1 in
+      Fault.link_down fault ~at:3000 (0, 1);
+      Fault.link_up fault ~at:7000 (0, 1);
+      let eng, net, _, _, hosts = star ~fault ~reference [| 1000; 1000 |] in
       for j = 0 to 9 do
         send_at eng net (j * 1000) hosts.(0) hosts.(1)
       done;
-      Engine.at eng 3000 (fun () -> Net.set_link_up net (sid, 1) false);
-      Engine.at eng 7000 (fun () -> Net.set_link_up net (sid, 1) true);
       Engine.run eng ~until:(Time_ns.ms 1);
       let path = if reference then " (reference path)" else "" in
-      check ints ("delivered, lost" ^ path) [ 6; 4 ]
-        [ Net.frames_delivered net; Net.frames_lost net ])
+      check ints ("delivered, lost, events" ^ path) [ 6; 4; 46 ]
+        [ Net.frames_delivered net; (Fault.stats fault).Fault.lost_down;
+          Engine.events_processed eng ])
     [ false; true ]
 
 (* --- a differential fuzz of the elided path against the reference ---- *)
 
 (* A star scenario. Ports and hosts share indices; a send to the port
-   count goes to an unknown host and floods. *)
+   count goes to an unknown host and floods. Flips and rules make one
+   fault schedule. *)
 type send = { at : int; src : int; dst : int; tpp : bool }
 type flip = { flip_at : int; port : int; on_host : bool; up : bool }
 
@@ -483,9 +481,14 @@ let gen_star =
    deliveries, pool outstanding and fault counters of one run. *)
 let run_star c ~reference =
   let fault =
-    if c.rules = [] then None
+    if c.rules = [] && c.flips = [] then None
     else begin
       let f = Fault.create ~seed:5 in
+      List.iter
+        (fun fl ->
+          let endpoint = if fl.on_host then (fl.port + 1, 0) else (0, fl.port) in
+          (if fl.up then Fault.link_up else Fault.link_down) f ~at:fl.flip_at endpoint)
+        c.flips;
       List.iter
         (function
           | Lossy r ->
@@ -498,7 +501,7 @@ let run_star c ~reference =
       Some f
     end
   in
-  let eng, net, sw, sid, hosts = star ?fault ~reference c.delays in
+  let eng, net, sw, _, hosts = star ?fault ~reference c.delays in
   let n = Array.length hosts in
   Array.iteri
     (fun port _ ->
@@ -516,11 +519,6 @@ let run_star c ~reference =
       let tpp = if s.tpp then Some (Prog.copy (Lazy.force prog)) else None in
       send_at eng net s.at ~pool ?tpp hosts.(s.src) (if s.dst = n then nowhere else hosts.(s.dst)))
     c.sends;
-  List.iter
-    (fun f ->
-      let endpoint = if f.on_host then (hosts.(f.port).Net.node_id, 0) else (sid, f.port) in
-      Engine.at eng f.flip_at (fun () -> Net.set_link_up net endpoint f.up))
-    c.flips;
   let events =
     List.map
       (fun until ->

@@ -559,17 +559,7 @@ let test_rng_exponential_mean () =
   let mean = !sum /. float_of_int n in
   check Alcotest.bool "mean within 5%" true (mean > 4.75 && mean < 5.25)
 
-(* --- Ewma / Stats / Series ------------------------------------------ *)
-
-let test_ewma () =
-  let e = Tpp_util.Ewma.create ~alpha:0.5 in
-  check (Alcotest.float 1e-9) "empty" 0.0 (Tpp_util.Ewma.value e);
-  Tpp_util.Ewma.update e 10.0;
-  check (Alcotest.float 1e-9) "first sample taken whole" 10.0 (Tpp_util.Ewma.value e);
-  Tpp_util.Ewma.update e 20.0;
-  check (Alcotest.float 1e-9) "smoothed" 15.0 (Tpp_util.Ewma.value e);
-  Tpp_util.Ewma.reset e;
-  check (Alcotest.float 1e-9) "reset" 0.0 (Tpp_util.Ewma.value e)
+(* --- Stats / Series ------------------------------------------------- *)
 
 let test_stats_basic () =
   let s = Stats.create () in
@@ -800,7 +790,6 @@ let suite =
     qtest prop_rng_int_uniform_chi2;
     qtest prop_rng_int_bounds;
     Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential_mean;
-    Alcotest.test_case "ewma" `Quick test_ewma;
     Alcotest.test_case "stats basic" `Quick test_stats_basic;
     qtest prop_stats_percentile_bounds;
     Alcotest.test_case "series" `Quick test_series;
