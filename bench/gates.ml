@@ -304,7 +304,7 @@ let run_trim iters =
 (* The row run at [shards] (0 = the sequential engine), or its oracle. *)
 let run ?(oracle = false) spec ~shards =
   match spec.traffic with
-  | Collect | Heavy | Pooled | Postcard -> fabric ~oracle spec ~shards
+  | Collect | Heavy | Pooled | Postcard -> run_fabric spec ~oracle ~shards
   | Flows (t, p) -> run_flows spec t p ~shards
   | Build -> run_build spec
   | Ingest cards -> run_ingest cards

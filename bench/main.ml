@@ -123,7 +123,7 @@ let e6 () =
     (fun h ->
       Printf.printf "  %6d %22d %18d (+%d)\n" h
         (Prog.section_size (Trace.make ~max_hops:h))
-        (h * Postcard.postcard_bytes)
+        (h * Ndb_exp.postcard_size)
         h)
     [ 1; 2; 3; 5; 7 ];
   Report.sub "paper expectations";

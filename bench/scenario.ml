@@ -38,7 +38,7 @@ type chaos = No_chaos | Empty | Chaotic
 
 type oracle =
   | Sequential   (* nothing beyond the sequential run itself *)
-  | Interpreter  (* the TCPU interpreter backend *)
+  | Interpreter  (* every switch's TCPU is the oracle's interpreter *)
   | Unpooled     (* a fresh frame per send *)
   | Host32       (* per-host /32 FIBs *)
   | Round_trip   (* every frame sent as its parsed wire image *)
@@ -221,6 +221,8 @@ let build spec ~oracle eng =
           done)
         (Net.switches net))
     spec.queue_limit;
+  if flip Interpreter then
+    List.iter (fun (_, sw) -> Tpp_oracle.Interp.install sw) (Net.switches net);
   net
 
 (* Each host streams [packets] frames [gap_ns] apart to its partner in
@@ -592,17 +594,6 @@ let run_fabric spec ~oracle ~shards =
           ("lookahead_ns", f s.Parsim.lookahead) ];
   }
 
-(* A fabric row run at [shards] (0 = the sequential engine), or its
-   oracle. *)
-let fabric ?(oracle = false) spec ~shards =
-  if oracle_is spec ~oracle Interpreter then begin
-    Tcpu.set_default_backend Tcpu.Interpreter;
-    Fun.protect
-      ~finally:(fun () -> Tcpu.set_default_backend Tcpu.Compiled)
-      (fun () -> run_fabric spec ~oracle ~shards)
-  end
-  else run_fabric spec ~oracle ~shards
-
 (* ---- checks --------------------------------------------------------- *)
 
 (* Fields an oracle or a sharded run must reproduce exactly, the cut
@@ -706,11 +697,12 @@ let judgements spec c =
 (* Runs a fabric spec sequentially, as its oracle and at each shard
    count, and judges the runs at smoke size: the failed verdicts. *)
 let check spec =
-  let seq = fabric spec ~shards:0 in
+  let seq = run_fabric spec ~oracle:false ~shards:0 in
   let oracle_run =
-    if spec.oracle = Sequential then None else Some (fabric ~oracle:true spec ~shards:0)
+    if spec.oracle = Sequential then None
+    else Some (run_fabric spec ~oracle:true ~shards:0)
   in
-  let sharded = List.map (fun s -> (s, fabric spec ~shards:s)) spec.shards in
+  let sharded = List.map (fun s -> (s, run_fabric spec ~oracle:false ~shards:s)) spec.shards in
   List.filter_map
     (fun (what, (v, detail)) -> if v = Fail then Some (what ^ ": " ^ detail) else None)
     (judgements spec { smoke = true; seq; oracle_run; sharded; prior = (fun _ -> None) })

@@ -33,8 +33,10 @@ let () =
       dst_ip = Some (dst.Net.ip, 0xFFFFFFFF) }
     { Tables.action = Tables.Forward 1; entry_id = 999; version = 0 };
 
-  (* Both debuggers on. *)
-  let postcards = Postcard.deploy net in
+  (* Both debuggers on: ndb's postcards are the switches' binary hop
+     cards. *)
+  let postcards = Telemetry_sink.create () in
+  Telemetry_emit.tap_switches postcards net;
 
   let src_stack = Stack.create net src in
   let dst_stack = Stack.create net dst in
@@ -75,6 +77,6 @@ let () =
   Printf.printf
     "\noverhead: postcards %d packets / %d bytes; TPP %d extra bytes in-band per \
      packet, 0 extra packets\n"
-    (Postcard.postcards postcards)
-    (Postcard.overhead_bytes postcards)
+    (Telemetry_sink.emitted postcards)
+    (Telemetry_sink.emitted postcards * Ndb_exp.postcard_size)
     (Prog.section_size (Trace.make ~max_hops:6))

@@ -80,24 +80,6 @@ let st_halt = 1
 let st_cexec = 2
 let st_fault = 3
 
-(* The interpreter's fault, recorded in the context the way a micro-op
-   would have recorded it. [Bad_operand] has a single message. *)
-let encode_fault c f =
-  let kind, detail =
-    match f with
-    | Packet_oob off -> (k_packet_oob, off)
-    | Misaligned off -> (k_misaligned, off)
-    | Immediate_write -> (k_immediate_write, 0)
-    | Stack_overflow -> (k_stack_overflow, 0)
-    | Stack_underflow -> (k_stack_underflow, 0)
-    | Bad_operand _ -> (k_bad_operand, 0)
-    | Mmu_fault (Mmu.Bad_address a) -> (k_bad_address, a)
-    | Mmu_fault (Mmu.Read_only a) -> (k_read_only, a)
-    | Mmu_fault (Mmu.Port_out_of_range p) -> (k_port_oor, p)
-  in
-  c.f_kind <- kind;
-  c.f_detail <- detail
-
 type uop = ctx -> Tpp.t -> Meta.t -> int
 
 type t = { uops : uop array }
@@ -572,15 +554,6 @@ let run t c state ~now ~(tpp : Tpp.t) ~(meta : Meta.t) =
   c.f_kind <- -1;
   c.f_detail <- 0;
   exec_from t.uops (Array.length t.uops) c tpp meta 0
-
-let record_stop c ~cexec ~fault =
-  c.f_kind <- -1;
-  c.f_detail <- 0;
-  match fault with
-  | Some f ->
-    encode_fault c f;
-    c.stop <- st_fault
-  | None -> c.stop <- (if cexec then st_cexec else st_continue)
 
 let faulted c = c.stop = st_fault
 let stopped_by_cexec c = c.stop = st_cexec

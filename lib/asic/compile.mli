@@ -15,10 +15,11 @@
       context, so the hot loop allocates nothing.
 
     Compiled programs are architecturally indistinguishable from the
-    interpreter ({!Tcpu} keeps it as the reference backend): same
-    register writes, same fault kinds at the same instruction, same
-    CEXEC/CSTORE and stack semantics. A QCheck differential test holds
-    the two backends equal on random programs and states.
+    AST interpreter (the [tpp_oracle] library's reference, linked only
+    by the tests and the bench): same register writes, same fault kinds
+    at the same instruction, same CEXEC/CSTORE and stack semantics. A
+    QCheck differential test holds the two equal on random programs and
+    states.
 
     Everything that varies per execution — switch state, packet
     metadata, packet memory and its length, the hop base — reaches the
@@ -68,10 +69,7 @@ val run :
     executed. Why execution stopped stays in [ctx] until the next run
     ({!faulted}, {!stopped_by_cexec}, {!fault}). Post-processing (hop
     bump, fault flag, exec/cycle accounting) is the caller's job —
-    {!Tcpu} does it for both backends. *)
-
-val record_stop : ctx -> cexec:bool -> fault:fault option -> unit
-(** Leaves another backend's stop reason in [ctx], as {!run} would. *)
+    {!Tcpu.run} does it. *)
 
 val faulted : ctx -> bool
 val stopped_by_cexec : ctx -> bool

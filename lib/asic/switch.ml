@@ -17,6 +17,8 @@ type sched_state = {
 
 type verdict = Queued of int list | Dropped of string
 
+type tcpu = Compile.ctx -> State.t -> now:int -> frame:Frame.t -> int
+
 (* What {!forward} returns besides an egress port number. *)
 let cut_through = -1
 let flooded = -2
@@ -42,8 +44,8 @@ type t = {
   mutable flooded_ports : int list;
       (* the ports the last flooded frame queued on *)
   mutable drop_reason : string;  (* why the last dropped frame was *)
-  mutable tcpu_enabled : bool;
-  tcpu : Compile.ctx;
+  mutable tcpu : tcpu;
+  tcpu_ctx : Compile.ctx;
       (* the TCPU's execution context, refilled every hop; a switch
          runs in exactly one shard, so no two domains share it *)
   mutable tap : (now:int -> in_port:int -> out_port:int -> Frame.t -> unit) option;
@@ -89,8 +91,8 @@ let create ~id ~num_ports ?queue_limit () =
     queued_one = [||];
     flooded_ports = [];
     drop_reason = "";
-    tcpu_enabled = true;
-    tcpu = Compile.context ();
+    tcpu = Tcpu.run;
+    tcpu_ctx = Compile.context ();
     tap = None;
     bin_tap = None;
     classify_queue = dscp_classifier;
@@ -140,12 +142,15 @@ let set_queue_limit t ~port ~bytes =
 
 let set_ecn_threshold t ~port threshold =
   (State.port t.switch_state port).State.Port.ecn_threshold <- threshold
-let set_tcpu_enabled t enabled = t.tcpu_enabled <- enabled
+let set_tcpu t tcpu = t.tcpu <- tcpu
+
+(* A legacy switch: TPPs pass through untouched. *)
+let no_tcpu _ _ ~now:_ ~frame:_ = -1
+let set_tcpu_enabled t enabled = t.tcpu <- (if enabled then Tcpu.run else no_tcpu)
 
 let set_trim_keep t ~keep = t.trim_keep <- (if keep < 0 then -1 else keep)
 let set_ecmp_salt t salt = t.ecmp_salt <- salt
 let ecmp_salt t = t.ecmp_salt
-let trim_keep t = t.trim_keep
 
 let set_subqueue_limit t ~port ~queue ~bytes =
   let p = State.port t.switch_state port in
@@ -261,8 +266,8 @@ let process_and_enqueue t ~now ~transmit (frame : Frame.t) ~out_port =
   frame.Frame.meta.Meta.queue_id <- queue_id;
   let sub = port.State.Port.queues.(queue_id) in
   (match frame.Frame.tpp with
-  | Some _ when t.tcpu_enabled -> ignore (Tcpu.run t.tcpu st ~now ~frame : int)
-  | Some _ | None -> ());
+  | Some _ -> ignore (t.tcpu t.tcpu_ctx st ~now ~frame : int)
+  | None -> ());
   let wire = Frame.wire_size frame in
   (* Offered load on this link, drops included: what RCP's y(t) measures. *)
   port.State.Port.window_rx_bytes <- port.State.Port.window_rx_bytes + wire;

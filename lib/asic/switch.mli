@@ -21,7 +21,7 @@ type verdict =
   | Dropped of string
 
 val create : id:int -> num_ports:int -> ?queue_limit:int -> unit -> t
-(** A switch with its TCPU enabled ({!set_tcpu_enabled}). *)
+(** A switch whose TCPU is {!Tcpu.run} ({!set_tcpu}). *)
 
 val id : t -> int
 val num_ports : t -> int
@@ -78,8 +78,6 @@ val set_trim_keep : t -> keep:int -> unit
     A negative [keep] disables trimming (the default). Ports need at
     least two queues ({!configure_queues}) for trimming to engage. *)
 
-val trim_keep : t -> int
-
 val set_subqueue_limit : t -> port:int -> queue:int -> bytes:int -> unit
 (** Overrides one subqueue's tail-drop limit — NDP gives the trimmed-
     header/control queue a small dedicated budget so control traffic
@@ -89,9 +87,19 @@ val set_subqueue_limit : t -> port:int -> queue:int -> bytes:int -> unit
 val trims : t -> int
 (** Frames trimmed (not dropped) by this switch so far. *)
 
+type tcpu = Compile.ctx -> State.t -> now:int -> frame:Frame.t -> int
+(** What the pipeline runs on every TPP it forwards, with the switch's
+    own execution context and state: {!Tcpu.run}'s contract. *)
+
+val set_tcpu : t -> tcpu -> unit
+(** Replaces the switch's TCPU ({!Tcpu.run} at {!create}). The tests
+    and the bench install the reference interpreter with it; nothing in
+    the library installs anything else. *)
+
 val set_tcpu_enabled : t -> bool -> unit
-(** A disabled TCPU forwards TPPs without executing them (a legacy,
-    non-TPP switch). *)
+(** [false] installs a TCPU that runs nothing: TPPs are forwarded
+    without executing (a legacy, non-TPP switch). [true] reinstalls
+    {!Tcpu.run}. *)
 
 val set_strip_tpp : t -> port:int -> bool -> unit
 (** Edge security (paper §4): when set, TPP sections are stripped from
@@ -200,9 +208,10 @@ val queue_packets : t -> port:int -> int
 
 val set_tap :
   t -> (now:int -> in_port:int -> out_port:int -> Frame.t -> unit) option -> unit
-(** Mirror point after the forwarding decision, used by the
-    postcard-based debugger baseline (ndb, paper §2.3) to emit truncated
-    per-hop packet copies. *)
+(** Mirror point after the forwarding decision, handing the callback
+    the frame itself. Every ndb postcard in the library goes through
+    {!set_bin_tap}; this boxed twin serves tests that check the binary
+    cards against the frame, and the frozen perfbench workload. *)
 
 val set_bin_tap :
   t ->

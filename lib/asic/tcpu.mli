@@ -14,10 +14,11 @@
     the packet. A failed [CEXEC] check is not a fault: it merely skips
     the rest of the program (paper §3.2.3).
 
-    Two backends share these semantics exactly. The default [Compiled]
-    backend runs the program's cached micro-op form ({!Compile}),
-    compiling on first sight of the instruction bytes; [Interpreter] is
-    the original AST walker, kept as the reference oracle. *)
+    A program runs in its cached micro-op form ({!Compile}), compiled on
+    first sight of its instruction bytes. The original AST interpreter
+    is not part of the dataplane: it lives in the [tpp_oracle] library,
+    which only the tests and the bench link, as the reference that a
+    differential test holds this module equal to. *)
 
 type fault = Compile.fault =
   | Mmu_fault of Mmu.fault
@@ -38,32 +39,23 @@ type result = {
   fault : fault option;
 }
 
-type backend = Compiled | Interpreter
-
-val set_default_backend : backend -> unit
-(** Process-wide default for {!run} and {!execute} calls that don't
-    pass [?backend], the switch pipeline's included; starts as
-    [Compiled]. The bench's interpreter baseline runs flip this. *)
-
-val default_backend : unit -> backend
-
 val run :
-  ?backend:backend -> Compile.ctx -> State.t -> now:int -> frame:Tpp_isa.Frame.t -> int
+  Compile.ctx -> State.t -> now:int -> frame:Tpp_isa.Frame.t -> int
 (** The execution core behind {!execute}, for the per-hop path: runs the
     frame's TPP, bumps the hop counter, the fault flag and the switch's
     TPP counters exactly as {!execute} does, and returns the number of
     instructions executed, or [-1] when nothing ran (no TPP, or one that
-    already faulted). On the [Compiled] backend it allocates nothing.
+    already faulted). It allocates nothing.
     Why execution stopped stays in the context ({!Compile.fault}). *)
 
-val execute : ?backend:backend -> State.t -> now:int -> frame:Tpp_isa.Frame.t -> result option
+val execute : State.t -> now:int -> frame:Tpp_isa.Frame.t -> result option
 (** Runs the frame's TPP through {!run}, mutating its packet memory /
     stack pointer / hop counter and any SRAM it stores to, and bumps the
     switch's TPP counters. [None] when the frame carries no TPP (the TCPU
     ignores non-TPP packets). The frame's metadata must already be
     filled in by the forwarding lookup.
 
-    The [Compiled] backend also counts a per-switch compile-cache hit
+    Every run also counts a per-switch compile-cache hit
     (TPP already linked to compiled code) or miss in
     {!State.t.tpp_compile_hits} / [tpp_compile_misses]. *)
 

@@ -14,21 +14,18 @@ type task = {
 
 type t = {
   net : Net.t;
-  ecmp : bool;
   mutable current_version : int;
   mutable task_list : task list;
   mutable updating : bool;
   mutable next_tcam_entry : int;
 }
 
-let create_with ?(ecmp = false) net =
-  Topology.install_routes ~ecmp ~version:1 net;
-  { net; ecmp; current_version = 1; task_list = []; updating = false;
+let create net =
+  Topology.install_routes ~version:1 net;
+  { net; current_version = 1; task_list = []; updating = false;
     (* High base keeps controller-stamped TCAM ids visually distinct
        from the route installer's per-switch counters. *)
     next_tcam_entry = 10_000 }
-
-let create net = create_with net
 
 let version t = t.current_version
 
@@ -121,7 +118,7 @@ let remove_tcam t ~switch_node ~entry_id =
 
 let reinstall_routes t =
   t.current_version <- t.current_version + 1;
-  Topology.install_routes ~ecmp:t.ecmp ~version:t.current_version t.net
+  Topology.install_routes ~version:t.current_version t.net
 
 let staged_route_update t ~gap =
   if gap <= 0 then invalid_arg "Controller.staged_route_update: gap";
@@ -144,7 +141,7 @@ let staged_route_update t ~gap =
               match List.assoc_opt sid plan with
               | Some ports ->
                 incr entry_id;
-                Topology.install_dest_on_switch t.net ~dest ~ecmp:t.ecmp ~version
+                Topology.install_dest_on_switch t.net ~dest ~ecmp:false ~version
                   ~entry_id:!entry_id sid ports
               | None -> ())
             plans;

@@ -22,10 +22,8 @@ type task = {
 type t
 
 val create : Net.t -> t
-(** Takes over route installation: installs shortest paths at version 1.
-    Use [ecmp] to spread flows over equal-cost paths. *)
-
-val create_with : ?ecmp:bool -> Net.t -> t
+(** Takes over route installation: installs single shortest paths (no
+    ECMP) at version 1. *)
 
 val version : t -> int
 

@@ -78,7 +78,6 @@ module Tpp_lb = Tpp_rcp.Tpp_lb
 module Flowlet = Tpp_endhost.Flowlet
 module Trace = Tpp_ndb.Trace
 module Verify = Tpp_ndb.Verify
-module Postcard = Tpp_ndb.Postcard
 module Faultfind = Tpp_ndb.Faultfind
 
 (* Paper experiments (tables and figures) *)

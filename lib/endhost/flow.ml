@@ -62,7 +62,6 @@ module Sink = struct
   let rx_payload_bytes t = t.rx_payload
   let latency t = t.latency
   let reordered t = t.reordered
-  let highest_seq t = t.highest
 
   let holes t = if t.highest < 0 then 0 else t.highest + 1 - t.decoded
   let ce_marked t = t.ce

@@ -23,11 +23,8 @@ module Sink : sig
   val rx_payload_bytes : t -> int
   (** Application payload bytes only. *)
 
-  val highest_seq : t -> int
-  (** Highest sequence number seen; -1 before any packet. *)
-
   val holes : t -> int
-  (** Sequence numbers below {!highest_seq} never received so far —
+  (** Sequence numbers up to the highest one seen never received so far —
       cumulative loss as the receiver can observe it. *)
 
   val ce_marked : t -> int

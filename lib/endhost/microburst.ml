@@ -2,7 +2,6 @@ module Net = Tpp_sim.Net
 module Engine = Tpp_sim.Engine
 module Tpp = Tpp_isa.Tpp
 module Asm = Tpp_isa.Asm
-module Stats = Tpp_util.Stats
 
 module Episode = struct
   type t = {
@@ -36,8 +35,6 @@ let source = "PUSH [Switch:SwitchID]\nPUSH [Queue:QueueSize]\n"
 let words_per_hop = 2
 let max_hops = 10
 
-type hop_state = { episode : Episode.t; queue_stats : Stats.t }
-
 type t = {
   stack : Stack.t;
   dst : Net.host;
@@ -50,25 +47,23 @@ type t = {
   mutable sent : int;
   mutable received : int;
   mutable hop_order : int list;  (* switch ids in path order, reversed *)
-  table : (int, hop_state) Hashtbl.t;
+  table : (int, Episode.t) Hashtbl.t;  (* switch id -> its episodes *)
 }
 
-let hop_state t swid =
+let hop_episode t swid =
   match Hashtbl.find_opt t.table swid with
-  | Some s -> s
+  | Some e -> e
   | None ->
-    let s = { episode = Episode.create ~threshold:t.threshold; queue_stats = Stats.create () } in
-    Hashtbl.replace t.table swid s;
+    let e = Episode.create ~threshold:t.threshold in
+    Hashtbl.replace t.table swid e;
     t.hop_order <- swid :: t.hop_order;
-    s
+    e
 
 let on_reply t tpp =
   t.received <- t.received + 1;
   let rec consume = function
     | swid :: q :: rest ->
-      let s = hop_state t swid in
-      Episode.feed s.episode q;
-      Stats.add s.queue_stats (float_of_int q);
+      Episode.feed (hop_episode t swid) q;
       consume rest
     | _ -> ()
   in
@@ -116,10 +111,4 @@ let probes_sent t = t.sent
 let replies_received t = t.received
 
 let hops t =
-  List.rev_map (fun swid -> (swid, (Hashtbl.find t.table swid).episode)) t.hop_order
-
-let total_episodes t =
-  List.fold_left (fun acc (_, e) -> acc + Episode.count e) 0 (hops t)
-
-let queue_samples t swid =
-  Option.map (fun s -> s.queue_stats) (Hashtbl.find_opt t.table swid)
+  List.rev_map (fun swid -> (swid, Hashtbl.find t.table swid)) t.hop_order

@@ -47,7 +47,3 @@ val replies_received : t -> int
 
 val hops : t -> (int * Episode.t) list
 (** Per-switch episode counters, keyed by switch id, in path order. *)
-
-val total_episodes : t -> int
-val queue_samples : t -> int -> Tpp_util.Stats.t option
-(** All queue samples observed at the given switch id. *)

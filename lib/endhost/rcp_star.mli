@@ -58,9 +58,6 @@ type link_sample = {
   rate_kbps : int;
 }
 
-val parse_hops : Tpp_isa.Tpp.t -> link_sample list
-(** Decodes an executed collect probe's stack into per-hop samples. *)
-
 val control_law : config -> link_sample -> float
 (** R(t+T) in bps for one link, per the paper's §2.2 equation, clamped
     to [\[min_rate_bps, capacity\]]. *)

@@ -7,7 +7,8 @@ module Tables = Tpp_asic.Tables
 module Frame = Tpp_isa.Frame
 module Trace = Tpp_ndb.Trace
 module Verify = Tpp_ndb.Verify
-module Postcard = Tpp_ndb.Postcard
+module Sink = Tpp_telemetry.Sink
+module Emit = Tpp_telemetry.Emit
 
 type params = {
   packets : int;
@@ -15,6 +16,10 @@ type params = {
   plant_stale_rule : bool;
   max_hops : int;
 }
+
+(* ndb's postcard is a truncated copy of the packet: a minimum-size
+   Ethernet frame. *)
+let postcard_size = 64
 
 let default =
   { packets = 20; payload_bytes = 200; plant_stale_rule = true; max_hops = 6 }
@@ -44,7 +49,9 @@ let run p =
       { Tables.Tcam.any with
         Tables.Tcam.priority = 50; dst_ip = Some (dst.Net.ip, 0xFFFFFFFF) }
       { Tables.action = Tables.Forward 1; entry_id = 999; version = 0 };
-  let collector = Postcard.deploy net in
+  (* ndb's baseline: one hop card per frame per switch. *)
+  let sink = Sink.create () in
+  Emit.tap_switches sink net;
   let traces = ref [] in
   dst.Net.receive <- (fun ~now:_ frame ->
       match frame.Frame.tpp with
@@ -90,6 +97,6 @@ let run p =
     culprit_entry;
     traced_packets = List.length traces;
     tpp_bytes_per_packet = Tpp_isa.Tpp.section_size (Trace.make ~max_hops:p.max_hops);
-    postcards = Postcard.postcards collector;
-    postcard_bytes = Postcard.overhead_bytes collector;
+    postcards = Sink.emitted sink;
+    postcard_bytes = Sink.emitted sink * postcard_size;
   }

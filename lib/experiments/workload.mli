@@ -41,9 +41,6 @@ val sample_bytes : Rng.t -> mix -> int
     derived from the mean). May return 0
     for the empirical mixes' smallest flows; clamp at the call site. *)
 
-val pareto_scale : shape:float -> mean_bytes:float -> float
-(** The Pareto scale parameter giving the requested mean. *)
-
 val arrival_rate : load:float -> link_bps:int -> mix:mix -> float
 (** Per-host arrivals/sec such that each host offers [load] of its
     [link_bps] access link: [load * bps / (8 * mean_bytes)]. *)

@@ -134,11 +134,6 @@ let payload_u32 t off =
   if off < 0 || off + 4 > payload_len t then Buf.(raise (Out_of_bounds "Frame.payload_u32"));
   Buf.get_u32i t.buf (t.pay_off + off)
 
-let blit_payload t ~src_pos dst ~dst_pos ~len =
-  if src_pos < 0 || len < 0 || src_pos + len > payload_len t then
-    Buf.(raise (Out_of_bounds "Frame.blit_payload"));
-  Bytes.blit t.buf (t.pay_off + src_pos) dst dst_pos len
-
 (* NDP-style packet trimming: cut the UDP payload down to its first
    [keep] bytes, in place. The payload is the tail of the wire image,
    so shrinking it leaves every parse-time offset valid; the IPv4 total

@@ -127,13 +127,11 @@ val payload_len : t -> int
 
 val payload : t -> bytes
 (** Copy of the payload bytes (allocates); hot paths should use
-    {!payload_len}/{!payload_u32}/{!blit_payload}. *)
+    {!payload_len}/{!payload_u32}. *)
 
 val payload_u32 : t -> int -> int
 (** Big-endian 32-bit word at a byte offset within the payload. Raises
     [Buf.Out_of_bounds]. *)
-
-val blit_payload : t -> src_pos:int -> bytes -> dst_pos:int -> len:int -> unit
 
 val trim : t -> keep:int -> unit
 (** NDP-style packet trimming: cuts the UDP payload to its first [keep]

@@ -43,8 +43,6 @@ val decode : int32 -> (t, string) result
 val write : Tpp_util.Buf.Writer.t -> t -> unit
 val read : Tpp_util.Buf.Reader.t -> (t, string) result
 
-val binop_name : binop -> string
-
 val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit
 (** Symbolic rendering, e.g. [PUSH [Queue:QueueSize]]. *)

@@ -121,9 +121,6 @@ val sram_words : int
 val link_sram_slots : int
 (** Number of contextual per-link SRAM slots (128). *)
 
-val max_ports : int
-(** Ports addressable by the absolute per-port arrays (96). *)
-
 val writable : region -> bool
 (** TPPs may write only SRAM (absolute or contextual). Statistics and
     packet metadata are read-only, and forwarding tables are not mapped

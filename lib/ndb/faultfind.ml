@@ -224,10 +224,6 @@ let window_counts t ~now c =
   done;
   (!mature, !lost)
 
-let circuit_loss t ~now c =
-  let mature, lost = window_counts t ~now c in
-  if mature = 0 then 0.0 else float_of_int lost /. float_of_int mature
-
 let circuit_degraded t ~now c =
   (not (circuit_healthy t ~now c))
   ||
@@ -254,9 +250,6 @@ let circuit_spotless t ~now c =
 
 let degraded t ~now =
   Array.to_list (Array.map (circuit_degraded t ~now) t.circuits)
-
-let loss_ratios t ~now =
-  Array.to_list (Array.map (circuit_loss t ~now) t.circuits)
 
 (* Renders a cable back as a link endpoint, preferring a switch side. *)
 let link_of_cable t ((node_a, port_a), (node_b, port_b)) =

@@ -61,10 +61,6 @@ val degraded : t -> now:int -> bool list
     at least half a window of evidence. Flap- and loss-tolerant
     superset of [not healthy]. *)
 
-val loss_ratios : t -> now:int -> float list
-(** Per circuit: echo loss over matured rounds of the history window
-    (0.0 while no round has matured). *)
-
 val suspects : t -> now:int -> link list
 (** One representative endpoint per suspect cable. The suspect set is a
     greedy minimal cover of the degraded circuits by cables that touch

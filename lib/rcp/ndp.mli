@@ -26,10 +26,6 @@ val header_bytes : int
     trim residue — a DATA frame whose payload is this short was
     trimmed in flight. *)
 
-val ctrl_dscp : int
-(** DSCP codepoint (63) that maps control packets and trimmed headers
-    to the top-priority queue. *)
-
 type config = {
   window_pkts : int;      (** unsolicited spray at message start *)
   payload_bytes : int;    (** data bytes per packet, beyond the header *)

@@ -109,7 +109,6 @@ module Transfer = struct
     mutable retransmits : int;
     mutable timeouts : int;
     mutable done_ : bool;
-    mutable completed_at : int option;
   }
 
   let engine t = Net.engine (Stack.net t.stack)
@@ -189,7 +188,6 @@ module Transfer = struct
       t.dup_acks <- 0;
       if t.snd_una >= t.total_segments then begin
         t.done_ <- true;
-        t.completed_at <- Some now;
         t.timer_armed_una <- -1;
         t.on_complete ~now
       end
@@ -248,7 +246,6 @@ module Transfer = struct
         retransmits = 0;
         timeouts = 0;
         done_ = false;
-        completed_at = None;
       }
     in
     (* ACKs come back on the same port. *)
@@ -261,7 +258,6 @@ module Transfer = struct
     t
 
   let is_done t = t.done_
-  let completed_at t = t.completed_at
   let bytes_acked t = Int.min t.total_bytes (t.snd_una * t.config.mss)
   let retransmits t = t.retransmits
   let timeouts t = t.timeouts

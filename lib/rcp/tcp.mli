@@ -55,7 +55,6 @@ module Transfer : sig
     t
 
   val is_done : t -> bool
-  val completed_at : t -> int option
   val bytes_acked : t -> int
   val retransmits : t -> int
   val timeouts : t -> int

@@ -15,8 +15,7 @@
 
    Everything is host-local state driven by packet arrivals and one
    {!Engine.Loop}, so steering decisions are bit-deterministic and
-   shard-safe; [steer_fp] fingerprints the full decision sequence for
-   the property tests. *)
+   shard-safe. *)
 
 module Net = Tpp_sim.Net
 module Engine = Tpp_sim.Engine
@@ -73,7 +72,6 @@ type t = {
   collect_tpp : Tpp.t;
   ports : int array;    (* candidate source ports; index = path id *)
   loads : int array;    (* latest sampled load per path *)
-  samples : int array;
   flowlet : Flowlet.t;
   pending : (int, int) Hashtbl.t;  (* probe seq -> path id *)
   block : Probe.Block.t;
@@ -82,13 +80,9 @@ type t = {
   mutable rr : int;     (* next candidate to probe *)
   mutable current : int;
   mutable probes_sent : int;
-  mutable replies_seen : int;
   mutable decisions : int;  (* steering evaluations at a boundary *)
   mutable moves : int;      (* decisions that changed path *)
-  mutable steer_fp : int;   (* order-sensitive decision fingerprint *)
 }
-
-let mix fp v = ((fp * 0x100_0193) lxor v) land max_int
 
 let maybe_steer t ~now =
   if Flowlet.boundary t.flowlet ~last_tx:(Flow.last_tx_ns t.flow) ~now then begin
@@ -101,14 +95,11 @@ let maybe_steer t ~now =
       t.current <- !best;
       t.moves <- t.moves + 1;
       Flow.set_src_port t.flow t.ports.(!best)
-    end;
-    t.steer_fp <- mix (mix t.steer_fp now) t.current
+    end
   end
 
 let sample t ~now path tpp =
-  t.replies_seen <- t.replies_seen + 1;
   t.loads.(path) <- path_load tpp;
-  t.samples.(path) <- t.samples.(path) + 1;
   maybe_steer t ~now
 
 let on_reply t ~now ~seq tpp =
@@ -160,7 +151,6 @@ let create ?(config = default_config) stack ~flow ~dst =
         Array.init config.num_paths (fun i ->
             Flow.port flow + (i * config.port_stride));
       loads = Array.make config.num_paths 0;
-      samples = Array.make config.num_paths 0;
       flowlet = Flowlet.create ~gap_ns:config.flowlet_gap_ns;
       pending = Hashtbl.create 16;
       (* A disjoint echo-seq block: several controllers can share one
@@ -171,10 +161,8 @@ let create ?(config = default_config) stack ~flow ~dst =
       rr = 0;
       current = 0;
       probes_sent = 0;
-      replies_seen = 0;
       decisions = 0;
       moves = 0;
-      steer_fp = 0;
     }
   in
   Probe.Block.on_echo t.block (on_reply t);
@@ -193,13 +181,7 @@ let create ?(config = default_config) stack ~flow ~dst =
 let start t ?at () = Engine.Loop.start t.loop ?at (tick t)
 let stop t = Engine.Loop.stop t.loop
 
-let current_path t = t.current
-let current_src_port t = t.ports.(t.current)
-let path_loads t = Array.copy t.loads
-let path_samples t = Array.copy t.samples
 let probes_sent t = t.probes_sent
-let replies_seen t = t.replies_seen
 let decisions t = t.decisions
 let moves t = t.moves
-let steer_fingerprint t = t.steer_fp
 let flowlet t = t.flowlet

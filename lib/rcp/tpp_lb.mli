@@ -37,10 +37,6 @@ val default_config : config
 (** 500 µs probe period, 100 µs flowlet gap, 8 hops, 4 paths,
     stride 7, no piggyback. *)
 
-val path_load : Tpp_isa.Tpp.t -> int
-(** Bottleneck metric of an executed collect program: the maximum
-    [Link:QueueSize] over its hops. *)
-
 type t
 
 val create : ?config:config -> Stack.t -> flow:Flow.t -> dst:Net.host -> t
@@ -51,26 +47,12 @@ val create : ?config:config -> Stack.t -> flow:Flow.t -> dst:Net.host -> t
 val start : t -> ?at:int -> unit -> unit
 val stop : t -> unit
 
-val current_path : t -> int
-val current_src_port : t -> int
-
-val path_loads : t -> int array
-(** Latest sampled bottleneck load per candidate path. *)
-
-val path_samples : t -> int array
-(** Probe replies folded into each path's load so far. *)
-
 val probes_sent : t -> int
-val replies_seen : t -> int
 
 val decisions : t -> int
 (** Steering evaluations that ran at a flowlet boundary. *)
 
 val moves : t -> int
 (** Decisions that moved the flow to a different path. *)
-
-val steer_fingerprint : t -> int
-(** Order-sensitive hash over (time, chosen path) of every boundary
-    decision — equal fingerprints mean bit-identical steering. *)
 
 val flowlet : t -> Flowlet.t

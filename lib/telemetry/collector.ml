@@ -152,7 +152,6 @@ let fault_events t = t.fault_events
 let switch_hops t ~switch =
   if switch >= 0 && switch < Array.length t.s_hops then t.s_hops.(switch) else 0
 
-let flow_bytes t ~flow_hash = Sketch.Cms.estimate t.flows ~key:flow_hash
 let cms t = t.flows
 
 (* Every seen link in ascending (node, port) order. *)

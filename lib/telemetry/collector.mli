@@ -47,9 +47,6 @@ val switch_hops : t -> switch:int -> int
 
 (** {2 Flows} *)
 
-val flow_bytes : t -> flow_hash:int -> int
-(** CMS estimate of bytes carried by the flow; never underestimates. *)
-
 val cms : t -> Sketch.Cms.t
 
 (** {2 Links} — a link is a switch egress: [(switch id, out port)]. *)

@@ -13,7 +13,7 @@ module Net = Tpp_sim.Net
 val tap_switches : Sink.t -> Net.t -> unit
 (** Installs a binary tap on every switch of the net: one [Hop] card
     per frame reaching an egress queue. Replaces any previous binary
-    tap (the ndb [Frame.t] tap is untouched). *)
+    tap (the boxed {!Tpp_asic.Switch.set_tap} is untouched). *)
 
 val probe_events : Sink.t -> node:int -> Tpp_endhost.Probe.Reliable.t -> unit
 (** [Probe_retry] / [Probe_failure] cards from this prober, stamped
@@ -22,9 +22,7 @@ val probe_events : Sink.t -> node:int -> Tpp_endhost.Probe.Reliable.t -> unit
 
 val fault_events : Sink.t -> Tpp_sim.Fault.t -> unit
 (** One [Fault_event] card per injection: [node]/[out_port] name the
-    transmitting endpoint of the affected wire, [value] is the
-    {!fault_cause_code}, [subject] the lost frame's id. *)
-
-val fault_cause_code : Tpp_sim.Fault.cause -> int
-(** Stable small-int encoding of the injection cause carried in a
-    [Fault_event] card's [value] field. *)
+    transmitting endpoint of the affected wire, [value] a stable small
+    int for the injection cause (0 lost on a down link, 1 random drop,
+    2 corrupt header, 3 corrupt FCS, 4 frozen arrival, 5 restart),
+    [subject] the lost frame's id. *)

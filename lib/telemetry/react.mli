@@ -50,9 +50,6 @@ val drain : t -> switch:int -> port:int -> unit
     the drained port keep their route. Sets the switch's drain-flag
     SRAM word. Idempotent. *)
 
-val reweight_away : t -> switch:int -> port:int -> unit
-(** Rewrites every multipath group on [switch] containing [port] to
-    [2 * siblings + 1 * port] slots. Idempotent per link. *)
 
 val version : t -> int
 (** Current table version; bumps on every rewrite. *)

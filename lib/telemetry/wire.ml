@@ -14,13 +14,6 @@ let kind_code = function
   | Probe_failure -> 2
   | Fault_event -> 3
 
-let kind_of_code = function
-  | 0 -> Some Hop
-  | 1 -> Some Probe_retry
-  | 2 -> Some Probe_failure
-  | 3 -> Some Fault_event
-  | _ -> None
-
 let u16 = 0xFFFF
 let u32 = 0xFFFF_FFFF
 

@@ -1,8 +1,8 @@
 (** The binary postcard wire format.
 
-    One postcard is a fixed {!bytes_per_card}-byte big-endian record —
-    the compact replacement for {!Tpp_ndb.Postcard}'s boxed record list
-    (which remains the differential-testing oracle). Every field is an
+    One postcard is a fixed {!bytes_per_card}-byte big-endian record,
+    and the only postcard the library emits: E6's ndb baseline counts
+    these hop cards too. Every field is an
     immediate int, written into a preallocated chunk with one
     word-wide big-endian store per field (read back likewise): the hot
     path allocates nothing. A u64 field holds the 63-bit int with bit
@@ -42,7 +42,6 @@ type kind =
   | Fault_event  (** the fault layer dropped/corrupted/froze a frame *)
 
 val kind_code : kind -> int
-val kind_of_code : int -> kind option
 
 (** {2 Encoding} — writes one card at [off] in [buf]; the caller
     guarantees [off + bytes_per_card <= Bytes.length buf]. *)

@@ -23,7 +23,6 @@ val of_sec_f : float -> span
 val to_sec_f : t -> float
 (** [to_sec_f t] is [t] expressed in seconds, for reporting. *)
 
-val to_us_f : t -> float
 val to_ms_f : t -> float
 
 val add : t -> span -> t

@@ -1,8 +1,8 @@
-(* The compiled TCPU backend (lib/asic/compile.ml) must be
-   architecturally indistinguishable from the interpreter: same register
+(* The compiled TCPU (lib/asic/compile.ml) must be architecturally
+   indistinguishable from the oracle library's interpreter: same register
    writes, same faults at the same instruction, same CEXEC/CSTORE and
    stack semantics, same counters. A QCheck differential test holds the
-   two backends equal on random programs x random states — including
+   two equal on random programs x random states — including
    fault-heavy programs (out-of-bounds and misaligned packet offsets,
    unmapped switch addresses, odd CSTORE/CEXEC pools, hand-built
    unencodable operands that force the Marshal cache key). Unit tests
@@ -13,6 +13,7 @@ open Tpp
 module State = Tpp_asic.State
 module Tcpu = Tpp_asic.Tcpu
 module Compile = Tpp_asic.Compile
+module Interp = Tpp_oracle.Interp
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -191,12 +192,12 @@ let state_digest st =
 
 (* Two hops through two switches: the second hop also covers hop-block
    addressing past hop 0 and the faulted-TPP-is-inert path. *)
-let run_scenario backend sc =
+let run_scenario execute sc =
   let frame = build_frame sc in
   let st1 = build_state sc ~switch_id:3 in
   let st2 = build_state sc ~switch_id:4 in
-  let r1 = Tcpu.execute ~backend st1 ~now:sc.now ~frame in
-  let r2 = Tcpu.execute ~backend st2 ~now:(sc.now + 777) ~frame in
+  let r1 = execute st1 ~now:sc.now ~frame in
+  let r2 = execute st2 ~now:(sc.now + 777) ~frame in
   let tpp = Option.get frame.Frame.tpp in
   ( res_digest r1,
     res_digest r2,
@@ -226,8 +227,8 @@ let show_digest (r1, r2, words, sp, hop, faulted, (sram1, c1), (sram2, c2)) =
 let prop_backends_agree =
   QCheck.Test.make ~name:"compiled backend == interpreter (random programs)"
     ~count:500 scenario_arbitrary (fun sc ->
-      let reference = run_scenario Tcpu.Interpreter sc in
-      let compiled = run_scenario Tcpu.Compiled sc in
+      let reference = run_scenario Interp.execute sc in
+      let compiled = run_scenario Tcpu.execute sc in
       if reference = compiled then true
       else
         QCheck.Test.fail_reportf "backends diverge\ninterpreter: %s\ncompiled:    %s"
@@ -276,8 +277,8 @@ let test_nasty_programs_agree () =
           sram_init = [ 10; 20; 30; 40 ]; qdepth = 4242; now = 1000;
         }
       in
-      let reference = run_scenario Tcpu.Interpreter sc in
-      let compiled = run_scenario Tcpu.Compiled sc in
+      let reference = run_scenario Interp.execute sc in
+      let compiled = run_scenario Tcpu.execute sc in
       if reference <> compiled then
         Alcotest.failf "%s diverges\ninterpreter: %s\ncompiled:    %s" name
           (show_digest reference) (show_digest compiled))

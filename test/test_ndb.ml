@@ -1,5 +1,6 @@
 (* Forwarding-plane debugger tests: the trace TPP, control-path
-   computation, mismatch detection, and the postcard baseline. *)
+   computation, mismatch detection, and the postcard baseline (the
+   switches' binary hop cards). *)
 
 open Tpp
 
@@ -121,40 +122,111 @@ let test_trace_parse_stops_at_unwritten_blocks () =
   let trace = Trace.parse tpp in
   check Alcotest.int "only the written hop" 1 (List.length trace)
 
+(* One hop card as the wire carries it, or as a frame tap sees it. *)
+type card = {
+  time : int;
+  node : int;
+  in_port : int;
+  out_port : int;
+  version : int;
+  entry : int;
+  frame_id : int;
+  wire_bytes : int;
+}
+
+let pp_card ppf c =
+  Format.fprintf ppf "t=%d node=%d in=%d out=%d v=%d entry=%d frame=%d wire=%d"
+    c.time c.node c.in_port c.out_port c.version c.entry c.frame_id c.wire_bytes
+
+let card = Alcotest.testable pp_card ( = )
+
+(* Every card the sink holds, in emission order. *)
+let drain_cards sink =
+  let cards = ref [] in
+  Telemetry_sink.drain sink (fun b ~off ->
+      let module W = Telemetry_wire in
+      cards :=
+        { time = W.time_ns b ~off; node = W.node b ~off; in_port = W.in_port b ~off;
+          out_port = W.out_port b ~off; version = W.version b ~off;
+          entry = W.entry b ~off; frame_id = W.subject b ~off;
+          wire_bytes = W.wire_bytes b ~off }
+        :: !cards);
+  List.rev !cards
+
+let send_plain net src dst =
+  Net.host_send net src
+    (Frame.udp_frame ~src_mac:src.Net.mac ~dst_mac:dst.Net.mac ~src_ip:src.Net.ip
+       ~dst_ip:dst.Net.ip ~src_port:1 ~dst_port:2 ~payload:Bytes.empty ())
+
+(* ndb's baseline (paper §2.3): a postcard per packet per hop,
+   reassembled into each packet's path. *)
 let test_postcards () =
   let eng, dia = diamond () in
   let net = dia.Topology.m_net in
-  let collector = Postcard.deploy net in
+  let sink = Telemetry_sink.create () in
+  Telemetry_emit.tap_switches sink net;
   let src = dia.Topology.src_hosts.(0) in
   let dst = dia.Topology.dst_hosts.(0) in
-  let sent_ids = ref [] in
-  (* Send two plain frames; each crosses 3 switches. *)
-  for _ = 1 to 2 do
-    let frame =
-      Frame.udp_frame ~src_mac:src.Net.mac ~dst_mac:dst.Net.mac ~src_ip:src.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:1 ~dst_port:2 ~payload:Bytes.empty ()
-    in
-    Net.host_send net src frame
-  done;
-  Net.on_host_deliver net (fun _ frame -> sent_ids := frame.Frame.id :: !sent_ids);
+  (* Two plain frames; each crosses 3 switches. *)
+  send_plain net src dst;
+  send_plain net src dst;
   Engine.run eng ~until:(Time_ns.ms 50);
-  check Alcotest.int "3 postcards per packet" 6 (Postcard.postcards collector);
-  check Alcotest.int "overhead bytes" (6 * 64) (Postcard.overhead_bytes collector);
-  check Alcotest.int "two distinct frames" 2 (Postcard.distinct_frames collector);
-  (match !sent_ids with
-  | id :: _ ->
-    let path = Postcard.path_of collector ~frame_id:id in
-    check (Alcotest.list Alcotest.int) "reassembled path" [ 1; 2; 4 ]
-      (List.map (fun c -> c.Postcard.switch_id) path)
-  | [] -> Alcotest.fail "no frames delivered");
-  Postcard.undeploy collector;
-  let frame =
-    Frame.udp_frame ~src_mac:src.Net.mac ~dst_mac:dst.Net.mac ~src_ip:src.Net.ip
-      ~dst_ip:dst.Net.ip ~src_port:1 ~dst_port:2 ~payload:Bytes.empty ()
-  in
-  Net.host_send net src frame;
+  let cards = drain_cards sink in
+  check Alcotest.int "3 postcards per packet" 6 (List.length cards);
+  let frames = List.sort_uniq compare (List.map (fun c -> c.frame_id) cards) in
+  check Alcotest.int "two distinct frames" 2 (List.length frames);
+  List.iter
+    (fun id ->
+      let hops =
+        List.filter (fun c -> c.frame_id = id) cards
+        |> List.stable_sort (fun a b -> Int.compare a.time b.time)
+      in
+      check (Alcotest.list Alcotest.int) "reassembled path"
+        [ dia.Topology.ingress; dia.Topology.upper; dia.Topology.egress ]
+        (List.map (fun c -> c.node) hops))
+    frames;
+  List.iter (fun (_, sw) -> Switch.set_bin_tap sw None) (Net.switches net);
+  send_plain net src dst;
   Engine.run eng ~until:(Time_ns.ms 100);
-  check Alcotest.int "undeployed taps are silent" 6 (Postcard.postcards collector)
+  check Alcotest.int "untapped switches are silent" 6 (Telemetry_sink.emitted sink)
+
+(* The binary hop card carries what the boxed frame tap sees at the same
+   mirror point, field by field: traced and plain frames, with a stale
+   rule steering some of them the other way round the diamond. *)
+let test_hop_cards_match_frame_tap () =
+  let eng, dia = diamond () in
+  let net = dia.Topology.m_net in
+  let sink = Telemetry_sink.create () in
+  Telemetry_emit.tap_switches sink net;
+  let tapped = ref [] in
+  List.iter
+    (fun (node, sw) ->
+      Switch.set_tap sw
+        (Some
+           (fun ~now ~in_port ~out_port frame ->
+             let meta = frame.Frame.meta in
+             tapped :=
+               { time = now; node; in_port; out_port;
+                 version = meta.Meta.matched_version; entry = meta.Meta.matched_entry;
+                 frame_id = frame.Frame.id; wire_bytes = Frame.wire_size frame }
+               :: !tapped)))
+    (Net.switches net);
+  let src = dia.Topology.src_hosts.(0) in
+  let dst = dia.Topology.dst_hosts.(0) in
+  for i = 1 to 4 do
+    if i = 3 then
+      Switch.install_tcam
+        (Net.switch net dia.Topology.ingress)
+        { Tables.Tcam.any with
+          Tables.Tcam.priority = 50; dst_ip = Some (dst.Net.ip, 0xFFFFFFFF) }
+        { Tables.action = Tables.Forward 1; entry_id = 999; version = 0 };
+    Net.host_send net src (traced_frame src dst);
+    send_plain net src dst;
+    Engine.run eng ~until:(Time_ns.ms (10 * i))
+  done;
+  let tapped = List.rev !tapped in
+  check Alcotest.int "every frame crossed three switches" 24 (List.length tapped);
+  check (Alcotest.list card) "hop cards == frame tap" tapped (drain_cards sink)
 
 let test_control_path_on_chain () =
   let eng = Engine.create () in
@@ -178,5 +250,7 @@ let suite =
     Alcotest.test_case "trace parse partial" `Quick
       test_trace_parse_stops_at_unwritten_blocks;
     Alcotest.test_case "postcards" `Quick test_postcards;
+    Alcotest.test_case "hop cards match the frame tap" `Quick
+      test_hop_cards_match_frame_tap;
     Alcotest.test_case "control path on chain" `Quick test_control_path_on_chain;
   ]

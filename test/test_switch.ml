@@ -173,23 +173,20 @@ let test_tcpu_runs_in_pipeline () =
   check Alcotest.int "one instruction's cycles" (Tpp_asic.Tcpu.cycles_for 1)
     st.State.tpp_cycles
 
-(* The switch runs its TPPs through the same core as [Tcpu.execute],
-   so flipping the process default to the interpreter must reach the
-   pipeline too: no compile-cache traffic, yet the hop still executes. *)
-let test_tcpu_honours_default_backend () =
+(* The pipeline runs whatever TCPU the switch holds: with the oracle's
+   interpreter installed there is no compile-cache traffic, yet the hop
+   still executes. *)
+let test_tcpu_runs_installed_interpreter () =
   let sw = make_switch () in
-  Tpp_asic.Tcpu.set_default_backend Tpp_asic.Tcpu.Interpreter;
-  Fun.protect
-    ~finally:(fun () -> Tpp_asic.Tcpu.set_default_backend Tpp_asic.Tcpu.Compiled)
-    (fun () ->
-      let frame = host_frame ~tpp:(probe_tpp ()) ~to_ip:dst_ip () in
-      ignore (Switch.handle_ingress sw ~now:0 ~in_port:0 frame);
-      let st = Switch.state sw in
-      check Alcotest.int "executed" 1 st.State.tpp_execs;
-      check Alcotest.int "no compile hits" 0 st.State.tpp_compile_hits;
-      check Alcotest.int "no compile misses" 0 st.State.tpp_compile_misses;
-      check (Alcotest.list Alcotest.int) "interpreted the probe" [ 0 ]
-        (Prog.stack_values (Option.get frame.Frame.tpp)))
+  Tpp_oracle.Interp.install sw;
+  let frame = host_frame ~tpp:(probe_tpp ()) ~to_ip:dst_ip () in
+  ignore (Switch.handle_ingress sw ~now:0 ~in_port:0 frame);
+  let st = Switch.state sw in
+  check Alcotest.int "executed" 1 st.State.tpp_execs;
+  check Alcotest.int "no compile hits" 0 st.State.tpp_compile_hits;
+  check Alcotest.int "no compile misses" 0 st.State.tpp_compile_misses;
+  check (Alcotest.list Alcotest.int) "interpreted the probe" [ 0 ]
+    (Prog.stack_values (Option.get frame.Frame.tpp))
 
 (* One TPP per canned program, plus one reading both SRAM namespaces
    (the canned ones read only registers). *)
@@ -373,8 +370,8 @@ let suite =
       test_queue_accounting_and_tail_drop;
     Alcotest.test_case "rx counters" `Quick test_rx_counters;
     Alcotest.test_case "tcpu in pipeline" `Quick test_tcpu_runs_in_pipeline;
-    Alcotest.test_case "tcpu honours the default backend" `Quick
-      test_tcpu_honours_default_backend;
+    Alcotest.test_case "tcpu runs the installed interpreter" `Quick
+      test_tcpu_runs_installed_interpreter;
     Alcotest.test_case "switch TPP hop allocates nothing" `Quick
       test_tpp_hop_allocates_nothing;
     Alcotest.test_case "pooled TPP build allocates nothing" `Quick

@@ -5,6 +5,7 @@ open Tpp
 module State = Tpp_asic.State
 module Tcpu = Tpp_asic.Tcpu
 module Mmu = Tpp_asic.Mmu
+module Interp = Tpp_oracle.Interp
 
 let check = Alcotest.check
 
@@ -260,16 +261,15 @@ let test_fault_bad_pool_operand () =
 
 (* --- Backends -------------------------------------------------------------- *)
 
-(* The suite above runs under the default Compiled backend; these pin a
-   few scenarios to the Interpreter explicitly and hold the observable
-   outcomes equal. (The exhaustive differential test is in
-   test_compile.ml.) *)
+(* The suite above runs the compiled TCPU; these run a few scenarios on
+   the oracle library's interpreter too and hold the observable outcomes
+   equal. (The exhaustive differential test is in test_compile.ml.) *)
 
-let observe backend src ~mem_len =
+let observe execute src ~mem_len =
   let st = make_state () in
   let frame = frame_of ~mem_len src in
   let r =
-    match Tcpu.execute ~backend st ~now:0 ~frame with
+    match execute st ~now:0 ~frame with
     | Some r -> r
     | None -> Alcotest.fail "no TPP on frame"
   in
@@ -281,10 +281,8 @@ let observe backend src ~mem_len =
     (st.State.tpp_execs, st.State.tpp_faults, st.State.tpp_cycles) )
 
 let backend_case name src ~mem_len () =
-  check Alcotest.bool "default backend is compiled" true
-    (Tcpu.default_backend () = Tcpu.Compiled);
-  if observe Tcpu.Interpreter src ~mem_len <> observe Tcpu.Compiled src ~mem_len
-  then Alcotest.failf "%s: interpreter and compiled backends diverge" name
+  if observe Interp.execute src ~mem_len <> observe Tcpu.execute src ~mem_len
+  then Alcotest.failf "%s: interpreter and compiled TCPU diverge" name
 
 let test_backend_stack () =
   backend_case "stack"
