@@ -1,8 +1,8 @@
 (* The simulator's gates as one scenario table.
 
-   Each row is a [Scenario.spec]. Fabric rows run through the scenario
-   runner (bench/scenario.ml), which the tests share; this module adds
-   the flow-set and microbench rows, the assertions and the table.
+   Each row is a [Scenario.spec]. Fabric rows, flow sets included, run
+   through the scenario runner (bench/scenario.ml), which the tests
+   share; this module adds the microbenches, the assertions and the table.
    [run] executes any row at any shard count and returns one [row]
    record. [run_table] runs rows in order, judges each
    ([Scenario.judgements]: identity, frame conservation, assertions)
@@ -12,66 +12,17 @@
 include Scenario
 open Tpp
 
-(* ---- transport flow sets -------------------------------------------- *)
-
-let flow_chaos_drop = 0.01
-
-(* A chaotic flow set drops on every access link. A lone shard runs in
-   this domain, so the sequential run's allocation is exact, measured
-   over the whole [Fct.fabric_run]: build, flow setup and events. A
-   sharded run's shards run in domains of their own, out of sight of
-   this domain's counters: its allocation is left unmeasured (null)
-   rather than reported as this domain's near-zero. *)
-let run_flows spec transport params ~shards =
-  let p =
-    if spec.chaos = Chaotic then { params with Fct.f_chaos_drop = flow_chaos_drop }
-    else params
-  in
-  let m0 = Gc.minor_words () and p0 = promoted_words () in
-  let o, wall = timed (fun () -> Fct.fabric_run ~shards:(max 1 shards) transport p) in
-  let m1 = Gc.minor_words () and p1 = promoted_words () in
-  let per_event w0 w1 = if shards <= 1 then per o.Fct.fo_events (w1 -. w0) else nan in
-  let short = Fct.summarize (Fct.short_samples o ~threshold:p.Fct.f_short_bytes) in
-  let long =
-    Fct.summarize
-      (List.filter (fun (size, _) -> size > p.Fct.f_short_bytes) o.Fct.fo_samples)
-  in
-  let f = float_of_int in
-  {
-    blank with
-    events = o.Fct.fo_events;
-    delivered = o.Fct.fo_completed;
-    registers = digest (Fct.fingerprint o);
-    wall;
-    minor_pe = per_event m0 m1;
-    promoted_pe = per_event p0 p1;
-    metrics =
-      [ ("started", f o.Fct.fo_started);
-        ("completed_frac", per o.Fct.fo_started (f o.Fct.fo_completed));
-        ("short_p50_ns", f short.Fct.fs_p50_ns); ("short_p99_ns", f short.Fct.fs_p99_ns);
-        ("long_p50_ns", f long.Fct.fs_p50_ns); ("long_p99_ns", f long.Fct.fs_p99_ns);
-        ("drops", f o.Fct.fo_drops); ("trims", f o.Fct.fo_trims);
-        ("invariants_ok", if o.Fct.fo_ok then 1.0 else 0.0) ];
-  }
-
 (* ---- microbenches --------------------------------------------------- *)
 
-(* Compacted live words before and after [f], whose result stays alive
-   across the second compaction: the structure's steady-state
-   footprint, not its garbage. *)
+(* The built fabric's footprint: the words reachable from its engine and
+   net, the structure itself and none of the build's garbage. *)
 let run_build spec =
-  let (bytes, (_eng, net)), wall =
+  let (eng, net), wall =
     timed (fun () ->
-        Gc.compact ();
-        let w0 = (Gc.stat ()).Gc.live_words in
-        let keep =
-          Sys.opaque_identity
-            (let eng = Engine.create () in
-             (eng, build spec ~oracle:false eng))
-        in
-        Gc.compact ();
-        ((Gc.stat ()).Gc.live_words - w0, keep))
+        let eng = Engine.create () in
+        (eng, build spec ~oracle:false eng))
   in
+  let words = Obj.reachable_words (Obj.repr (eng, net)) in
   let hosts = List.length (Net.hosts net) in
   let switches = Net.switches net in
   let fib =
@@ -85,7 +36,7 @@ let run_build spec =
     promoted_pe = nan;
     metrics =
       [ ("hosts", float_of_int hosts);
-        ("bytes_per_host", per hosts (float_of_int (bytes * (Sys.word_size / 8))));
+        ("bytes_per_host", per hosts (float_of_int (words * (Sys.word_size / 8))));
         ("fib_per_switch", fib);
         (* The /32 oracle installs every host on every switch. *)
         ("fib_reduction", float_of_int hosts /. fib) ];
@@ -304,8 +255,7 @@ let run_trim iters =
 (* The row run at [shards] (0 = the sequential engine), or its oracle. *)
 let run ?(oracle = false) spec ~shards =
   match spec.traffic with
-  | Collect | Heavy | Pooled | Postcard -> run_fabric spec ~oracle ~shards
-  | Flows (t, p) -> run_flows spec t p ~shards
+  | Collect | Heavy | Pooled | Postcard | Flows _ -> run_fabric spec ~oracle ~shards
   | Build -> run_build spec
   | Ingest cards -> run_ingest cards
   | Overload -> run_overload ()
@@ -314,19 +264,18 @@ let run ?(oracle = false) spec ~shards =
 
 let workload spec =
   let topo =
-    match spec.topo with
-    | Fat_tree k -> Printf.sprintf "fat-tree k=%d (ECMP, %d hosts)" k (k * k * k / 4)
-    | Pods k ->
+    match (spec.traffic, spec.topo) with
+    | Flows (_, { Fct.f_topo = Fct.Fat_tree k; _ }), _ -> Printf.sprintf "fat-tree k=%d" k
+    | Flows (_, { Fct.f_topo = Fct.Dumbbell { pairs; _ }; _ }), _ ->
+      Printf.sprintf "dumbbell, %d pairs" pairs
+    | _, Fat_tree k -> Printf.sprintf "fat-tree k=%d (ECMP, %d hosts)" k (k * k * k / 4)
+    | _, Pods k ->
       Printf.sprintf "fat-tree k=%d (ECMP, %d hosts, aggregated FIBs)" k (k * k * k / 4)
-    | Leaf_spine (l, s, h) -> Printf.sprintf "leaf-spine %dx%d (%d hosts)" l s (l * h)
-    | Dumbbell pairs -> Printf.sprintf "dumbbell (%d hosts)" (2 * pairs)
-    | Random (sw, h, x, seed) ->
+    | _, Leaf_spine (l, s, h) -> Printf.sprintf "leaf-spine %dx%d (%d hosts)" l s (l * h)
+    | _, Dumbbell pairs -> Printf.sprintf "dumbbell (%d hosts)" (2 * pairs)
+    | _, Random (sw, h, x, seed) ->
       Printf.sprintf "random, %d switches + %d extra links, %d hosts, seed %d" sw x h seed
-    | Fct_fabric -> (
-      match Fct.fabric_default.Fct.f_topo with
-      | Fct.Fat_tree k -> Printf.sprintf "fat-tree k=%d" k
-      | Fct.Dumbbell { pairs; _ } -> Printf.sprintf "dumbbell, %d pairs" pairs)
-    | No_fabric -> "one process"
+    | _, No_fabric -> "one process"
   in
   let per_host what = Printf.sprintf "%d %s UDP packets/host" spec.packets what in
   let traffic =
@@ -442,9 +391,9 @@ let beats_p99 row =
 
 let flow_load = 0.6
 
-(* Minor words/event of a flow set's sequential run (the whole
-   [Fct.fabric_run]: build, setup and events), per row at each size:
-   its measured figure x 1.25, rounded up. Allocation is
+(* Minor words/event of a flow set's sequential run from the end of its
+   setup ([Fct.attach]) to the read-back after the run, per row at each
+   size: its measured figure x 1.25, rounded up. Allocation is
    deterministic, so any excess is new per-event garbage. RCP* and TPP-LB have no budget yet:
    their allocation still moves with their completion instability. *)
 let flow_alloc_budget ~smoke name =
@@ -452,8 +401,8 @@ let flow_alloc_budget ~smoke name =
     (if smoke then
        [ ("flows-tcp-0.60", 27.0); ("flows-dctcp-0.60", 18.0); ("flows-ndp-0.60", 18.0) ]
      else
-       [ ("flows-tcp-0.20", 27.0); ("flows-tcp-0.40", 26.0); ("flows-tcp-0.60", 27.0);
-         ("flows-tcp-0.80", 27.0); ("flows-dctcp-0.20", 25.0); ("flows-dctcp-0.40", 18.0);
+       [ ("flows-tcp-0.20", 26.0); ("flows-tcp-0.40", 26.0); ("flows-tcp-0.60", 26.0);
+         ("flows-tcp-0.80", 27.0); ("flows-dctcp-0.20", 24.0); ("flows-dctcp-0.40", 18.0);
          ("flows-dctcp-0.60", 8.0); ("flows-dctcp-0.80", 9.0); ("flows-ndp-0.20", 19.0);
          ("flows-ndp-0.40", 18.0); ("flows-ndp-0.60", 16.0); ("flows-ndp-0.80", 19.0) ])
 
@@ -465,7 +414,7 @@ let flow_row ~smoke ~load transport =
       f_duration = Time_ns.ms (if smoke then 80 else 300) }
   in
   let gate = load = flow_load in
-  spec name Fct_fabric (Flows (transport, params))
+  spec name No_fabric (Flows (transport, params))
     ~why:
       "five transports over one pre-drawn Poisson/Pareto workload: at the \
        gate load each is bit-identical sequential vs 4-shard, and NDP's 99p \
@@ -630,7 +579,7 @@ let table ~smoke =
         List.map (fun load -> flow_row ~smoke ~load t)
           (pick [ flow_load ] [ 0.2; 0.4; flow_load; 0.8 ]))
       Fct.all_transports
-  @ [ spec "ndp-chaos" Fct_fabric
+  @ [ spec "ndp-chaos" No_fabric
         (Flows
            ( Fct.Ndp_t,
              (* Moderate load and capped sizes make 100% completion the

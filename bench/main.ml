@@ -258,14 +258,10 @@ let e9 () =
        (Time_ns.to_sec_f p.Fct.f_duration));
   let run t = Fct.fabric_run t p in
   let star = run Fct.Rcp_star_t and aimd = run Fct.Aimd_t and tcp = run Fct.Tcp_t in
-  let short o = Fct.summarize (Fct.short_samples o ~threshold:p.Fct.f_short_bytes) in
-  let long (o : Fct.fabric_outcome) =
-    Fct.summarize
-      (List.filter (fun (size, _) -> size > p.Fct.f_short_bytes) o.Fct.fo_samples)
-  in
+  let fcts o = Fct.short_long o ~threshold:p.Fct.f_short_bytes in
   let sec ns = float_of_int ns /. 1e9 in
   let line name (o : Fct.fabric_outcome) =
-    let s = short o and l = long o in
+    let s, l = fcts o in
     Printf.printf "  %-12s %4d/%-4d %10.3f %10.3f %10.3f %10.3f %8d\n" name
       o.Fct.fo_completed o.Fct.fo_started (s.Fct.fs_mean_ns /. 1e9)
       (sec s.Fct.fs_p99_ns) (l.Fct.fs_mean_ns /. 1e9) (sec l.Fct.fs_p99_ns)
@@ -277,7 +273,7 @@ let e9 () =
   line "RCP*(TPP)" star;
   line "AIMD" aimd;
   line "TCP (Reno)" tcp;
-  let mean o = (short o).Fct.fs_mean_ns /. 1e9 in
+  let mean o = (fst (fcts o)).Fct.fs_mean_ns /. 1e9 in
   let s_star = mean star and s_aimd = mean aimd and s_tcp = mean tcp in
   Report.sub "expectations (RCP's motivation: flows converge to fair share fast)";
   Report.expect ~what:"short flows finish faster under RCP*"

@@ -8,8 +8,8 @@
    against its oracle's and every sharded run against it
    ([check_identity]), frame conservation at every horizon of every run
    ([conservation]), then the spec's assertions. [check] runs and judges
-   a spec. Allocation figures are exact: domain-local [Gc.minor_words],
-   sampled in the running domain and summed across shards. *)
+   a spec, flow sets ([Flows]) included. Allocation figures are exact:
+   domain-local [Gc.minor_words] from the end of setup, shards summed. *)
 
 open Tpp
 
@@ -19,8 +19,7 @@ type topo =
   | Leaf_spine of int * int * int   (* leaves, spines, hosts per leaf *)
   | Dumbbell of int                 (* host pairs across one core link *)
   | Random of int * int * int * int (* switches, hosts, extra links, seed *)
-  | Fct_fabric                      (* the fat-tree inside Fct.fabric_run *)
-  | No_fabric                       (* a microbench *)
+  | No_fabric  (* a microbench, or a flow set: its f_topo names its fabric *)
 
 type traffic =
   | Collect    (* pooled UDP, each frame carrying a 5-instruction TPP *)
@@ -63,7 +62,7 @@ type tally = {
 type row = {
   events : int;
   delivered : int;
-  registers : int;  (* digest of every switch register; of Fct.fingerprint for flow sets *)
+  registers : int;  (* digest of every switch register; of Fct.fingerprint for a flow set *)
   tpp_execs : int;
   tpp_faults : int;
   tpp_cycles : int;
@@ -137,7 +136,7 @@ let timed f =
 (* ---- fabrics and their traffic -------------------------------------- *)
 
 (* Every fabric run drains by this horizon: its sends end within
-   [packets * gap_ns]. *)
+   [packets * gap_ns]. A flow set runs for its own duration instead. *)
 let horizon = Time_ns.sec 10
 let gap_ns = 6_000
 let payload_bytes = 1000
@@ -192,25 +191,27 @@ let build spec ~oracle eng =
   let flip = oracle_is spec ~oracle in
   let bps = link_bps and delay = link_delay in
   let net =
-    match spec.topo with
-    | Fat_tree k ->
+    match (spec.traffic, spec.topo) with
+    | Flows (_, p), No_fabric -> Fct.build p eng
+    | Flows _, _ -> invalid_arg "Scenario.build: a flow set's fabric is its f_topo"
+    | _, Fat_tree k ->
       (Topology.fat_tree eng ~ecmp:true ~k ~bps ~delay ())
         .Topology.f_net
-    | Pods k ->
+    | _, Pods k ->
       let fib = if flip Host32 then `Host32 else `Aggregated in
       (Topology.fat_tree eng ~ecmp:true ~addressing:`Pods ~fib ~k
          ~bps ~delay ())
         .Topology.f_net
-    | Leaf_spine (leaves, spines, hosts_per_leaf) ->
+    | _, Leaf_spine (leaves, spines, hosts_per_leaf) ->
       (Topology.leaf_spine eng ~ecmp:true ~leaves ~spines
          ~hosts_per_leaf ~bps ~delay ())
         .Topology.ls_net
-    | Dumbbell pairs ->
+    | _, Dumbbell pairs ->
       (Topology.dumbbell eng ~pairs ~core_bps:bps ~edge_bps:bps ~delay ()).Topology.d_net
-    | Random (switches, hosts, extra_links, seed) ->
+    | _, Random (switches, hosts, extra_links, seed) ->
       (Topology.random eng ~switches ~hosts ~extra_links ~seed ~ecmp:true ~bps ~delay ())
         .Topology.r_net
-    | Fct_fabric | No_fabric -> invalid_arg "Scenario.build: not a fabric row"
+    | _, No_fabric -> invalid_arg "Scenario.build: not a fabric row"
   in
   Option.iter
     (fun bytes ->
@@ -374,6 +375,7 @@ type part = {
   tap : (Collector.t * int) option;  (* collector, cards dropped *)
   p_arrivals : (int * int) list;  (* owned host, digest of its arrival times *)
   frames : int list;  (* [counts] after the run *)
+  flows : Fct.fabric_outcome option;  (* a flow set's part, read by Fct *)
 }
 
 (* Attaches the row's faults, tap and traffic to [net]. Returns [counts]
@@ -465,15 +467,56 @@ let setup spec ~oracle ~owns net =
             tap;
         p_arrivals = List.map (fun h -> (h.Net.node_id, arrivals.(h.Net.node_id))) hosts;
         frames = counts ();
+        flows = None;
       } )
 
+let flow_chaos_drop = 0.01
+
+(* [setup] for a flow set, on the fabric its parameters name. No frame
+   counts, no arrival digest (its receive hook would replace the stacks'
+   UDP dispatch), and of the oracles only [build]'s apply. *)
+let attach_flows spec transport p ~oracle:_ ~owns net =
+  let p = if spec.chaos = Chaotic then { p with Fct.f_chaos_drop = flow_chaos_drop } else p in
+  let read = Fct.attach transport p ~owns net in
+  let m0 = Gc.minor_words () and p0 = promoted_words () in
+  ( (fun () -> [ 0; 0; 0; 0 ]),
+    fun () ->
+      let words = (Gc.minor_words () -. m0, promoted_words () -. p0) in
+      { fp = []; tpp = [ 0; 0; 0 ]; p_faults = zero_faults; outstanding = 0; words;
+        sums = []; tap = None; p_arrivals = []; frames = [ 0; 0; 0; 0 ];
+        flows = Some (read ()) } )
+
 let add_up = List.fold_left (List.map2 ( + ))
+
+(* [r] (a run's events, wall and allocation) as a flow set's row: Fct's
+   outcome merged over the run's parts, and the flows-* rows' metrics.
+   No tallies: its frames are not counted. *)
+let row_of_flows r p parts =
+  let o = Fct.merge (List.filter_map (fun part -> part.flows) parts) in
+  let short, long = Fct.short_long o ~threshold:p.Fct.f_short_bytes in
+  let f = float_of_int in
+  { r with
+    delivered = o.Fct.fo_completed;
+    registers = digest (Fct.fingerprint o);
+    metrics =
+      [ ("started", f o.Fct.fo_started);
+        ("completed_frac", per o.Fct.fo_started (f o.Fct.fo_completed));
+        ("short_p50_ns", f short.Fct.fs_p50_ns); ("short_p99_ns", f short.Fct.fs_p99_ns);
+        ("long_p50_ns", f long.Fct.fs_p50_ns); ("long_p99_ns", f long.Fct.fs_p99_ns);
+        ("drops", f o.Fct.fo_drops); ("trims", f o.Fct.fo_trims);
+        ("invariants_ok", if o.Fct.fo_ok then 1.0 else 0.0) ] }
 
 (* The row at the drained horizon. A spec's cut horizons are read on
    the way there by the sequential engine, and by one sharded run
    each. *)
 let run_fabric spec ~oracle ~shards =
   let build = build spec ~oracle in
+  let setup, until =
+    match spec.traffic with
+    | Flows (t, p) when spec.horizons = [] -> (attach_flows spec t p, p.Fct.f_duration)
+    | Flows _ -> invalid_arg "Scenario.run_fabric: a flow set has no cut horizons"
+    | _ -> (setup spec, horizon)
+  in
   let pooled =
     not (oracle_is spec ~oracle Unpooled || oracle_is spec ~oracle Round_trip)
   in
@@ -489,7 +532,7 @@ let run_fabric spec ~oracle ~shards =
     let stats, parts =
       Parsim.run ~shards ~until ~build
         ~setup:(fun ~shard ~owns net ->
-          finish.(shard) <- snd (setup spec ~oracle ~owns net))
+          finish.(shard) <- snd (setup ~oracle ~owns net))
         ~collect:(fun ~shard ~owns:_ _ -> finish.(shard) ())
         ()
     in
@@ -500,7 +543,7 @@ let run_fabric spec ~oracle ~shards =
         if shards = 0 then begin
           let eng = Engine.create () in
           let net = build eng in
-          let counts, finish = setup spec ~oracle ~owns:(fun _ -> true) net in
+          let counts, finish = setup ~oracle ~owns:(fun _ -> true) net in
           let cuts =
             List.map
               (fun at ->
@@ -509,11 +552,11 @@ let run_fabric spec ~oracle ~shards =
                   ~delivered:(Net.frames_delivered net) ~boundary:0 [ counts () ])
               spec.horizons
           in
-          Engine.run eng ~until:horizon;
+          Engine.run eng ~until;
           (Engine.events_processed eng, Net.frames_delivered net, None, [ finish () ], cuts)
         end
         else begin
-          let stats, parts = sharded horizon in
+          let stats, parts = sharded until in
           (stats.Parsim.events, stats.Parsim.delivered, Some stats, parts, [])
         end)
   in
@@ -528,6 +571,7 @@ let run_fabric spec ~oracle ~shards =
         spec.horizons
   in
   let words f = List.fold_left (fun a p -> a +. f p.words) 0.0 parts in
+  let minor_pe = per events (words fst) and promoted_pe = per events (words snd) in
   let fp =
     List.concat_map (fun p -> p.fp) parts |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
@@ -549,50 +593,53 @@ let run_fabric spec ~oracle ~shards =
   let boundary_outstanding =
     Option.fold ~none:0 ~some:(fun s -> s.Parsim.boundary_outstanding) stats
   in
-  {
-    events;
-    delivered;
-    registers = List.fold_left (fun h (id, regs) -> List.fold_left mix (mix h id) regs) 0 fp;
-    tpp_execs = List.nth tpp 0;
-    tpp_faults = List.nth tpp 1;
-    tpp_cycles = List.nth tpp 2;
-    faults = add_up zero_faults (List.map (fun p -> p.p_faults) parts);
-    cards = (if taps = [] then 0 else Collector.cards merged);
-    collector = (if taps = [] then 0 else Collector.fingerprint merged);
-    pool_outstanding = List.fold_left (fun a p -> a + p.outstanding) 0 parts;
-    boundary_outstanding;
-    arrivals =
-      List.concat_map (fun p -> p.p_arrivals) parts
-      |> List.sort compare
-      |> List.fold_left (fun h (id, d) -> mix (mix h id) d) 0;
-    tallies =
-      cuts
-      @ [ tally ~at:horizon ~events ~delivered ~boundary:boundary_outstanding
-            (List.map (fun p -> p.frames) parts) ];
-    wall;
-    minor_pe = per events (words fst);
-    promoted_pe = per events (words snd);
-    metrics =
-      sums
-      @ [ ("fib_per_switch", List.assoc "fib_entries" sums /. List.assoc "switches" sums);
-          (* 1.0 and 0 when every transmission queued its completion
-             and every frame its egress ring *)
-          ( "completions_per_tx",
-            List.assoc "completions_queued" sums /. List.assoc "transmissions" sums );
-          ("cut_through_share", List.assoc "cut_through" sums /. List.assoc "switch_hops" sums)
-        ]
-      @ (if taps = [] then []
-         else
-           [ ("cards_dropped", f (List.fold_left (fun a (_, d) -> a + d) 0 taps));
-             ("collector_words_per_link", per tap_links (f tap_words)) ])
-      @
-      match stats with
-      | None -> []
-      | Some s ->
-        [ ("rounds", f s.Parsim.rounds); ("boundary_messages", f s.Parsim.messages);
-          ("boundary_chunks", f s.Parsim.chunks); ("cut_links", f s.Parsim.cut_links);
-          ("lookahead_ns", f s.Parsim.lookahead) ];
-  }
+  match spec.traffic with
+  | Flows (_, p) -> row_of_flows { blank with events; wall; minor_pe; promoted_pe } p parts
+  | _ ->
+    {
+      events;
+      delivered;
+      registers = List.fold_left (fun h (id, regs) -> List.fold_left mix (mix h id) regs) 0 fp;
+      tpp_execs = List.nth tpp 0;
+      tpp_faults = List.nth tpp 1;
+      tpp_cycles = List.nth tpp 2;
+      faults = add_up zero_faults (List.map (fun p -> p.p_faults) parts);
+      cards = (if taps = [] then 0 else Collector.cards merged);
+      collector = (if taps = [] then 0 else Collector.fingerprint merged);
+      pool_outstanding = List.fold_left (fun a p -> a + p.outstanding) 0 parts;
+      boundary_outstanding;
+      arrivals =
+        List.concat_map (fun p -> p.p_arrivals) parts
+        |> List.sort compare
+        |> List.fold_left (fun h (id, d) -> mix (mix h id) d) 0;
+      tallies =
+        cuts
+        @ [ tally ~at:horizon ~events ~delivered ~boundary:boundary_outstanding
+              (List.map (fun p -> p.frames) parts) ];
+      wall;
+      minor_pe;
+      promoted_pe;
+      metrics =
+        sums
+        @ [ ("fib_per_switch", List.assoc "fib_entries" sums /. List.assoc "switches" sums);
+            (* 1.0 and 0 when every transmission queued its completion
+               and every frame its egress ring *)
+            ( "completions_per_tx",
+              List.assoc "completions_queued" sums /. List.assoc "transmissions" sums );
+            ("cut_through_share", List.assoc "cut_through" sums /. List.assoc "switch_hops" sums)
+          ]
+        @ (if taps = [] then []
+           else
+             [ ("cards_dropped", f (List.fold_left (fun a (_, d) -> a + d) 0 taps));
+               ("collector_words_per_link", per tap_links (f tap_words)) ])
+        @
+        match stats with
+        | None -> []
+        | Some s ->
+          [ ("rounds", f s.Parsim.rounds); ("boundary_messages", f s.Parsim.messages);
+            ("boundary_chunks", f s.Parsim.chunks); ("cut_links", f s.Parsim.cut_links);
+            ("lookahead_ns", f s.Parsim.lookahead) ];
+    }
 
 (* ---- checks --------------------------------------------------------- *)
 

@@ -23,9 +23,9 @@ module Tpp_lb = Tpp_rcp.Tpp_lb
    crosses a topology — a k-ary fat-tree or E9's dumbbell — under one
    transport: RCP* (TPP-driven), TCP Reno, DCTCP, NDP (pull/trim,
    receiver-driven), plain AIMD, or TPP-LB (the same AIMD plus
-   CONGA-style flowlet steering from TPP path probes). The runner works
-   unchanged under conservative sharding ([Parsim]), so sequential and
-   sharded runs must produce bit-identical outcomes. *)
+   CONGA-style flowlet steering from TPP path probes). [attach] sets up
+   any replica, sequential or one shard's ([Parsim]), and [merge] folds
+   their parts: sequential and sharded outcomes must be bit-identical. *)
 
 type transport = Rcp_star_t | Tcp_t | Dctcp_t | Ndp_t | Tpp_lb_t | Aimd_t
 
@@ -140,7 +140,6 @@ let layout p =
 
 type fabric_outcome = {
   fo_transport : transport;
-  fo_shards : int;
   fo_started : int;
   fo_completed : int;
   fo_samples : (int * int) list;  (* (flow bytes, fct ns), sorted *)
@@ -179,8 +178,9 @@ let summarize samples =
     }
   end
 
-let short_samples o ~threshold =
-  List.filter (fun (size, _) -> size <= threshold) o.fo_samples
+let short_long o ~threshold =
+  let part keep = summarize (List.filter (fun (size, _) -> keep size) o.fo_samples) in
+  (part (fun size -> size <= threshold), part (fun size -> size > threshold))
 
 (* The workload is drawn once, before any engine exists, so every
    transport (and every shard replica) sees the same flows. Sizes are
@@ -215,13 +215,9 @@ let fabric_schedule p l =
   done;
   List.sort compare !flows
 
-let sorted_hosts net =
-  Array.of_list
-    (List.sort
-       (fun a b -> Int.compare a.Net.node_id b.Net.node_id)
-       (Net.hosts net))
-
-let fabric_run ?(shards = 1) transport p =
+(* Outcome state lives in this closure's refs: each replica keeps its
+   own. *)
+let attach transport p ~owns net =
   let l = layout p in
   let sched = fabric_schedule p l in
   let init_rate = max 100_000 (l.line_bps / 10) in
@@ -243,232 +239,228 @@ let fabric_run ?(shards = 1) transport p =
         * 135 / 100;
     }
   in
-  (* Per-shard mutable outcome state, each slot touched only by its own
-     shard's domain (the [collect] read happens there too). *)
-  let started = Array.make shards 0 in
-  let samples = Array.make shards [] in
-  let ndp_eps : Ndp.t array option array = Array.make shards None in
-  let setup ~shard ~owns net =
-    let eng = Net.engine net in
-    let hosts = sorted_hosts net in
-    let n = Array.length hosts in
-    let stacks = Array.map (Stack.create net) hosts in
-    (* Fabric-wide switch configuration is engine-free and applied on
-       every replica, exactly as a sequential run would. *)
-    (match transport with
-    | Ndp_t -> Ndp.enable_network net ndp_config
-    | Dctcp_t ->
-      List.iter
-        (fun (_, sw) ->
-          for port = 0 to Switch.num_ports sw - 1 do
-            Switch.set_ecn_threshold sw ~port (Some 15_000)
-          done)
-        (Net.switches net)
-    | Rcp_star_t | Tcp_t | Tpp_lb_t | Aimd_t -> ());
-    if p.f_chaos_drop > 0.0 then begin
-      let f = Fault.create ~seed:(p.f_seed + 31) in
-      (* The loss episode covers the whole arrival window but ends with
-         it: the drain tail is clean. Stall detection alone costs up to
-         2x the rtx timeout, so a drop landing within a few ms of the
-         horizon is unrecoverable by construction — with loss active to
-         the last nanosecond, "every started flow completes" would be
-         unachievable for any transport rather than a recovery gate. *)
-      let chaos_until =
-        Time_ns.of_sec_f (Time_ns.to_sec_f p.f_duration *. 0.7)
+  let started = ref 0 and samples = ref [] in
+  let eng = Net.engine net in
+  let hosts =
+    Array.of_list
+      (List.sort (fun a b -> Int.compare a.Net.node_id b.Net.node_id) (Net.hosts net))
+  in
+  let n = Array.length hosts in
+  let stacks = Array.map (Stack.create net) hosts in
+  (* Fabric-wide switch configuration is engine-free and applied on
+     every replica, exactly as a sequential run would. *)
+  (match transport with
+  | Ndp_t -> Ndp.enable_network net ndp_config
+  | Dctcp_t ->
+    List.iter
+      (fun (_, sw) ->
+        for port = 0 to Switch.num_ports sw - 1 do
+          Switch.set_ecn_threshold sw ~port (Some 15_000)
+        done)
+      (Net.switches net)
+  | Rcp_star_t | Tcp_t | Tpp_lb_t | Aimd_t -> ());
+  if p.f_chaos_drop > 0.0 then begin
+    let f = Fault.create ~seed:(p.f_seed + 31) in
+    (* The loss episode covers the whole arrival window but ends with
+       it: the drain tail is clean. Stall detection alone costs up to
+       2x the rtx timeout, so a drop landing within a few ms of the
+       horizon is unrecoverable by construction — with loss active to
+       the last nanosecond, "every started flow completes" would be
+       unachievable for any transport rather than a recovery gate. *)
+    let chaos_until =
+      Time_ns.of_sec_f (Time_ns.to_sec_f p.f_duration *. 0.7)
+    in
+    Array.iter
+      (fun h ->
+        Fault.lossy f ~from_:0 ~until_:chaos_until ~drop:p.f_chaos_drop
+          (h.Net.node_id, 0))
+      hosts;
+    Fault.attach f net
+  end;
+  let slot =
+    match transport with
+    | Rcp_star_t -> (
+      Array.iter Probe.install_echo stacks;
+      Net.start_utilization_updates net ~period:l.util_period
+        ~until:p.f_duration;
+      match Rcp_star.setup_network net with
+      | Ok s -> s
+      | Error e -> invalid_arg ("Fct.attach: " ^ e))
+    | _ -> -1
+  in
+  let record size fct = samples := (size, fct) :: !samples in
+  let eps =
+    match transport with
+    | Ndp_t ->
+      let eps =
+        Array.map (fun st -> Ndp.create ~config:ndp_config st ~port:9000) stacks
       in
       Array.iter
-        (fun h ->
-          Fault.lossy f ~from_:0 ~until_:chaos_until ~drop:p.f_chaos_drop
-            (h.Net.node_id, 0))
-        hosts;
-      Fault.attach f net
-    end;
-    let slot =
-      match transport with
-      | Rcp_star_t -> (
-        Array.iter Probe.install_echo stacks;
-        Net.start_utilization_updates net ~period:l.util_period
-          ~until:p.f_duration;
-        match Rcp_star.setup_network net with
-        | Ok s -> s
-        | Error e -> invalid_arg ("Fct.fabric_run: " ^ e))
-      | _ -> -1
-    in
-    let eps =
-      match transport with
-      | Ndp_t ->
-        let eps =
-          Array.map (fun st -> Ndp.create ~config:ndp_config st ~port:9000) stacks
-        in
-        Array.iter
-          (fun ep ->
-            Ndp.set_on_complete ep (fun ~now ~src:_ ~bytes ~start_ns ->
-                samples.(shard) <- (bytes, now - start_ns) :: samples.(shard)))
-          eps;
-        ndp_eps.(shard) <- Some eps;
-        eps
-      | _ -> [||]
-    in
-    let record size fct = samples.(shard) <- (size, fct) :: samples.(shard) in
-    let launch idx (at, src_i, size) =
-      let src_h = hosts.(src_i) in
-      let dst_i = (src_i + (n / 2)) mod n in
-      let dst_h = hosts.(dst_i) in
-      let data_port = 10_000 + (4 * idx) in
-      let report_port = data_port + 1 in
-      let send_done () =
-        Stack.send_udp stacks.(dst_i) ~dst:src_h ~src_port:report_port
-          ~dst_port:report_port ~payload:(Bytes.make 4 '\000') ()
-      in
-      match transport with
-      | Ndp_t ->
-        if owns src_h.Net.node_id then
-          Engine.at eng at (fun () ->
-              started.(shard) <- started.(shard) + 1;
-              ignore (Ndp.send eps.(src_i) ~dst:dst_h ~bytes:size))
-      | Tcp_t ->
-        if owns dst_h.Net.node_id then
-          Engine.at eng at (fun () ->
-              ignore (Tcp.Receiver.attach stacks.(dst_i) ~port:data_port));
-        if owns src_h.Net.node_id then
-          Engine.at eng at (fun () ->
-              started.(shard) <- started.(shard) + 1;
-              ignore
-                (Tcp.Transfer.start ~src:stacks.(src_i) ~dst:dst_h
-                   ~port:data_port ~total_bytes:size
-                   ~on_complete:(fun ~now -> record size (now - at))
-                   ()))
-      | Rcp_star_t | Dctcp_t | Tpp_lb_t | Aimd_t ->
-        if owns src_h.Net.node_id then
-          Engine.at eng at (fun () ->
-              started.(shard) <- started.(shard) + 1;
-              let flow =
-                Flow.transfer ~src:stacks.(src_i) ~dst:dst_h
-                  ~dst_port:data_port ~payload_bytes:p.f_payload
-                  ~rate_bps:init_rate ~total_bytes:size
-              in
-              let stop_ctl =
-                match transport with
-                | Rcp_star_t ->
-                  let config =
-                    { (Rcp_star.default_config ~slot) with
-                      Rcp_star.period_ns = l.probe_period;
-                      rtt_ns = l.ctl_rtt;
-                      max_hops = 8 }
-                  in
-                  let ctl =
-                    Rcp_star.create stacks.(src_i) config ~flow ~dst:dst_h
-                  in
-                  Rcp_star.start ctl ();
-                  fun () -> Rcp_star.stop ctl
-                | Dctcp_t ->
-                  let config =
-                    { (Dctcp.default_config ~max_rate_bps:l.line_bps) with
-                      Dctcp.report_period_ns = l.ctl_rtt;
-                      rtt_ns = l.ctl_rtt;
-                      initial_rate_bps = init_rate }
-                  in
-                  let ctl = Dctcp.create stacks.(src_i) config ~flow ~report_port in
-                  Dctcp.start ctl;
-                  fun () -> Dctcp.stop ctl
-                | Aimd_t | Tpp_lb_t | Tcp_t | Ndp_t ->
-                  let config =
-                    { (Aimd.default_config ~max_rate_bps:l.line_bps) with
-                      Aimd.report_period_ns = l.ctl_rtt;
-                      rtt_ns = l.ctl_rtt;
-                      initial_rate_bps = init_rate }
-                  in
-                  let ctl = Aimd.create stacks.(src_i) config ~flow ~report_port in
-                  let lb =
-                    if transport <> Tpp_lb_t then None
-                    else
-                      Some
-                        (Tpp_lb.create
-                           ~config:
-                             { Tpp_lb.default_config with
-                               Tpp_lb.probe_period_ns = l.probe_period;
-                               flowlet_gap_ns = Time_ns.us 100 }
-                           stacks.(src_i) ~flow ~dst:dst_h)
-                  in
-                  Aimd.start ctl;
-                  Option.iter (fun lb -> Tpp_lb.start lb ()) lb;
-                  fun () ->
-                    Aimd.stop ctl;
-                    Option.iter Tpp_lb.stop lb
-              in
-              (* The receiver signals completion with a 4-byte datagram
-                 (too short for any report parser); registered after the
-                 controller so [on_udp_add] stacks onto its handler. *)
-              let stopped = ref false in
-              Stack.on_udp_add stacks.(src_i) ~port:report_port
-                (fun ~now:_ frame ->
-                  if Frame.payload_len frame = 4 && not !stopped then begin
-                    stopped := true;
-                    Flow.stop flow;
-                    stop_ctl ()
-                  end);
-              Flow.start flow ());
-        if owns dst_h.Net.node_id then
-          Engine.at eng at (fun () ->
-              match transport with
-              | Tpp_lb_t ->
-                (* Probes share the data port, so completion counts only
-                   full-size data payloads through an added handler; the
-                   sink still feeds the loss reports. *)
-                let sink = Flow.Sink.attach stacks.(dst_i) ~port:data_port in
-                Probe.install_echo_on_port stacks.(dst_i) ~port:data_port;
-                let recv =
-                  Flow.Sink.report stacks.(dst_i) sink ~report_to:src_h
-                    ~port:report_port ~period:l.ctl_rtt Flow.Sink.holes
-                    Flow.Sink.rx_payload_bytes
-                in
-                let got = ref 0 in
-                let finished = ref false in
-                Stack.on_udp_add stacks.(dst_i) ~port:data_port
-                  (fun ~now frame ->
-                    let pl = Frame.payload_len frame in
-                    if pl >= p.f_payload && not !finished then begin
-                      got := !got + pl;
-                      if !got >= size then begin
-                        finished := true;
-                        record size (now - at);
-                        Engine.Loop.stop recv;
-                        send_done ()
-                      end
-                    end)
-              | Rcp_star_t | Dctcp_t | Aimd_t ->
-                let finished = ref false in
-                let sink = ref None in
-                let stop_rx = ref (fun () -> ()) in
-                let tap ~now =
-                  match !sink with
-                  | Some s
-                    when (not !finished)
-                         && Flow.Sink.rx_payload_bytes s >= size ->
-                    finished := true;
-                    record size (now - at);
-                    !stop_rx ();
-                    send_done ()
-                  | _ -> ()
-                in
-                let sink_t = Flow.Sink.attach ~tap stacks.(dst_i) ~port:data_port in
-                sink := Some sink_t;
-                let report first second =
-                  let recv =
-                    Flow.Sink.report stacks.(dst_i) sink_t ~report_to:src_h
-                      ~port:report_port ~period:l.ctl_rtt first second
-                  in
-                  stop_rx := fun () -> Engine.Loop.stop recv
-                in
-                (match transport with
-                | Dctcp_t -> report Flow.Sink.rx_pkts Flow.Sink.ce_marked
-                | Aimd_t -> report Flow.Sink.holes Flow.Sink.rx_payload_bytes
-                | _ -> ())
-              | Tcp_t | Ndp_t -> ())
-    in
-    List.iteri launch sched
+        (fun ep ->
+          Ndp.set_on_complete ep (fun ~now ~src:_ ~bytes ~start_ns ->
+              record bytes (now - start_ns)))
+        eps;
+      eps
+    | _ -> [||]
   in
-  let collect ~shard ~owns net =
+  let launch idx (at, src_i, size) =
+    let src_h = hosts.(src_i) in
+    let dst_i = (src_i + (n / 2)) mod n in
+    let dst_h = hosts.(dst_i) in
+    let data_port = 10_000 + (4 * idx) in
+    let report_port = data_port + 1 in
+    let send_done () =
+      Stack.send_udp stacks.(dst_i) ~dst:src_h ~src_port:report_port
+        ~dst_port:report_port ~payload:(Bytes.make 4 '\000') ()
+    in
+    match transport with
+    | Ndp_t ->
+      if owns src_h.Net.node_id then
+        Engine.at eng at (fun () ->
+            incr started;
+            ignore (Ndp.send eps.(src_i) ~dst:dst_h ~bytes:size))
+    | Tcp_t ->
+      if owns dst_h.Net.node_id then
+        Engine.at eng at (fun () ->
+            ignore (Tcp.Receiver.attach stacks.(dst_i) ~port:data_port));
+      if owns src_h.Net.node_id then
+        Engine.at eng at (fun () ->
+            incr started;
+            ignore
+              (Tcp.Transfer.start ~src:stacks.(src_i) ~dst:dst_h
+                 ~port:data_port ~total_bytes:size
+                 ~on_complete:(fun ~now -> record size (now - at))
+                 ()))
+    | Rcp_star_t | Dctcp_t | Tpp_lb_t | Aimd_t ->
+      if owns src_h.Net.node_id then
+        Engine.at eng at (fun () ->
+            incr started;
+            let flow =
+              Flow.transfer ~src:stacks.(src_i) ~dst:dst_h
+                ~dst_port:data_port ~payload_bytes:p.f_payload
+                ~rate_bps:init_rate ~total_bytes:size
+            in
+            let stop_ctl =
+              match transport with
+              | Rcp_star_t ->
+                let config =
+                  { (Rcp_star.default_config ~slot) with
+                    Rcp_star.period_ns = l.probe_period;
+                    rtt_ns = l.ctl_rtt;
+                    max_hops = 8 }
+                in
+                let ctl =
+                  Rcp_star.create stacks.(src_i) config ~flow ~dst:dst_h
+                in
+                Rcp_star.start ctl ();
+                fun () -> Rcp_star.stop ctl
+              | Dctcp_t ->
+                let config =
+                  { (Dctcp.default_config ~max_rate_bps:l.line_bps) with
+                    Dctcp.report_period_ns = l.ctl_rtt;
+                    rtt_ns = l.ctl_rtt;
+                    initial_rate_bps = init_rate }
+                in
+                let ctl = Dctcp.create stacks.(src_i) config ~flow ~report_port in
+                Dctcp.start ctl;
+                fun () -> Dctcp.stop ctl
+              | Aimd_t | Tpp_lb_t | Tcp_t | Ndp_t ->
+                let config =
+                  { (Aimd.default_config ~max_rate_bps:l.line_bps) with
+                    Aimd.report_period_ns = l.ctl_rtt;
+                    rtt_ns = l.ctl_rtt;
+                    initial_rate_bps = init_rate }
+                in
+                let ctl = Aimd.create stacks.(src_i) config ~flow ~report_port in
+                let lb =
+                  if transport <> Tpp_lb_t then None
+                  else
+                    Some
+                      (Tpp_lb.create
+                         ~config:
+                           { Tpp_lb.default_config with
+                             Tpp_lb.probe_period_ns = l.probe_period;
+                             flowlet_gap_ns = Time_ns.us 100 }
+                         stacks.(src_i) ~flow ~dst:dst_h)
+                in
+                Aimd.start ctl;
+                Option.iter (fun lb -> Tpp_lb.start lb ()) lb;
+                fun () ->
+                  Aimd.stop ctl;
+                  Option.iter Tpp_lb.stop lb
+            in
+            (* The receiver signals completion with a 4-byte datagram
+               (too short for any report parser); registered after the
+               controller so [on_udp_add] stacks onto its handler. *)
+            let stopped = ref false in
+            Stack.on_udp_add stacks.(src_i) ~port:report_port
+              (fun ~now:_ frame ->
+                if Frame.payload_len frame = 4 && not !stopped then begin
+                  stopped := true;
+                  Flow.stop flow;
+                  stop_ctl ()
+                end);
+            Flow.start flow ());
+      if owns dst_h.Net.node_id then
+        Engine.at eng at (fun () ->
+            match transport with
+            | Tpp_lb_t ->
+              (* Probes share the data port, so completion counts only
+                 full-size data payloads through an added handler; the
+                 sink still feeds the loss reports. *)
+              let sink = Flow.Sink.attach stacks.(dst_i) ~port:data_port in
+              Probe.install_echo_on_port stacks.(dst_i) ~port:data_port;
+              let recv =
+                Flow.Sink.report stacks.(dst_i) sink ~report_to:src_h
+                  ~port:report_port ~period:l.ctl_rtt Flow.Sink.holes
+                  Flow.Sink.rx_payload_bytes
+              in
+              let got = ref 0 in
+              let finished = ref false in
+              Stack.on_udp_add stacks.(dst_i) ~port:data_port
+                (fun ~now frame ->
+                  let pl = Frame.payload_len frame in
+                  if pl >= p.f_payload && not !finished then begin
+                    got := !got + pl;
+                    if !got >= size then begin
+                      finished := true;
+                      record size (now - at);
+                      Engine.Loop.stop recv;
+                      send_done ()
+                    end
+                  end)
+            | Rcp_star_t | Dctcp_t | Aimd_t ->
+              let finished = ref false in
+              let sink = ref None in
+              let stop_rx = ref (fun () -> ()) in
+              let tap ~now =
+                match !sink with
+                | Some s
+                  when (not !finished)
+                       && Flow.Sink.rx_payload_bytes s >= size ->
+                  finished := true;
+                  record size (now - at);
+                  !stop_rx ();
+                  send_done ()
+                | _ -> ()
+              in
+              let sink_t = Flow.Sink.attach ~tap stacks.(dst_i) ~port:data_port in
+              sink := Some sink_t;
+              let report first second =
+                let recv =
+                  Flow.Sink.report stacks.(dst_i) sink_t ~report_to:src_h
+                    ~port:report_port ~period:l.ctl_rtt first second
+                in
+                stop_rx := fun () -> Engine.Loop.stop recv
+              in
+              (match transport with
+              | Dctcp_t -> report Flow.Sink.rx_pkts Flow.Sink.ce_marked
+              | Aimd_t -> report Flow.Sink.holes Flow.Sink.rx_payload_bytes
+              | _ -> ())
+            | Tcp_t | Ndp_t -> ())
+  in
+  List.iteri launch sched;
+  fun () ->
     let drops = ref 0 in
     let trims = ref 0 in
     List.iter
@@ -482,43 +474,46 @@ let fabric_run ?(shards = 1) transport p =
                   Tpp_isa.Vaddr.Port_stat.Drops
           done
         end)
-      (Net.switches net)
-    ;
-    let ok =
-      match ndp_eps.(shard) with
-      | None -> true
-      | Some eps ->
-        let hosts = sorted_hosts net in
-        let ok = ref true in
-        Array.iteri
-          (fun i ep ->
-            if owns hosts.(i).Net.node_id then
-              ok := !ok && Ndp.invariants_ok ep && Ndp.fold_rx_credit ep)
-          eps;
-        !ok
-    in
-    ( started.(shard),
-      samples.(shard),
-      !drops,
-      !trims,
-      Engine.events_processed (Net.engine net),
-      ok )
-  in
-  let _stats, per_shard =
-    Parsim.run ~shards ~until:p.f_duration ~build:l.build ~setup ~collect ()
-  in
-  let fo_started = Array.fold_left (fun a (s, _, _, _, _, _) -> a + s) 0 per_shard in
-  let all_samples =
-    Array.fold_left (fun a (_, s, _, _, _, _) -> List.rev_append s a) [] per_shard
-  in
+      (Net.switches net);
+    let ok = ref true in
+    Array.iteri
+      (fun i ep ->
+        if owns hosts.(i).Net.node_id then
+          ok := !ok && Ndp.invariants_ok ep && Ndp.fold_rx_credit ep)
+      eps;
+    {
+      fo_transport = transport;
+      fo_started = !started;
+      fo_completed = List.length !samples;
+      fo_samples = List.sort compare !samples;
+      fo_drops = !drops;
+      fo_trims = !trims;
+      fo_events = Engine.events_processed eng;
+      fo_ok = !ok;
+    }
+
+let merge parts =
+  let sum f = List.fold_left (fun a o -> a + f o) 0 parts in
+  let samples = List.sort compare (List.concat_map (fun o -> o.fo_samples) parts) in
   {
-    fo_transport = transport;
-    fo_shards = shards;
-    fo_started;
-    fo_completed = List.length all_samples;
-    fo_samples = List.sort compare all_samples;
-    fo_drops = Array.fold_left (fun a (_, _, d, _, _, _) -> a + d) 0 per_shard;
-    fo_trims = Array.fold_left (fun a (_, _, _, t, _, _) -> a + t) 0 per_shard;
-    fo_events = Array.fold_left (fun a (_, _, _, _, e, _) -> a + e) 0 per_shard;
-    fo_ok = Array.for_all (fun (_, _, _, _, _, ok) -> ok) per_shard;
+    fo_transport = (List.hd parts).fo_transport;
+    fo_started = sum (fun o -> o.fo_started);
+    fo_completed = List.length samples;
+    fo_samples = samples;
+    fo_drops = sum (fun o -> o.fo_drops);
+    fo_trims = sum (fun o -> o.fo_trims);
+    fo_events = sum (fun o -> o.fo_events);
+    fo_ok = List.for_all (fun o -> o.fo_ok) parts;
   }
+
+let build p = (layout p).build
+
+let fabric_run ?(shards = 1) transport p =
+  let readers = Array.make shards (fun () -> assert false) in
+  let _stats, parts =
+    Parsim.run ~shards ~until:p.f_duration ~build:(build p)
+      ~setup:(fun ~shard ~owns net -> readers.(shard) <- attach transport p ~owns net)
+      ~collect:(fun ~shard ~owns:_ _ -> readers.(shard) ())
+      ()
+  in
+  merge (Array.to_list parts)

@@ -10,9 +10,9 @@
     whole lifetime probing for bandwidth, while RCP* starts at the
     network's advertised fair rate within one control period.
 
-    The runner is built on {!Tpp_parsim.Parsim}, so sequential
-    ([shards = 1]) and sharded runs of the same parameters must produce
-    bit-identical {!fingerprint}s. *)
+    A run is {!attach} on each replica of the fabric and {!merge} of
+    their parts, so sequential and sharded ({!Tpp_parsim.Parsim}) runs
+    of the same parameters must produce bit-identical {!fingerprint}s. *)
 
 type transport =
   | Rcp_star_t  (** TPP-driven RCP (paper §2.2) *)
@@ -66,7 +66,6 @@ val dumbbell_default : fabric_params
 
 type fabric_outcome = {
   fo_transport : transport;
-  fo_shards : int;
   fo_started : int;
   fo_completed : int;
   fo_samples : (int * int) list;
@@ -76,6 +75,19 @@ type fabric_outcome = {
   fo_events : int;  (** engine events over all shards (not identity-stable) *)
   fo_ok : bool;     (** transport invariants held (NDP state machine) *)
 }
+
+val build : fabric_params -> Tpp_sim.Engine.t -> Tpp_sim.Net.t
+(** The fabric [f_topo] names: one replica. *)
+
+val attach :
+  transport -> fabric_params -> owns:(int -> bool) -> Tpp_sim.Net.t -> unit -> fabric_outcome
+(** [attach t p ~owns net] sets the flow set up on a {!build} of [p],
+    launching the flows of the hosts [owns] accepts. Called after the
+    run, the reader returns this replica's part: its flows, its owned
+    switches' drops and trims, its engine's events. *)
+
+val merge : fabric_outcome list -> fabric_outcome
+(** A run's parts (at least one) as one outcome. *)
 
 val fabric_run : ?shards:int -> transport -> fabric_params -> fabric_outcome
 (** Runs the workload under one transport. Arrivals stop at 70% of the
@@ -96,6 +108,5 @@ type fct_summary = {
   fs_p99_ns : int;
 }
 
-val summarize : (int * int) list -> fct_summary
-
-val short_samples : fabric_outcome -> threshold:int -> (int * int) list
+val short_long : fabric_outcome -> threshold:int -> fct_summary * fct_summary
+(** Summaries of the flows of at most [threshold] bytes, and of the rest. *)

@@ -5,7 +5,9 @@
    two equal on random programs x random states — including
    fault-heavy programs (out-of-bounds and misaligned packet offsets,
    unmapped switch addresses, odd CSTORE/CEXEC pools, hand-built
-   unencodable operands that force the Marshal cache key). Unit tests
+   unencodable operands that force the Marshal cache key) — and on
+   fault-free binop programs, where a miscompiled operator cannot hide
+   behind an earlier fault. Unit tests
    pin the program-cache behaviour: copies share one compilation,
    per-switch hit/miss counters, clear_cache, and domain-safe lookup. *)
 
@@ -234,6 +236,36 @@ let prop_backends_agree =
         QCheck.Test.fail_reportf "backends diverge\ninterpreter: %s\ncompiled:    %s"
           (show_digest reference) (show_digest compiled))
 
+(* Fault-free straight-line arithmetic: every instruction a binop whose
+   destination is an in-bounds aligned packet word and whose source is
+   one too or an immediate, over full 32-bit memory words. No draw can
+   fault before its results land in packet memory, so lowering one
+   operator as another shows in [Prog.words] of almost every draw. *)
+let gen_binop_scenario =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun mem_words ->
+    let word = map (fun i -> Instr.Pkt (4 * i)) (int_bound (mem_words - 1)) in
+    let src = frequency [ (3, word); (1, map (fun v -> Instr.Imm v) (int_bound 0xFFF)) ] in
+    list_size (int_range 1 12) (map3 (fun o d s -> Instr.Binop (o, d, s)) gen_binop word src)
+    >>= fun program ->
+    list_repeat mem_words (int_bound 0xFFFF_FFFF) >>= fun mem_init ->
+    return
+      {
+        program; hop_mode = false; perhop = 4; mem_words; mem_init; pool = []; sp_off = 0;
+        hop0 = 0; out_port = 2; sram_init = [ 0; 0; 0; 0 ]; qdepth = 0; now = 0;
+      })
+
+let prop_binops_agree =
+  QCheck.Test.make ~name:"compiled binops == interpreter (fault-free programs)" ~count:200
+    (QCheck.make ~print:show_scenario gen_binop_scenario)
+    (fun sc ->
+      let reference = run_scenario Interp.execute sc in
+      let compiled = run_scenario Tcpu.execute sc in
+      if reference = compiled then true
+      else
+        QCheck.Test.fail_reportf "backends diverge\ninterpreter: %s\ncompiled:    %s"
+          (show_digest reference) (show_digest compiled))
+
 (* The generator finds these eventually; pin them so every run covers
    the canonical fault shapes and the CEXEC/CSTORE stop semantics. *)
 let nasty_programs =
@@ -403,4 +435,5 @@ let suite =
       test_clear_cache_keeps_linked_handles;
     Alcotest.test_case "lookup is domain-safe" `Quick test_lookup_is_domain_safe;
     Alcotest.test_case "compiled length" `Quick test_compile_length;
+    qtest prop_binops_agree;
   ]

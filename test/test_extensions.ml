@@ -560,10 +560,7 @@ let test_fct_smoke () =
     aimd.Fct.fo_started;
   check Alcotest.bool "most complete under RCP*" true
     (10 * star.Fct.fo_completed >= 8 * star.Fct.fo_started);
-  let short o =
-    (Fct.summarize (Fct.short_samples o ~threshold:p.Fct.f_short_bytes))
-      .Fct.fs_mean_ns
-  in
+  let short o = (fst (Fct.short_long o ~threshold:p.Fct.f_short_bytes)).Fct.fs_mean_ns in
   check Alcotest.bool "rcp* short flows faster than AIMD and TCP" true
     (short star < short aimd && short star < short tcp)
 

@@ -9,7 +9,10 @@
       about the wire.
 
    2. The workload draws: sample means that hit the analytic means of
-      the flow-size CDFs, and the closed-form arrival rate. *)
+      the flow-size CDFs, and the closed-form arrival rate.
+
+   3. The gate table's build rows: a built fabric's footprint (its
+      reachable words) is positive and reads the same on every build. *)
 
 open Tpp
 
@@ -189,6 +192,17 @@ let test_arrival_rate () =
       ignore
         (Workload.arrival_rate ~load:0.0 ~link_bps:1 ~mix:(Workload.Fixed 1)))
 
+let build_footprints () =
+  List.iter
+    (fun spec ->
+      if spec.Gates.traffic = Gates.Build then begin
+        let read () = Gates.metric "bytes_per_host" (Gates.run spec ~shards:0) in
+        let first = read () in
+        Alcotest.(check bool) (spec.Gates.name ^ ": positive") true (first > 0.0);
+        Alcotest.(check (float 0.0)) (spec.Gates.name ^ ": second build") first (read ())
+      end)
+    (Gates.table ~smoke:true)
+
 let suite =
   [
     qtest test_fat_tree_equiv;
@@ -199,4 +213,6 @@ let suite =
       test_sample_means;
     Alcotest.test_case "workload: arrival rate closed form" `Quick
       test_arrival_rate;
+    Alcotest.test_case "build rows: positive, repeatable bytes/host" `Quick
+      build_footprints;
   ]

@@ -1,8 +1,8 @@
 (* Transport testbed tests: the NDP receiver-driven state machine under
    random trim/drop schedules, flowlet steering, DCTCP report-counter
    wraparound, FCT workload validation, and the flow-completion
-   harness's identity (sharded == sequential, fat-tree fingerprints
-   pinned). *)
+   harness's identity (sharded == sequential as scenario specs, fat-tree
+   fingerprints pinned). *)
 
 open Tpp
 
@@ -211,25 +211,25 @@ let test_fct_rejects_bad_shape () =
 
 (* --- Flow-completion harness identity ------------------------------------ *)
 
-(* A 2-shard run cuts the dumbbell's core (or the fat-tree's pod links)
-   and must reproduce the sequential run flow for flow. *)
-let test_sharded_identity p transport () =
-  let seq = Fct.fabric_run transport p in
-  let sharded = Fct.fabric_run ~shards:2 transport p in
-  check Alcotest.bool "flows completed" true (seq.Fct.fo_completed > 0);
-  check (Alcotest.list Alcotest.int) "2 shards == 1 shard" (Fct.fingerprint seq)
-    (Fct.fingerprint sharded)
-
+(* Flow specs ({!Test_scenario.case}): a 2-shard run cuts the dumbbell's
+   core (or the fat-tree's pod links) and must reproduce the sequential
+   run flow for flow. *)
 let identity_cases =
   List.concat_map
     (fun (topo_name, p) ->
       List.map
         (fun t ->
-          Alcotest.test_case
-            (Printf.sprintf "fct %s %s: 2 shards == 1" topo_name
-               (Fct.transport_name t))
-            `Quick
-            (test_sharded_identity p t))
+          let name =
+            Printf.sprintf "fct %s %s: 2 shards == 1" topo_name (Fct.transport_name t)
+          in
+          Alcotest.test_case name `Quick
+            (Test_scenario.case
+               (Scenario.spec name No_fabric (Flows (t, p)) ~shards:[ 2 ]
+                  ~asserts:
+                    [ Scenario.holds "flows completed"
+                        (fun c -> c.seq.delivered > 0)
+                        (fun c -> string_of_int c.seq.delivered) ]
+                  ~why:"a flow set completes flows and runs identically on 2 shards")))
         [ Fct.Rcp_star_t; Fct.Aimd_t; Fct.Tcp_t ])
     [
       ("dumbbell", { Fct.dumbbell_default with Fct.f_duration = Time_ns.sec 3 });
