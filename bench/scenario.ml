@@ -30,7 +30,7 @@ type traffic =
   | Build      (* build the topology only *)
   | Ingest of int    (* synthetic postcards through one sink *)
   | Overload         (* a small sink fed 10x its capacity, never drained *)
-  | Sketch of int    (* samples into CMS and t-digest *)
+  | Sketch of int    (* samples into a CMS and its 4-way merge *)
   | Trim of int      (* frames into a full data queue, trim vs drop *)
 
 type chaos = No_chaos | Empty | Chaotic
@@ -582,7 +582,7 @@ let run_fabric spec ~oracle ~shards =
       parts
   in
   let taps = List.filter_map (fun p -> p.tap) parts in
-  (* Read before the merge below, which flushes every digest. *)
+  (* The shard collectors' own footprint, before the merge below. *)
   let tap_sum f = List.fold_left (fun a (col, _) -> a + f col) 0 taps in
   let tap_words = tap_sum (fun col -> Obj.reachable_words (Obj.repr col))
   and tap_links = tap_sum (fun col -> List.length (Collector.links col)) in

@@ -2,8 +2,6 @@ type link_state = {
   mutable l_hops : int;
   mutable l_bytes : int;
   mutable l_faults : int;
-  depth_ewma : Sketch.Ewma.t;
-  depth_digest : Sketch.Tdigest.t;
   fault_ewma : Sketch.Ewma.t;
 }
 
@@ -17,10 +15,9 @@ let mix = Sketch.mix
 let node_bound = 1 lsl Tpp_sim.Engine.max_id_bits
 let port_bound = 65536
 
-(* The flow CMS's shape and the per-link EWMAs' smoothing. *)
+(* The flow CMS's shape and the per-link fault EWMA's smoothing. *)
 let cms_width = 2048
 let cms_depth = 4
-let depth_alpha = 0.2
 let fault_alpha = 0.1
 
 let absent =
@@ -28,13 +25,10 @@ let absent =
     l_hops = 0;
     l_bytes = 0;
     l_faults = 0;
-    depth_ewma = Sketch.Ewma.create ();
-    depth_digest = Sketch.Tdigest.create ();
     fault_ewma = Sketch.Ewma.create ();
   }
 
 type t = {
-  digest_delta : float;
   mutable cards : int;
   mutable hops : int;
   mutable probe_retries : int;
@@ -75,8 +69,6 @@ let add_link t ~node ~port =
       l_hops = 0;
       l_bytes = 0;
       l_faults = 0;
-      depth_ewma = Sketch.Ewma.create ~alpha:depth_alpha ();
-      depth_digest = Sketch.Tdigest.create ~delta:t.digest_delta ();
       fault_ewma = Sketch.Ewma.create ~alpha:fault_alpha ();
     }
   in
@@ -103,11 +95,6 @@ let absorb_card t buf ~off =
     Sketch.Cms.add t.flows ~key:(Wire.flow_hash buf ~off) wire_bytes;
     ls.l_hops <- ls.l_hops + 1;
     ls.l_bytes <- ls.l_bytes + wire_bytes;
-    (* int entry points: a float converted here would be boxed to
-       cross into Sketch *)
-    let depth = Wire.value buf ~off in
-    Sketch.Ewma.observe_int ls.depth_ewma depth;
-    Sketch.Tdigest.add_int ls.depth_digest depth;
     Sketch.Ewma.observe ls.fault_ewma 0.0
   end
   else if kind = Wire.kind_code Wire.Probe_retry then
@@ -122,10 +109,9 @@ let absorb_card t buf ~off =
   end;
   t.cards <- t.cards + 1
 
-let create ?(digest_delta = 100.0) () =
+let create () =
   let rec t =
     {
-      digest_delta;
       cards = 0;
       hops = 0;
       probe_retries = 0;
@@ -186,14 +172,6 @@ let link_bytes t ~switch ~port =
 let link_faults t ~switch ~port =
   with_link t ~switch ~port ~default:0 (fun ls -> ls.l_faults)
 
-let link_depth_ewma t ~switch ~port =
-  with_link t ~switch ~port ~default:0.0 (fun ls ->
-      Sketch.Ewma.value ls.depth_ewma)
-
-let link_depth_quantile t ~switch ~port ~q =
-  with_link t ~switch ~port ~default:Float.nan (fun ls ->
-      Sketch.Tdigest.quantile ls.depth_digest q)
-
 let link_fault_ewma t ~switch ~port =
   with_link t ~switch ~port ~default:0.0 (fun ls ->
       Sketch.Ewma.value ls.fault_ewma)
@@ -227,14 +205,9 @@ let merge ~into src =
       dst.l_faults <- dst.l_faults + ls.l_faults;
       (* EWMAs cannot be merged exactly; carry the heavier side's view
          weighted by observation count so trends survive a merge. *)
-      let carry dst_e src_e =
-        let n = Sketch.Ewma.count src_e in
-        if n > 0 && n >= Sketch.Ewma.count dst_e then
-          Sketch.Ewma.observe dst_e (Sketch.Ewma.value src_e)
-      in
-      carry dst.depth_ewma ls.depth_ewma;
-      carry dst.fault_ewma ls.fault_ewma;
-      Sketch.Tdigest.merge ~into:dst.depth_digest ls.depth_digest)
+      let n = Sketch.Ewma.count ls.fault_ewma in
+      if n > 0 && n >= Sketch.Ewma.count dst.fault_ewma then
+        Sketch.Ewma.observe dst.fault_ewma (Sketch.Ewma.value ls.fault_ewma))
     ();
   Sketch.Cms.merge ~into:into.flows src.flows
 

@@ -6,15 +6,18 @@
     - total and per-kind counters;
     - per-switch hop counts;
     - a {!Sketch.Cms} of bytes per flow hash (heavy-hitter detection);
-    - per-link ((switch, out port)) hop/byte counters, a depth
-      {!Sketch.Ewma} and a depth {!Sketch.Tdigest};
-    - per-link fault {!Sketch.Ewma} driven by [Fault_event] cards;
+    - per-link ((switch, out port)) hop/byte/fault counters;
+    - per-link fault {!Sketch.Ewma} driven by hop and [Fault_event]
+      cards;
     - per-node probe retry/failure counts from end-host cards.
 
-    Everything a query returns is derived from bounded state: the
-    sketches are fixed-size, and the per-switch and per-link tables
-    are dense arrays indexed by node id and out port, so their size
-    is set by the largest node id and port seen, not by the number of
+    It keeps only state something reads: [React] acts on the fault
+    EWMA, the link counters and {!hottest_link}, and {!fingerprint}
+    hashes the counters and the CMS. A hop card's queue depth is not
+    kept. Everything a query returns is derived from bounded state:
+    the CMS is fixed-size, and the per-switch and per-link tables are
+    dense arrays indexed by node id and out port, so their size is set
+    by the largest node id and port seen, not by the number of
     physical links. Node ids are Net node ids, below 2^20
     ({!Tpp_sim.Engine.max_id_bits}); a hop or fault card naming a
     larger one raises [Invalid_argument]. {!fingerprint} hashes only
@@ -23,10 +26,8 @@
 
 type t
 
-val create : ?digest_delta:float -> unit -> t
-(** A 2048 x 4 flow CMS, per-link depth and fault EWMAs with alpha 0.2
-    and 0.1, and per-link depth t-digests of compression
-    [digest_delta] (default 100). *)
+val create : unit -> t
+(** A 2048 x 4 flow CMS and per-link fault EWMAs with alpha 0.1. *)
 
 val absorb : t -> Sink.t -> unit
 (** Drains the sink, decoding every pending card in place. *)
@@ -60,12 +61,6 @@ val link_bytes : t -> switch:int -> port:int -> int
 val link_faults : t -> switch:int -> port:int -> int
 (** [Fault_event] cards attributed to this link. *)
 
-val link_depth_ewma : t -> switch:int -> port:int -> float
-(** EWMA of queue depth (bytes) observed at enqueue on this link. *)
-
-val link_depth_quantile : t -> switch:int -> port:int -> q:float -> float
-(** t-digest quantile of the same depth series; [nan] if unseen. *)
-
 val link_fault_ewma : t -> switch:int -> port:int -> float
 (** EWMA over hop observations: 1.0 for each [Fault_event] on the
     link, 0.0 for each clean hop. Approximates the link's loss rate
@@ -78,11 +73,11 @@ val hottest_link : t -> ?exclude:(int * int) list -> unit -> (int * int * int) o
 (** {2 Sharding} *)
 
 val merge : into:t -> t -> unit
-(** Sums counters, merges sketches and per-link state. Merging shard
+(** Sums counters, merges the CMS and per-link state. Merging shard
     collectors must yield the same {!fingerprint} as one sequential
     collector over the same cards. *)
 
 val fingerprint : t -> int
 (** Order-independent digest: counters, per-switch and per-link
-    counts, and the CMS cells. Excludes EWMAs and digests (those are
+    counts, and the CMS cells. Excludes the fault EWMAs (they are
     order-sensitive by nature). *)
